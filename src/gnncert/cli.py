@@ -14,7 +14,6 @@ import csv
 import json
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, asdict, field, fields
 from pathlib import Path
 
@@ -67,7 +66,7 @@ class RunConfig:
     max_paths: int = 100_000
     subset_cap: int = 50_000
     max_ie_terms: int = 2 ** 20
-    workers: int = 1
+    workers: int = 1        # accepted for old configs; runs are single-threaded
 
     @classmethod
     def from_file(cls, path: str, overrides: dict) -> "RunConfig":
@@ -255,13 +254,14 @@ def cmd_certify(cfg: RunConfig) -> int:
     results = {}
     rfs = {}
     surfaces_by_node = {}
-    todo = [v for v in nodes if v in tallies]
-    with ThreadPoolExecutor(max_workers=max(1, cfg.workers)) as pool:
-        for v, outcome in zip(todo, pool.map(lambda v: _guard(work, v), todo)):
-            if isinstance(outcome, str):
-                failures[v] = outcome
-            else:
-                results[v], rfs[v], surfaces_by_node[v] = outcome
+    for v in nodes:
+        if v not in tallies:
+            continue
+        outcome = _guard(work, v)
+        if isinstance(outcome, str):
+            failures[v] = outcome
+        else:
+            results[v], rfs[v], surfaces_by_node[v] = outcome
 
     header = ["node_id", "prediction", "abstain", "p_lower", "p_upper", "correct"]
     for dm in d_mins:
@@ -352,12 +352,12 @@ def cmd_derandomize(cfg: RunConfig) -> int:
 
     rows = []
     failures: dict[int, str] = {}
-    with ThreadPoolExecutor(max_workers=max(1, cfg.workers)) as pool:
-        for v, outcome in zip(nodes, pool.map(lambda v: _guard(work, v), nodes)):
-            if isinstance(outcome, str):
-                failures[v] = outcome
-            else:
-                rows.append(outcome)
+    for v in nodes:
+        outcome = _guard(work, v)
+        if isinstance(outcome, str):
+            failures[v] = outcome
+        else:
+            rows.append(outcome)
 
     header = (["node_id", "field_size", "k", "support", "derandomized",
                "reps", "savings", "prediction", "radius", "certified"]
@@ -501,12 +501,12 @@ def cmd_paths(cfg: RunConfig) -> int:
 
     failures: dict[int, str] = {}
     rows = []
-    with ThreadPoolExecutor(max_workers=max(1, cfg.workers)) as pool:
-        for v, outcome in zip(nodes, pool.map(lambda v: _guard(work, v), nodes)):
-            if isinstance(outcome, str):
-                failures[v] = outcome
-            else:
-                rows.append(outcome)
+    for v in nodes:
+        outcome = _guard(work, v)
+        if isinstance(outcome, str):
+            failures[v] = outcome
+        else:
+            rows.append(outcome)
 
     header = (["node_id", "field_size", "simple_paths", "longest_path", "is_tree"]
               + [f"surface_dmin_{dm}" for dm in d_mins] + ["error"])
@@ -538,7 +538,7 @@ def main(argv=None) -> int:
         p.add_argument("--config", required=True, help="JSON run configuration")
         p.add_argument("--seed", type=int, default=None, help="override config seed")
         p.add_argument("--workers", type=int, default=None,
-                       help="worker pool width")
+                       help="accepted for old configs; ignored")
         p.add_argument("--out", default=None, help="override output directory")
 
     for name in ("train", "certify", "derandomize", "paths"):

@@ -20,7 +20,7 @@ from scipy import special
 
 from .errors import InsufficientSamplesError
 from .graph import Graph, ReceptiveField
-from .gcn import GnnModel, VoteTable, normalized_adjacency, _relu
+from .gcn import GnnModel, VoteTable, normalized_adjacency, propagate, _relu
 from .smoothing import SmoothingConfig
 from . import smoothing
 from .bounds import DeltaBound
@@ -92,23 +92,25 @@ def _predictions_per_sample(model: GnnModel, g: Graph, cfg: SmoothingConfig,
                             n_samples: int, nodes: np.ndarray) -> np.ndarray:
     """(n_samples, len(nodes)) predicted classes, one smoothed forward per sample.
 
-    Samples are keyed by index, so evaluating one sampled graph for many
-    nodes at once gives bitwise the same votes as per-node evaluation.
+    Samples are keyed by index, so a node sees bitwise the same sampled
+    graphs whether it is evaluated alone or with others.
+    ``X @ W1`` is computed once; an ablated row is ``token @ W1`` by
+    linearity, and the second layer runs for ``nodes`` only.
     """
     out = np.empty((n_samples, len(nodes)), dtype=np.int64)
-    skip_part = (_relu(g.features @ model.w1) @ model.w2) if model.skip else None
+    xw1 = g.features @ model.w1
+    token_w1 = cfg.token @ model.w1
+    skip_h = _relu(xw1) if model.skip else None
     for i in range(n_samples):
         s = smoothing.sample(g, cfg, i)
         if s.ablated.any():
-            x = g.features.copy()
-            x[s.ablated] = cfg.token
+            x = xw1.copy()
+            x[s.ablated] = token_w1
         else:
-            x = g.features
+            x = xw1
         a_hat = normalized_adjacency(g.n, g.edges[s.edge_mask])
-        scores = a_hat @ _relu(a_hat @ x @ model.w1) @ model.w2
-        if skip_part is not None:
-            scores = scores + skip_part
-        out[i] = np.argmax(scores[nodes], axis=1)
+        scores = propagate(a_hat, x, model.w2, rows=nodes, skip_h=skip_h)[2]
+        out[i] = np.argmax(scores, axis=1)
     return out
 
 

@@ -4,9 +4,10 @@ The model exists to exercise the certification machinery end to end: it is a
 faithful message-passing classifier (degree-normalized neighborhood
 aggregation with a self-loop) whose predictions provably depend only on
 nodes that can reach the target through surviving edges.  The ablation token
-is a trained parameter.  Training is full-batch with hand-written
-reverse-mode gradients and Adam updates; desk-scale dense matrices make an
-autodiff dependency unnecessary.
+is a trained parameter.  Aggregation runs on a sparse (CSR) matrix built from
+the surviving edges, so one forward pass costs O(m + n) per hidden unit.
+Training is full-batch with hand-written reverse-mode gradients and Adam
+updates through the same forward pass, so no autodiff dependency is needed.
 
 External classifiers are supported through vote files instead of live
 models, so certification is not tied to this architecture.
@@ -19,6 +20,7 @@ import json
 from dataclasses import dataclass, asdict
 
 import numpy as np
+from scipy import sparse
 
 from .errors import ConfigError, VoteFormatError
 from .graph import Graph
@@ -69,22 +71,50 @@ class TrainConfig:
             raise ValueError("epochs must be >= 1")
 
 
-def normalized_adjacency(n: int, edges: np.ndarray) -> np.ndarray:
-    """Symmetric degree-normalized aggregation matrix with self-loops.
+def normalized_adjacency(n: int, edges: np.ndarray) -> sparse.csr_matrix:
+    """Symmetric degree-normalized aggregation matrix with self-loops, as CSR.
 
-    Built from the surviving edges of a sample, never the clean graph:
-    using clean-graph degrees would leak which edges were deleted.
+    Row = receiver, column = sender; entry ``(r, c)`` is
+    ``inv_sqrt[r] * inv_sqrt[c]`` with ``inv_sqrt = 1 / sqrt(in-degree + 1)``.
+    Degrees are counted from the surviving edges of a sample, never the
+    clean graph: using clean-graph degrees would leak which edges were
+    deleted.  ``edges`` holds distinct ``(src, dst)`` pairs without
+    self-loops, as every ``Graph`` stores them.
     """
-    m = np.zeros((n, n), dtype=np.float64)
-    if edges.shape[0]:
-        m[edges[:, 1], edges[:, 0]] = 1.0   # row = receiver, col = sender
-    np.fill_diagonal(m, 1.0)
-    inv_sqrt = 1.0 / np.sqrt(m.sum(axis=1))
-    return m * inv_sqrt[:, None] * inv_sqrt[None, :]
+    # sorting the flat keys row * n + col yields canonical CSR order directly
+    key = np.concatenate([edges[:, 1] * n + edges[:, 0], np.arange(n) * (n + 1)])
+    key.sort()
+    rows, cols = np.divmod(key, n)
+    degree = np.bincount(rows, minlength=n)
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(degree, out=indptr[1:])
+    inv_sqrt = 1.0 / np.sqrt(degree.astype(np.float64))
+    return sparse.csr_matrix((inv_sqrt[rows] * inv_sqrt[cols], cols, indptr),
+                             shape=(n, n))
 
 
 def _relu(x: np.ndarray) -> np.ndarray:
     return np.maximum(x, 0.0)
+
+
+def propagate(a_hat: sparse.csr_matrix, xw1: np.ndarray, w2: np.ndarray,
+              rows: np.ndarray | None = None,
+              skip_h: np.ndarray | None = None):
+    """The model's two-layer propagation, shared by inference and training.
+
+    ``xw1`` is the first layer's dense product ``X @ W1``: aggregation
+    commutes with it, so a caller can compute it once and patch ablated rows
+    with ``token @ W1``.  ``skip_h`` is the skip path's hidden layer
+    ``relu(X_clean @ W1)``, added before ``W2``.  With ``rows`` the second
+    layer runs for those nodes only.  Returns the hidden pre-activation
+    ``z1`` (all nodes), the hidden input to ``W2`` and the scores (``rows``
+    only).
+    """
+    z1 = a_hat @ xw1
+    h2 = (a_hat if rows is None else a_hat[rows]) @ _relu(z1)
+    if skip_h is not None:
+        h2 = h2 + (skip_h if rows is None else skip_h[rows])
+    return z1, h2, h2 @ w2
 
 
 def forward_all(model: GnnModel, g: Graph,
@@ -99,13 +129,12 @@ def forward_all(model: GnnModel, g: Graph,
         raise ValueError(
             f"graph features have {g.dim} columns, model expects {model.dim}"
         )
-    a_hat = normalized_adjacency(g.n, g.edges)
-    h1 = _relu(a_hat @ g.features @ model.w1)
-    out = a_hat @ h1 @ model.w2
+    skip_h = None
     if model.skip:
         xc = g.features if clean_features is None else clean_features
-        out = out + _relu(xc @ model.w1) @ model.w2
-    return out
+        skip_h = _relu(xc @ model.w1)
+    a_hat = normalized_adjacency(g.n, g.edges)
+    return propagate(a_hat, g.features @ model.w1, model.w2, skip_h=skip_h)[2]
 
 
 def forward(model: GnnModel, g: Graph, v: int,
@@ -126,7 +155,7 @@ def predict_all(model: GnnModel, g: Graph,
 
 def loss_and_grads(
     model: GnnModel,
-    a_hat: np.ndarray,
+    a_hat: sparse.csr_matrix,
     x: np.ndarray,
     labels: np.ndarray,
     idx: np.ndarray,
@@ -145,18 +174,13 @@ def loss_and_grads(
     path.
     """
     xd = x * drop_mask * drop_scale if drop_mask is not None else x
-    ax = a_hat @ xd
-    z1 = ax @ model.w1
-    h1 = _relu(z1)
-    ah1 = a_hat @ h1
-    out = ah1 @ model.w2
-
+    s_pre = None
     if model.skip:
         xc = x if clean_x is None else clean_x
         xcd = xc * drop_mask * drop_scale if drop_mask is not None else xc
         s_pre = xcd @ model.w1
-        s1 = _relu(s_pre)
-        out = out + s1 @ model.w2
+    z1, h2, out = propagate(a_hat, xd @ model.w1, model.w2,
+                            skip_h=None if s_pre is None else _relu(s_pre))
 
     shifted = out - out.max(axis=1, keepdims=True)
     exp = np.exp(shifted)
@@ -174,21 +198,19 @@ def loss_and_grads(
     grad_out[idx, labels[idx]] -= 1.0
     grad_out /= len(idx)
 
-    at_g = a_hat.T @ grad_out
-    d_w2 = ah1.T @ grad_out
-    d_h1 = at_g @ model.w2.T
-    d_z1 = d_h1 * (z1 > 0)
-    d_w1 = ax.T @ d_z1
-    d_xd = a_hat.T @ d_z1 @ model.w1.T
-
-    if model.skip:
-        d_w2 += s1.T @ grad_out
-        d_s_pre = (grad_out @ model.w2.T) * (s_pre > 0)
-        d_w1 += xcd.T @ d_s_pre
+    d_w2 = h2.T @ grad_out
+    d_h2 = grad_out @ model.w2.T
+    d_z1 = (a_hat.T @ d_h2) * (z1 > 0)
+    d_xw1 = a_hat.T @ d_z1
+    d_w1 = xd.T @ d_xw1
+    if s_pre is not None:
         # skip path reads clean features, so no token gradient flows there
+        d_w1 += xcd.T @ (d_h2 * (s_pre > 0))
 
-    d_x = d_xd * drop_mask * drop_scale if drop_mask is not None else d_xd
-    d_token = d_x[ablated].sum(axis=0)
+    d_x = d_xw1[ablated] @ model.w1.T
+    if drop_mask is not None:
+        d_x *= drop_mask[ablated] * drop_scale
+    d_token = d_x.sum(axis=0)
 
     d_w1 += weight_decay * model.w1
     d_w2 += weight_decay * model.w2

@@ -10,6 +10,7 @@ probability computations.
 from __future__ import annotations
 
 import csv
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -33,7 +34,8 @@ class Graph:
 
     ``logical_edge_ids`` maps each stored edge to its coin-flip identity:
     for undirected graphs the two orientations of one edge share an id, so
-    random edge deletion treats them as a single edge.
+    random edge deletion treats them as a single edge.  Ids are the ranks of
+    the ``canonical_edge`` pairs in lexicographic order.
     """
 
     n: int
@@ -106,18 +108,34 @@ class Graph:
     def dim(self) -> int:
         return int(self.features.shape[1])
 
+    @functools.cached_property
+    def in_neighbors(self) -> tuple[np.ndarray, np.ndarray]:
+        """CSR in-neighbour index ``(indptr, senders)``, built on first use.
+
+        The senders into node ``u`` are ``senders[indptr[u]:indptr[u + 1]]``,
+        ascending.
+        """
+        order = np.lexsort((self.edges[:, 0], self.edges[:, 1]))
+        indptr = np.zeros(self.n + 1, dtype=np.int64)
+        np.cumsum(np.bincount(self.edges[:, 1], minlength=self.n), out=indptr[1:])
+        return indptr, self.edges[order, 0]
+
     def with_edges(self, edge_mask: np.ndarray, features: np.ndarray | None = None) -> "Graph":
-        """View of this graph keeping only the masked edges (features optionally replaced)."""
-        kept = self.edges[edge_mask]
-        logical_ids, n_logical = _logical_edge_ids(kept, self.directed)
+        """View of this graph keeping only the masked edges (features optionally replaced).
+
+        Logical ids are ranks, so the kept edges' ids are their old ids
+        re-ranked.
+        """
+        kept_ids = self.logical_edge_ids[edge_mask]
+        uniq, logical_ids = np.unique(kept_ids, return_inverse=True)
         return Graph(
             n=self.n,
-            edges=kept,
+            edges=self.edges[edge_mask],
             features=self.features if features is None else features,
             labels=self.labels,
             directed=self.directed,
-            logical_edge_ids=logical_ids,
-            n_logical=n_logical,
+            logical_edge_ids=logical_ids.astype(np.int64),
+            n_logical=int(uniq.size),
         )
 
     def without_nodes(self, nodes) -> "Graph":
@@ -313,12 +331,7 @@ def receptive_field(g: Graph, v: int, k: int,
     if k < 1:
         raise ValueError("layer count k must be >= 1")
 
-    in_nbrs: list[list[int]] = [[] for _ in range(g.n)]
-    for a, b in g.edges:
-        in_nbrs[int(b)].append(int(a))
-    for lst in in_nbrs:
-        lst.sort()
-
+    indptr, senders = g.in_neighbors
     paths: dict[int, list[Path]] = {}
     count = 0
     # stack of (node, suffix of edges from node to v, set of nodes on suffix)
@@ -326,7 +339,7 @@ def receptive_field(g: Graph, v: int, k: int,
 
     def visit(u: int, suffix: Path, depth: int) -> None:
         nonlocal count
-        for a in in_nbrs[u]:
+        for a in senders[indptr[u]:indptr[u + 1]].tolist():
             if a in on_path:
                 continue
             new_path: Path = ((a, u),) + suffix
@@ -349,10 +362,10 @@ def receptive_field(g: Graph, v: int, k: int,
         distance[w] = min(len(p) for p in plist)
     members = frozenset(distance)
     path_edges = frozenset(e for plist in paths.values() for p in plist for e in p)
-    edges_within = tuple(
-        (int(a), int(b)) for a, b in g.edges
-        if int(a) in members and int(b) in members
-    )
+    inside = np.zeros(g.n, dtype=bool)
+    inside[list(members)] = True
+    within = g.edges[inside[g.edges[:, 0]] & inside[g.edges[:, 1]]]
+    edges_within = tuple(map(tuple, within.tolist()))
     return ReceptiveField(
         target=v,
         k=k,

@@ -20,7 +20,7 @@ from gnncert import (
 from gnncert.errors import InsufficientSamplesError
 
 from conftest import random_graph
-from test_gcn import random_model
+from test_gcn import dense_forward_all, random_model
 
 
 def test_clopper_pearson_boundaries():
@@ -117,7 +117,6 @@ def test_estimate_live_model_reproducible_and_matches_per_node(rng):
 
 def test_estimate_matches_reference_forward_with_skip(rng):
     from gnncert import apply, sample
-    from gnncert.gcn import forward_all
     from gnncert.estimator import _predictions_per_sample
 
     g = random_graph(rng, n=7, p_edge=0.4, d=3)
@@ -127,7 +126,7 @@ def test_estimate_matches_reference_forward_with_skip(rng):
     fast = _predictions_per_sample(model, g, cfg, 25, nodes)
     for i in range(25):
         view = apply(g, sample(g, cfg, i), cfg)
-        ref = np.argmax(forward_all(model, view, clean_features=g.features),
+        ref = np.argmax(dense_forward_all(model, view, clean_features=g.features),
                         axis=1)
         assert np.array_equal(fast[i], ref)
 

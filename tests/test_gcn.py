@@ -31,6 +31,62 @@ def random_model(rng, d, h=8, classes=3, skip=False):
     )
 
 
+def dense_normalized_adjacency(n, edges):
+    """Reference aggregation matrix, built densely from the formula."""
+    m = np.zeros((n, n), dtype=np.float64)
+    if edges.shape[0]:
+        m[edges[:, 1], edges[:, 0]] = 1.0   # row = receiver, col = sender
+    np.fill_diagonal(m, 1.0)
+    inv_sqrt = 1.0 / np.sqrt(m.sum(axis=1))
+    return m * inv_sqrt[:, None] * inv_sqrt[None, :]
+
+
+def dense_forward_all(model, g, clean_features=None):
+    """Reference two-layer forward on the dense aggregation matrix."""
+    a_hat = dense_normalized_adjacency(g.n, g.edges)
+    out = a_hat @ np.maximum(a_hat @ g.features @ model.w1, 0.0) @ model.w2
+    if model.skip:
+        xc = g.features if clean_features is None else clean_features
+        out = out + np.maximum(xc @ model.w1, 0.0) @ model.w2
+    return out
+
+
+def sparse_vs_dense_graphs(rng):
+    """Fixture graphs for the sparse-vs-dense checks, edge cases first."""
+    yield Graph.build(n=5, edges=[], features=rng.normal(size=(5, 3)))
+    yield Graph.build(n=6, edges=[(0, 1), (1, 2)],      # nodes 3-5 isolated
+                      features=rng.normal(size=(6, 3)))
+    yield Graph.build(n=5, edges=[(0, 1), (1, 2), (2, 0), (3, 2)],
+                      features=rng.normal(size=(5, 3)), directed=True)
+    for _ in range(10):
+        yield random_graph(rng, n=int(rng.integers(2, 12)),
+                           p_edge=float(rng.uniform(0.1, 0.6)),
+                           directed=bool(rng.integers(2)), d=3)
+
+
+def test_normalized_adjacency_matches_dense_formula_bitwise(rng):
+    for g in sparse_vs_dense_graphs(rng):
+        for mask in (np.ones(g.m, dtype=bool), rng.random(g.m) < 0.5):
+            edges = g.edges[mask]
+            got = normalized_adjacency(g.n, edges)
+            assert got.format == "csr"
+            assert np.array_equal(got.toarray(),
+                                  dense_normalized_adjacency(g.n, edges))
+
+
+def test_forward_all_matches_dense_forward(rng):
+    for g in sparse_vs_dense_graphs(rng):
+        for skip in (False, True):
+            model = random_model(rng, d=3, skip=skip)
+            clean = g.features + rng.normal(size=g.features.shape)
+            for cf in (None, clean):
+                got = forward_all(model, g, clean_features=cf)
+                ref = dense_forward_all(model, g, clean_features=cf)
+                assert np.allclose(got, ref, rtol=0.0, atol=1e-12)
+                assert np.array_equal(np.argmax(got, axis=1),
+                                      np.argmax(ref, axis=1))
+
+
 def test_no_edges_scores_depend_only_on_own_features(rng):
     model = random_model(rng, d=4)
     feats_a = rng.normal(size=(5, 4))

@@ -3,6 +3,7 @@ import pytest
 
 from gnncert import Graph, load_graph, receptive_field
 from gnncert.errors import DimensionError, GraphParseError, ResourceLimitError
+from gnncert.graph import _logical_edge_ids
 
 from conftest import brute_force_paths, random_graph
 
@@ -137,3 +138,45 @@ def test_without_nodes_isolates():
     sub = g.without_nodes([2])
     assert {(int(a), int(b)) for a, b in sub.edges} == {(0, 1), (1, 0)}
     assert sub.n == g.n
+
+
+def random_graphs(rng, count=20):
+    for i in range(count):
+        yield random_graph(rng, n=int(rng.integers(1, 12)),
+                           p_edge=float(rng.uniform(0.0, 0.6)),
+                           directed=bool(i % 2))
+
+
+def test_in_neighbor_index_matches_brute_force(rng):
+    for g in random_graphs(rng):
+        indptr, senders = g.in_neighbors
+        assert g.in_neighbors is g.in_neighbors     # built once per graph
+        for u in range(g.n):
+            expected = sorted(int(a) for a, b in g.edges if b == u)
+            assert senders[indptr[u]:indptr[u + 1]].tolist() == expected
+
+
+def test_with_edges_logical_ids_match_recomputation(rng):
+    for g in random_graphs(rng):
+        masks = [np.zeros(g.m, dtype=bool), np.ones(g.m, dtype=bool),
+                 rng.random(g.m) < 0.5]
+        for mask in masks:
+            view = g.with_edges(mask)
+            ids, n_logical = _logical_edge_ids(g.edges[mask], g.directed)
+            assert np.array_equal(view.logical_edge_ids, ids)
+            assert view.n_logical == n_logical
+            inner = rng.random(view.m) < 0.5            # a view of a view
+            ids, n_logical = _logical_edge_ids(view.edges[inner], g.directed)
+            assert np.array_equal(view.with_edges(inner).logical_edge_ids, ids)
+            assert view.with_edges(inner).n_logical == n_logical
+
+
+def test_edges_within_matches_per_edge_scan(rng):
+    for g in random_graphs(rng):
+        v = int(rng.integers(g.n))
+        rf = receptive_field(g, v, int(rng.integers(1, 4)))
+        expected = tuple(
+            (int(a), int(b)) for a, b in g.edges
+            if int(a) in rf.members and int(b) in rf.members
+        )
+        assert rf.edges_within == expected
