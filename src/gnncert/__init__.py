@@ -40,7 +40,6 @@ from .gcn import (
 from .estimator import (
     CertificateResult,
     VoteTally,
-    certified_radius,
     certify,
     clopper_pearson,
     estimate,
@@ -49,7 +48,6 @@ from .estimator import (
 )
 from .derandomize import (
     ReducedRepresentative,
-    RetentionConfig,
     enumerate_representatives,
     exact_label_probs,
     retention_count,
@@ -68,9 +66,9 @@ __all__ = [
     "GnnModel", "TrainConfig", "VoteTable", "forward", "forward_all",
     "load_checkpoint", "load_votes", "predict_all", "save_checkpoint",
     "save_votes", "train",
-    "CertificateResult", "VoteTally", "certified_radius", "certify",
+    "CertificateResult", "VoteTally", "certify",
     "clopper_pearson", "estimate", "estimate_all", "report",
-    "ReducedRepresentative", "RetentionConfig", "enumerate_representatives",
+    "ReducedRepresentative", "enumerate_representatives",
     "exact_label_probs", "retention_count", "savings_ratio",
     "errors",
 ]

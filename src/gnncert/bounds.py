@@ -329,6 +329,28 @@ def delta_tree_exact(rf: ReceptiveField, attacked, cfg: SmoothingConfig) -> Delt
 # worst case over attacker placements
 
 
+def _exact_for_set(rf: ReceptiveField, cfg: SmoothingConfig, max_terms: int):
+    """Exact arrival probability of a fixed attacked set, as a function of the set.
+
+    Tree-shaped fields use the branch recursion; any other field uses
+    inclusion-exclusion over simple paths.
+    """
+    if is_tree(rf):
+        return lambda attacked: delta_tree_exact(rf, attacked, cfg)
+    return lambda attacked: delta_exact_ie(rf, attacked, cfg, max_terms=max_terms)
+
+
+def _combiner(rf: ReceptiveField, d_min: int, cfg: SmoothingConfig, method: str):
+    """``rho -> DeltaBound`` combining the top-rho single-source bounds.
+
+    The single-source bounds of the candidates are computed and sorted once.
+    """
+    values = _sorted_values(delta_single_source(rf, w, cfg)
+                            for w in rf.candidates(d_min))
+    combine = delta_multiplicative if method == "multiplicative" else delta_union
+    return lambda rho: combine(values, rho, d_min=d_min)
+
+
 def delta_worst_case(
     rf: ReceptiveField,
     rho: int,
@@ -356,10 +378,7 @@ def delta_worst_case(
                           raw=0.0 if method == "union" else None)
 
     if method in {"multiplicative", "union"}:
-        singles = [delta_single_source(rf, w, cfg) for w in candidates]
-        combine = delta_multiplicative if method == "multiplicative" else delta_union
-        out = combine(singles, rho, d_min=d_min)
-        return out
+        return _combiner(rf, d_min, cfg, method)(rho)
 
     r = min(rho, len(candidates))
     n_subsets = math.comb(len(candidates), r)
@@ -368,19 +387,13 @@ def delta_worst_case(
             f"{n_subsets} candidate subsets exceed cap {subset_cap}; use the "
             f"multiplicative or union method"
         )
-    tree = is_tree(rf)
-    best = None
-    best_set: tuple[int, ...] | None = None
+    exact = _exact_for_set(rf, cfg, max_terms)
+    best = best_set = None
     for subset in itertools.combinations(candidates, r):
-        if tree:
-            b = delta_tree_exact(rf, subset, cfg)
-        else:
-            b = delta_exact_ie(rf, subset, cfg, max_terms=max_terms)
-        if best is None or b.value > best:
-            best = b.value
-            best_set = subset
-    return DeltaBound(value=best, method="tree-exact" if tree else
-                      "inclusion-exclusion-exact", rho=rho, d_min=d_min,
+        b = exact(subset)
+        if best is None or b.value > best.value:
+            best, best_set = b, subset
+    return DeltaBound(value=best.value, method=best.method, rho=rho, d_min=d_min,
                       worst_set=best_set)
 
 
@@ -421,13 +434,8 @@ def delta_greedy_probe(
                 chosen.append(q.pop(0))
     chosen_set = tuple(sorted(chosen))
 
-    if is_tree(rf):
-        value = delta_tree_exact(rf, chosen_set, cfg).value
-        method = "tree-exact"
-    else:
-        value = delta_exact_ie(rf, chosen_set, cfg, max_terms=max_terms).value
-        method = "inclusion-exclusion-exact"
-    return DeltaBound(value=value, method=method, rho=rho, d_min=d_min,
+    b = _exact_for_set(rf, cfg, max_terms)(chosen_set)
+    return DeltaBound(value=b.value, method=b.method, rho=rho, d_min=d_min,
                       worst_set=chosen_set)
 
 
@@ -444,9 +452,8 @@ def worst_case_curve(
     if rho_max is None:
         rho_max = rf.attack_surface(d_min)
     if method in {"multiplicative", "union"}:
-        singles = [delta_single_source(rf, w, cfg) for w in rf.candidates(d_min)]
-        combine = delta_multiplicative if method == "multiplicative" else delta_union
-        return [combine(singles, rho, d_min=d_min) for rho in range(1, rho_max + 1)]
+        combine = _combiner(rf, d_min, cfg, method)
+        return [combine(rho) for rho in range(1, rho_max + 1)]
     return [
         delta_worst_case(rf, rho, d_min, cfg, method=method,
                          subset_cap=subset_cap, max_terms=max_terms)

@@ -86,6 +86,10 @@ class RunConfig:
         for p in (cfg.p_del, cfg.p_abl, cfg.train_p_del, cfg.train_p_abl):
             if not 0.0 <= p <= 1.0:
                 raise ConfigError(f"probability {p} outside [0, 1]")
+        if not 0.0 <= cfg.k_rel <= 1.0:
+            raise ConfigError(f"k_rel {cfg.k_rel} outside [0, 1]")
+        if cfg.tau < 1:
+            raise ConfigError(f"tau {cfg.tau} must be >= 1")
         if not cfg.edges:
             raise ConfigError("config must name an edge file")
         return cfg
@@ -128,6 +132,36 @@ def _write_json(path: Path, payload: dict) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(payload, fh, sort_keys=True, indent=1, default=str)
         fh.write("\n")
+
+
+def _per_node(path: Path, header: list[str], nodes: list[int], work,
+              failures: dict[int, str]) -> dict:
+    """Run ``work(v)`` for every node, then write one CSV row per node in node order.
+
+    ``work`` returns the cells between ``node_id`` and ``error`` plus a value;
+    the values come back keyed by node.  A node already in ``failures`` is not
+    run.  A node whose ``work`` exceeds a path budget or an enumeration cap is
+    added to ``failures`` and the batch goes on.  A failed node's row has
+    blank cells and the error.
+    """
+    cells: dict[int, list] = {}
+    values: dict = {}
+    for v in nodes:
+        if v in failures:
+            continue
+        try:
+            cells[v], values[v] = work(v)
+        except (ResourceLimitError, EnumerationRefused) as exc:
+            failures[v] = f"{type(exc).__name__}: {exc}"
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        for v in nodes:
+            if v in failures:
+                writer.writerow([v] + [""] * (len(header) - 2) + [failures[v]])
+            else:
+                writer.writerow([v] + cells[v] + [""])
+    return values
 
 
 # ---------------------------------------------------------------------------
@@ -184,15 +218,6 @@ def cmd_train(cfg: RunConfig) -> int:
 # certify
 
 
-def _delta_curve_fn(curve: list[bounds.DeltaBound]):
-    """Wrap a per-budget list; budgets past the end keep the final value."""
-    def fn(rho: int) -> bounds.DeltaBound:
-        if not curve:
-            return bounds.DeltaBound(value=0.0, method="multiplicative", rho=rho)
-        return curve[min(rho, len(curve)) - 1]
-    return fn
-
-
 def cmd_certify(cfg: RunConfig) -> int:
     g = _load_inputs(cfg)
     out = Path(cfg.out_dir)
@@ -234,34 +259,27 @@ def cmd_certify(cfg: RunConfig) -> int:
 
     def work(v: int):
         rf = receptive_field(g, v, cfg.k, max_paths=cfg.max_paths)
-        curves = {}
-        scan = {}
-        for dm in d_mins:
-            surface = rf.attack_surface(dm)
-            scan[dm] = cfg.rho_max_scan if cfg.rho_max_scan else surface
-            curve = bounds.worst_case_curve(
-                rf, dm, scfg, method=cfg.bound_method, rho_max=scan[dm],
+        surfaces = {dm: rf.attack_surface(dm) for dm in d_mins}
+        curves = {
+            dm: bounds.worst_case_curve(
+                rf, dm, scfg, method=cfg.bound_method,
+                rho_max=cfg.rho_max_scan or surfaces[dm],
                 subset_cap=cfg.subset_cap, max_terms=cfg.max_ie_terms,
             )
-            curves[dm] = _delta_curve_fn(curve)
+            for dm in d_mins
+        }
         label = None
         if g.labels is not None and g.labels[v] >= 0:
             label = int(g.labels[v])
-        res = estimator.certify(tallies[v], curves, scan, label=label)
-        surfaces = {dm: rf.attack_surface(dm) for dm in d_mins}
-        return res, rf, surfaces
-
-    results = {}
-    rfs = {}
-    surfaces_by_node = {}
-    for v in nodes:
-        if v not in tallies:
-            continue
-        outcome = _guard(work, v)
-        if isinstance(outcome, str):
-            failures[v] = outcome
-        else:
-            results[v], rfs[v], surfaces_by_node[v] = outcome
+        res = estimator.certify(tallies[v], curves, label=label)
+        cells = [res.prediction, int(res.abstain),
+                 repr(res.p_lower), repr(res.p_upper),
+                 "" if res.correct is None else int(res.correct)]
+        for dm in d_mins:
+            cells += [res.certified_radius[dm], surfaces[dm]]
+        for dm in d_mins:
+            cells += [int(res.certified_radius[dm] >= r) for r in cfg.flag_radii]
+        return cells, (res, surfaces)
 
     header = ["node_id", "prediction", "abstain", "p_lower", "p_upper", "correct"]
     for dm in d_mins:
@@ -270,43 +288,18 @@ def cmd_certify(cfg: RunConfig) -> int:
         for r in cfg.flag_radii:
             header.append(f"cert_dmin_{dm}_rho_{r}")
     header.append("error")
-
-    with open(out / "results.csv", "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for v in nodes:
-            if v in failures:
-                writer.writerow([v] + [""] * (len(header) - 2) + [failures[v]])
-                continue
-            res = results[v]
-            row = [v, res.prediction, int(res.abstain),
-                   repr(res.p_lower), repr(res.p_upper),
-                   "" if res.correct is None else int(res.correct)]
-            for dm in d_mins:
-                row += [res.certified_radius[dm], surfaces_by_node[v][dm]]
-            for dm in d_mins:
-                for r in cfg.flag_radii:
-                    row.append(int(res.certified_radius[dm] >= r))
-            row.append("")
-            writer.writerow(row)
+    done = _per_node(out / "results.csv", header, nodes, work, failures)
 
     summary: dict = {"config": asdict(cfg), "failures": failures,
-                     "certified": len(results)}
-    if results:
-        rep = estimator.report([results[v] for v in sorted(results)], rfs)
-        summary.update(rep)
+                     "certified": len(done)}
+    if done:
+        summary.update(estimator.report([done[v][0] for v in sorted(done)],
+                                        {v: done[v][1] for v in done}))
     _write_json(out / "summary.json", summary)
 
-    print(f"certified {len(results)}/{len(nodes)} nodes "
+    print(f"certified {len(done)}/{len(nodes)} nodes "
           f"({len(failures)} failures) -> {out / 'results.csv'}")
     return EXIT_PARTIAL if failures else EXIT_OK
-
-
-def _guard(fn, v):
-    try:
-        return fn(v)
-    except (ResourceLimitError, EnumerationRefused) as exc:
-        return f"{type(exc).__name__}: {exc}"
 
 
 # ---------------------------------------------------------------------------
@@ -332,8 +325,7 @@ def cmd_derandomize(cfg: RunConfig) -> int:
         kk = derandomize.retention_count(d, cfg.k_rel)
         support = math.comb(d, kk)
         if support > cfg.tau:
-            return {"node": v, "d": d, "k": kk, "support": support,
-                    "derandomized": 0}
+            return [d, kk, support, 0] + [""] * (5 + classes), None
         reps = derandomize.enumerate_representatives(rf, kk, tau=None)
         probs = derandomize.exact_label_probs(g, rf, reps, kk, predict, classes)
         order = sorted(range(classes), key=lambda c: (-probs[c], c))
@@ -345,46 +337,24 @@ def cmd_derandomize(cfg: RunConfig) -> int:
                 radius = rho
             else:
                 break
-        return {"node": v, "d": d, "k": kk, "support": support,
-                "derandomized": 1, "reps": len(reps),
-                "savings": len(reps) / support if support else 1.0,
-                "probs": probs, "prediction": y_star, "radius": radius}
-
-    rows = []
-    failures: dict[int, str] = {}
-    for v in nodes:
-        outcome = _guard(work, v)
-        if isinstance(outcome, str):
-            failures[v] = outcome
-        else:
-            rows.append(outcome)
+        savings = derandomize.savings_ratio(reps, d, kk)
+        return ([d, kk, support, 1, len(reps), repr(savings), y_star, radius,
+                 int(radius >= 1)]
+                + [f"{p.numerator}/{p.denominator}" for p in probs]), savings
 
     header = (["node_id", "field_size", "k", "support", "derandomized",
                "reps", "savings", "prediction", "radius", "certified"]
               + [f"p_class_{c}" for c in range(classes)] + ["error"])
-    with open(out / "derandomized.csv", "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in sorted(rows, key=lambda r: r["node"]):
-            if row["derandomized"]:
-                probs = [f"{p.numerator}/{p.denominator}" for p in row["probs"]]
-                writer.writerow([row["node"], row["d"], row["k"], row["support"],
-                                 1, row["reps"], repr(row["savings"]),
-                                 row["prediction"], row["radius"],
-                                 int(row["radius"] >= 1)] + probs + [""])
-            else:
-                writer.writerow([row["node"], row["d"], row["k"], row["support"],
-                                 0, "", "", "", "", ""] + [""] * classes + [""])
-        for v in sorted(failures):
-            writer.writerow([v] + [""] * (len(header) - 2) + [failures[v]])
+    failures: dict[int, str] = {}
+    savings_by_node = _per_node(out / "derandomized.csv", header, nodes, work,
+                               failures)
 
-    done = [r for r in rows if r["derandomized"]]
+    done = [x for x in savings_by_node.values() if x is not None]
     summary = {
         "config": asdict(cfg),
         "nodes": len(nodes),
         "derandomized_ratio": len(done) / len(nodes) if nodes else 0.0,
-        "mean_savings": (float(np.mean([r["savings"] for r in done]))
-                         if done else None),
+        "mean_savings": float(np.mean(done)) if done else None,
         "failures": failures,
         "conventions": {
             "radius": "largest rho with exact top-class margin beating twice the "
@@ -401,73 +371,72 @@ def cmd_derandomize(cfg: RunConfig) -> int:
 # report
 
 
+def _read_results(path: str):
+    """Radius d_mins, certificates and attack surfaces of one results CSV.
+
+    Rows that record an error are left out.
+    """
+    if not Path(path).exists():
+        raise ConfigError(f"results file not found: {path}")
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        reader = csv.DictReader(fh)
+        d_mins = sorted(int(c.rsplit("_", 1)[1]) for c in reader.fieldnames or ()
+                        if c.startswith("radius_dmin_"))
+        rows = [row for row in reader if not row.get("error")]
+    if not rows:
+        raise ConfigError(f"results file {path} has no usable rows")
+    try:
+        results = [estimator.CertificateResult(
+            node=int(row["node_id"]), prediction=int(row["prediction"]),
+            abstain=row["abstain"] == "1", p_lower=float(row["p_lower"]),
+            p_upper=float(row["p_upper"]),
+            certified_radius={dm: int(row[f"radius_dmin_{dm}"]) for dm in d_mins},
+            correct=None if row["correct"] == "" else row["correct"] == "1",
+        ) for row in rows]
+        surfaces = {int(row["node_id"]): {dm: int(row[f"surface_dmin_{dm}"])
+                                          for dm in d_mins} for row in rows}
+    except (KeyError, ValueError) as exc:
+        raise ConfigError(f"results file {path} is malformed: "
+                          f"{type(exc).__name__}: {exc}") from None
+    return d_mins, results, surfaces
+
+
 def cmd_report(result_paths: list[str], out_dir: str) -> int:
     if not result_paths:
         raise ConfigError("report needs at least one results CSV")
-    tables = []
-    for p in result_paths:
-        if not Path(p).exists():
-            raise ConfigError(f"results file not found: {p}")
-        with open(p, "r", encoding="utf-8", newline="") as fh:
-            rows = [row for row in csv.DictReader(fh) if not row.get("error")]
-        if not rows:
-            raise ConfigError(f"results file {p} has no usable rows")
-        tables.append((p, rows))
+    tables = [_read_results(p) for p in result_paths]
+    d_mins = tables[0][0]
+    if not d_mins:
+        raise ConfigError("no radius columns found in the results files")
+    for p, (file_d_mins, _, _) in zip(result_paths, tables):
+        if file_d_mins != d_mins:
+            raise ConfigError(
+                f"results file {p} has radius columns for d_min {file_d_mins}, "
+                f"but {result_paths[0]} has {d_mins}")
+    reports = [estimator.report(results, surfaces)
+               for _, results, surfaces in tables]
 
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-
-    d_mins = sorted({
-        int(c.split("_")[-1])
-        for _, rows in tables for c in rows[0] if c.startswith("radius_dmin_")
-    })
-    if not d_mins:
-        raise ConfigError("no radius columns found in the results files")
-
     aucrc_rows = []
     for dm in d_mins:
-        col = f"radius_dmin_{dm}"
-        scol = f"surface_dmin_{dm}"
-        radii_by_file = []
-        for name, rows in tables:
-            radii = np.array([int(r[col]) for r in rows if r.get(col, "") != ""])
-            radii_by_file.append((name, rows, radii))
-        max_r = max((int(r.max()) for _, _, r in radii_by_file if len(r)), default=0)
-
-        with open(out / f"certified_ratio_dmin_{dm}.csv", "w",
-                  encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["radius"] + [name for name, _, _ in radii_by_file])
-            for r in range(max_r + 1):
-                writer.writerow([r] + [
-                    repr(float(np.mean(radii >= r)))
-                    for _, _, radii in radii_by_file
-                ])
-
-        with open(out / f"certified_accuracy_dmin_{dm}.csv", "w",
-                  encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["radius"] + [name for name, _, _ in radii_by_file])
-            for r in range(max_r + 1):
-                vals = []
-                for _, rows, radii in radii_by_file:
-                    good = np.array([row.get("correct", "") == "1" for row in rows])
-                    vals.append(repr(float(np.mean(good & (radii >= r)))))
-                writer.writerow([r] + vals)
-
-        for name, rows, radii in radii_by_file:
-            aucrc = math.fsum(float(np.mean(radii >= r)) for r in range(max_r + 1))
-            norm = []
-            for row, rad in zip(rows, radii):
-                surface = int(row[scol]) if row.get(scol, "") != "" else 0
-                if surface > 0:
-                    norm.append(min(1.0, rad / surface))
-                else:
-                    norm.append(0.0 if row.get("abstain") == "1" else 1.0)
-            xs = sorted({0.0, 1.0, *norm})
-            ys = [float(np.mean(np.array(norm) >= x)) for x in xs]
-            aucrc_rows.append([name, dm, repr(aucrc),
-                               repr(float(np.trapezoid(ys, xs)))])
+        entries = [rep["per_d_min"][dm] for rep in reports]
+        radii = range(max(len(e["certified_ratio"]) for e in entries))
+        # shorter curves are 0 past their largest radius; a file with any
+        # unlabelled row has no accuracy curve and gets blank cells
+        for curve in ("certified_ratio", "certified_accuracy"):
+            with open(out / f"{curve}_dmin_{dm}.csv", "w",
+                      encoding="utf-8", newline="") as fh:
+                writer = csv.writer(fh)
+                writer.writerow(["radius"] + result_paths)
+                for r in radii:
+                    writer.writerow([r] + [
+                        "" if curve not in e else
+                        repr(e[curve][r] if r < len(e[curve]) else 0.0)
+                        for e in entries
+                    ])
+        aucrc_rows += [[p, dm, repr(e["aucrc"]), repr(e["aucrc_normalized"])]
+                       for p, e in zip(result_paths, entries)]
 
     with open(out / "aucrc.csv", "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
@@ -496,29 +465,15 @@ def cmd_paths(cfg: RunConfig) -> int:
         rf = receptive_field(g, v, cfg.k, max_paths=cfg.max_paths)
         n_paths = sum(len(p) for p in rf.paths.values())
         longest = max((len(q) for p in rf.paths.values() for q in p), default=0)
-        return ([v, rf.size, n_paths, longest, int(bounds.is_tree(rf))]
-                + [rf.attack_surface(dm) for dm in d_mins] + [""])
-
-    failures: dict[int, str] = {}
-    rows = []
-    for v in nodes:
-        outcome = _guard(work, v)
-        if isinstance(outcome, str):
-            failures[v] = outcome
-        else:
-            rows.append(outcome)
+        return ([rf.size, n_paths, longest, int(bounds.is_tree(rf))]
+                + [rf.attack_surface(dm) for dm in d_mins]), None
 
     header = (["node_id", "field_size", "simple_paths", "longest_path", "is_tree"]
               + [f"surface_dmin_{dm}" for dm in d_mins] + ["error"])
-    with open(out / "paths.csv", "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in sorted(rows):
-            writer.writerow(row)
-        for v in sorted(failures):
-            writer.writerow([v] + [""] * (len(header) - 2) + [failures[v]])
+    failures: dict[int, str] = {}
+    done = _per_node(out / "paths.csv", header, nodes, work, failures)
 
-    print(f"receptive-field stats for {len(rows)} nodes -> {out / 'paths.csv'}")
+    print(f"receptive-field stats for {len(done)} nodes -> {out / 'paths.csv'}")
     return EXIT_PARTIAL if failures else EXIT_OK
 
 

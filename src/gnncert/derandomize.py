@@ -34,18 +34,6 @@ class ReducedRepresentative:
     beta: int
 
 
-@dataclass(frozen=True)
-class RetentionConfig:
-    k_rel: float        # retained fraction of the receptive field
-    tau: int = DEFAULT_TAU
-
-    def __post_init__(self):
-        if not 0.0 <= self.k_rel <= 1.0:
-            raise ValueError(f"k_rel must be in [0, 1], got {self.k_rel}")
-        if self.tau < 1:
-            raise ValueError("tau must be >= 1")
-
-
 def retention_count(field_size_excl_target: int, k_rel: float) -> int:
     """Nodes to retain: ceil(d * k_rel), guarded against float round-up noise."""
     d = int(field_size_excl_target)

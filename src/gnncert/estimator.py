@@ -13,13 +13,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Mapping
+from typing import Mapping, Sequence
 
 import numpy as np
 from scipy import special
 
 from .errors import InsufficientSamplesError
-from .graph import Graph, ReceptiveField
+from .graph import Graph
 from .gcn import GnnModel, VoteTable, normalized_adjacency, propagate, _relu
 from .smoothing import SmoothingConfig
 from . import smoothing
@@ -175,61 +175,35 @@ def confidence_bounds(tally: VoteTally) -> tuple[float, float]:
     return p_lower, p_upper
 
 
-def certified_radius(
-    tally: VoteTally,
-    delta_curve: Callable[[int], DeltaBound],
-    rho_max_scan: int,
-    binary: bool = False,
-) -> tuple[int, float, float, bool]:
-    """Largest certified budget for one node under one arrival-bound curve.
-
-    Abstains (radius 0) when the bounds overlap.  Otherwise budget rho is
-    certified iff p_lower - delta(rho) > p_upper + delta(rho), or in binary
-    mode iff p_lower - delta(rho) > 1/2.  The scan stops at the first
-    failure; the curve is non-decreasing in rho so nothing beyond certifies.
-    """
-    p_lower, p_upper = confidence_bounds(tally)
-    radius, abstain = _scan_radius(p_lower, p_upper, delta_curve,
-                                   rho_max_scan, binary)
-    return radius, p_lower, p_upper, abstain
-
-
-def _scan_radius(p_lower, p_upper, delta_curve, rho_max_scan, binary) -> tuple[int, bool]:
-    if p_lower <= p_upper:
-        return 0, True
-    radius = 0
-    for rho in range(1, rho_max_scan + 1):
-        delta = delta_curve(rho).value
-        ok = (p_lower - delta > 0.5) if binary else \
-            (p_lower - delta > p_upper + delta)
-        if not ok:
-            break
-        radius = rho
-    return radius, False
-
-
 def certify(
     tally: VoteTally,
-    delta_curves: Mapping[int, Callable[[int], DeltaBound]],
-    rho_max_scan: int | Mapping[int, int],
+    curves: Mapping[int, Sequence[DeltaBound]],
     label: int | None = None,
     binary: bool = False,
 ) -> CertificateResult:
     """Certificate for one node across the requested minimum attacker distances.
 
-    ``rho_max_scan`` may be a single scan bound or one per minimum distance
-    (budgets beyond the attack surface are vacuous, so the surface size is
-    the natural bound).
+    ``curves[d_min][rho - 1]`` bounds the arrival probability at budget rho;
+    budgets 1..len(curve) are scanned.  Abstains (radius 0) when the
+    confidence bounds overlap.  Otherwise budget rho is certified iff
+    p_lower - delta(rho) > p_upper + delta(rho), or in binary mode iff
+    p_lower - delta(rho) > 1/2.  The scan stops at the first failure; the
+    curve is non-decreasing in rho so nothing beyond certifies.
     """
     p_lower, p_upper = confidence_bounds(tally)
+    abstain = p_lower <= p_upper
     radii: dict[int, int] = {}
-    abstain = False
-    for d_min in sorted(delta_curves):
-        bound = (rho_max_scan[d_min] if isinstance(rho_max_scan, Mapping)
-                 else rho_max_scan)
-        radii[d_min], abstain = _scan_radius(
-            p_lower, p_upper, delta_curves[d_min], bound, binary
-        )
+    for d_min in sorted(curves):
+        radii[d_min] = 0
+        if abstain:
+            continue
+        for rho, bound in enumerate(curves[d_min], start=1):
+            delta = bound.value
+            ok = (p_lower - delta > 0.5) if binary else \
+                (p_lower - delta > p_upper + delta)
+            if not ok:
+                break
+            radii[d_min] = rho
     correct = None if label is None else bool(tally.y_star == label and not abstain)
     return CertificateResult(
         node=tally.node, prediction=tally.y_star, abstain=abstain,
@@ -242,8 +216,10 @@ def certify(
 # summaries
 
 
-def report(results, fields: Mapping[int, ReceptiveField]) -> dict:
+def report(results, surfaces: Mapping[int, Mapping[int, int]]) -> dict:
     """Aggregate certificates into curves and scalar metrics.
+
+    ``surfaces[node][d_min]`` is the node's attack-surface size.
 
     Emits, per minimum distance: the certified-ratio step curve over integer
     radii, the certified-accuracy curve (correct, non-abstaining, and
@@ -292,7 +268,7 @@ def report(results, fields: Mapping[int, ReceptiveField]) -> dict:
 
         norm = []
         for res, r in zip(results, radii):
-            surface = fields[res.node].attack_surface(dm)
+            surface = surfaces[res.node][dm]
             if surface > 0:
                 norm.append(min(1.0, r / surface))
             else:

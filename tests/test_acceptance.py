@@ -33,7 +33,6 @@ from gnncert import (
     train,
     worst_case_curve,
 )
-from gnncert.cli import _delta_curve_fn
 
 from conftest import random_tree, two_block_graph
 from test_gcn import random_model, _kept_distance_within
@@ -272,15 +271,13 @@ def test_criterion_09_end_to_end_desk_experiment():
     scfg = SmoothingConfig(p_del=0.0, p_abl=0.85, token=model.token, seed=11)
     tallies = estimate_all(model, g, test_nodes, scfg,
                            n0=1000, n1=3000, alpha=0.01)
-    results, fields = [], {}
+    results, surfaces = [], {}
     for v in test_nodes:
         rf = receptive_field(g, v, 2)
-        fields[v] = rf
+        surfaces[v] = {1: rf.attack_surface(1)}
         curve = worst_case_curve(rf, 1, scfg, method="multiplicative")
-        results.append(certify(tallies[v], {1: _delta_curve_fn(curve)},
-                               {1: rf.attack_surface(1)},
-                               label=int(g.labels[v])))
-    rep = report(results, fields)
+        results.append(certify(tallies[v], {1: curve}, label=int(g.labels[v])))
+    rep = report(results, surfaces)
     elapsed = time.time() - start
 
     ratio = rep["per_d_min"][1]["certified_ratio"]

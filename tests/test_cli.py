@@ -189,15 +189,78 @@ def test_report_single_and_pair(fixture_dir):
     assert table[0] == ["results", "d_min", "aucrc", "aucrc_normalized"]
     assert len(table) >= 3      # header + two d_min rows
 
+    # the report's curves and areas are the ones summary.json records
+    summary = json.loads((fixture_dir / "out" / "summary.json").read_text())
+    per_d_min = summary["per_d_min"]
+    assert [row[1:] for row in table[1:]] == [
+        [dm, repr(e["aucrc"]), repr(e["aucrc_normalized"])]
+        for dm, e in per_d_min.items()]
+    for dm, e in per_d_min.items():
+        ratio = list(csv.reader(open(rep_out / f"certified_ratio_dmin_{dm}.csv")))
+        assert ratio[1:] == [[str(r), repr(x)]
+                             for r, x in enumerate(e["certified_ratio"])]
+
     assert main(["report", str(res), str(res), "--out", str(rep_out)]) == 0
     ratio = list(csv.reader(open(rep_out / "certified_ratio_dmin_1.csv")))
     assert len(ratio[0]) == 3   # radius + two result sets
+
+    # a file whose radii are all 0 has the shorter curve: 0.0 past radius 0
+    rows = list(csv.DictReader(open(res)))
+    for row in rows:
+        row.update({k: "0" for k in row if k.startswith("radius_dmin_")})
+    flat = fixture_dir / "flat.csv"
+    with open(flat, "w", newline="") as fh:
+        writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
+        writer.writeheader()
+        writer.writerows(rows)
+    assert main(["report", str(res), str(flat), "--out", str(rep_out)]) == 0
+    for dm, e in per_d_min.items():
+        ratio = list(csv.reader(open(rep_out / f"certified_ratio_dmin_{dm}.csv")))
+        assert [row[2] for row in ratio[1:]] == (
+            ["1.0"] + ["0.0"] * (len(e["certified_ratio"]) - 1))
+
+
+def test_report_rejects_mismatched_radius_columns(fixture_dir, capsys):
+    cfg = write_config(fixture_dir, d_min=[1])
+    assert main(["train", "--config", str(cfg)]) == 0
+    assert main(["certify", "--config", str(cfg), "--out",
+                 str(fixture_dir / "one")]) == 0
+    cfg = write_config(fixture_dir, d_min=[2])
+    assert main(["certify", "--config", str(cfg), "--out",
+                 str(fixture_dir / "two")]) == 0
+    second = str(fixture_dir / "two" / "results.csv")
+    rep_out = fixture_dir / "report"
+    capsys.readouterr()
+    assert main(["report", str(fixture_dir / "one" / "results.csv"), second,
+                 "--out", str(rep_out)]) == 2
+    assert second in capsys.readouterr().err
+    assert not rep_out.exists()
 
 
 def test_report_without_inputs_fails(fixture_dir):
     assert main(["report", "--out", str(fixture_dir / "rep")]) == 2
     assert main(["report", str(fixture_dir / "missing.csv"),
                  "--out", str(fixture_dir / "rep")]) == 2
+
+
+def test_failed_nodes_keep_node_order(fixture_dir):
+    cfg = write_config(fixture_dir, k_rel=0.02)
+    assert main(["train", "--config", str(cfg)]) == 0
+    assert main(["paths", "--config", str(cfg)]) == 0
+    rows = list(csv.DictReader(open(fixture_dir / "out" / "paths.csv")))
+    # a path budget below the median field fails about half of the nodes
+    budget = sorted(int(r["simple_paths"]) for r in rows)[len(rows) // 2] - 1
+    cfg = write_config(fixture_dir, k_rel=0.02, max_paths=budget)
+    for command, name in (("paths", "paths.csv"), ("certify", "results.csv"),
+                          ("derandomize", "derandomized.csv")):
+        assert main([command, "--config", str(cfg)]) == 3
+        rows = list(csv.DictReader(open(fixture_dir / "out" / name)))
+        ids = [int(r["node_id"]) for r in rows]
+        assert ids == sorted(ids), name
+        failed = [r["error"] != "" for r in rows]
+        assert any(failed) and not all(failed), name
+        # the failures are spread among the successes, not only at the end
+        assert failed != sorted(failed), name
 
 
 def test_paths_dump(fixture_dir):
@@ -217,3 +280,10 @@ def test_bad_config_is_exit_two(tmp_path):
     bad2 = tmp_path / "bad2.json"
     bad2.write_text("not json")
     assert main(["train", "--config", str(bad2)]) == 2
+
+
+@pytest.mark.parametrize("key,value", [("k_rel", -0.5), ("k_rel", 1.5), ("tau", 0)])
+def test_bad_k_rel_or_tau_is_exit_two(fixture_dir, capsys, key, value):
+    cfg = write_config(fixture_dir, **{key: value})
+    assert main(["derandomize", "--config", str(cfg)]) == 2
+    assert key in capsys.readouterr().err

@@ -10,7 +10,6 @@ from gnncert import (
     VoteTable,
     VoteTally,
     CertificateResult,
-    certified_radius,
     certify,
     clopper_pearson,
     estimate,
@@ -135,16 +134,13 @@ def test_fair_coin_classifier_abstains(rng):
     votes = {i: int(rng.random() < 0.5) for i in range(1200)}
     table = VoteTable(votes={0: votes})
     tally = estimate(table, None, 0, None, n0=200, n1=1000, alpha=0.01)
-    curve = {1: lambda rho: DeltaBound(0.0, "multiplicative", rho)}
-    res = certify(tally, curve, rho_max_scan=5)
+    res = certify(tally, {1: curve([0.0] * 5)})
     assert res.abstain
     assert res.certified_radius[1] == 0
 
 
-def fixed_curve(values):
-    def fn(rho):
-        return DeltaBound(values[min(rho, len(values)) - 1], "multiplicative", rho)
-    return fn
+def curve(values):
+    return [DeltaBound(v, "multiplicative", rho) for rho, v in enumerate(values, 1)]
 
 
 def make_tally(p_hits, n1=1000, n0=100, alpha=0.01, classes=3):
@@ -158,17 +154,16 @@ def make_tally(p_hits, n1=1000, n0=100, alpha=0.01, classes=3):
 def test_certify_arithmetic_example():
     # bounds wide apart; arrival bound 0.3 at budget 2 still certifies
     tally = make_tally(980, n1=1000)
-    radius, p_lower, p_upper, abstain = certified_radius(
-        tally, fixed_curve([0.1, 0.3, 0.6]), rho_max_scan=3)
-    assert not abstain
-    assert p_lower > 0.9 and p_upper < 0.05
-    assert radius == 2
+    res = certify(tally, {1: curve([0.1, 0.3, 0.6])})
+    assert not res.abstain
+    assert res.p_lower > 0.9 and res.p_upper < 0.05
+    assert res.certified_radius == {1: 2}
 
 
 def test_certify_never_certifies_half_delta():
     tally = make_tally(1000, n1=1000)     # p_lower as high as it gets
-    radius, *_ = certified_radius(tally, fixed_curve([0.5]), rho_max_scan=4)
-    assert radius == 0
+    res = certify(tally, {1: curve([0.5] * 4)})
+    assert res.certified_radius[1] == 0
 
 
 def test_certify_monotone_radii(rng):
@@ -176,9 +171,9 @@ def test_certify_monotone_radii(rng):
         hits = int(rng.integers(500, 1001))
         tally = make_tally(hits)
         curve_vals = np.sort(rng.uniform(0, 1, size=6)).tolist()
-        radius, _, _, _ = certified_radius(tally, fixed_curve(curve_vals), 6)
+        radius = certify(tally, {1: curve(curve_vals)}).certified_radius[1]
         certified = [rho for rho in range(1, 7)
-                     if _certifies(tally, fixed_curve(curve_vals), rho)]
+                     if _certifies(tally, curve(curve_vals), rho)]
         assert radius == (max(certified) if certified else 0)
         # every budget below a certified one is certified
         for rho in certified:
@@ -188,7 +183,7 @@ def test_certify_monotone_radii(rng):
 def _certifies(tally, curve, rho):
     from gnncert.estimator import confidence_bounds
     p_lower, p_upper = confidence_bounds(tally)
-    delta = curve(rho).value
+    delta = curve[rho - 1].value
     return p_lower - delta > p_upper + delta
 
 
@@ -205,9 +200,9 @@ def test_bound_sandwich_contains_empirical_frequency(rng):
 
 def test_binary_mode():
     tally = make_tally(900, n1=1000, classes=2)
-    r_bin, *_ = certified_radius(tally, fixed_curve([0.2, 0.36, 0.5]), 3,
-                                 binary=True)
-    assert r_bin == 2     # 0.88ish - 0.36 > 0.5 holds, 0.5 never certifies
+    res = certify(tally, {1: curve([0.2, 0.36, 0.5])}, binary=True)
+    # 0.88ish - 0.36 > 0.5 holds, 0.5 never certifies
+    assert res.certified_radius[1] == 2
 
 
 def result(node, radius, abstain=False, correct=True, d_min=1):
@@ -216,25 +211,16 @@ def result(node, radius, abstain=False, correct=True, d_min=1):
                              certified_radius={d_min: radius}, correct=correct)
 
 
-class _StubField:
-    def __init__(self, surface):
-        self._s = surface
-
-    def attack_surface(self, d_min):
-        return self._s
-
-
 def test_report_all_certified_to_three():
     results = [result(v, 3) for v in range(4)]
-    fields = {v: _StubField(5) for v in range(4)}
-    rep = report(results, fields)
+    rep = report(results, {v: {1: 5} for v in range(4)})
     assert rep["per_d_min"][1]["certified_ratio"] == [1.0, 1.0, 1.0, 1.0]
     assert rep["abstain_rate"] == 0.0
 
 
 def test_report_all_abstained():
     results = [result(v, 0, abstain=True, correct=False) for v in range(3)]
-    rep = report(results, {v: _StubField(4) for v in range(3)})
+    rep = report(results, {v: {1: 4} for v in range(3)})
     assert rep["abstain_rate"] == 1.0
     assert rep["per_d_min"][1]["certified_ratio"] == [1.0]   # radius >= 0 trivially
     assert rep["per_d_min"][1]["aucrc"] == pytest.approx(1.0)
@@ -243,7 +229,7 @@ def test_report_all_abstained():
 
 def test_report_mixed_radii_step_sum():
     results = [result(0, 0), result(1, 1), result(2, 2)]
-    rep = report(results, {v: _StubField(4) for v in range(3)})
+    rep = report(results, {v: {1: 4} for v in range(3)})
     entry = rep["per_d_min"][1]
     assert entry["certified_ratio"] == pytest.approx([1.0, 2 / 3, 1 / 3])
     assert entry["aucrc"] == pytest.approx(2.0)
@@ -252,8 +238,7 @@ def test_report_mixed_radii_step_sum():
 def test_report_normalized_curve_and_empty_surface():
     results = [result(0, 2), result(1, 0, abstain=True, correct=False),
                result(2, 0)]
-    fields = {0: _StubField(4), 1: _StubField(0), 2: _StubField(0)}
-    rep = report(results, fields)
+    rep = report(results, {0: {1: 4}, 1: {1: 0}, 2: {1: 0}})
     entry = rep["per_d_min"][1]
     # node 0 -> 0.5, node 1 abstained with empty surface -> 0, node 2 -> 1
     assert 0.5 in entry["normalized_curve"]["x"]
