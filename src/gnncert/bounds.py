@@ -6,11 +6,14 @@ controlled nodes survives random edge deletion and node ablation and arrives
 at the target.  The smoothed classifier's certified radius is the largest
 budget for which that probability stays small enough.
 
-Exact values come from inclusion-exclusion over simple paths (small fields),
-a branch recursion (tree-shaped fields), or a closed form (ablation-only
-smoothing).  Upper bounds come from treating paths / sources as independent:
-the per-source product bound, the multiplicative combination of the top
-sources, and the (weaker) union bound.
+Exact values for a fixed attacked set come from inclusion-exclusion over
+simple paths (small fields), a branch recursion (tree-shaped fields), or a
+closed form (ablation-only smoothing).  The exact worst case over attacker
+placements comes from a knapsack recursion over branches on tree-shaped
+fields, for every budget at once, and from enumerating candidate subsets on
+any other field.  Upper bounds come from treating paths / sources as
+independent: the per-source product bound, the multiplicative combination of
+the top sources, and the (weaker) union bound.
 """
 
 from __future__ import annotations
@@ -225,13 +228,10 @@ def delta_exact_ie(
     path_list: list[tuple[int, int]] = []   # (edge_bits, source_bits)
     edge_ids: dict[tuple[int, int], int] = {}
     for si, w in enumerate(sources):
-        for q in rf.paths.get(w, ()):
+        for q in rf.logical_paths.get(w, ()):
             bits = 0
-            for e in q:
-                key = canonical_edge(e, rf.directed)
-                if key not in edge_ids:
-                    edge_ids[key] = len(edge_ids)
-                bits |= 1 << edge_ids[key]
+            for key in q:
+                bits |= 1 << edge_ids.setdefault(key, len(edge_ids))
             path_list.append((bits, 1 << si))
 
     if (1 << len(path_list)) > max_terms:
@@ -308,14 +308,17 @@ def delta_tree_exact(rf: ReceptiveField, attacked, cfg: SmoothingConfig) -> Delt
         arrive(i) = via_branches(i)                     otherwise
         via_branches(i) = 1 - prod_j (1 - (1 - p_del) * arrive(j))
 
-    with the product over i's children (empty for leaves).
+    with the product over i's children (empty for leaves), taken left to
+    right in ascending child order.  ``_tree_worst_curve`` applies the same
+    floating-point steps in the same order, which keeps its maximum over
+    attacker sets equal to the maximum of this function's values.
     """
     attacked = set(int(w) for w in attacked)
     children = _tree_children(rf)
 
     def arrive(i: int) -> float:
-        via = 1.0 - _product_one_minus(
-            (1.0 - cfg.p_del) * arrive(j) for j in children[i]
+        via = 1.0 - math.prod(
+            1.0 - (1.0 - cfg.p_del) * arrive(j) for j in children[i]
         )
         if i in attacked:
             return 1.0 - cfg.p_abl * (1.0 - via)
@@ -327,6 +330,95 @@ def delta_tree_exact(rf: ReceptiveField, attacked, cfg: SmoothingConfig) -> Delt
 
 # ---------------------------------------------------------------------------
 # worst case over attacker placements
+
+
+def _tree_worst_curve(rf: ReceptiveField, d_min: int, cfg: SmoothingConfig,
+                      rho_max: int) -> list[DeltaBound]:
+    """Exact worst case on a tree-shaped field for every budget 1..rho_max.
+
+    ``delta_tree_exact`` is non-decreasing in each child's arrival
+    probability, and the subtrees of a node hold disjoint attacker sets, so
+    the maximum over placements decomposes (a knapsack over branches).  For
+    each node ``i`` and budget ``b``, ``best[i][b]`` is the largest arrival
+    at ``i`` over attacker sets of at most ``b`` candidates in its subtree:
+
+        prod[b] = min over splits c_1 + ... + c_m = b of
+                  prod_j (1 - (1 - p_del) * best[j][c_j])
+        via[b]  = 1 - prod[b]
+        best[i][b] = max(via[b], 1 - p_abl * (1 - via[b - 1]))  if i is a candidate
+        best[i][b] = via[b]                                     otherwise
+
+    Children are folded in ascending order by a min-product convolution, the
+    order ``delta_tree_exact`` multiplies in.  Every step is monotone in
+    floating point, so each value is the float maximum of
+    ``delta_tree_exact`` over sets of at most ``b`` candidates, not an
+    approximation.  Budgets past the attack surface repeat the surface value.
+    ``worst_set`` is one maximizing set, padded with the smallest unused
+    candidates to ``min(rho, surface)`` members.  Cost O(s * R**2) for
+    ``R = min(rho_max, surface)``.
+    """
+    children = _tree_children(rf)
+    candidates = rf.candidates(d_min)
+    top = min(rho_max, len(candidates))
+    keep_e = 1.0 - cfg.p_del
+    best: dict[int, list[float]] = {}
+    attacks: dict[int, list[bool]] = {}        # best[i][b] attacks i itself
+    splits: dict[int, list[list[int]]] = {}    # per child: c_j chosen for each b
+    widths: dict[int, int] = {}                # len(prod) once all children are in
+
+    def solve(i: int) -> None:
+        prod = [1.0]
+        splits[i] = []
+        for j in children[i]:
+            solve(j)
+            factor = [1.0 - keep_e * x for x in best[j]]
+            width = min(len(prod) + len(factor) - 1, top + 1)
+            merged, chosen = [], []
+            for b in range(width):
+                low, arg = math.inf, 0
+                for c in range(max(0, b - len(prod) + 1), min(b, len(factor) - 1) + 1):
+                    t = prod[b - c] * factor[c]
+                    if t < low:
+                        low, arg = t, c
+                merged.append(low)
+                chosen.append(arg)
+            prod = merged
+            splits[i].append(chosen)
+        widths[i] = len(prod)
+        via = [1.0 - p for p in prod]
+        if rf.distance[i] < d_min:
+            best[i], attacks[i] = via, [False] * len(via)
+            return
+        best[i], attacks[i] = via[:1], [False]
+        for b in range(1, min(len(via) + 1, top + 1)):
+            stay = via[min(b, len(via) - 1)]
+            hit = 1.0 - cfg.p_abl * (1.0 - via[b - 1])
+            best[i].append(max(stay, hit))
+            attacks[i].append(hit > stay)
+
+    def collect(i: int, b: int, out: list[int]) -> None:
+        if attacks[i][b]:
+            out.append(i)
+            b -= 1
+        b = min(b, widths[i] - 1)
+        for j, chosen in zip(reversed(children[i]), reversed(splits[i])):
+            c = chosen[b]
+            collect(j, c, out)
+            b -= c
+
+    solve(rf.target)
+    curve = []
+    for rho in range(1, rho_max + 1):
+        b = min(rho, top)
+        chosen: list[int] = []
+        collect(rf.target, b, chosen)
+        taken = set(chosen)
+        spare = (w for w in candidates if w not in taken)
+        while len(chosen) < b:
+            chosen.append(next(spare))
+        curve.append(DeltaBound(value=_clip01(best[rf.target][b]), method="tree-exact",
+                                rho=rho, d_min=d_min, worst_set=tuple(sorted(chosen))))
+    return curve
 
 
 def _exact_for_set(rf: ReceptiveField, cfg: SmoothingConfig, max_terms: int):
@@ -365,9 +457,11 @@ def delta_worst_case(
     Candidates are field members at hop distance >= d_min (d_min = 1 models
     a target the adversary cannot control, e.g. under a skip connection).
     ``multiplicative`` and ``union`` combine the top-rho single-source
-    bounds; ``exact-enumeration`` maximizes the exact probability over every
-    size-rho candidate subset and reports the argmax, refusing when the
-    subset count exceeds ``subset_cap``.
+    bounds.  ``exact-enumeration`` is the exact maximum on every field and
+    reports a maximizing set: tree-shaped fields use the knapsack recursion
+    of ``_tree_worst_curve`` and are never refused; any other field
+    maximizes over every size-rho candidate subset, refusing when the subset
+    count exceeds ``subset_cap``.
     """
     if method not in {"multiplicative", "union", "exact-enumeration"}:
         raise ValueError(f"unknown worst-case method {method!r}")
@@ -379,6 +473,8 @@ def delta_worst_case(
 
     if method in {"multiplicative", "union"}:
         return _combiner(rf, d_min, cfg, method)(rho)
+    if is_tree(rf):
+        return _tree_worst_curve(rf, d_min, cfg, rho)[-1]
 
     r = min(rho, len(candidates))
     n_subsets = math.comb(len(candidates), r)
@@ -448,12 +544,18 @@ def worst_case_curve(
     subset_cap: int = DEFAULT_SUBSET_CAP,
     max_terms: int = DEFAULT_MAX_IE_TERMS,
 ) -> list[DeltaBound]:
-    """Worst-case bounds for every budget 1..rho_max (default: attack surface)."""
+    """Worst-case bounds for every budget 1..rho_max (default: attack surface).
+
+    Each entry equals ``delta_worst_case`` at that budget.  The exact curve
+    of a tree-shaped field comes from one knapsack pass for all budgets.
+    """
     if rho_max is None:
         rho_max = rf.attack_surface(d_min)
     if method in {"multiplicative", "union"}:
         combine = _combiner(rf, d_min, cfg, method)
         return [combine(rho) for rho in range(1, rho_max + 1)]
+    if method == "exact-enumeration" and rf.candidates(d_min) and is_tree(rf):
+        return _tree_worst_curve(rf, d_min, cfg, rho_max)
     return [
         delta_worst_case(rf, rho, d_min, cfg, method=method,
                          subset_cap=subset_cap, max_terms=max_terms)
@@ -491,6 +593,9 @@ def delta_monte_carlo(
     coin_of = [eid[canonical_edge(e, rf.directed)] for e in directed_edges]
     sources = [w for w in attacked if w != rf.target]
     src_pos = {w: i for i, w in enumerate(sources)}
+    # work arrays are indexed by position among the field's members, not node id
+    col = {w: i for i, w in enumerate(sorted(rf.members))}
+    arcs = [(col[a], col[c], coin) for (a, c), coin in zip(directed_edges, coin_of)]
 
     hits = 0
     chunk = 20_000
@@ -502,12 +607,12 @@ def delta_monte_carlo(
         abl = rng.random((b, len(sources) + 1)) < cfg.p_abl
 
         # within[:, x]: node x reaches the target within <= hop surviving hops
-        within = np.zeros((b, max(rf.members | {rf.target}) + 1), dtype=bool)
-        within[:, rf.target] = True
+        within = np.zeros((b, len(col)), dtype=bool)
+        within[:, col[rf.target]] = True
         frontier = within.copy()
         for _ in range(rf.k):
             new = np.zeros_like(within)
-            for (a, c), coin in zip(directed_edges, coin_of):
+            for a, c, coin in arcs:
                 new[:, a] |= frontier[:, c] & kept[:, coin]
             frontier = new & ~within
             within |= frontier
@@ -516,7 +621,8 @@ def delta_monte_carlo(
         if rf.target in attacked:
             arrived |= ~abl[:, -1]
         for w in sources:
-            arrived |= within[:, w] & ~abl[:, src_pos[w]]
+            if w in col:
+                arrived |= within[:, col[w]] & ~abl[:, src_pos[w]]
         hits += int(arrived.sum())
         done += b
 

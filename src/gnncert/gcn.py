@@ -129,12 +129,15 @@ def forward_all(model: GnnModel, g: Graph,
         raise ValueError(
             f"graph features have {g.dim} columns, model expects {model.dim}"
         )
-    skip_h = None
-    if model.skip:
-        xc = g.features if clean_features is None else clean_features
-        skip_h = _relu(xc @ model.w1)
-    a_hat = normalized_adjacency(g.n, g.edges)
-    return propagate(a_hat, g.features @ model.w1, model.w2, skip_h=skip_h)[2]
+    xc = g.features if clean_features is None else clean_features
+    return _scores(model, normalized_adjacency(g.n, g.edges), g.features, xc)
+
+
+def _scores(model: GnnModel, a_hat: sparse.csr_matrix, x: np.ndarray,
+            clean_x: np.ndarray) -> np.ndarray:
+    """Class scores of every node for aggregation ``a_hat`` and features ``x``."""
+    skip_h = _relu(clean_x @ model.w1) if model.skip else None
+    return propagate(a_hat, x @ model.w1, model.w2, skip_h=skip_h)[2]
 
 
 def forward(model: GnnModel, g: Graph, v: int,
@@ -298,6 +301,7 @@ def train(g: Graph, labeled, cfg: TrainConfig,
     adam = _Adam([model.w1.shape, model.w2.shape, model.token.shape], lr=cfg.lr)
     keep_prob = 1.0 - cfg.dropout
 
+    clean_a_hat = normalized_adjacency(g.n, g.edges)
     best = (-1.0, None)
     stale = 0
     for epoch in range(cfg.epochs):
@@ -318,7 +322,8 @@ def train(g: Graph, labeled, cfg: TrainConfig,
         )
         adam.step([model.w1, model.w2, model.token], [d_w1, d_w2, d_token])
 
-        val_acc = float(np.mean(predict_all(model, g)[val_idx] == g.labels[val_idx]))
+        val_pred = np.argmax(_scores(model, clean_a_hat, g.features, g.features), axis=1)
+        val_acc = float(np.mean(val_pred[val_idx] == g.labels[val_idx]))
         if history is not None:
             history.append((epoch, float(loss), val_acc))
 

@@ -315,6 +315,16 @@ class ReceptiveField:
     def attack_surface(self, d_min: int) -> int:
         return len(self.candidates(d_min))
 
+    @functools.cached_property
+    def logical_paths(self) -> dict[int, tuple[tuple[Edge, ...], ...]]:
+        """``paths`` with each edge replaced by its coin-flip identity, built on first use.
+
+        Two paths share an edge coin exactly when they share an entry here
+        (``canonical_edge``), which is what inclusion-exclusion counts.
+        """
+        return {w: tuple(tuple(canonical_edge(e, self.directed) for e in q) for q in plist)
+                for w, plist in self.paths.items()}
+
 
 def receptive_field(g: Graph, v: int, k: int,
                     max_paths: int = DEFAULT_MAX_PATHS) -> ReceptiveField:

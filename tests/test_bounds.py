@@ -1,4 +1,6 @@
+import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -264,12 +266,62 @@ def test_worst_case_exact_reports_argmax():
 
 
 def test_worst_case_subset_cap():
-    edges = [(i, 0) for i in range(1, 15)]
+    # a 14-leaf star with one leaf-leaf edge: the cycle forces enumeration
+    edges = [(i, 0) for i in range(1, 15)] + [(1, 2)]
     g = Graph.build(n=15, edges=edges, directed=False)
     rf = receptive_field(g, 0, 2)
     with pytest.raises(ResourceLimitError):
         delta_worst_case(rf, 7, 1, cfg(p_del=0.5), method="exact-enumeration",
                          subset_cap=10)
+
+
+def _brute_tree_worst(rf, d_min, c, rho):
+    """Largest ``delta_tree_exact`` over every size-min(rho, surface) candidate set."""
+    candidates = rf.candidates(d_min)
+    size = min(rho, len(candidates))
+    return max(delta_tree_exact(rf, s, c).value
+               for s in itertools.combinations(candidates, size))
+
+
+def test_tree_worst_case_ignores_subset_cap():
+    # the same star without the cycle is a tree: nothing is enumerated
+    edges = [(i, 0) for i in range(1, 15)]
+    g = Graph.build(n=15, edges=edges, directed=False)
+    rf = receptive_field(g, 0, 2)
+    c = cfg(p_del=0.5, p_abl=0.3)
+    b = delta_worst_case(rf, 7, 1, c, method="exact-enumeration", subset_cap=10)
+    assert b.method == "tree-exact"
+    assert b.value == _brute_tree_worst(rf, 1, c, 7)
+    assert len(b.worst_set) == 7
+
+
+def test_tree_worst_case_matches_brute_force(rng):
+    checked = 0
+    for trial in range(120):
+        g = random_tree(rng, int(rng.integers(2, 10)))
+        rf = receptive_field(g, 0, int(rng.integers(1, 5)))
+        p_del = 0.0 if trial % 4 == 1 else float(rng.uniform(0, 1))
+        p_abl = 1.0 if trial % 4 == 2 else float(rng.uniform(0, 1))
+        c = cfg(p_del=p_del, p_abl=p_abl)
+        for d_min in (0, 1, 2):
+            surface = rf.attack_surface(d_min)
+            if not surface:
+                continue
+            curve = worst_case_curve(rf, d_min, c, method="exact-enumeration",
+                                     rho_max=surface + 1)
+            assert len(curve) == surface + 1
+            for rho, b in enumerate(curve, start=1):
+                brute = _brute_tree_worst(rf, d_min, c, rho)
+                point = delta_worst_case(rf, rho, d_min, c, method="exact-enumeration")
+                for got in (b, point):
+                    assert got.method == "tree-exact" and got.rho == rho
+                    assert brute <= got.value <= brute + 1e-12
+                    assert len(got.worst_set) == min(rho, surface)
+                    assert set(got.worst_set) <= set(rf.candidates(d_min))
+                    assert delta_tree_exact(rf, got.worst_set, c).value == \
+                        pytest.approx(got.value, abs=1e-12)
+                checked += 1
+    assert checked >= 300
 
 
 def test_ordering_chain_exact_mult_union(rng):
@@ -365,3 +417,20 @@ def test_monte_carlo_degenerate_cases():
     rf = receptive_field(g, 0, 2)
     assert delta_monte_carlo(rf, {1, 2}, cfg(p_del=1.0, p_abl=0.0), 2000).value == 0.0
     assert delta_monte_carlo(rf, {0, 1, 2}, cfg(p_del=0.0, p_abl=1.0), 2000).value == 0.0
+
+
+def test_monte_carlo_memory_scales_with_field_not_node_id():
+    base = 50_000
+    n = base + 6
+    edges = [(base + i, base + i + 1) for i in range(5)]
+    g = Graph.build(n=n, edges=edges, features=np.zeros((n, 1)), directed=False)
+    rf = receptive_field(g, base, 3)
+    tracemalloc.start()
+    try:
+        b = delta_monte_carlo(rf, {base + 2, base + 3}, cfg(p_del=0.3, p_abl=0.2),
+                              1000, seed=1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert 0.0 < b.value < 1.0
+    assert peak < 1_000_000

@@ -287,3 +287,26 @@ def test_bad_k_rel_or_tau_is_exit_two(fixture_dir, capsys, key, value):
     cfg = write_config(fixture_dir, **{key: value})
     assert main(["derandomize", "--config", str(cfg)]) == 2
     assert key in capsys.readouterr().err
+
+
+def test_exact_enumeration_cap_refuses_only_fields_with_a_cycle(tmp_path):
+    # node 0 sees a tree (0-1, 0-2, 1-3); node 4 sees the triangle 4-5-6
+    (tmp_path / "edges.txt").write_text("0 1\n0 2\n1 3\n4 5\n5 6\n6 4\n4 7\n")
+    n0, n1 = 20, 200
+    lines = ["node_id,sample_index,class"]
+    for v in (0, 4):
+        lines += [f"{v},{i},1" for i in range(n0 + n1)]
+    (tmp_path / "votes.csv").write_text("\n".join(lines) + "\n")
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({
+        "edges": str(tmp_path / "edges.txt"), "votes": str(tmp_path / "votes.csv"),
+        "out_dir": str(tmp_path / "out"), "nodes": [0, 4], "n0": n0, "n1": n1,
+        "alpha": 0.05, "p_del": 0.5, "p_abl": 0.8, "d_min": [1],
+        "bound_method": "exact-enumeration", "subset_cap": 1,
+    }))
+    assert main(["certify", "--config", str(cfg)]) == 3
+    with open(tmp_path / "out" / "results.csv", newline="") as fh:
+        rows = {r["node_id"]: r for r in csv.DictReader(fh)}
+    assert rows["0"]["error"] == ""
+    assert int(rows["0"]["radius_dmin_1"]) >= 1
+    assert "ResourceLimitError" in rows["4"]["error"]
