@@ -432,15 +432,36 @@ def _exact_for_set(rf: ReceptiveField, cfg: SmoothingConfig, max_terms: int):
     return lambda attacked: delta_exact_ie(rf, attacked, cfg, max_terms=max_terms)
 
 
-def _combiner(rf: ReceptiveField, d_min: int, cfg: SmoothingConfig, method: str):
-    """``rho -> DeltaBound`` combining the top-rho single-source bounds.
+def _single_values(rf: ReceptiveField, d_min: int, cfg: SmoothingConfig) -> list[float]:
+    """Single-source bounds of the candidates at distance >= d_min, descending."""
+    return _sorted_values(delta_single_source(rf, w, cfg) for w in rf.candidates(d_min))
 
-    The single-source bounds of the candidates are computed and sorted once.
+
+def _combined_curve(values: list[float], method: str, d_min: int,
+                    rho_max: int) -> list[DeltaBound]:
+    """``delta_multiplicative``/``delta_union`` of descending ``values`` for rho = 1..rho_max.
+
+    Bit for bit the per-budget values, from one sort.  ``1 - values[0]`` is
+    the smallest factor of every prefix, so it alone picks the branch of
+    ``_product_one_minus``: in its plain and its zero branch the running
+    product is each prefix's product, and in its log-space branch every
+    budget is computed on its own.  ``union`` sums each prefix with ``fsum``.
     """
-    values = _sorted_values(delta_single_source(rf, w, cfg)
-                            for w in rf.candidates(d_min))
-    combine = delta_multiplicative if method == "multiplicative" else delta_union
-    return lambda rho: combine(values, rho, d_min=d_min)
+    budgets = range(1, rho_max + 1)
+    if method == "union":
+        raws = [math.fsum(values[:rho]) for rho in budgets]
+        return [DeltaBound(value=min(1.0, raw), method="union", rho=rho,
+                           d_min=d_min, raw=raw)
+                for rho, raw in zip(budgets, raws)]
+    if values and 0.0 < 1.0 - values[0] < 1e-12:
+        return [delta_multiplicative(values, rho, d_min=d_min) for rho in budgets]
+    curve, product = [], 1.0
+    for rho in budgets:
+        if rho <= len(values):
+            product *= 1.0 - values[rho - 1]
+        curve.append(DeltaBound(value=_clip01(1.0 - product), method="multiplicative",
+                                rho=rho, d_min=d_min))
+    return curve
 
 
 def delta_worst_case(
@@ -472,7 +493,8 @@ def delta_worst_case(
                           raw=0.0 if method == "union" else None)
 
     if method in {"multiplicative", "union"}:
-        return _combiner(rf, d_min, cfg, method)(rho)
+        combine = delta_multiplicative if method == "multiplicative" else delta_union
+        return combine(_single_values(rf, d_min, cfg), rho, d_min=d_min)
     if is_tree(rf):
         return _tree_worst_curve(rf, d_min, cfg, rho)[-1]
 
@@ -546,14 +568,15 @@ def worst_case_curve(
 ) -> list[DeltaBound]:
     """Worst-case bounds for every budget 1..rho_max (default: attack surface).
 
-    Each entry equals ``delta_worst_case`` at that budget.  The exact curve
-    of a tree-shaped field comes from one knapsack pass for all budgets.
+    Each entry equals ``delta_worst_case`` at that budget.  The
+    ``multiplicative`` and ``union`` curves come from one sort and a running
+    product or prefix sums, and the exact curve of a tree-shaped field from
+    one knapsack pass for all budgets.
     """
     if rho_max is None:
         rho_max = rf.attack_surface(d_min)
     if method in {"multiplicative", "union"}:
-        combine = _combiner(rf, d_min, cfg, method)
-        return [combine(rho) for rho in range(1, rho_max + 1)]
+        return _combined_curve(_single_values(rf, d_min, cfg), method, d_min, rho_max)
     if method == "exact-enumeration" and rf.candidates(d_min) and is_tree(rf):
         return _tree_worst_curve(rf, d_min, cfg, rho_max)
     return [

@@ -20,7 +20,8 @@ from pathlib import Path
 import numpy as np
 
 from . import bounds, derandomize, estimator, gcn, smoothing
-from .errors import ConfigError, EnumerationRefused, ResourceLimitError
+from .errors import (ConfigError, EnumerationRefused, InsufficientSamplesError,
+                     ResourceLimitError)
 from .graph import load_graph, receptive_field
 
 EXIT_OK = 0
@@ -90,6 +91,8 @@ class RunConfig:
             raise ConfigError(f"k_rel {cfg.k_rel} outside [0, 1]")
         if cfg.tau < 1:
             raise ConfigError(f"tau {cfg.tau} must be >= 1")
+        if cfg.n0 < 1 or cfg.n1 < 1:
+            raise ConfigError(f"sample counts n0 {cfg.n0} and n1 {cfg.n1} must be >= 1")
         if not cfg.edges:
             raise ConfigError("config must name an edge file")
         return cfg
@@ -249,7 +252,7 @@ def cmd_certify(cfg: RunConfig) -> int:
             try:
                 tallies[v] = estimator.estimate(vote_table, g, v, scfg,
                                                 cfg.n0, cfg.n1, cfg.alpha)
-            except Exception as exc:        # per-node, run continues
+            except InsufficientSamplesError as exc:     # per-node, run continues
                 failures[v] = f"{type(exc).__name__}: {exc}"
     else:
         tallies = estimator.estimate_all(model, g, nodes, scfg,

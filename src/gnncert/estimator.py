@@ -137,13 +137,13 @@ def estimate_all(
         preds = np.empty((n0 + n1, len(nodes)), dtype=np.int64)
         for j, v in enumerate(nodes):
             per_node = classifier.votes.get(int(v), {})
-            for i in range(n0 + n1):
-                if i not in per_node:
-                    raise InsufficientSamplesError(
-                        f"vote table lacks sample {i} for node {v} "
-                        f"(need {n0 + n1} samples)"
-                    )
-                preds[i, j] = per_node[i]
+            try:
+                preds[:, j] = [per_node[i] for i in range(n0 + n1)]
+            except KeyError as missing:
+                raise InsufficientSamplesError(
+                    f"vote table lacks sample {missing.args[0]} for node {v} "
+                    f"(need {n0 + n1} samples)"
+                ) from None
     else:
         classes = classifier.classes
         preds = _predictions_per_sample(classifier, g, cfg, n0 + n1, nodes)

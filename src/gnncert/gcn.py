@@ -16,6 +16,8 @@ models, so certification is not tied to this architecture.
 from __future__ import annotations
 
 import csv
+import functools
+import io
 import json
 from dataclasses import dataclass, asdict
 
@@ -23,7 +25,7 @@ import numpy as np
 from scipy import sparse
 
 from .errors import ConfigError, VoteFormatError
-from .graph import Graph
+from .graph import Graph, numpy_readable, read_table, read_text
 from . import smoothing
 
 
@@ -381,13 +383,11 @@ class VoteTable:
 
     votes: dict[int, dict[int, int]]
 
-    @property
+    @functools.cached_property
     def classes(self) -> int:
-        top = -1
-        for per_node in self.votes.values():
-            if per_node:
-                top = max(top, max(per_node.values()))
-        return top + 1
+        """1 + the largest class voted; counted once per table."""
+        return 1 + max((max(per_node.values()) for per_node in self.votes.values()
+                        if per_node), default=-1)
 
     def tally(self, node: int) -> dict[int, int]:
         out: dict[int, int] = {}
@@ -405,31 +405,75 @@ def save_votes(path, rows) -> None:
             writer.writerow([int(node), int(sample_index), int(cls)])
 
 
+def _blank_row(row: list[str]) -> bool:
+    return not row or (len(row) == 1 and not row[0].strip())
+
+
+def _header_row(row: list[str]) -> bool:
+    """Whether a first CSV row is a header: a non-blank row not led by an integer."""
+    return not _blank_row(row) and not row[0].strip().lstrip("-").isdigit()
+
+
 def load_votes(path) -> VoteTable:
-    """Read a vote CSV (header optional); duplicate (node, sample) pairs are errors."""
-    votes: dict[int, dict[int, int]] = {}
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        for lineno, row in enumerate(reader, start=1):
-            if not row or (len(row) == 1 and not row[0].strip()):
-                continue
-            if lineno == 1 and not row[0].strip().lstrip("-").isdigit():
-                continue    # header
-            if len(row) != 3:
-                raise VoteFormatError(
-                    f"{path}: line {lineno}: expected node_id,sample_index,class"
-                )
-            try:
-                node, sample_index, cls = (int(x) for x in row)
-            except ValueError:
-                raise VoteFormatError(
-                    f"{path}: line {lineno}: non-integer field in {row!r}"
-                ) from None
-            per_node = votes.setdefault(node, {})
-            if sample_index in per_node:
-                raise VoteFormatError(
-                    f"{path}: line {lineno}: duplicate vote for node {node}, "
-                    f"sample {sample_index}"
-                )
-            per_node[sample_index] = cls
-    return VoteTable(votes=votes)
+    """Read a vote CSV (header optional).
+
+    Every field is a non-negative integer; duplicate (node, sample) pairs are
+    errors.  ``votes`` keeps nodes in order of first appearance and each
+    node's samples in file order.
+    """
+    text = read_text(path)
+    first, _, rest = text.partition("\n")
+    table = read_table(rest if _header_row(next(csv.reader([first]), [])) else text,
+                       np.int64, delimiter=",")
+    if table is not None and (table.shape[0] == 0
+                              or (table.shape[1] == 3 and table.min() >= 0)):
+        votes = _group_votes(table.reshape(-1, 3))
+        if sum(map(len, votes.values())) == table.shape[0]:    # no duplicate pair
+            return VoteTable(votes=votes)
+
+    seen: dict[int, set[int]] = {}
+    for lineno, row in enumerate(csv.reader(io.StringIO(text)), start=1):
+        if _blank_row(row) or (lineno == 1 and _header_row(row)):
+            continue
+        if len(row) != 3:
+            raise VoteFormatError(
+                f"{path}: line {lineno}: expected node_id,sample_index,class"
+            )
+        try:
+            if not all(map(numpy_readable, row)):
+                raise ValueError
+            node, sample_index, cls = (int(x) for x in row)
+        except ValueError:
+            raise VoteFormatError(
+                f"{path}: line {lineno}: non-integer field in {row!r}"
+            ) from None
+        if min(node, sample_index, cls) < 0:
+            raise VoteFormatError(
+                f"{path}: line {lineno}: negative field in {row!r}"
+            )
+        if max(node, sample_index, cls) >= 2 ** 63:
+            raise VoteFormatError(f"{path}: line {lineno}: field out of range in {row!r}")
+        per_node = seen.setdefault(node, set())
+        if sample_index in per_node:
+            raise VoteFormatError(
+                f"{path}: line {lineno}: duplicate vote for node {node}, "
+                f"sample {sample_index}"
+            )
+        per_node.add(sample_index)
+    raise VoteFormatError(f"{path}: not a node_id,sample_index,class CSV")
+
+
+def _group_votes(table: np.ndarray) -> dict[int, dict[int, int]]:
+    """``{node: {sample: class}}`` from (node, sample, class) rows.
+
+    A duplicate (node, sample) pair keeps one entry, so the entries number
+    fewer than the rows.
+    """
+    if table.shape[0] == 0:
+        return {}
+    nodes = table[:, 0]
+    order = np.argsort(nodes, kind="stable")        # by node, file order within
+    groups = np.split(order, np.flatnonzero(np.diff(nodes[order])) + 1)
+    groups.sort(key=lambda rows: rows[0])           # nodes by first appearance
+    return {int(nodes[rows[0]]): dict(zip(table[rows, 1].tolist(), table[rows, 2].tolist()))
+            for rows in groups}

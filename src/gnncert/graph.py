@@ -11,6 +11,9 @@ from __future__ import annotations
 
 import csv
 import functools
+import io
+import re
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -18,6 +21,7 @@ import numpy as np
 from .errors import DimensionError, GraphParseError, ResourceLimitError
 
 DEFAULT_MAX_PATHS = 100_000
+_MAX_FLAT_KEY_NODES = 3_037_000_499     # largest n with n * n below 2**63
 
 Edge = tuple[int, int]
 Path = tuple[Edge, ...]
@@ -36,11 +40,15 @@ class Graph:
     for undirected graphs the two orientations of one edge share an id, so
     random edge deletion treats them as a single edge.  Ids are the ranks of
     the ``canonical_edge`` pairs in lexicographic order.
+
+    ``_features`` is the feature matrix as given, or None for a graph
+    without features; ``features`` then reads as the one-hot node identity,
+    built on first read.
     """
 
     n: int
     edges: np.ndarray            # (m, 2) int64
-    features: np.ndarray         # (n, d) float64
+    _features: np.ndarray | None  # (n, d) float64, or None for the identity
     labels: np.ndarray | None    # (n,) int64, negative = unlabeled
     directed: bool
     logical_edge_ids: np.ndarray = field(repr=False, default=None)  # (m,) int64
@@ -59,10 +67,18 @@ class Graph:
 
         Drops self-loops, deduplicates, symmetrizes undirected inputs, and
         sorts edges lexicographically so that identical inputs always produce
-        identical graphs (sampling and enumeration order depend on it).
-        Features default to a one-hot node identity so structure-only
-        fixtures run through the full pipeline.
+        identical graphs (sampling and enumeration order depend on it).  The
+        sort and the deduplication run on flat ``src * n + dst`` keys, whose
+        order is the lexicographic order of the pairs.  Without ``features``
+        the graph reads as a one-hot node identity, so structure-only
+        fixtures run through the full pipeline; the ``n x n`` identity is
+        built only when ``features`` is first read (``dim`` is ``n`` without
+        it).
         """
+        if n > _MAX_FLAT_KEY_NODES:
+            raise DimensionError(
+                f"{n} nodes exceed the {_MAX_FLAT_KEY_NODES} that int64 edge keys allow"
+            )
         arr = np.asarray(list(edges) if not isinstance(edges, np.ndarray) else edges,
                          dtype=np.int64).reshape(-1, 2)
         if arr.size and (arr.min() < 0 or arr.max() >= n):
@@ -70,16 +86,12 @@ class Graph:
                 f"edge endpoint out of range: indices must be in [0, {n})"
             )
         arr = arr[arr[:, 0] != arr[:, 1]]           # no self-loops stored
-        if not directed and arr.size:
-            arr = np.vstack([arr, arr[:, ::-1]])
-        if arr.size:
-            arr = np.unique(arr, axis=0)            # dedup + lexicographic sort
-        else:
-            arr = arr.reshape(0, 2)
+        key = arr[:, 0] * n + arr[:, 1]
+        if not directed:
+            key = np.concatenate([key, arr[:, 1] * n + arr[:, 0]])
+        arr = np.stack(np.divmod(np.unique(key), n), axis=1)   # dedup + sort
 
-        if features is None:
-            features = np.eye(n, dtype=np.float64)
-        else:
+        if features is not None:
             features = np.asarray(features, dtype=np.float64)
             if features.ndim == 1:
                 features = features.reshape(n, -1)
@@ -96,9 +108,16 @@ class Graph:
                 )
 
         logical_ids, n_logical = _logical_edge_ids(arr, directed)
-        return cls(n=n, edges=arr, features=features, labels=labels,
+        return cls(n=n, edges=arr, _features=features, labels=labels,
                    directed=directed, logical_edge_ids=logical_ids,
                    n_logical=n_logical)
+
+    @functools.cached_property
+    def features(self) -> np.ndarray:
+        """(n, d) float64 features; the one-hot identity when none were given."""
+        if self._features is None:
+            return np.eye(self.n, dtype=np.float64)
+        return self._features
 
     @property
     def m(self) -> int:
@@ -106,7 +125,7 @@ class Graph:
 
     @property
     def dim(self) -> int:
-        return int(self.features.shape[1])
+        return self.n if self._features is None else int(self._features.shape[1])
 
     @functools.cached_property
     def in_neighbors(self) -> tuple[np.ndarray, np.ndarray]:
@@ -124,14 +143,17 @@ class Graph:
         """View of this graph keeping only the masked edges (features optionally replaced).
 
         Logical ids are ranks, so the kept edges' ids are their old ids
-        re-ranked.
+        re-ranked.  Without new ``features`` the view shares this graph's,
+        including an identity already built.
         """
+        if features is None:
+            features = self.__dict__.get("features", self._features)
         kept_ids = self.logical_edge_ids[edge_mask]
         uniq, logical_ids = np.unique(kept_ids, return_inverse=True)
         return Graph(
             n=self.n,
             edges=self.edges[edge_mask],
-            features=self.features if features is None else features,
+            _features=features,
             labels=self.labels,
             directed=self.directed,
             logical_edge_ids=logical_ids.astype(np.int64),
@@ -151,11 +173,20 @@ class Graph:
 
 
 def _logical_edge_ids(edges: np.ndarray, directed: bool) -> tuple[np.ndarray, int]:
+    """Rank of each edge's ``canonical_edge`` pair, and the number of distinct pairs.
+
+    Pairs are ranked by flat keys ``a * base + b`` with ``base`` above every
+    endpoint, which order like the pairs themselves.
+    """
     if edges.shape[0] == 0:
         return np.zeros(0, dtype=np.int64), 0
-    canon = edges if directed else np.sort(edges, axis=1)
-    _, ids = np.unique(canon, axis=0, return_inverse=True)
-    return ids.astype(np.int64), int(ids.max()) + 1
+    base = int(edges.max()) + 1
+    if directed:
+        key = edges[:, 0] * base + edges[:, 1]
+    else:
+        key = edges.min(axis=1) * base + edges.max(axis=1)
+    uniq, ids = np.unique(key, return_inverse=True)
+    return ids.astype(np.int64), int(uniq.size)
 
 
 def canonical_edge(e: Edge, directed: bool) -> Edge:
@@ -168,6 +199,13 @@ def canonical_edge(e: Edge, directed: bool) -> Edge:
 
 # ---------------------------------------------------------------------------
 # loading
+#
+# Each file is parsed in one numpy pass.  When numpy rejects a file, or the
+# parsed values break a rule, the file is read again line by line only to
+# raise an error naming the first bad line; that re-read never accepts.
+
+_BLANK_LINE = re.compile(r"^[^\S\n]+$", re.MULTILINE)
+_INLINE_COMMENT = re.compile(r"^[^\S\n]*[^\s#][^\n]*#", re.MULTILINE)
 
 
 def load_graph(
@@ -184,30 +222,8 @@ def load_graph(
     The node count is 1 + the largest index seen, or the feature row count
     when that is larger.
     """
-    edges = []
-    max_idx = -1
-    with open(edge_path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            stripped = line.strip()
-            if not stripped or stripped.startswith("#"):
-                continue
-            parts = stripped.split()
-            if len(parts) != 2:
-                raise GraphParseError(
-                    f"{edge_path}: line {lineno}: expected 'src dst', got {stripped!r}"
-                )
-            try:
-                a, b = int(parts[0]), int(parts[1])
-            except ValueError:
-                raise GraphParseError(
-                    f"{edge_path}: line {lineno}: non-integer endpoint in {stripped!r}"
-                ) from None
-            if a < 0 or b < 0:
-                raise GraphParseError(
-                    f"{edge_path}: line {lineno}: negative node index"
-                )
-            edges.append((a, b))
-            max_idx = max(max_idx, a, b)
+    edges = _load_edge_list(edge_path)
+    max_idx = int(edges.max()) if edges.size else -1
 
     features = None
     if feature_path is not None:
@@ -241,43 +257,125 @@ def load_graph(
                        directed=directed)
 
 
+def read_text(path) -> str:
+    """The whole file as text; CR LF and lone CR line ends read as LF."""
+    with open(path, "r", encoding="utf-8") as fh:
+        return fh.read()
+
+
+def read_table(text: str, dtype, delimiter: str | None = None,
+               comments: str | None = None) -> np.ndarray | None:
+    """``text`` as a 2-D array in one ``np.loadtxt`` pass, or None where numpy rejects it.
+
+    Empty and whitespace-only lines are skipped, and CSV fields
+    (``delimiter=","``) may be quoted with ``"``.  ``loadtxt`` skips a
+    whitespace-only CSV line only once it is emptied, which takes a regex
+    pass over the text, so that pass runs only after a first attempt failed.
+    """
+    for attempt in range(2):
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", UserWarning)    # "input contained no data"
+                return np.loadtxt(io.StringIO(text), dtype=dtype, delimiter=delimiter,
+                                  comments=comments, ndmin=2,
+                                  quotechar='"' if delimiter else None)
+        except ValueError:
+            if attempt or delimiter is None or not _BLANK_LINE.search(text):
+                return None
+            text = _BLANK_LINE.sub("", text)
+    return None
+
+
+def numpy_readable(field: str) -> bool:
+    """Whether numpy reads ``field`` as ``int``/``float`` do: ASCII digits, no ``_``."""
+    return field.strip().isascii() and "_" not in field
+
+
+def _load_edge_list(path) -> np.ndarray:
+    """(m, 2) int64 endpoints of a whitespace-separated edge list."""
+    text = read_text(path)
+    arr = None
+    if "#" not in text or not _INLINE_COMMENT.search(text):   # loadtxt would cut "0 1 # x"
+        arr = read_table(text, np.int64, comments="#")
+    if arr is not None and (arr.shape[0] == 0 or (arr.shape[1] == 2 and arr.min() >= 0)):
+        return arr.reshape(-1, 2)
+    for lineno, line in enumerate(text.split("\n"), start=1):
+        stripped = line.strip()
+        if not stripped or stripped.startswith("#"):
+            continue
+        parts = stripped.split()
+        if len(parts) != 2:
+            raise GraphParseError(
+                f"{path}: line {lineno}: expected 'src dst', got {stripped!r}"
+            )
+        try:
+            if not all(map(numpy_readable, parts)):
+                raise ValueError
+            a, b = int(parts[0]), int(parts[1])
+        except ValueError:
+            raise GraphParseError(
+                f"{path}: line {lineno}: non-integer endpoint in {stripped!r}"
+            ) from None
+        if a < 0 or b < 0:
+            raise GraphParseError(
+                f"{path}: line {lineno}: negative node index"
+            )
+        if max(a, b) >= 2 ** 63:
+            raise GraphParseError(f"{path}: line {lineno}: node index out of range")
+    raise GraphParseError(f"{path}: not a 'src dst' edge list")
+
+
 def _load_feature_csv(path) -> np.ndarray:
-    rows = []
+    text = read_text(path)
+    x = read_table(text, np.float64, delimiter=",")
+    if x is not None:
+        return x if x.shape[0] else np.zeros(0)
     width = None
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        for lineno, row in enumerate(csv.reader(fh), start=1):
-            if not row or (len(row) == 1 and not row[0].strip()):
-                continue
-            try:
-                vals = [float(x) for x in row]
-            except ValueError:
-                raise GraphParseError(
-                    f"{path}: line {lineno}: non-numeric feature value"
-                ) from None
-            if width is None:
-                width = len(vals)
-            elif len(vals) != width:
-                raise GraphParseError(
-                    f"{path}: line {lineno}: expected {width} columns, got {len(vals)}"
-                )
-            rows.append(vals)
-    return np.asarray(rows, dtype=np.float64)
+    for lineno, row in enumerate(csv.reader(io.StringIO(text)), start=1):
+        if not row or (len(row) == 1 and not row[0].strip()):
+            continue
+        try:
+            if not all(map(numpy_readable, row)):
+                raise ValueError
+            vals = [float(x) for x in row]
+        except ValueError:
+            raise GraphParseError(
+                f"{path}: line {lineno}: non-numeric feature value"
+            ) from None
+        if width is None:
+            width = len(vals)
+        elif len(vals) != width:
+            raise GraphParseError(
+                f"{path}: line {lineno}: expected {width} columns, got {len(vals)}"
+            )
+    raise GraphParseError(f"{path}: not a numeric CSV")
+
+
+def _int64_valued(x: np.ndarray) -> np.ndarray:
+    # NaN fails the equality and +-inf the range check
+    return (np.trunc(x) == x) & (np.abs(x) < 2.0 ** 63)
 
 
 def _load_label_csv(path) -> np.ndarray:
-    out = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            stripped = line.strip()
-            if not stripped:
-                continue
-            try:
-                out.append(int(float(stripped)))
-            except ValueError:
-                raise GraphParseError(
-                    f"{path}: line {lineno}: non-integer label {stripped!r}"
-                ) from None
-    return np.asarray(out, dtype=np.int64)
+    """One integer label per line; ``1.0`` reads as 1, ``2.7``, ``nan`` and ``inf`` are errors."""
+    text = read_text(path)
+    vals = read_table(text, np.float64)
+    if vals is not None and (vals.shape[0] == 0 or vals.shape[1] == 1):
+        vals = vals.reshape(-1)
+        if _int64_valued(vals).all():
+            return vals.astype(np.int64)
+    for lineno, line in enumerate(text.split("\n"), start=1):
+        stripped = line.strip()
+        if not stripped:
+            continue
+        try:
+            if not numpy_readable(stripped) or not _int64_valued(np.float64(stripped)):
+                raise ValueError
+        except ValueError:
+            raise GraphParseError(
+                f"{path}: line {lineno}: non-integer label {stripped!r}"
+            ) from None
+    raise GraphParseError(f"{path}: not one integer label per line")
 
 
 # ---------------------------------------------------------------------------

@@ -383,6 +383,29 @@ def test_worst_case_curve_matches_pointwise(rng):
         )
 
 
+def test_combined_curves_equal_per_budget_values(rng):
+    # the running-product / prefix-sum curves must be bit for bit the per-budget
+    # values, also when the top source's value is 1 (zero product) or within
+    # 1e-12 of 1 (log-space product)
+    tops = set()
+    for trial in range(90):
+        g = random_graph(rng, n=int(rng.integers(3, 12)), p_edge=0.4)
+        rf = receptive_field(g, int(rng.integers(g.n)), int(rng.integers(1, 4)))
+        p_del, p_abl = [(float(rng.uniform(0, 1)), float(rng.uniform(0, 1))),
+                        (float(rng.uniform(0, 1)), 0.0),
+                        (float(rng.uniform(0, 1)), 1e-13)][trial % 3]
+        c = cfg(p_del=p_del, p_abl=p_abl)
+        tops.add(1.0 - delta_single_source(rf, rf.target, c).value)
+        for d_min in (0, 1):
+            rho_max = rf.attack_surface(d_min) + 2
+            for method in ("multiplicative", "union"):
+                curve = worst_case_curve(rf, d_min, c, method=method, rho_max=rho_max)
+                assert len(curve) == rho_max
+                for rho, b in enumerate(curve, start=1):
+                    assert b == delta_worst_case(rf, rho, d_min, c, method=method)
+    assert 0.0 in tops and any(0.0 < t < 1e-12 for t in tops)
+
+
 def test_greedy_probe_is_lower_bound(rng):
     for _ in range(20):
         g = random_graph(rng, n=int(rng.integers(4, 10)), p_edge=0.3)

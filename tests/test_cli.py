@@ -289,6 +289,27 @@ def test_bad_k_rel_or_tau_is_exit_two(fixture_dir, capsys, key, value):
     assert key in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("key", ["n0", "n1"])
+@pytest.mark.parametrize("votes", [False, True])
+def test_bad_sample_count_is_exit_two(fixture_dir, capsys, key, votes):
+    extra = {}
+    if votes:
+        (fixture_dir / "votes.csv").write_text("0,0,1\n0,1,1\n")
+        extra = {"votes": str(fixture_dir / "votes.csv"), "nodes": [0]}
+    cfg = write_config(fixture_dir, **{key: 0}, **extra)
+    assert main(["certify", "--config", str(cfg)]) == 2
+    assert key in capsys.readouterr().err
+    assert not (fixture_dir / "out" / "results.csv").exists()
+
+
+def test_negative_vote_class_is_exit_two(fixture_dir, capsys):
+    (fixture_dir / "votes.csv").write_text("0,0,1\n0,1,-1\n")
+    cfg = write_config(fixture_dir, votes=str(fixture_dir / "votes.csv"), nodes=[0],
+                       n0=1, n1=1)
+    assert main(["certify", "--config", str(cfg)]) == 2
+    assert "line 2: negative" in capsys.readouterr().err
+
+
 def test_exact_enumeration_cap_refuses_only_fields_with_a_cycle(tmp_path):
     # node 0 sees a tree (0-1, 0-2, 1-3); node 4 sees the triangle 4-5-6
     (tmp_path / "edges.txt").write_text("0 1\n0 2\n1 3\n4 5\n5 6\n6 4\n4 7\n")
