@@ -19,6 +19,7 @@ from gnncert import (
     enumerate_representatives,
     exact_label_probs,
     levine_delta,
+    per_view,
     receptive_field,
     retention_count,
 )
@@ -69,7 +70,7 @@ def predict(view, v):
 print("retention count trades prediction sharpness against interception:")
 for kk in (1, 2, 3):
     rr = enumerate_representatives(rf, kk, tau=100_000)
-    probs = exact_label_probs(g, rf, rr, kk, predict, classes=2)
+    probs = exact_label_probs(g, rf, rr, kk, per_view(predict), classes=2)
     assert sum(probs) == Fraction(1)
     y_star = max(range(2), key=lambda c: (probs[c], -c))
     y_tilde = 1 - y_star

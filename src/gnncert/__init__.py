@@ -26,7 +26,9 @@ from .bounds import (
 )
 from .gcn import (
     GnnModel,
+    LocalScorer,
     TrainConfig,
+    TwoHop,
     VoteTable,
     forward,
     forward_all,
@@ -50,6 +52,7 @@ from .derandomize import (
     ReducedRepresentative,
     enumerate_representatives,
     exact_label_probs,
+    per_view,
     retention_count,
     savings_ratio,
 )
@@ -63,13 +66,13 @@ __all__ = [
     "delta_single_source", "delta_tree_exact", "delta_union",
     "delta_worst_case", "levine_delta", "max_certifiable_radius",
     "worst_case_curve",
-    "GnnModel", "TrainConfig", "VoteTable", "forward", "forward_all",
-    "load_checkpoint", "load_votes", "predict_all", "save_checkpoint",
-    "save_votes", "train",
+    "GnnModel", "LocalScorer", "TrainConfig", "TwoHop", "VoteTable", "forward",
+    "forward_all", "load_checkpoint", "load_votes", "predict_all",
+    "save_checkpoint", "save_votes", "train",
     "CertificateResult", "VoteTally", "certify",
     "clopper_pearson", "estimate", "estimate_all", "report",
     "ReducedRepresentative", "enumerate_representatives",
-    "exact_label_probs", "retention_count", "savings_ratio",
+    "exact_label_probs", "per_view", "retention_count", "savings_ratio",
     "errors",
 ]
 

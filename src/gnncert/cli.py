@@ -319,8 +319,10 @@ def cmd_derandomize(cfg: RunConfig) -> int:
     nodes = _select_nodes(cfg, g, payload)
     classes = model.classes
 
-    def predict(view, v):
-        return int(np.argmax(gcn.forward(model, view, v)))
+    scorer = gcn.LocalScorer(model, g)
+
+    def predict(graph, v, deleted):
+        return scorer.predict_without(v, deleted)
 
     def work(v: int):
         rf = receptive_field(g, v, cfg.k, max_paths=cfg.max_paths)

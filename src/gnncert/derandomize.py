@@ -7,6 +7,12 @@ core is identical produce identical predictions, so the support collapses
 into equivalence classes: one classifier evaluation per class, weighted by
 the class size, gives the label probabilities exactly.  Class sizes are
 binomial coefficients, so everything stays in integer / rational arithmetic.
+
+The classifier is called once per field with every class's deleted-node
+set, ``predict(g, target, deleted) -> classes``, so a model can score all
+of them in one batch (``gcn.LocalScorer.predict_without``).  ``per_view``
+adapts a classifier of one graph view, ``predict(view, target) -> class``,
+to that contract.
 """
 
 from __future__ import annotations
@@ -14,7 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable
+from typing import Callable, Sequence
 
 from .errors import EnumerationRefused, IncompleteRepresentativesError
 from .graph import Graph, ReceptiveField
@@ -109,19 +115,30 @@ def enumerate_representatives(
     ]
 
 
+BatchPredict = Callable[[Graph, int, Sequence[frozenset[int]]], Sequence[int]]
+
+
+def per_view(predict: Callable[[Graph, int], int]) -> BatchPredict:
+    """The batch contract for a classifier of one view: one ``without_nodes`` view per set."""
+    def batch(g: Graph, target: int, deleted) -> list[int]:
+        return [predict(g.without_nodes(d), target) for d in deleted]
+    return batch
+
+
 def exact_label_probs(
     g: Graph,
     rf: ReceptiveField,
     reps: list[ReducedRepresentative],
     k: int,
-    predict: Callable[[Graph, int], int],
+    predict: BatchPredict,
     classes: int,
 ) -> tuple[Fraction, ...]:
     """Exact per-class probabilities from one evaluation per representative.
 
-    ``predict(view, v)`` classifies the target in a view where every field
-    node outside the representative is deleted (isolated).  Probabilities
-    are exact rationals over C(d, k) and sum to 1.
+    ``predict(g, target, deleted)`` is called once, with one deleted-node
+    set per representative (the field nodes outside it), and returns the
+    target's class in ``g`` with each set deleted (isolated), in order.
+    Probabilities are exact rationals over C(d, k) and sum to 1.
     """
     d = len(rf.members) - 1
     total = math.comb(d, k)
@@ -131,10 +148,9 @@ def exact_label_probs(
             f"multiplicities cover {covered} of C({d}, {k}) = {total} retention sets"
         )
     counts = [0] * classes
-    for rep in reps:
-        view = g.without_nodes(rf.members - rep.nodes)
-        c = int(predict(view, rf.target))
-        counts[c] += rep.beta
+    predicted = predict(g, rf.target, [rf.members - rep.nodes for rep in reps])
+    for rep, c in zip(reps, predicted, strict=True):
+        counts[int(c)] += rep.beta
     return tuple(Fraction(c, total) for c in counts)
 
 

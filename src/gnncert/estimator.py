@@ -20,7 +20,7 @@ from scipy import special
 
 from .errors import InsufficientSamplesError
 from .graph import Graph
-from .gcn import GnnModel, VoteTable, normalized_adjacency, propagate, _relu
+from .gcn import GnnModel, LocalScorer, TwoHop, VoteTable
 from .smoothing import SmoothingConfig
 from . import smoothing
 from .bounds import DeltaBound
@@ -90,27 +90,36 @@ class CertificateResult:
 
 def _predictions_per_sample(model: GnnModel, g: Graph, cfg: SmoothingConfig,
                             n_samples: int, nodes: np.ndarray) -> np.ndarray:
-    """(n_samples, len(nodes)) predicted classes, one smoothed forward per sample.
+    """(n_samples, len(nodes)) predicted classes, one smoothed vote per sample.
 
     Samples are keyed by index, so a node sees bitwise the same sampled
-    graphs whether it is evaluated alone or with others.
-    ``X @ W1`` is computed once; an ablated row is ``token @ W1`` by
-    linearity, and the second layer runs for ``nodes`` only.
+    graphs whether it is evaluated alone or with others.  Only the two-hop
+    in-neighbourhood of ``nodes`` is read, and each chunk of samples is one
+    block-diagonal pass of ``LocalScorer``.  The sampled graphs and the
+    hidden rows are bitwise those of one full-graph forward per sample.
+    ``W2`` stays one product per sample, because BLAS rounds products of
+    few rows differently: 1-row slices of a 2708 x 64 @ 64 x 7 product
+    differ from the whole product in the last bits on most rows, while
+    20-row slices match.  The mask and score buffers are reused from chunk
+    to chunk.
     """
     out = np.empty((n_samples, len(nodes)), dtype=np.int64)
-    xw1 = g.features @ model.w1
-    token_w1 = cfg.token @ model.w1
-    skip_h = _relu(xw1) if model.skip else None
-    for i in range(n_samples):
-        s = smoothing.sample(g, cfg, i)
-        if s.ablated.any():
-            x = xw1.copy()
-            x[s.ablated] = token_w1
-        else:
-            x = xw1
-        a_hat = normalized_adjacency(g.n, g.edges[s.edge_mask])
-        scores = propagate(a_hat, x, model.w2, rows=nodes, skip_h=skip_h)[2]
-        out[i] = np.argmax(scores, axis=1)
+    if not len(nodes):
+        return out
+    scorer = LocalScorer(model, g, cfg.token)
+    hood = TwoHop(g, nodes)
+    step = scorer.chunk(hood)
+    kept = np.empty((min(step, n_samples), hood.edges.size), dtype=bool)
+    ablated = np.empty((kept.shape[0], hood.nodes.size), dtype=bool)
+    scores = np.empty((kept.shape[0], len(nodes), model.classes))
+    for lo in range(0, n_samples, step):
+        b = min(step, n_samples - lo)
+        for j in range(b):
+            s = smoothing.sample(g, cfg, lo + j)
+            np.take(s.edge_mask, hood.edges, out=kept[j], mode="clip")   # no temporary
+            np.take(s.ablated, hood.nodes, out=ablated[j], mode="clip")
+        scorer.scores(hood, kept[:b], ablated[:b], out=scores[:b])
+        np.argmax(scores[:b], axis=2, out=out[lo:lo + b])
     return out
 
 

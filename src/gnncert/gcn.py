@@ -9,6 +9,13 @@ the surviving edges, so one forward pass costs O(m + n) per hidden unit.
 Training is full-batch with hand-written reverse-mode gradients and Adam
 updates through the same forward pass, so no autodiff dependency is needed.
 
+Inference is two-hop-local and batched: a target's score reads only its
+two-hop in-neighbourhood, so ``LocalScorer`` scores many variants of the
+graph (smoothing samples, derandomization views) in one block-diagonal
+sparse pass over that neighbourhood, with the hidden rows bitwise those of
+the full forward.  ``forward``, ``forward_all`` and ``train`` run on the
+whole graph.
+
 External classifiers are supported through vote files instead of live
 models, so certification is not tied to this architecture.
 """
@@ -18,6 +25,7 @@ from __future__ import annotations
 import csv
 import functools
 import io
+import itertools
 import json
 from dataclasses import dataclass, asdict
 
@@ -73,7 +81,8 @@ class TrainConfig:
             raise ValueError("epochs must be >= 1")
 
 
-def normalized_adjacency(n: int, edges: np.ndarray) -> sparse.csr_matrix:
+def normalized_adjacency(n: int, edges: np.ndarray,
+                         extra_degree: np.ndarray | None = None) -> sparse.csr_matrix:
     """Symmetric degree-normalized aggregation matrix with self-loops, as CSR.
 
     Row = receiver, column = sender; entry ``(r, c)`` is
@@ -81,15 +90,19 @@ def normalized_adjacency(n: int, edges: np.ndarray) -> sparse.csr_matrix:
     Degrees are counted from the surviving edges of a sample, never the
     clean graph: using clean-graph degrees would leak which edges were
     deleted.  ``edges`` holds distinct ``(src, dst)`` pairs without
-    self-loops, as every ``Graph`` stores them.
+    self-loops, as every ``Graph`` stores them.  ``extra_degree[r]`` counts
+    surviving in-edges of ``r`` left out of ``edges``: they carry no message
+    here but count in the degree, so a block cut from a larger graph keeps
+    that graph's normalization.
     """
     # sorting the flat keys row * n + col yields canonical CSR order directly
     key = np.concatenate([edges[:, 1] * n + edges[:, 0], np.arange(n) * (n + 1)])
     key.sort()
     rows, cols = np.divmod(key, n)
-    degree = np.bincount(rows, minlength=n)
+    counts = np.bincount(rows, minlength=n)
     indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(degree, out=indptr[1:])
+    np.cumsum(counts, out=indptr[1:])
+    degree = counts if extra_degree is None else counts + extra_degree
     inv_sqrt = 1.0 / np.sqrt(degree.astype(np.float64))
     return sparse.csr_matrix((inv_sqrt[rows] * inv_sqrt[cols], cols, indptr),
                              shape=(n, n))
@@ -99,24 +112,41 @@ def _relu(x: np.ndarray) -> np.ndarray:
     return np.maximum(x, 0.0)
 
 
-def propagate(a_hat: sparse.csr_matrix, xw1: np.ndarray, w2: np.ndarray,
+def propagate(a_hat: sparse.csr_matrix, xw1: np.ndarray,
               rows: np.ndarray | None = None,
               skip_h: np.ndarray | None = None):
-    """The model's two-layer propagation, shared by inference and training.
+    """The model's two-layer aggregation, shared by inference and training.
 
     ``xw1`` is the first layer's dense product ``X @ W1``: aggregation
     commutes with it, so a caller can compute it once and patch ablated rows
     with ``token @ W1``.  ``skip_h`` is the skip path's hidden layer
-    ``relu(X_clean @ W1)``, added before ``W2``.  With ``rows`` the second
-    layer runs for those nodes only.  Returns the hidden pre-activation
-    ``z1`` (all nodes), the hidden input to ``W2`` and the scores (``rows``
-    only).
+    ``relu(X_clean @ W1)``, added before ``W2``.  Returns the hidden
+    pre-activation ``z1`` and the hidden input to ``W2``; the caller applies
+    ``W2``.
+
+    With ``rows`` the second layer runs for those nodes only, and the first
+    for the nodes they read (their in-neighbours and themselves), so ``z1``
+    holds those nodes' rows, ascending.  A CSR product computes each row on
+    its own, in column order, so every row is bitwise the full pass's.
     """
-    z1 = a_hat @ xw1
-    h2 = (a_hat if rows is None else a_hat[rows]) @ _relu(z1)
+    if rows is None:
+        z1 = a_hat @ xw1
+        h2 = a_hat @ _relu(z1)
+    else:
+        second = a_hat[rows]
+        read = np.zeros(a_hat.shape[0], dtype=bool)
+        read[second.indices] = True
+        if read.all():
+            z1 = a_hat @ xw1
+        else:
+            z1 = a_hat[read] @ xw1
+            rank = np.cumsum(read) - 1      # column -> row of z1, order kept
+            second = sparse.csr_matrix((second.data, rank[second.indices], second.indptr),
+                                       shape=(second.shape[0], z1.shape[0]))
+        h2 = second @ _relu(z1)
     if skip_h is not None:
         h2 = h2 + (skip_h if rows is None else skip_h[rows])
-    return z1, h2, h2 @ w2
+    return z1, h2
 
 
 def forward_all(model: GnnModel, g: Graph,
@@ -127,19 +157,23 @@ def forward_all(model: GnnModel, g: Graph,
     through the same weights with no edges and added to the output, so the
     target's own signal survives ablation.
     """
+    _check_dim(model, g)
+    xc = g.features if clean_features is None else clean_features
+    return _scores(model, normalized_adjacency(g.n, g.edges), g.features, xc)
+
+
+def _check_dim(model: GnnModel, g: Graph) -> None:
     if g.dim != model.dim:
         raise ValueError(
             f"graph features have {g.dim} columns, model expects {model.dim}"
         )
-    xc = g.features if clean_features is None else clean_features
-    return _scores(model, normalized_adjacency(g.n, g.edges), g.features, xc)
 
 
 def _scores(model: GnnModel, a_hat: sparse.csr_matrix, x: np.ndarray,
             clean_x: np.ndarray) -> np.ndarray:
     """Class scores of every node for aggregation ``a_hat`` and features ``x``."""
     skip_h = _relu(clean_x @ model.w1) if model.skip else None
-    return propagate(a_hat, x @ model.w1, model.w2, skip_h=skip_h)[2]
+    return propagate(a_hat, x @ model.w1, skip_h=skip_h)[1] @ model.w2
 
 
 def forward(model: GnnModel, g: Graph, v: int,
@@ -152,6 +186,170 @@ def predict_all(model: GnnModel, g: Graph,
                 clean_features: np.ndarray | None = None) -> np.ndarray:
     """Argmax class per node; ties resolve to the lowest class index."""
     return np.argmax(forward_all(model, g, clean_features=clean_features), axis=1)
+
+
+# ---------------------------------------------------------------------------
+# batched two-hop-local inference
+
+_CHUNK_BYTES = 2 << 20      # working set of one block-diagonal pass
+
+
+class TwoHop:
+    """The two-hop in-neighbourhood ``V`` of target rows ``R``: all their scores read.
+
+    ``nodes`` is ``V`` ascending; ``edges`` indexes, ascending, the graph
+    edges whose receiver lies in ``V``.  A variant of the graph is a kept
+    mask over ``edges``.  Senders of ``edges`` may lie outside ``V``: such an
+    edge carries no message to ``R`` but counts in its receiver's degree,
+    which scales the messages that do.  ``V`` comes from the graph, so it
+    holds whatever a deletion anywhere can change about ``R``'s scores.
+    """
+
+    def __init__(self, g: Graph, rows):
+        self.rows = np.asarray(rows, dtype=np.int64).reshape(-1)
+        src, dst = g.edges[:, 0], g.edges[:, 1]
+
+        def with_senders(mask):
+            out = mask.copy()
+            out[src[mask[dst]]] = True
+            return out
+
+        in_r = np.zeros(g.n, dtype=bool)
+        in_r[self.rows] = True
+        in_u = with_senders(in_r)           # R and its in-neighbours: z1 is read there
+        in_v = with_senders(in_u)
+        self.nodes = np.flatnonzero(in_v)
+        self._n_read = np.count_nonzero(in_u)
+        self.edges = np.flatnonzero(in_v[dst])
+        self._senders = src[self.edges]
+        self._receivers = dst[self.edges]
+        to_u = in_u[self._receivers]
+        # edges into U carry messages; edges into V \ U only count in degrees
+        self._inner = np.flatnonzero(to_u)
+        self._outer = np.flatnonzero(~to_u)
+        self._inner_src = self._local(self._senders[self._inner])
+        self._inner_dst = self._local(self._receivers[self._inner])
+        self._outer_dst = self._local(self._receivers[self._outer])
+        self._targets = self._local(self.rows)
+
+    def _local(self, ids: np.ndarray) -> np.ndarray:
+        # ranks in ascending ``nodes``, so a block's columns keep the graph's order
+        return np.searchsorted(self.nodes, ids)
+
+    def adjacency(self, kept: np.ndarray) -> sparse.csr_matrix:
+        """Block-diagonal ``normalized_adjacency`` of the variants ``kept`` (b, |edges|).
+
+        Block ``i`` holds variant ``i`` on ``V``.  Its rows for ``R`` and
+        their in-neighbours are bitwise the rows of that variant's full
+        matrix; other rows hold only their self-loop.
+        """
+        b, nv = kept.shape[0], self.nodes.size
+        offset = np.arange(b, dtype=np.int64)[:, None] * nv
+        inner = kept[:, self._inner]
+        edges = np.stack([(offset + self._inner_src)[inner],
+                          (offset + self._inner_dst)[inner]], axis=1)
+        extra = np.bincount((offset + self._outer_dst)[kept[:, self._outer]],
+                            minlength=b * nv)
+        return normalized_adjacency(b * nv, edges, extra)
+
+    def block_rows(self, b: int) -> np.ndarray:
+        """Rows of ``R`` in a ``b``-block matrix, variant-major."""
+        return (np.arange(b, dtype=np.int64)[:, None] * self.nodes.size
+                + self._targets).reshape(-1)
+
+    def kept_without(self, deleted) -> np.ndarray:
+        """(len(deleted), |edges|) kept masks with each set of nodes deleted.
+
+        An edge survives when neither endpoint is deleted, as in
+        ``Graph.without_nodes``.
+        """
+        ends = np.union1d(self.nodes, self._senders)
+        sizes = [len(d) for d in deleted]
+        flat = np.fromiter(itertools.chain.from_iterable(deleted), dtype=np.int64,
+                           count=sum(sizes))
+        which = np.repeat(np.arange(len(sizes)), sizes)
+        hit = np.isin(flat, ends)           # deletions that touch no edge do nothing
+        drop = np.zeros((len(sizes), ends.size), dtype=bool)
+        drop[which[hit], np.searchsorted(ends, flat[hit])] = True
+        return ~(drop[:, np.searchsorted(ends, self._senders)]
+                 | drop[:, np.searchsorted(ends, self._receivers)])
+
+
+class LocalScorer:
+    """Class scores of one model on many variants of one graph, two-hop-locally.
+
+    ``X @ W1`` (and the skip path's ``relu(X @ W1)``) is computed once for
+    the whole graph, so the rows a variant reads are bitwise those of the
+    full forward; ablated rows are ``token @ W1``.  Variants are scored in
+    chunks under a fixed byte budget, so memory grows with ``|V|`` times the
+    chunk, not with the graph or the number of variants.
+    """
+
+    def __init__(self, model: GnnModel, g: Graph, token: np.ndarray | None = None):
+        _check_dim(model, g)
+        self.model, self.g = model, g
+        self.xw1 = g.features @ model.w1
+        self.token_w1 = None if token is None else np.asarray(token) @ model.w1
+        self.skip_h = _relu(self.xw1) if model.skip else None
+        self._x = np.empty(0)
+
+    def chunk(self, hood: TwoHop) -> int:
+        """Variants per block-diagonal pass under the byte budget."""
+        nv, h = hood.nodes.size, self.model.hidden
+        per_variant = 8 * (nv * h + 2 * hood._n_read * h    # X W1 rows, z1, relu(z1)
+                           + hood.rows.size * (h + self.model.classes)
+                           + 6 * (nv + hood._inner.size))   # building the CSR block
+        return max(1, _CHUNK_BYTES // per_variant)
+
+    def hidden(self, hood: TwoHop, kept: np.ndarray,
+               ablated: np.ndarray | None = None) -> np.ndarray:
+        """(b, |R|, hidden) input to ``W2`` of every variant, in one pass.
+
+        ``ablated`` (b, |V|) marks rows read as ``token @ W1``.  The stacked
+        ``X @ W1`` rows go to a buffer the scorer keeps from pass to pass.
+        """
+        b, nv, h = kept.shape[0], hood.nodes.size, self.model.hidden
+        if self._x.size < b * nv * h:
+            self._x = np.empty(b * nv * h)
+        x = self._x[:b * nv * h].reshape(b, nv, h)
+        # mode "clip" writes straight into ``out``; "raise" fills a temporary first
+        np.take(self.xw1, hood.nodes, axis=0, out=x[0], mode="clip")
+        x[1:] = x[0]
+        if ablated is not None:
+            if self.token_w1 is None:
+                raise ValueError("ablated variants need the scorer's token")
+            x[ablated] = self.token_w1
+        h2 = propagate(hood.adjacency(kept), x.reshape(b * nv, h),
+                       rows=hood.block_rows(b))[1].reshape(b, hood.rows.size, h)
+        if self.skip_h is not None:
+            h2 += self.skip_h[hood.rows]
+        return h2
+
+    def scores(self, hood: TwoHop, kept: np.ndarray, ablated: np.ndarray | None = None,
+               out: np.ndarray | None = None) -> np.ndarray:
+        """(b, |R|, classes) scores of every variant, chunk by chunk, into ``out``.
+
+        ``W2`` is applied per variant (``matmul`` over the stack), so each
+        product has the shape of a one-graph pass over ``R``.
+        """
+        b, step = kept.shape[0], self.chunk(hood)
+        if out is None:
+            out = np.empty((b, hood.rows.size, self.model.classes))
+        for lo in range(0, b, step):
+            hi = min(lo + step, b)
+            h2 = self.hidden(hood, kept[lo:hi], None if ablated is None else ablated[lo:hi])
+            np.matmul(h2, self.model.w2, out=out[lo:hi])
+        return out
+
+    def predict_without(self, v: int, deleted) -> np.ndarray:
+        """Class of ``v`` with each set of nodes deleted: ``derandomize``'s batch ``predict``.
+
+        The hidden rows are bitwise ``forward``'s; the scores may differ in
+        the last bits, since ``W2`` multiplies one row here and all rows
+        there, so only a near-tie could pick another class.
+        """
+        hood = TwoHop(self.g, [v])
+        return np.argmax(self.scores(hood, hood.kept_without(deleted))[:, 0], axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -184,8 +382,9 @@ def loss_and_grads(
         xc = x if clean_x is None else clean_x
         xcd = xc * drop_mask * drop_scale if drop_mask is not None else xc
         s_pre = xcd @ model.w1
-    z1, h2, out = propagate(a_hat, xd @ model.w1, model.w2,
-                            skip_h=None if s_pre is None else _relu(s_pre))
+    z1, h2 = propagate(a_hat, xd @ model.w1,
+                       skip_h=None if s_pre is None else _relu(s_pre))
+    out = h2 @ model.w2
 
     shifted = out - out.max(axis=1, keepdims=True)
     exp = np.exp(shifted)

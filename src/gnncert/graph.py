@@ -143,21 +143,24 @@ class Graph:
         """View of this graph keeping only the masked edges (features optionally replaced).
 
         Logical ids are ranks, so the kept edges' ids are their old ids
-        re-ranked.  Without new ``features`` the view shares this graph's,
-        including an identity already built.
+        re-ranked: a presence bitmap over the old ids, cumulated, gives each
+        kept id its new rank without a sort.  Without new ``features`` the
+        view shares this graph's, including an identity already built.
         """
         if features is None:
             features = self.__dict__.get("features", self._features)
         kept_ids = self.logical_edge_ids[edge_mask]
-        uniq, logical_ids = np.unique(kept_ids, return_inverse=True)
+        present = np.zeros(self.n_logical, dtype=bool)
+        present[kept_ids] = True
+        rank = np.cumsum(present, dtype=np.int64)
         return Graph(
             n=self.n,
             edges=self.edges[edge_mask],
             _features=features,
             labels=self.labels,
             directed=self.directed,
-            logical_edge_ids=logical_ids.astype(np.int64),
-            n_logical=int(uniq.size),
+            logical_edge_ids=rank[kept_ids] - 1,
+            n_logical=int(rank[-1]) if rank.size else 0,
         )
 
     def without_nodes(self, nodes) -> "Graph":

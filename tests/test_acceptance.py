@@ -27,6 +27,7 @@ from gnncert import (
     forward,
     levine_delta,
     max_certifiable_radius,
+    per_view,
     receptive_field,
     report,
     sample,
@@ -217,7 +218,7 @@ def test_criterion_07_derandomization_exactness():
 
         reps = enumerate_representatives(rf, k, tau=None)
         assert sum(r.beta for r in reps) == math.comb(d, k)
-        fast = exact_label_probs(g, rf, reps, k, predict, classes=3)
+        fast = exact_label_probs(g, rf, reps, k, per_view(predict), classes=3)
 
         others = sorted(rf.members - {rf.target})
         counts = [0, 0, 0]

@@ -7,8 +7,11 @@ import pytest
 
 from gnncert import (
     Graph,
+    LocalScorer,
+    TwoHop,
     enumerate_representatives,
     exact_label_probs,
+    per_view,
     receptive_field,
     retention_count,
 )
@@ -106,7 +109,7 @@ def test_exact_probs_constant_classifier(rng):
     d = rf.size - 1
     k = min(2, d)
     reps = enumerate_representatives(rf, k, tau=None)
-    probs = exact_label_probs(g, rf, reps, k, lambda view, v: 2, classes=4)
+    probs = exact_label_probs(g, rf, reps, k, per_view(lambda view, v: 2), classes=4)
     assert probs == (0, 0, 1, 0)
     assert sum(probs) == 1
 
@@ -119,7 +122,7 @@ def test_exact_probs_sum_to_one_exactly(rng):
     k = min(3, d)
     reps = enumerate_representatives(rf, k, tau=None)
     predict = lambda view, v: int(np.argmax(forward(model, view, v)))
-    probs = exact_label_probs(g, rf, reps, k, predict, classes=3)
+    probs = exact_label_probs(g, rf, reps, k, per_view(predict), classes=3)
     assert sum(probs) == Fraction(1)
 
 
@@ -134,9 +137,50 @@ def test_exact_probs_match_brute_force(rng):
         model = random_model(rng, d=3)
         predict = lambda view, v: int(np.argmax(forward(model, view, v)))
         reps = enumerate_representatives(rf, k, tau=None)
-        fast = exact_label_probs(g, rf, reps, k, predict, classes=3)
+        fast = exact_label_probs(g, rf, reps, k, per_view(predict), classes=3)
         slow = brute_force_probs(g, rf, k, predict, classes=3)
         assert fast == slow                          # exact rational equality
+
+
+def test_batched_predictor_equals_per_view_forward(rng):
+    for trial in range(24):
+        g = random_graph(rng, n=int(rng.integers(5, 12)), p_edge=0.35,
+                         directed=bool(trial % 4 == 3), d=3)
+        k = 1 + trial % 3
+        rf = field_of(g, int(rng.integers(g.n)), k=k)
+        d = rf.size - 1
+        kk = int(rng.integers(0, min(3, d) + 1))
+        model = random_model(rng, d=3, skip=bool(trial % 2))
+        reps = enumerate_representatives(rf, kk, tau=None)
+        deleted = [rf.members - r.nodes for r in reps]
+        hood = TwoHop(g, [rf.target])
+        for dset, kept in zip(deleted, hood.kept_without(deleted)):
+            assert np.array_equal(kept, _kept_mask(g, dset)[hood.edges])
+        batched = LocalScorer(model, g).predict_without(rf.target, deleted)
+        per_view = [int(np.argmax(forward(model, g.without_nodes(dset), rf.target)))
+                    for dset in deleted]
+        assert batched.tolist() == per_view
+
+
+def _kept_mask(g, deleted):
+    drop = np.zeros(g.n, dtype=bool)
+    drop[list(deleted)] = True
+    return ~(drop[g.edges[:, 0]] | drop[g.edges[:, 1]])
+
+
+def test_deletions_beyond_two_hops_change_degrees_inside_the_neighbourhood(rng):
+    # path 3 - 2 - 1 - 0: node 3 sends nothing to 0 within two hops, but
+    # deleting it changes the degree of node 2, which scales 2's message
+    g = Graph.build(n=4, edges=[(0, 1), (1, 2), (2, 3)],
+                    features=rng.normal(size=(4, 3)))
+    model = random_model(rng, d=3)
+    hood = TwoHop(g, [0])
+    assert hood.nodes.tolist() == [0, 1, 2]
+    deleted = [frozenset(), frozenset({3})]
+    scores = LocalScorer(model, g).scores(hood, hood.kept_without(deleted))[:, 0]
+    full = [forward(model, g.without_nodes(dset), 0) for dset in deleted]
+    assert not np.allclose(full[0], full[1])
+    assert np.allclose(scores, full, rtol=0.0, atol=1e-12)
 
 
 def test_incomplete_representatives_rejected(rng):
@@ -146,7 +190,7 @@ def test_incomplete_representatives_rejected(rng):
     k = min(2, d)
     reps = enumerate_representatives(rf, k, tau=None)
     with pytest.raises(IncompleteRepresentativesError):
-        exact_label_probs(g, rf, reps[:-1], k, lambda view, v: 0, classes=2)
+        exact_label_probs(g, rf, reps[:-1], k, per_view(lambda view, v: 0), classes=2)
 
 
 def test_savings_below_one_on_sparse_fields(rng):
@@ -175,7 +219,7 @@ def test_sampled_bounds_contain_exact_probability(rng):
         model = random_model(rng, d=3)
         predict = lambda view, v: int(np.argmax(forward(model, view, v)))
         reps = enumerate_representatives(rf, k, tau=None)
-        exact = exact_label_probs(g, rf, reps, k, predict, classes=3)
+        exact = exact_label_probs(g, rf, reps, k, per_view(predict), classes=3)
 
         others = sorted(rf.members - {rf.target})
         n1 = 400

@@ -130,6 +130,48 @@ def test_estimate_matches_reference_forward_with_skip(rng):
         assert np.array_equal(fast[i], ref)
 
 
+def per_sample_votes(model, g, cfg, n_samples, nodes):
+    """The one-full-graph-forward-per-sample loop the batched votes replace."""
+    from gnncert import sample
+    from gnncert.gcn import normalized_adjacency
+
+    out = np.empty((n_samples, len(nodes)), dtype=np.int64)
+    xw1 = g.features @ model.w1
+    token_w1 = cfg.token @ model.w1
+    skip_h = np.maximum(xw1, 0.0) if model.skip else None
+    for i in range(n_samples):
+        s = sample(g, cfg, i)
+        x = xw1.copy()
+        x[s.ablated] = token_w1
+        a_hat = normalized_adjacency(g.n, g.edges[s.edge_mask])
+        h2 = a_hat[nodes] @ np.maximum(a_hat @ x, 0.0)
+        if skip_h is not None:
+            h2 = h2 + skip_h[nodes]
+        out[i] = np.argmax(h2 @ model.w2, axis=1)
+    return out
+
+
+@pytest.mark.parametrize("step", [None, 3])
+def test_batched_votes_equal_per_sample_loop(rng, monkeypatch, step):
+    from gnncert import LocalScorer
+    from gnncert.estimator import _predictions_per_sample
+
+    if step is not None:
+        # passes of three samples: 10 samples split 3 + 3 + 3 + 1
+        monkeypatch.setattr(LocalScorer, "chunk", lambda self, hood: step)
+    for trial in range(6):
+        g = random_graph(rng, n=int(rng.integers(5, 16)), p_edge=0.3,
+                         directed=bool(trial % 2), d=3)
+        model = random_model(rng, d=3, skip=bool(trial % 3 == 0))
+        cfg = SmoothingConfig(p_del=0.4, p_abl=0.5, token=model.token,
+                              seed=int(rng.integers(1 << 30)))
+        for nodes in ([int(rng.integers(g.n))], list(range(g.n))):
+            nodes = np.asarray(nodes)
+            for n_samples in (1, 10):
+                assert np.array_equal(_predictions_per_sample(model, g, cfg, n_samples, nodes),
+                                      per_sample_votes(model, g, cfg, n_samples, nodes))
+
+
 def test_fair_coin_classifier_abstains(rng):
     votes = {i: int(rng.random() < 0.5) for i in range(1200)}
     table = VoteTable(votes={0: votes})

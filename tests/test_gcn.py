@@ -4,8 +4,10 @@ import pytest
 from gnncert import (
     Graph,
     GnnModel,
+    LocalScorer,
     SmoothingConfig,
     TrainConfig,
+    TwoHop,
     forward,
     forward_all,
     load_checkpoint,
@@ -17,7 +19,7 @@ from gnncert import (
     train,
 )
 from gnncert.errors import ConfigError, VoteFormatError
-from gnncert.gcn import loss_and_grads, normalized_adjacency
+from gnncert.gcn import loss_and_grads, normalized_adjacency, propagate
 
 from conftest import random_graph, two_block_graph
 
@@ -85,6 +87,70 @@ def test_forward_all_matches_dense_forward(rng):
                 assert np.allclose(got, ref, rtol=0.0, atol=1e-12)
                 assert np.array_equal(np.argmax(got, axis=1),
                                       np.argmax(ref, axis=1))
+
+
+def full_hidden(model, g, edge_mask, ablated, token):
+    """Reference hidden layer of one variant: full-graph adjacency and propagation."""
+    xw1 = g.features @ model.w1
+    x = xw1.copy()
+    x[ablated] = token @ model.w1
+    skip_h = np.maximum(xw1, 0.0) if model.skip else None
+    a_hat = normalized_adjacency(g.n, g.edges[edge_mask])
+    return propagate(a_hat, x, skip_h=skip_h)[1]
+
+
+def local_cases(rng):
+    """Graphs with target rows, edge cases first: no edges, isolated targets."""
+    yield Graph.build(n=5, edges=[], features=rng.normal(size=(5, 3))), [0, 3]
+    g = Graph.build(n=7, edges=[(0, 1), (1, 2), (2, 3)],      # 4-6 isolated
+                    features=rng.normal(size=(7, 3)))
+    yield g, [2, 5]
+    yield g, [6]
+    yield Graph.build(n=5, edges=[(0, 1), (1, 2), (2, 0), (3, 2), (4, 3)],
+                      features=rng.normal(size=(5, 3)), directed=True), [0]
+    for _ in range(12):
+        g = random_graph(rng, n=int(rng.integers(4, 14)),
+                         p_edge=float(rng.uniform(0.1, 0.5)),
+                         directed=bool(rng.integers(2)), d=3)
+        size = int(rng.integers(1, g.n + 1))
+        yield g, sorted(rng.choice(g.n, size=size, replace=False).tolist())
+
+
+def test_batched_hidden_rows_equal_per_variant_propagation_bitwise(rng):
+    for g, rows in local_cases(rng):
+        hood = TwoHop(g, rows)
+        for skip in (False, True):
+            model = random_model(rng, d=3, skip=skip)
+            scorer = LocalScorer(model, g, model.token)
+            for p_del, p_abl in ((0.0, 0.0), (1.0, 1.0), (0.0, 1.0), (0.5, 0.5)):
+                cfg = SmoothingConfig(p_del=p_del, p_abl=p_abl, token=model.token,
+                                      seed=int(rng.integers(1 << 30)))
+                samples = [sample(g, cfg, i) for i in range(6)]
+                kept = np.array([s.edge_mask[hood.edges] for s in samples]
+                                ).reshape(len(samples), -1)
+                ablated = np.array([s.ablated[hood.nodes] for s in samples])
+                hidden = scorer.hidden(hood, kept, ablated)
+                scores = scorer.scores(hood, kept, ablated)
+                for i, s in enumerate(samples):
+                    ref = full_hidden(model, g, s.edge_mask, s.ablated, model.token)[rows]
+                    assert np.array_equal(hidden[i], ref)
+                    assert np.array_equal(scores[i], ref @ model.w2)
+
+
+def test_two_hop_reads_only_the_neighbourhood(rng):
+    # edges whose receiver lies outside V change no target score
+    for g, rows in local_cases(rng):
+        hood = TwoHop(g, rows)
+        outside = np.ones(g.m, dtype=bool)
+        outside[hood.edges] = False
+        model = random_model(rng, d=3)
+        for _ in range(3):
+            mask = rng.random(g.m) < 0.5
+            flipped = mask ^ outside
+            assert np.array_equal(full_hidden(model, g, mask, np.zeros(g.n, bool),
+                                              model.token)[rows],
+                                  full_hidden(model, g, flipped, np.zeros(g.n, bool),
+                                              model.token)[rows])
 
 
 def test_no_edges_scores_depend_only_on_own_features(rng):
