@@ -10,7 +10,9 @@ binomial coefficients, so everything stays in integer / rational arithmetic.
 
 The classifier is called once per field with every class's deleted-node
 set, ``predict(g, target, deleted) -> classes``, so a model can score all
-of them in one batch (``gcn.LocalScorer.predict_without``).  ``per_view``
+of them in batches (``gcn.LocalScorer.predict_without``).  ``deleted`` is
+an iterable read once, in order, that builds each set as it is read, so
+a field with many classes never holds all of its sets at once.  ``per_view``
 adapts a classifier of one graph view, ``predict(view, target) -> class``,
 to that contract.
 """
@@ -20,7 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .errors import EnumerationRefused, IncompleteRepresentativesError
 from .graph import Graph, ReceptiveField
@@ -115,7 +117,7 @@ def enumerate_representatives(
     ]
 
 
-BatchPredict = Callable[[Graph, int, Sequence[frozenset[int]]], Sequence[int]]
+BatchPredict = Callable[[Graph, int, Iterable[frozenset[int]]], Sequence[int]]
 
 
 def per_view(predict: Callable[[Graph, int], int]) -> BatchPredict:
@@ -135,9 +137,10 @@ def exact_label_probs(
 ) -> tuple[Fraction, ...]:
     """Exact per-class probabilities from one evaluation per representative.
 
-    ``predict(g, target, deleted)`` is called once, with one deleted-node
-    set per representative (the field nodes outside it), and returns the
-    target's class in ``g`` with each set deleted (isolated), in order.
+    ``predict(g, target, deleted)`` is called once, with an iterable of one
+    deleted-node set per representative (the field nodes outside it), and
+    returns the target's class in ``g`` with each set deleted (isolated),
+    in order.
     Probabilities are exact rationals over C(d, k) and sum to 1.
     """
     d = len(rf.members) - 1
@@ -148,7 +151,7 @@ def exact_label_probs(
             f"multiplicities cover {covered} of C({d}, {k}) = {total} retention sets"
         )
     counts = [0] * classes
-    predicted = predict(g, rf.target, [rf.members - rep.nodes for rep in reps])
+    predicted = predict(g, rf.target, (rf.members - rep.nodes for rep in reps))
     for rep, c in zip(reps, predicted, strict=True):
         counts[int(c)] += rep.beta
     return tuple(Fraction(c, total) for c in counts)

@@ -100,26 +100,23 @@ def _predictions_per_sample(model: GnnModel, g: Graph, cfg: SmoothingConfig,
     ``W2`` stays one product per sample, because BLAS rounds products of
     few rows differently: 1-row slices of a 2708 x 64 @ 64 x 7 product
     differ from the whole product in the last bits on most rows, while
-    20-row slices match.  The mask and score buffers are reused from chunk
-    to chunk.
+    20-row slices match.
     """
     out = np.empty((n_samples, len(nodes)), dtype=np.int64)
     if not len(nodes):
         return out
-    scorer = LocalScorer(model, g, cfg.token)
     hood = TwoHop(g, nodes)
-    step = scorer.chunk(hood)
-    kept = np.empty((min(step, n_samples), hood.edges.size), dtype=bool)
-    ablated = np.empty((kept.shape[0], hood.nodes.size), dtype=bool)
-    scores = np.empty((kept.shape[0], len(nodes), model.classes))
-    for lo in range(0, n_samples, step):
-        b = min(step, n_samples - lo)
+
+    def fill(lo, kept, ablated):
+        b = min(len(kept), n_samples - lo)
         for j in range(b):
             s = smoothing.sample(g, cfg, lo + j)
             np.take(s.edge_mask, hood.edges, out=kept[j], mode="clip")   # no temporary
             np.take(s.ablated, hood.nodes, out=ablated[j], mode="clip")
-        scorer.scores(hood, kept[:b], ablated[:b], out=scores[:b])
-        np.argmax(scores[:b], axis=2, out=out[lo:lo + b])
+        return b
+
+    for lo, scores in LocalScorer(model, g, cfg.token).scores(hood, fill, ablation=True):
+        np.argmax(scores, axis=2, out=out[lo:lo + len(scores)])
     return out
 
 

@@ -136,13 +136,10 @@ def propagate(a_hat: sparse.csr_matrix, xw1: np.ndarray,
         second = a_hat[rows]
         read = np.zeros(a_hat.shape[0], dtype=bool)
         read[second.indices] = True
-        if read.all():
-            z1 = a_hat @ xw1
-        else:
-            z1 = a_hat[read] @ xw1
-            rank = np.cumsum(read) - 1      # column -> row of z1, order kept
-            second = sparse.csr_matrix((second.data, rank[second.indices], second.indptr),
-                                       shape=(second.shape[0], z1.shape[0]))
+        z1 = a_hat[read] @ xw1
+        rank = np.cumsum(read) - 1          # column -> row of z1, order kept
+        second = sparse.csr_matrix((second.data, rank[second.indices], second.indptr),
+                                   shape=(second.shape[0], z1.shape[0]))
         h2 = second @ _relu(z1)
     if skip_h is not None:
         h2 = h2 + (skip_h if rows is None else skip_h[rows])
@@ -325,31 +322,52 @@ class LocalScorer:
             h2 += self.skip_h[hood.rows]
         return h2
 
-    def scores(self, hood: TwoHop, kept: np.ndarray, ablated: np.ndarray | None = None,
-               out: np.ndarray | None = None) -> np.ndarray:
-        """(b, |R|, classes) scores of every variant, chunk by chunk, into ``out``.
+    def scores(self, hood: TwoHop, fill, ablation: bool = False):
+        """Scores of variants ``0, 1, ...`` of the graph, one pass per chunk.
 
-        ``W2`` is applied per variant (``matmul`` over the stack), so each
-        product has the shape of a one-graph pass over ``R``.
+        ``fill(lo, kept, ablated)`` writes the masks of variants ``lo, lo +
+        1, ...`` into the first rows of ``kept`` (chunk, |edges|) and, with
+        ``ablation``, of ``ablated`` (chunk, |V|; else None), and returns how
+        many it wrote; fewer than a chunk ends the stream.  Yields ``(lo,
+        scores)`` per chunk, ``scores`` (b, |R|, classes) being a buffer the
+        next chunk overwrites, as are the masks.  ``W2`` is applied per
+        variant (``matmul`` over the stack), so each product has the shape
+        of a one-graph pass over ``R``.
         """
-        b, step = kept.shape[0], self.chunk(hood)
-        if out is None:
-            out = np.empty((b, hood.rows.size, self.model.classes))
-        for lo in range(0, b, step):
-            hi = min(lo + step, b)
-            h2 = self.hidden(hood, kept[lo:hi], None if ablated is None else ablated[lo:hi])
-            np.matmul(h2, self.model.w2, out=out[lo:hi])
-        return out
+        step = self.chunk(hood)
+        kept = np.empty((step, hood.edges.size), dtype=bool)
+        ablated = np.empty((step, hood.nodes.size), dtype=bool) if ablation else None
+        out = np.empty((step, hood.rows.size, self.model.classes))
+        lo, b = 0, step
+        while b == step:
+            b = fill(lo, kept, ablated)
+            if b:
+                h2 = self.hidden(hood, kept[:b], None if ablated is None else ablated[:b])
+                yield lo, np.matmul(h2, self.model.w2, out=out[:b])
+                lo += b
 
-    def predict_without(self, v: int, deleted) -> np.ndarray:
+    def predict_without(self, v: int, deleted) -> list[int]:
         """Class of ``v`` with each set of nodes deleted: ``derandomize``'s batch ``predict``.
 
-        The hidden rows are bitwise ``forward``'s; the scores may differ in
-        the last bits, since ``W2`` multiplies one row here and all rows
-        there, so only a near-tie could pick another class.
+        ``deleted`` is an iterable of node sets, read one chunk at a time,
+        so memory does not grow with the number of sets.  The hidden rows
+        are bitwise ``forward``'s, but ``W2`` multiplies one row here and
+        all rows there, and BLAS rounds the two products differently in the
+        last bits: at a near-tie of two classes this classifier and
+        ``forward``'s argmax may pick different ones.
         """
         hood = TwoHop(self.g, [v])
-        return np.argmax(self.scores(hood, hood.kept_without(deleted))[:, 0], axis=1)
+        deleted = iter(deleted)
+
+        def fill(lo, kept, _):
+            sets = list(itertools.islice(deleted, len(kept)))
+            kept[:len(sets)] = hood.kept_without(sets)
+            return len(sets)
+
+        out: list[int] = []
+        for _, scores in self.scores(hood, fill):
+            out += np.argmax(scores[:, 0], axis=1).tolist()
+        return out
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -18,8 +19,8 @@ from gnncert import (
 from gnncert.errors import EnumerationRefused, IncompleteRepresentativesError
 
 from conftest import random_graph
-from test_gcn import random_model
-from gnncert.gcn import forward
+from test_gcn import all_scores, random_model
+from gnncert.gcn import _CHUNK_BYTES, forward
 
 
 def field_of(g, v=0, k=3):
@@ -156,10 +157,58 @@ def test_batched_predictor_equals_per_view_forward(rng):
         hood = TwoHop(g, [rf.target])
         for dset, kept in zip(deleted, hood.kept_without(deleted)):
             assert np.array_equal(kept, _kept_mask(g, dset)[hood.edges])
-        batched = LocalScorer(model, g).predict_without(rf.target, deleted)
+        batched = LocalScorer(model, g).predict_without(rf.target, iter(deleted))
         per_view = [int(np.argmax(forward(model, g.without_nodes(dset), rf.target)))
                     for dset in deleted]
-        assert batched.tolist() == per_view
+        assert batched == per_view
+
+
+def test_batched_predictor_equals_per_view_forward_at_cora_scale(rng):
+    # W2 multiplies one row here and all 2708 rows in ``forward``, so the
+    # scores differ in the last bits; the classes must still agree
+    n, d = 2708, 16
+    pairs = rng.integers(n, size=(5400, 2))
+    g = Graph.build(n=n, edges=pairs[pairs[:, 0] != pairs[:, 1]].tolist(),
+                    features=rng.normal(size=(n, d)))
+    model = random_model(rng, d=d, h=64, classes=7, skip=True)
+    scorer = LocalScorer(model, g)
+    checked = 0
+    for v in rng.permutation(n)[:40].tolist():
+        rf = field_of(g, v, k=2)
+        if not 3 <= rf.size <= 12:
+            continue
+        deleted = [rf.members - r.nodes
+                   for r in enumerate_representatives(rf, 2 if rf.size > 3 else 1, tau=None)]
+        per_view = [int(np.argmax(forward(model, g.without_nodes(dset), v)))
+                    for dset in deleted]
+        assert scorer.predict_without(v, iter(deleted)) == per_view
+        checked += len(deleted)
+    assert checked > 50
+
+
+def test_many_representatives_are_scored_in_bounded_memory(rng):
+    # a 40-leaf hub with a path through the leaves: keep-3 has 9,880
+    # representatives of 37 deleted nodes each, which held at once would
+    # take ~38 MB; one chunk at a time stays within the scorer's budget
+    leaves = 40
+    edges = [(0, i) for i in range(1, leaves + 1)] + [(i, i + 1) for i in range(1, leaves)]
+    g = Graph.build(n=leaves + 1, edges=edges, features=rng.normal(size=(leaves + 1, 3)))
+    model = random_model(rng, d=3)
+    scorer = LocalScorer(model, g)
+    rf = field_of(g, 0, k=1)
+    reps = enumerate_representatives(rf, 3, tau=None)
+    assert len(reps) > 9000
+
+    tracemalloc.start()
+    try:
+        probs = exact_label_probs(g, rf, reps, 3,
+                                  lambda graph, v, deleted: scorer.predict_without(v, deleted),
+                                  classes=3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sum(probs) == 1
+    assert peak < _CHUNK_BYTES
 
 
 def _kept_mask(g, deleted):
@@ -177,7 +226,7 @@ def test_deletions_beyond_two_hops_change_degrees_inside_the_neighbourhood(rng):
     hood = TwoHop(g, [0])
     assert hood.nodes.tolist() == [0, 1, 2]
     deleted = [frozenset(), frozenset({3})]
-    scores = LocalScorer(model, g).scores(hood, hood.kept_without(deleted))[:, 0]
+    scores = all_scores(LocalScorer(model, g), hood, hood.kept_without(deleted))[:, 0]
     full = [forward(model, g.without_nodes(dset), 0) for dset in deleted]
     assert not np.allclose(full[0], full[1])
     assert np.allclose(scores, full, rtol=0.0, atol=1e-12)

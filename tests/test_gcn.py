@@ -116,6 +116,19 @@ def local_cases(rng):
         yield g, sorted(rng.choice(g.n, size=size, replace=False).tolist())
 
 
+def all_scores(scorer, hood, kept, ablated=None):
+    """(b, |R|, classes) scores of the variants ``kept`` through the chunk stream."""
+    def fill(lo, kept_buf, ablated_buf):
+        b = min(len(kept_buf), len(kept) - lo)
+        kept_buf[:b] = kept[lo:lo + b]
+        if ablated_buf is not None:
+            ablated_buf[:b] = ablated[lo:lo + b]
+        return b
+
+    return np.concatenate([np.empty((0, hood.rows.size, scorer.model.classes))]
+                          + [s.copy() for _, s in scorer.scores(hood, fill, ablated is not None)])
+
+
 def test_batched_hidden_rows_equal_per_variant_propagation_bitwise(rng):
     for g, rows in local_cases(rng):
         hood = TwoHop(g, rows)
@@ -130,7 +143,7 @@ def test_batched_hidden_rows_equal_per_variant_propagation_bitwise(rng):
                                 ).reshape(len(samples), -1)
                 ablated = np.array([s.ablated[hood.nodes] for s in samples])
                 hidden = scorer.hidden(hood, kept, ablated)
-                scores = scorer.scores(hood, kept, ablated)
+                scores = all_scores(scorer, hood, kept, ablated)
                 for i, s in enumerate(samples):
                     ref = full_hidden(model, g, s.edge_mask, s.ablated, model.token)[rows]
                     assert np.array_equal(hidden[i], ref)
