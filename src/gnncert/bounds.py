@@ -13,13 +13,16 @@ placements comes from a knapsack recursion over branches on tree-shaped
 fields, for every budget at once, and from enumerating candidate subsets on
 any other field.  Upper bounds come from treating paths / sources as
 independent: the per-source product bound, the multiplicative combination of
-the top sources, and the (weaker) union bound.
+the top sources, and the (weaker) union bound.  One function, ``_worst_case``,
+chooses among these for a (field, d_min, method) and a list of budgets;
+``delta_worst_case`` and ``worst_case_curve`` both go through it.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -164,15 +167,9 @@ def delta_single_source(rf: ReceptiveField, w: int, cfg: SmoothingConfig) -> Del
 
 
 def _sorted_values(singles) -> list[float]:
-    """Descending bound values; ties broken by ascending node index."""
-    keyed = []
-    for i, s in enumerate(singles):
-        if isinstance(s, DeltaBound):
-            keyed.append((-s.value, s.node if s.node is not None else i, s.value))
-        else:
-            keyed.append((-float(s), i, float(s)))
-    keyed.sort()
-    return [v for _, _, v in keyed]
+    """Descending bound values of ``DeltaBound``s or plain numbers."""
+    return sorted((s.value if isinstance(s, DeltaBound) else float(s) for s in singles),
+                  reverse=True)
 
 
 def delta_multiplicative(singles, rho: int, d_min: int = 0) -> DeltaBound:
@@ -421,25 +418,9 @@ def _tree_worst_curve(rf: ReceptiveField, d_min: int, cfg: SmoothingConfig,
     return curve
 
 
-def _exact_for_set(rf: ReceptiveField, cfg: SmoothingConfig, max_terms: int):
-    """Exact arrival probability of a fixed attacked set, as a function of the set.
-
-    Tree-shaped fields use the branch recursion; any other field uses
-    inclusion-exclusion over simple paths.
-    """
-    if is_tree(rf):
-        return lambda attacked: delta_tree_exact(rf, attacked, cfg)
-    return lambda attacked: delta_exact_ie(rf, attacked, cfg, max_terms=max_terms)
-
-
-def _single_values(rf: ReceptiveField, d_min: int, cfg: SmoothingConfig) -> list[float]:
-    """Single-source bounds of the candidates at distance >= d_min, descending."""
-    return _sorted_values(delta_single_source(rf, w, cfg) for w in rf.candidates(d_min))
-
-
 def _combined_curve(values: list[float], method: str, d_min: int,
-                    rho_max: int) -> list[DeltaBound]:
-    """``delta_multiplicative``/``delta_union`` of descending ``values`` for rho = 1..rho_max.
+                    budgets) -> list[DeltaBound]:
+    """``delta_multiplicative``/``delta_union`` of descending ``values`` at each budget.
 
     Bit for bit the per-budget values, from one sort.  ``1 - values[0]`` is
     the smallest factor of every prefix, so it alone picks the branch of
@@ -447,7 +428,6 @@ def _combined_curve(values: list[float], method: str, d_min: int,
     product is each prefix's product, and in its log-space branch every
     budget is computed on its own.  ``union`` sums each prefix with ``fsum``.
     """
-    budgets = range(1, rho_max + 1)
     if method == "union":
         raws = [math.fsum(values[:rho]) for rho in budgets]
         return [DeltaBound(value=min(1.0, raw), method="union", rho=rho,
@@ -455,13 +435,56 @@ def _combined_curve(values: list[float], method: str, d_min: int,
                 for rho, raw in zip(budgets, raws)]
     if values and 0.0 < 1.0 - values[0] < 1e-12:
         return [delta_multiplicative(values, rho, d_min=d_min) for rho in budgets]
-    curve, product = [], 1.0
+    products = list(itertools.accumulate(
+        (1.0 - v for v in values[:max(budgets)]), operator.mul, initial=1.0))
+    return [DeltaBound(value=_clip01(1.0 - products[min(rho, len(values))]),
+                       method="multiplicative", rho=rho, d_min=d_min)
+            for rho in budgets]
+
+
+def _worst_case(rf: ReceptiveField, d_min: int, cfg: SmoothingConfig, method: str,
+                budgets, subset_cap: int, max_terms: int) -> list[DeltaBound]:
+    """Worst-case bounds at each of the ascending positive ``budgets``.
+
+    The one place that picks how a worst case is computed: the combined
+    single-source curve for ``multiplicative`` and ``union``; for
+    ``exact-enumeration``, one knapsack pass on a tree-shaped field, and on
+    a field with a cycle the best ``delta_exact_ie`` over every candidate
+    subset of each budget's size, refused at the first budget whose subsets
+    exceed ``subset_cap``.
+    """
+    if method not in {"multiplicative", "union", "exact-enumeration"}:
+        raise ValueError(f"unknown worst-case method {method!r}")
+    if not budgets:
+        return []
+    candidates = rf.candidates(d_min)
+    if method != "exact-enumeration":
+        values = _sorted_values(delta_single_source(rf, w, cfg) for w in candidates)
+        return _combined_curve(values, method, d_min, budgets)
+    if not candidates:
+        return [DeltaBound(value=0.0, method="inclusion-exclusion-exact", rho=rho,
+                           d_min=d_min) for rho in budgets]
+    if is_tree(rf):
+        curve = _tree_worst_curve(rf, d_min, cfg, max(budgets))
+        return [curve[rho - 1] for rho in budgets]
+
+    out = []
     for rho in budgets:
-        if rho <= len(values):
-            product *= 1.0 - values[rho - 1]
-        curve.append(DeltaBound(value=_clip01(1.0 - product), method="multiplicative",
-                                rho=rho, d_min=d_min))
-    return curve
+        r = min(rho, len(candidates))
+        n_subsets = math.comb(len(candidates), r)
+        if n_subsets > subset_cap:
+            raise ResourceLimitError(
+                f"{n_subsets} candidate subsets exceed cap {subset_cap}; use the "
+                f"multiplicative or union method"
+            )
+        best = best_set = None
+        for subset in itertools.combinations(candidates, r):
+            b = delta_exact_ie(rf, subset, cfg, max_terms=max_terms)
+            if best is None or b.value > best.value:
+                best, best_set = b, subset
+        out.append(DeltaBound(value=best.value, method=best.method, rho=rho,
+                              d_min=d_min, worst_set=best_set))
+    return out
 
 
 def delta_worst_case(
@@ -482,37 +505,15 @@ def delta_worst_case(
     reports a maximizing set: tree-shaped fields use the knapsack recursion
     of ``_tree_worst_curve`` and are never refused; any other field
     maximizes over every size-rho candidate subset, refusing when the subset
-    count exceeds ``subset_cap``.
+    count exceeds ``subset_cap``.  This is the dispatch ``_worst_case`` at
+    budget rho, as in ``worst_case_curve``; a budget rho <= 0 gives 0.
     """
-    if method not in {"multiplicative", "union", "exact-enumeration"}:
-        raise ValueError(f"unknown worst-case method {method!r}")
-    candidates = rf.candidates(d_min)
-    if rho <= 0 or not candidates:
-        tag = "inclusion-exclusion-exact" if method == "exact-enumeration" else method
-        return DeltaBound(value=0.0, method=tag, rho=max(rho, 0), d_min=d_min,
-                          raw=0.0 if method == "union" else None)
-
-    if method in {"multiplicative", "union"}:
-        combine = delta_multiplicative if method == "multiplicative" else delta_union
-        return combine(_single_values(rf, d_min, cfg), rho, d_min=d_min)
-    if is_tree(rf):
-        return _tree_worst_curve(rf, d_min, cfg, rho)[-1]
-
-    r = min(rho, len(candidates))
-    n_subsets = math.comb(len(candidates), r)
-    if n_subsets > subset_cap:
-        raise ResourceLimitError(
-            f"{n_subsets} candidate subsets exceed cap {subset_cap}; use the "
-            f"multiplicative or union method"
-        )
-    exact = _exact_for_set(rf, cfg, max_terms)
-    best = best_set = None
-    for subset in itertools.combinations(candidates, r):
-        b = exact(subset)
-        if best is None or b.value > best.value:
-            best, best_set = b, subset
-    return DeltaBound(value=best.value, method=best.method, rho=rho, d_min=d_min,
-                      worst_set=best_set)
+    if rho > 0:
+        return _worst_case(rf, d_min, cfg, method, [rho], subset_cap, max_terms)[0]
+    _worst_case(rf, d_min, cfg, method, [], subset_cap, max_terms)   # checks the method
+    tag = "inclusion-exclusion-exact" if method == "exact-enumeration" else method
+    return DeltaBound(value=0.0, method=tag, rho=0, d_min=d_min,
+                      raw=0.0 if method == "union" else None)
 
 
 def delta_greedy_probe(
@@ -552,7 +553,8 @@ def delta_greedy_probe(
                 chosen.append(q.pop(0))
     chosen_set = tuple(sorted(chosen))
 
-    b = _exact_for_set(rf, cfg, max_terms)(chosen_set)
+    b = (delta_tree_exact(rf, chosen_set, cfg) if is_tree(rf)
+         else delta_exact_ie(rf, chosen_set, cfg, max_terms=max_terms))
     return DeltaBound(value=b.value, method=b.method, rho=rho, d_min=d_min,
                       worst_set=chosen_set)
 
@@ -568,22 +570,15 @@ def worst_case_curve(
 ) -> list[DeltaBound]:
     """Worst-case bounds for every budget 1..rho_max (default: attack surface).
 
-    Each entry equals ``delta_worst_case`` at that budget.  The
-    ``multiplicative`` and ``union`` curves come from one sort and a running
-    product or prefix sums, and the exact curve of a tree-shaped field from
-    one knapsack pass for all budgets.
+    This is the dispatch ``_worst_case`` over budgets 1..rho_max, so each
+    entry equals ``delta_worst_case`` at that budget.  The combined curves
+    come from one sort and a running product or prefix sums, and the exact
+    curve of a tree-shaped field from one knapsack pass for all budgets.
     """
     if rho_max is None:
         rho_max = rf.attack_surface(d_min)
-    if method in {"multiplicative", "union"}:
-        return _combined_curve(_single_values(rf, d_min, cfg), method, d_min, rho_max)
-    if method == "exact-enumeration" and rf.candidates(d_min) and is_tree(rf):
-        return _tree_worst_curve(rf, d_min, cfg, rho_max)
-    return [
-        delta_worst_case(rf, rho, d_min, cfg, method=method,
-                         subset_cap=subset_cap, max_terms=max_terms)
-        for rho in range(1, rho_max + 1)
-    ]
+    return _worst_case(rf, d_min, cfg, method, range(1, rho_max + 1),
+                       subset_cap, max_terms)
 
 
 # ---------------------------------------------------------------------------

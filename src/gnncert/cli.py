@@ -143,7 +143,7 @@ def _per_node(path: Path, header: list[str], nodes: list[int], work,
 
     ``work`` returns the cells between ``node_id`` and ``error`` plus a value;
     the values come back keyed by node.  A node already in ``failures`` is not
-    run.  A node whose ``work`` exceeds a path budget or an enumeration cap is
+    run.  A node whose ``work`` exceeds a path budget or a subset cap is
     added to ``failures`` and the batch goes on.  A failed node's row has
     blank cells and the error.
     """
@@ -154,7 +154,7 @@ def _per_node(path: Path, header: list[str], nodes: list[int], work,
             continue
         try:
             cells[v], values[v] = work(v)
-        except (ResourceLimitError, EnumerationRefused) as exc:
+        except ResourceLimitError as exc:
             failures[v] = f"{type(exc).__name__}: {exc}"
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
@@ -243,7 +243,7 @@ def cmd_certify(cfg: RunConfig) -> int:
 
     nodes = _select_nodes(cfg, g, payload)
     scfg = smoothing.SmoothingConfig(p_del=cfg.p_del, p_abl=cfg.p_abl,
-                                     token=token, k=cfg.k, seed=cfg.seed)
+                                     token=token, seed=cfg.seed)
 
     tallies: dict[int, estimator.VoteTally] = {}
     failures: dict[int, str] = {}
@@ -329,19 +329,16 @@ def cmd_derandomize(cfg: RunConfig) -> int:
         d = rf.size - 1
         kk = derandomize.retention_count(d, cfg.k_rel)
         support = math.comb(d, kk)
-        if support > cfg.tau:
+        try:
+            reps = derandomize.enumerate_representatives(rf, kk, tau=cfg.tau)
+        except EnumerationRefused:
             return [d, kk, support, 0] + [""] * (5 + classes), None
-        reps = derandomize.enumerate_representatives(rf, kk, tau=None)
         probs = derandomize.exact_label_probs(g, rf, reps, kk, predict, classes)
         order = sorted(range(classes), key=lambda c: (-probs[c], c))
         y_star, y_tilde = order[0], order[1] if classes > 1 else order[0]
-        radius = 0
-        for rho in range(1, d - kk + 1):
-            delta = bounds.levine_delta(d, kk, rho).value
-            if float(probs[y_star]) - delta > float(probs[y_tilde]) + delta:
-                radius = rho
-            else:
-                break
+        radius = estimator.radius(
+            float(probs[y_star]), float(probs[y_tilde]),
+            (bounds.levine_delta(d, kk, rho).value for rho in range(1, d - kk + 1)))
         savings = derandomize.savings_ratio(reps, d, kk)
         return ([d, kk, support, 1, len(reps), repr(savings), y_star, radius,
                  int(radius >= 1)]

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 from scipy import special
@@ -88,23 +88,22 @@ class CertificateResult:
     correct: bool | None = None
 
 
-def _predictions_per_sample(model: GnnModel, g: Graph, cfg: SmoothingConfig,
-                            n_samples: int, nodes: np.ndarray) -> np.ndarray:
-    """(n_samples, len(nodes)) predicted classes, one smoothed vote per sample.
+def _vote_chunks(model: GnnModel, g: Graph, cfg: SmoothingConfig,
+                 n_samples: int, nodes: np.ndarray):
+    """Smoothed votes of samples 0..n_samples-1, one ``LocalScorer`` pass at a time.
 
-    Samples are keyed by index, so a node sees bitwise the same sampled
-    graphs whether it is evaluated alone or with others.  Only the two-hop
-    in-neighbourhood of ``nodes`` is read, and each chunk of samples is one
-    block-diagonal pass of ``LocalScorer``.  The sampled graphs and the
-    hidden rows are bitwise those of one full-graph forward per sample.
-    ``W2`` stays one product per sample, because BLAS rounds products of
-    few rows differently: 1-row slices of a 2708 x 64 @ 64 x 7 product
-    differ from the whole product in the last bits on most rows, while
-    20-row slices match.
+    Yields ``(lo, classes)``, ``classes`` being a new (b, len(nodes)) array
+    whose row j holds the votes under sample ``lo + j``.  Samples are keyed
+    by index, so a node sees bitwise the same sampled graphs whether it is
+    evaluated alone or with others.  Only the two-hop in-neighbourhood of
+    ``nodes`` is read; the hidden rows are bitwise those of one full-graph
+    forward per sample.  ``W2`` stays one product per sample, because BLAS
+    rounds products of few rows differently: 1-row slices of a 2708 x 64 @
+    64 x 7 product differ from the whole product in the last bits on most
+    rows, while 20-row slices match.
     """
-    out = np.empty((n_samples, len(nodes)), dtype=np.int64)
     if not len(nodes):
-        return out
+        return
     hood = TwoHop(g, nodes)
 
     def fill(lo, kept, ablated):
@@ -116,8 +115,7 @@ def _predictions_per_sample(model: GnnModel, g: Graph, cfg: SmoothingConfig,
         return b
 
     for lo, scores in LocalScorer(model, g, cfg.token).scores(hood, fill, ablation=True):
-        np.argmax(scores, axis=2, out=out[lo:lo + len(scores)])
-    return out
+        yield lo, np.argmax(scores, axis=2)
 
 
 def estimate_all(
@@ -133,6 +131,7 @@ def estimate_all(
 
     Selection uses sample indices 0..n0-1 and the tally uses n0..n0+n1-1, so
     the class choice is independent of the counts the confidence bounds see.
+    Votes are counted per chunk of samples; they are never all held at once.
     """
     if n0 < 1 or n1 < 1:
         raise ValueError("n0 and n1 must be >= 1")
@@ -150,19 +149,27 @@ def estimate_all(
                     f"vote table lacks sample {missing.args[0]} for node {v} "
                     f"(need {n0 + n1} samples)"
                 ) from None
+        chunks = [(0, preds)]
     else:
         classes = classifier.classes
-        preds = _predictions_per_sample(classifier, g, cfg, n0 + n1, nodes)
+        chunks = _vote_chunks(classifier, g, cfg, n0 + n1, nodes)
+
+    # flat key of a vote: (round, node, class), round 1 being the tally
+    counts = np.zeros(2 * len(nodes) * classes, dtype=np.int64)
+    cells = np.arange(len(nodes)) * classes
+    for lo, preds in chunks:
+        tally_round = np.arange(lo, lo + len(preds)) >= n0
+        keys = tally_round[:, None] * (len(nodes) * classes) + cells + preds
+        counts += np.bincount(keys.ravel(), minlength=counts.size)
+    sel_counts, tally_counts = counts.reshape(2, len(nodes), classes)
 
     out: dict[int, VoteTally] = {}
     for j, v in enumerate(nodes):
-        sel = np.bincount(preds[:n0, j], minlength=classes)
-        y_star = int(np.argmax(sel))
-        runner = sel.copy()
+        y_star = int(np.argmax(sel_counts[j]))
+        runner = sel_counts[j].copy()
         runner[y_star] = -1
         y_tilde = int(np.argmax(runner))
-        counts = np.bincount(preds[n0:, j], minlength=classes)
-        out[int(v)] = VoteTally(node=int(v), counts=counts, y_star=y_star,
+        out[int(v)] = VoteTally(node=int(v), counts=tally_counts[j], y_star=y_star,
                                 y_tilde=y_tilde, n0=n0, n1=n1, alpha=alpha)
     return out
 
@@ -181,6 +188,23 @@ def confidence_bounds(tally: VoteTally) -> tuple[float, float]:
     return p_lower, p_upper
 
 
+def radius(p_lower: float, p_upper: float, deltas: Iterable[float],
+           binary: bool = False) -> int:
+    """Largest certified budget, given ``deltas`` = delta(1), delta(2), ...
+
+    Budget rho is certified iff p_lower - delta(rho) > p_upper + delta(rho),
+    or in binary mode iff p_lower - delta(rho) > 1/2.  The scan reads no
+    delta past the first failure: delta is non-decreasing in rho.
+    """
+    certified = 0
+    for rho, delta in enumerate(deltas, start=1):
+        ok = (p_lower - delta > 0.5) if binary else (p_lower - delta > p_upper + delta)
+        if not ok:
+            break
+        certified = rho
+    return certified
+
+
 def certify(
     tally: VoteTally,
     curves: Mapping[int, Sequence[DeltaBound]],
@@ -191,25 +215,14 @@ def certify(
 
     ``curves[d_min][rho - 1]`` bounds the arrival probability at budget rho;
     budgets 1..len(curve) are scanned.  Abstains (radius 0) when the
-    confidence bounds overlap.  Otherwise budget rho is certified iff
-    p_lower - delta(rho) > p_upper + delta(rho), or in binary mode iff
-    p_lower - delta(rho) > 1/2.  The scan stops at the first failure; the
-    curve is non-decreasing in rho so nothing beyond certifies.
+    confidence bounds overlap.  Otherwise each radius is ``radius`` of the
+    confidence bounds and the curve's values.
     """
     p_lower, p_upper = confidence_bounds(tally)
     abstain = p_lower <= p_upper
-    radii: dict[int, int] = {}
-    for d_min in sorted(curves):
-        radii[d_min] = 0
-        if abstain:
-            continue
-        for rho, bound in enumerate(curves[d_min], start=1):
-            delta = bound.value
-            ok = (p_lower - delta > 0.5) if binary else \
-                (p_lower - delta > p_upper + delta)
-            if not ok:
-                break
-            radii[d_min] = rho
+    radii = {d_min: 0 if abstain else
+             radius(p_lower, p_upper, (b.value for b in curves[d_min]), binary)
+             for d_min in sorted(curves)}
     correct = None if label is None else bool(tally.y_star == label and not abstain)
     return CertificateResult(
         node=tally.node, prediction=tally.y_star, abstain=abstain,

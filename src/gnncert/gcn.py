@@ -514,7 +514,7 @@ def train(g: Graph, labeled, cfg: TrainConfig,
     val_idx = np.asarray(val_idx)
 
     smooth_cfg = smoothing.SmoothingConfig(
-        p_del=cfg.p_del, p_abl=cfg.p_abl, token=np.zeros(d), k=2,
+        p_del=cfg.p_del, p_abl=cfg.p_abl, token=np.zeros(d),
         seed=(cfg.seed << 1) ^ 0x5EED,
     )
     adam = _Adam([model.w1.shape, model.w2.shape, model.token.shape], lr=cfg.lr)
@@ -605,12 +605,6 @@ class VoteTable:
         """1 + the largest class voted; counted once per table."""
         return 1 + max((max(per_node.values()) for per_node in self.votes.values()
                         if per_node), default=-1)
-
-    def tally(self, node: int) -> dict[int, int]:
-        out: dict[int, int] = {}
-        for c in self.votes.get(node, {}).values():
-            out[c] = out.get(c, 0) + 1
-        return out
 
 
 def save_votes(path, rows) -> None:

@@ -4,7 +4,7 @@ Each sample deletes every edge independently with probability ``p_del`` and
 ablates every node's features with probability ``p_abl`` (replacing the row
 with a fixed token vector).  Draws are keyed by ``(seed, sample_index)`` and
 consumed positionally per edge and node, so sample ``i`` is bitwise
-reproducible regardless of which worker produces it or in what order.
+reproducible whatever other samples are drawn, and in whatever order.
 """
 
 from __future__ import annotations
@@ -28,7 +28,6 @@ class SmoothingConfig:
     p_del: float
     p_abl: float
     token: np.ndarray
-    k: int = 2
     seed: int = 0
 
     def __post_init__(self):

@@ -275,6 +275,25 @@ def test_worst_case_subset_cap():
                          subset_cap=10)
 
 
+def test_refusal_counts_only_the_budgets_asked_for():
+    # a 10-leaf star with one leaf-leaf edge: at budget 9 the 10 candidates
+    # give C(10, 9) = 10 subsets, within the cap, but a curve to budget 9
+    # reaches budget 3 first, where C(10, 3) = 120 subsets exceed it
+    edges = [(i, 0) for i in range(1, 11)] + [(1, 2)]
+    g = Graph.build(n=11, edges=edges, directed=False)
+    rf = receptive_field(g, 0, 2)
+    c = cfg(p_del=0.5, p_abl=0.3)
+    b = delta_worst_case(rf, 9, 1, c, method="exact-enumeration", subset_cap=100)
+    assert b.rho == 9 and len(b.worst_set) == 9
+    assert b.value == max(delta_exact_ie(rf, s, c).value
+                          for s in itertools.combinations(range(1, 11), 9))
+    with pytest.raises(ResourceLimitError):
+        worst_case_curve(rf, 1, c, method="exact-enumeration", rho_max=9,
+                         subset_cap=100)
+    with pytest.raises(ResourceLimitError):
+        delta_worst_case(rf, 3, 1, c, method="exact-enumeration", subset_cap=100)
+
+
 def _brute_tree_worst(rf, d_min, c, rho):
     """Largest ``delta_tree_exact`` over every size-min(rho, surface) candidate set."""
     candidates = rf.candidates(d_min)
@@ -398,11 +417,15 @@ def test_combined_curves_equal_per_budget_values(rng):
         tops.add(1.0 - delta_single_source(rf, rf.target, c).value)
         for d_min in (0, 1):
             rho_max = rf.attack_surface(d_min) + 2
-            for method in ("multiplicative", "union"):
+            values = sorted((delta_single_source(rf, w, c).value
+                             for w in rf.candidates(d_min)), reverse=True)
+            for method, combine in (("multiplicative", delta_multiplicative),
+                                    ("union", delta_union)):
                 curve = worst_case_curve(rf, d_min, c, method=method, rho_max=rho_max)
                 assert len(curve) == rho_max
                 for rho, b in enumerate(curve, start=1):
                     assert b == delta_worst_case(rf, rho, d_min, c, method=method)
+                    assert b == combine(values, rho, d_min=d_min)
     assert 0.0 in tops and any(0.0 < t < 1e-12 for t in tops)
 
 

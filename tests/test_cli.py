@@ -161,6 +161,32 @@ def test_derandomize_fallback_and_exact(fixture_dir):
     assert summary["derandomized_ratio"] >= 0.9
 
 
+def test_derandomized_radius_is_the_largest_certified_budget(fixture_dir):
+    from fractions import Fraction
+
+    from gnncert import levine_delta
+
+    cfg = write_config(fixture_dir, tau=200_000, k_rel=0.1)
+    assert main(["train", "--config", str(cfg)]) == 0
+    assert main(["derandomize", "--config", str(cfg)]) == 0
+    rows = list(csv.DictReader(open(fixture_dir / "out" / "derandomized.csv")))
+    done = [r for r in rows if r["derandomized"] == "1"]
+    assert done
+    radii = []
+    for r in done:
+        probs = [float(Fraction(r[f"p_class_{c}"])) for c in range(2)]
+        y_star = int(r["prediction"])
+        p_star, p_tilde = probs[y_star], probs[1 - y_star]
+        d, kk = int(r["field_size"]), int(r["k"])
+        margins = [rho for rho in range(1, d - kk + 1)
+                   if p_star - levine_delta(d, kk, rho).value
+                   > p_tilde + levine_delta(d, kk, rho).value]
+        assert int(r["radius"]) == max(margins, default=0)
+        assert r["certified"] == str(int(max(margins, default=0) >= 1))
+        radii.append(int(r["radius"]))
+    assert len(set(radii)) > 1            # the column is not one constant
+
+
 def test_derandomize_constant_classifier_is_zero_one(fixture_dir):
     cfg = write_config(fixture_dir)
     assert main(["train", "--config", str(cfg)]) == 0

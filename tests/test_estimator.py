@@ -17,6 +17,7 @@ from gnncert import (
     report,
 )
 from gnncert.errors import InsufficientSamplesError
+from gnncert.estimator import radius
 
 from conftest import random_graph
 from test_gcn import dense_forward_all, random_model
@@ -114,15 +115,31 @@ def test_estimate_live_model_reproducible_and_matches_per_node(rng):
         assert np.array_equal(again[v].counts, batched[v].counts)
 
 
+def streamed_votes(model, g, cfg, n_samples, nodes):
+    """``_vote_chunks`` joined into one (n_samples, len(nodes)) matrix.
+
+    Checks that the chunks come in order, each starting where the last one
+    ended, and cover every sample.
+    """
+    from gnncert.estimator import _vote_chunks
+
+    chunks, lo = [], 0
+    for start, classes in _vote_chunks(model, g, cfg, n_samples, nodes):
+        assert start == lo and classes.shape[1:] == (len(nodes),)
+        chunks.append(classes)
+        lo += len(classes)
+    assert lo == n_samples
+    return np.concatenate(chunks)
+
+
 def test_estimate_matches_reference_forward_with_skip(rng):
     from gnncert import apply, sample
-    from gnncert.estimator import _predictions_per_sample
 
     g = random_graph(rng, n=7, p_edge=0.4, d=3)
     model = random_model(rng, d=3, skip=True)
     cfg = SmoothingConfig(p_del=0.4, p_abl=0.5, token=model.token, seed=33)
     nodes = np.arange(g.n)
-    fast = _predictions_per_sample(model, g, cfg, 25, nodes)
+    fast = streamed_votes(model, g, cfg, 25, nodes)
     for i in range(25):
         view = apply(g, sample(g, cfg, i), cfg)
         ref = np.argmax(dense_forward_all(model, view, clean_features=g.features),
@@ -154,7 +171,6 @@ def per_sample_votes(model, g, cfg, n_samples, nodes):
 @pytest.mark.parametrize("step", [None, 3])
 def test_batched_votes_equal_per_sample_loop(rng, monkeypatch, step):
     from gnncert import LocalScorer
-    from gnncert.estimator import _predictions_per_sample
 
     if step is not None:
         # passes of three samples: 10 samples split 3 + 3 + 3 + 1
@@ -168,8 +184,27 @@ def test_batched_votes_equal_per_sample_loop(rng, monkeypatch, step):
         for nodes in ([int(rng.integers(g.n))], list(range(g.n))):
             nodes = np.asarray(nodes)
             for n_samples in (1, 10):
-                assert np.array_equal(_predictions_per_sample(model, g, cfg, n_samples, nodes),
+                assert np.array_equal(streamed_votes(model, g, cfg, n_samples, nodes),
                                       per_sample_votes(model, g, cfg, n_samples, nodes))
+
+
+def test_chunked_tally_equals_bincount_of_every_vote(rng, monkeypatch):
+    from gnncert import LocalScorer
+
+    # passes of three samples: the third pass holds samples 6-8 and straddles n0 = 7
+    monkeypatch.setattr(LocalScorer, "chunk", lambda self, hood: 3)
+    g = random_graph(rng, n=9, p_edge=0.4, d=3)
+    model = random_model(rng, d=3, classes=3)
+    cfg = SmoothingConfig(p_del=0.3, p_abl=0.4, token=model.token, seed=4)
+    nodes = [0, 2, 5, 8]
+    votes = streamed_votes(model, g, cfg, 7 + 11, np.asarray(nodes))
+    tallies = estimate_all(model, g, nodes, cfg, n0=7, n1=11, alpha=0.05)
+    for j, v in enumerate(nodes):
+        sel = np.bincount(votes[:7, j], minlength=3)
+        assert tallies[v].y_star == int(np.argmax(sel))
+        sel[tallies[v].y_star] = -1
+        assert tallies[v].y_tilde == int(np.argmax(sel))
+        assert np.array_equal(tallies[v].counts, np.bincount(votes[7:, j], minlength=3))
 
 
 def test_fair_coin_classifier_abstains(rng):
@@ -191,6 +226,39 @@ def make_tally(p_hits, n1=1000, n0=100, alpha=0.01, classes=3):
     counts[1] = n1 - p_hits
     return VoteTally(node=0, counts=counts, y_star=0, y_tilde=1,
                      n0=n0, n1=n1, alpha=alpha)
+
+
+def test_radius_margin_rule():
+    # binary fractions, so every difference below is exact
+    assert radius(0.75, 0.125, [0.125, 0.25]) == 2             # 0.5 > 0.375
+    # a tie is not a margin: 0.75 - 0.3125 == 0.125 + 0.3125
+    assert radius(0.75, 0.125, [0.125, 0.25, 0.3125]) == 2
+    assert radius(0.75, 0.125, [0.25, 0.25, 0.25]) == 3
+
+
+def test_radius_binary_rule_ignores_upper_bound():
+    assert radius(0.75, 0.6, [0.125, 0.25], binary=True) == 1   # 0.5 > 0.5 fails
+    assert radius(0.75, 0.6, [0.125, 0.25]) == 0                # 0.625 > 0.725 fails
+    assert radius(0.75, 0.0, [0.125, 0.125, 0.125], binary=True) == 3
+
+
+def test_radius_stops_at_the_first_failing_budget():
+    read = []
+
+    def deltas():
+        for d in (0.125, 0.5, 0.0):
+            read.append(d)
+            yield d
+        raise AssertionError("read past the first failing budget")
+
+    # budget 3 would pass again, but budget 2 fails first
+    assert radius(0.75, 0.125, deltas()) == 1
+    assert read == [0.125, 0.5]
+
+
+def test_radius_of_an_empty_curve_is_zero():
+    assert radius(0.9, 0.1, []) == 0
+    assert radius(0.9, 0.1, iter(()), binary=True) == 0
 
 
 def test_certify_arithmetic_example():
