@@ -8,8 +8,6 @@ ablated with probability p_abl.  Certificates need this probability small;
 everything here computes or bounds it.
 """
 
-import numpy as np
-
 from gnncert import (
     Graph,
     SmoothingConfig,
@@ -34,7 +32,7 @@ from gnncert import (
 edges = [(0, 6), (1, 6), (2, 6), (4, 1), (5, 2), (3, 2)]
 g = Graph.build(n=7, edges=edges, directed=False)
 rf = receptive_field(g, v=6, k=2)
-cfg = SmoothingConfig(p_del=0.4, p_abl=0.6, token=np.zeros(g.dim))
+cfg = SmoothingConfig(p_del=0.4, p_abl=0.6)
 
 print("receptive field of node 6 (2 layers):", sorted(rf.members))
 print("hop distances:", dict(sorted(rf.distance.items())))
@@ -71,7 +69,7 @@ print()
 #     0     both attackers must cross edge (1, 0)
 bottleneck = Graph.build(n=4, edges=[(2, 1), (3, 1), (1, 0)], directed=False)
 brf = receptive_field(bottleneck, v=0, k=2)
-bcfg = SmoothingConfig(p_del=0.3, p_abl=0.0, token=np.zeros(bottleneck.dim))
+bcfg = SmoothingConfig(p_del=0.3, p_abl=0.0)
 exact = delta_exact_ie(brf, {2, 3}, bcfg)
 closed = (1 - 0.3) * (1 - 0.3 ** 2)
 mult = delta_multiplicative(

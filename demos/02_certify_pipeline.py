@@ -53,7 +53,7 @@ model = train(g, labeled, TrainConfig(epochs=300, patience=50, dropout=0.5,
 print(f"trained on {len(labeled)} labeled nodes; certifying {len(test_nodes)}")
 
 # --- smoothed estimation ----------------------------------------------------
-cfg = SmoothingConfig(p_del=0.4, p_abl=0.7, token=model.token, seed=9)
+cfg = SmoothingConfig(p_del=0.4, p_abl=0.7, seed=9)
 tallies = estimate_all(model, g, test_nodes, cfg, n0=500, n1=1500, alpha=0.01)
 
 # --- per-node certificates --------------------------------------------------

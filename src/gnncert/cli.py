@@ -3,8 +3,8 @@
 One JSON config drives a run; every output embeds the resolved config so a
 run is reconstructible from its artifacts alone.  Outputs are deterministic
 byte-for-byte for a fixed config and seed: rows are sorted by node id and no
-timestamps are written.  Per-node failures (path budget, subset caps) are
-recorded in the output and do not abort the batch.
+timestamps are written.  Per-node failures (path budget, subset caps,
+missing votes) are recorded in the output and do not abort the batch.
 """
 
 from __future__ import annotations
@@ -107,16 +107,30 @@ def _load_inputs(cfg: RunConfig):
                       directed=cfg.directed)
 
 
+def _integer(value, what: str) -> int:
+    """``value`` as an int: ``1.0`` reads as 1; ``1.5``, ``true`` and strings are errors."""
+    if isinstance(value, bool) or not (
+            isinstance(value, int) or isinstance(value, float) and value.is_integer()):
+        raise ConfigError(f"{what} {value!r} is not an integer")
+    return int(value)
+
+
+def _d_mins(cfg: RunConfig) -> list[int]:
+    return sorted(_integer(d, "d_min entry") for d in cfg.d_min)
+
+
 def _select_nodes(cfg: RunConfig, g, checkpoint_payload: dict | None) -> list[int]:
     spec = cfg.nodes
     if isinstance(spec, list):
-        nodes = [int(v) for v in spec]
+        nodes = [_integer(v, "node id") for v in spec]
         bad = [v for v in nodes if not 0 <= v < g.n]
         if bad:
             raise ConfigError(f"node selection out of range: {bad}")
         return sorted(set(nodes))
     if isinstance(spec, dict) and set(spec) == {"random"}:
-        m = int(spec["random"])
+        m = _integer(spec["random"], "random node count")
+        if m < 0:
+            raise ConfigError(f"random node count {m} is negative")
         rng = np.random.default_rng((cfg.seed, 0xC0FFEE))
         return sorted(rng.choice(g.n, size=min(m, g.n), replace=False).tolist())
     if spec == "all":
@@ -137,24 +151,22 @@ def _write_json(path: Path, payload: dict) -> None:
         fh.write("\n")
 
 
-def _per_node(path: Path, header: list[str], nodes: list[int], work,
-              failures: dict[int, str]) -> dict:
+def _per_node(path: Path, header: list[str], nodes: list[int],
+              work) -> tuple[dict, dict[int, str]]:
     """Run ``work(v)`` for every node, then write one CSV row per node in node order.
 
-    ``work`` returns the cells between ``node_id`` and ``error`` plus a value;
-    the values come back keyed by node.  A node already in ``failures`` is not
-    run.  A node whose ``work`` exceeds a path budget or a subset cap is
-    added to ``failures`` and the batch goes on.  A failed node's row has
-    blank cells and the error.
+    ``work`` returns the cells between ``node_id`` and ``error`` plus a value.
+    A node whose ``work`` exceeds a path budget or a subset cap, or lacks
+    votes, fails and the batch goes on; its row has blank cells and the
+    error.  Returns the values and the failure messages, both keyed by node.
     """
     cells: dict[int, list] = {}
     values: dict = {}
+    failures: dict[int, str] = {}
     for v in nodes:
-        if v in failures:
-            continue
         try:
             cells[v], values[v] = work(v)
-        except ResourceLimitError as exc:
+        except (ResourceLimitError, InsufficientSamplesError) as exc:
             failures[v] = f"{type(exc).__name__}: {exc}"
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
@@ -164,7 +176,7 @@ def _per_node(path: Path, header: list[str], nodes: list[int], work,
                 writer.writerow([v] + [""] * (len(header) - 2) + [failures[v]])
             else:
                 writer.writerow([v] + cells[v] + [""])
-    return values
+    return values, failures
 
 
 # ---------------------------------------------------------------------------
@@ -235,32 +247,19 @@ def cmd_certify(cfg: RunConfig) -> int:
         if not Path(cfg.votes).exists():
             raise ConfigError(f"vote file not found: {cfg.votes}")
         vote_table = gcn.load_votes(cfg.votes)
-        token = np.zeros(g.dim)
-    elif model is not None:
-        token = model.token
-    else:
+    elif model is None:
         raise ConfigError("certify needs either a model checkpoint or a vote file")
 
     nodes = _select_nodes(cfg, g, payload)
-    scfg = smoothing.SmoothingConfig(p_del=cfg.p_del, p_abl=cfg.p_abl,
-                                     token=token, seed=cfg.seed)
-
-    tallies: dict[int, estimator.VoteTally] = {}
-    failures: dict[int, str] = {}
-    if vote_table is not None:
-        for v in nodes:
-            try:
-                tallies[v] = estimator.estimate(vote_table, g, v, scfg,
-                                                cfg.n0, cfg.n1, cfg.alpha)
-            except InsufficientSamplesError as exc:     # per-node, run continues
-                failures[v] = f"{type(exc).__name__}: {exc}"
-    else:
+    d_mins = _d_mins(cfg)
+    scfg = smoothing.SmoothingConfig(p_del=cfg.p_del, p_abl=cfg.p_abl, seed=cfg.seed)
+    if vote_table is None:
         tallies = estimator.estimate_all(model, g, nodes, scfg,
                                          cfg.n0, cfg.n1, cfg.alpha)
 
-    d_mins = sorted(int(d) for d in cfg.d_min)
-
     def work(v: int):
+        tally = (tallies[v] if vote_table is None else
+                 estimator.estimate(vote_table, g, v, scfg, cfg.n0, cfg.n1, cfg.alpha))
         rf = receptive_field(g, v, cfg.k, max_paths=cfg.max_paths)
         surfaces = {dm: rf.attack_surface(dm) for dm in d_mins}
         curves = {
@@ -274,7 +273,7 @@ def cmd_certify(cfg: RunConfig) -> int:
         label = None
         if g.labels is not None and g.labels[v] >= 0:
             label = int(g.labels[v])
-        res = estimator.certify(tallies[v], curves, label=label)
+        res = estimator.certify(tally, curves, label=label)
         cells = [res.prediction, int(res.abstain),
                  repr(res.p_lower), repr(res.p_upper),
                  "" if res.correct is None else int(res.correct)]
@@ -291,7 +290,7 @@ def cmd_certify(cfg: RunConfig) -> int:
         for r in cfg.flag_radii:
             header.append(f"cert_dmin_{dm}_rho_{r}")
     header.append("error")
-    done = _per_node(out / "results.csv", header, nodes, work, failures)
+    done, failures = _per_node(out / "results.csv", header, nodes, work)
 
     summary: dict = {"config": asdict(cfg), "failures": failures,
                      "certified": len(done)}
@@ -321,9 +320,6 @@ def cmd_derandomize(cfg: RunConfig) -> int:
 
     scorer = gcn.LocalScorer(model, g)
 
-    def predict(graph, v, deleted):
-        return scorer.predict_without(v, deleted)
-
     def work(v: int):
         rf = receptive_field(g, v, cfg.k, max_paths=cfg.max_paths)
         d = rf.size - 1
@@ -333,7 +329,8 @@ def cmd_derandomize(cfg: RunConfig) -> int:
             reps = derandomize.enumerate_representatives(rf, kk, tau=cfg.tau)
         except EnumerationRefused:
             return [d, kk, support, 0] + [""] * (5 + classes), None
-        probs = derandomize.exact_label_probs(g, rf, reps, kk, predict, classes)
+        probs = derandomize.exact_label_probs(rf, reps, kk, scorer.predict_without,
+                                              classes)
         order = sorted(range(classes), key=lambda c: (-probs[c], c))
         y_star, y_tilde = order[0], order[1] if classes > 1 else order[0]
         radius = estimator.radius(
@@ -347,9 +344,8 @@ def cmd_derandomize(cfg: RunConfig) -> int:
     header = (["node_id", "field_size", "k", "support", "derandomized",
                "reps", "savings", "prediction", "radius", "certified"]
               + [f"p_class_{c}" for c in range(classes)] + ["error"])
-    failures: dict[int, str] = {}
-    savings_by_node = _per_node(out / "derandomized.csv", header, nodes, work,
-                               failures)
+    savings_by_node, failures = _per_node(out / "derandomized.csv", header,
+                                          nodes, work)
 
     done = [x for x in savings_by_node.values() if x is not None]
     summary = {
@@ -461,7 +457,7 @@ def cmd_paths(cfg: RunConfig) -> int:
     if cfg.model and Path(cfg.model).exists():
         payload = gcn.load_checkpoint(cfg.model)[1]
     nodes = _select_nodes(cfg, g, payload)
-    d_mins = sorted(int(d) for d in cfg.d_min)
+    d_mins = _d_mins(cfg)
 
     def work(v: int):
         rf = receptive_field(g, v, cfg.k, max_paths=cfg.max_paths)
@@ -472,8 +468,7 @@ def cmd_paths(cfg: RunConfig) -> int:
 
     header = (["node_id", "field_size", "simple_paths", "longest_path", "is_tree"]
               + [f"surface_dmin_{dm}" for dm in d_mins] + ["error"])
-    failures: dict[int, str] = {}
-    done = _per_node(out / "paths.csv", header, nodes, work, failures)
+    done, failures = _per_node(out / "paths.csv", header, nodes, work)
 
     print(f"receptive-field stats for {len(done)} nodes -> {out / 'paths.csv'}")
     return EXIT_PARTIAL if failures else EXIT_OK

@@ -9,12 +9,12 @@ the class size, gives the label probabilities exactly.  Class sizes are
 binomial coefficients, so everything stays in integer / rational arithmetic.
 
 The classifier is called once per field with every class's deleted-node
-set, ``predict(g, target, deleted) -> classes``, so a model can score all
-of them in batches (``gcn.LocalScorer.predict_without``).  ``deleted`` is
-an iterable read once, in order, that builds each set as it is read, so
-a field with many classes never holds all of its sets at once.  ``per_view``
-adapts a classifier of one graph view, ``predict(view, target) -> class``,
-to that contract.
+set, ``predict(target, deleted) -> classes``, so a model can score all of
+them in batches (``gcn.LocalScorer.predict_without``, which holds its
+graph).  ``deleted`` is an iterable read once, in order, that builds each
+set as it is read, so a field with many classes never holds all of its
+sets at once.  ``per_view(g, predict)`` adapts a classifier of one graph
+view, ``predict(view, target) -> class``, to that contract.
 """
 
 from __future__ import annotations
@@ -117,18 +117,17 @@ def enumerate_representatives(
     ]
 
 
-BatchPredict = Callable[[Graph, int, Iterable[frozenset[int]]], Sequence[int]]
+BatchPredict = Callable[[int, Iterable[frozenset[int]]], Sequence[int]]
 
 
-def per_view(predict: Callable[[Graph, int], int]) -> BatchPredict:
-    """The batch contract for a classifier of one view: one ``without_nodes`` view per set."""
-    def batch(g: Graph, target: int, deleted) -> list[int]:
+def per_view(g: Graph, predict: Callable[[Graph, int], int]) -> BatchPredict:
+    """The batch contract for a classifier of one view: one ``g.without_nodes`` per set."""
+    def batch(target: int, deleted) -> list[int]:
         return [predict(g.without_nodes(d), target) for d in deleted]
     return batch
 
 
 def exact_label_probs(
-    g: Graph,
     rf: ReceptiveField,
     reps: list[ReducedRepresentative],
     k: int,
@@ -137,10 +136,10 @@ def exact_label_probs(
 ) -> tuple[Fraction, ...]:
     """Exact per-class probabilities from one evaluation per representative.
 
-    ``predict(g, target, deleted)`` is called once, with an iterable of one
+    ``predict(target, deleted)`` is called once, with an iterable of one
     deleted-node set per representative (the field nodes outside it), and
-    returns the target's class in ``g`` with each set deleted (isolated),
-    in order.
+    returns the target's class in the classifier's graph with each set
+    deleted (isolated), in order.
     Probabilities are exact rationals over C(d, k) and sum to 1.
     """
     d = len(rf.members) - 1
@@ -151,7 +150,7 @@ def exact_label_probs(
             f"multiplicities cover {covered} of C({d}, {k}) = {total} retention sets"
         )
     counts = [0] * classes
-    predicted = predict(g, rf.target, (rf.members - rep.nodes for rep in reps))
+    predicted = predict(rf.target, (rf.members - rep.nodes for rep in reps))
     for rep, c in zip(reps, predicted, strict=True):
         counts[int(c)] += rep.beta
     return tuple(Fraction(c, total) for c in counts)

@@ -114,7 +114,7 @@ def _vote_chunks(model: GnnModel, g: Graph, cfg: SmoothingConfig,
             np.take(s.ablated, hood.nodes, out=ablated[j], mode="clip")
         return b
 
-    for lo, scores in LocalScorer(model, g, cfg.token).scores(hood, fill, ablation=True):
+    for lo, scores in LocalScorer(model, g).scores(hood, fill, ablation=True):
         yield lo, np.argmax(scores, axis=2)
 
 

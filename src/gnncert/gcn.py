@@ -277,16 +277,16 @@ class LocalScorer:
 
     ``X @ W1`` (and the skip path's ``relu(X @ W1)``) is computed once for
     the whole graph, so the rows a variant reads are bitwise those of the
-    full forward; ablated rows are ``token @ W1``.  Variants are scored in
-    chunks under a fixed byte budget, so memory grows with ``|V|`` times the
-    chunk, not with the graph or the number of variants.
+    full forward; ablated rows are the model's ``token @ W1``.  Variants are
+    scored in chunks under a fixed byte budget, so memory grows with ``|V|``
+    times the chunk, not with the graph or the number of variants.
     """
 
-    def __init__(self, model: GnnModel, g: Graph, token: np.ndarray | None = None):
+    def __init__(self, model: GnnModel, g: Graph):
         _check_dim(model, g)
         self.model, self.g = model, g
         self.xw1 = g.features @ model.w1
-        self.token_w1 = None if token is None else np.asarray(token) @ model.w1
+        self.token_w1 = model.token @ model.w1
         self.skip_h = _relu(self.xw1) if model.skip else None
         self._x = np.empty(0)
 
@@ -313,8 +313,6 @@ class LocalScorer:
         np.take(self.xw1, hood.nodes, axis=0, out=x[0], mode="clip")
         x[1:] = x[0]
         if ablated is not None:
-            if self.token_w1 is None:
-                raise ValueError("ablated variants need the scorer's token")
             x[ablated] = self.token_w1
         h2 = propagate(hood.adjacency(kept), x.reshape(b * nv, h),
                        rows=hood.block_rows(b))[1].reshape(b, hood.rows.size, h)
@@ -513,10 +511,8 @@ def train(g: Graph, labeled, cfg: TrainConfig,
     train_idx = np.asarray(train_idx)
     val_idx = np.asarray(val_idx)
 
-    smooth_cfg = smoothing.SmoothingConfig(
-        p_del=cfg.p_del, p_abl=cfg.p_abl, token=np.zeros(d),
-        seed=(cfg.seed << 1) ^ 0x5EED,
-    )
+    smooth_cfg = smoothing.SmoothingConfig(p_del=cfg.p_del, p_abl=cfg.p_abl,
+                                           seed=(cfg.seed << 1) ^ 0x5EED)
     adam = _Adam([model.w1.shape, model.w2.shape, model.token.shape], lr=cfg.lr)
     keep_prob = 1.0 - cfg.dropout
 

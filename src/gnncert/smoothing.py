@@ -1,10 +1,11 @@
 """Randomized message interception: edge deletion and node-feature ablation.
 
 Each sample deletes every edge independently with probability ``p_del`` and
-ablates every node's features with probability ``p_abl`` (replacing the row
-with a fixed token vector).  Draws are keyed by ``(seed, sample_index)`` and
-consumed positionally per edge and node, so sample ``i`` is bitwise
-reproducible whatever other samples are drawn, and in whatever order.
+ablates every node's features with probability ``p_abl``.  Draws are keyed
+by ``(seed, sample_index)`` and consumed positionally per edge and node, so
+sample ``i`` is bitwise reproducible whatever other samples are drawn, and
+in whatever order.  What an ablated node reads instead of its features is
+the classifier's business (``GnnModel.token``), not the distribution's.
 """
 
 from __future__ import annotations
@@ -18,16 +19,10 @@ from .graph import Graph
 
 @dataclass(frozen=True)
 class SmoothingConfig:
-    """Inference-time smoothing parameters.
-
-    ``token`` is the substitute feature vector for ablated nodes; it is a
-    trained parameter of the smoothed classifier, but a zero vector is fine
-    for classifier-free interception analysis.
-    """
+    """The interception distribution: deletion and ablation rates and a seed."""
 
     p_del: float
     p_abl: float
-    token: np.ndarray
     seed: int = 0
 
     def __post_init__(self):
@@ -35,8 +30,6 @@ class SmoothingConfig:
             raise ValueError(f"p_del must be in [0, 1], got {self.p_del}")
         if not 0.0 <= self.p_abl <= 1.0:
             raise ValueError(f"p_abl must be in [0, 1], got {self.p_abl}")
-        object.__setattr__(self, "token",
-                           np.asarray(self.token, dtype=np.float64).reshape(-1))
 
 
 @dataclass(frozen=True)
@@ -68,12 +61,15 @@ def sample(g: Graph, cfg: SmoothingConfig, sample_index: int) -> SmoothedSample:
                           sample_index=int(sample_index))
 
 
-def apply(g: Graph, s: SmoothedSample, cfg: SmoothingConfig) -> Graph:
-    """Materialize a sample: kept edges only, token features on ablated rows."""
-    token = cfg.token
-    if token.shape[0] != g.dim:
+def apply(g: Graph, s: SmoothedSample, token: np.ndarray) -> Graph:
+    """Materialize a sample: kept edges only, ``token`` on ablated rows.
+
+    The forward passes never build this graph; it is the plain reference
+    they are checked against.
+    """
+    if len(token) != g.dim:
         raise ValueError(
-            f"token has length {token.shape[0]} but features have {g.dim} columns"
+            f"token has length {len(token)} but features have {g.dim} columns"
         )
     if s.ablated.any():
         features = g.features.copy()

@@ -42,7 +42,7 @@ TOL = 1e-12
 
 
 def _cfg(p_del, p_abl, seed=0):
-    return SmoothingConfig(p_del=p_del, p_abl=p_abl, token=np.zeros(1), seed=seed)
+    return SmoothingConfig(p_del=p_del, p_abl=p_abl, seed=seed)
 
 
 def _sparse_instance(rng, n_max=12, max_total_paths=12):
@@ -171,13 +171,12 @@ def test_criterion_06_interception_soundness_sweep():
         model = random_model(rng, d=3)
         cfg = SmoothingConfig(p_del=float(rng.uniform(0.2, 0.8)),
                               p_abl=float(rng.uniform(0.2, 0.8)),
-                              token=model.token,
                               seed=int(rng.integers(1 << 30)))
         v = int(rng.integers(n))
         for i in range(200):
             s = sample(g, cfg, i)
             x = g.features.copy()
-            x[s.ablated] = cfg.token
+            x[s.ablated] = model.token
             base = int(np.argmax(forward(model, g.with_edges(s.edge_mask,
                                                              features=x), v)))
             reachable = _kept_distance_within(g, s.edge_mask, v, k)
@@ -186,7 +185,7 @@ def test_criterion_06_interception_soundness_sweep():
                     continue
                 tampered = g.features.copy()
                 tampered[w] = rng.normal(size=3) * 10.0
-                tampered[s.ablated] = cfg.token
+                tampered[s.ablated] = model.token
                 pred = int(np.argmax(forward(
                     model, g.with_edges(s.edge_mask, features=tampered), v)))
                 checks += 1
@@ -218,7 +217,7 @@ def test_criterion_07_derandomization_exactness():
 
         reps = enumerate_representatives(rf, k, tau=None)
         assert sum(r.beta for r in reps) == math.comb(d, k)
-        fast = exact_label_probs(g, rf, reps, k, per_view(predict), classes=3)
+        fast = exact_label_probs(rf, reps, k, per_view(g, predict), classes=3)
 
         others = sorted(rf.members - {rf.target})
         counts = [0, 0, 0]
@@ -269,7 +268,7 @@ def test_criterion_09_end_to_end_desk_experiment():
         epochs=400, patience=50, dropout=0.5, hidden=64,
         p_del=0.0, p_abl=0.85, seed=3))
 
-    scfg = SmoothingConfig(p_del=0.0, p_abl=0.85, token=model.token, seed=11)
+    scfg = SmoothingConfig(p_del=0.0, p_abl=0.85, seed=11)
     tallies = estimate_all(model, g, test_nodes, scfg,
                            n0=1000, n1=3000, alpha=0.01)
     results, surfaces = [], {}

@@ -28,7 +28,7 @@ from conftest import random_graph, random_tree
 
 
 def cfg(p_del=0.0, p_abl=0.0, seed=3):
-    return SmoothingConfig(p_del=p_del, p_abl=p_abl, token=np.zeros(1), seed=seed)
+    return SmoothingConfig(p_del=p_del, p_abl=p_abl, seed=seed)
 
 
 # ---------------------------------------------------------------------------

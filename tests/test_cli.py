@@ -125,6 +125,29 @@ def test_certify_from_votes_with_missing_samples_is_partial(fixture_dir):
     assert all(r["prediction"] == "1" for r in ok)
 
 
+def test_vote_file_node_lacking_a_sample_fails_alone(fixture_dir):
+    nodes = [0, 3, 7, 12]
+    lines = ["node_id,sample_index,class"]
+    for v in nodes:
+        lines += [f"{v},{i},1" for i in range(10) if (v, i) != (7, 6)]
+    votes = fixture_dir / "votes.csv"
+    votes.write_text("\n".join(lines) + "\n")
+    cfg = write_config(fixture_dir, votes=str(votes), nodes=nodes, n0=5, n1=5)
+    assert main(["certify", "--config", str(cfg)]) == 3
+    rows = {int(r["node_id"]): r
+            for r in csv.DictReader(open(fixture_dir / "out" / "results.csv"))}
+    assert sorted(rows) == nodes
+    assert rows[7]["error"].startswith(
+        "InsufficientSamplesError: vote table lacks sample 6 for node 7")
+    assert rows[7]["prediction"] == ""
+    for v in (0, 3, 12):
+        assert rows[v]["error"] == ""
+        assert rows[v]["prediction"] == "1"
+    summary = json.loads((fixture_dir / "out" / "summary.json").read_text())
+    assert list(summary["failures"]) == ["7"]
+    assert summary["certified"] == 3
+
+
 def test_certify_path_budget_overflow_is_per_node(fixture_dir):
     cfg = write_config(fixture_dir, max_paths=1)
     assert main(["train", "--config", str(cfg)]) == 0
@@ -297,6 +320,33 @@ def test_paths_dump(fixture_dir):
     for r in rows:
         assert int(r["field_size"]) >= 1
         assert int(r["surface_dmin_0"]) == int(r["surface_dmin_1"]) + 1
+
+
+@pytest.mark.parametrize("override,bad", [
+    ({"nodes": [1.7, 2]}, "1.7"),
+    ({"nodes": [True]}, "True"),
+    ({"nodes": ["2"]}, "'2'"),
+    ({"nodes": {"random": -2}}, "-2"),
+    ({"nodes": {"random": 2.5}}, "2.5"),
+    ({"nodes": [0], "d_min": [1.5]}, "1.5"),
+    ({"nodes": [0], "d_min": [False]}, "False"),
+])
+def test_bad_node_id_count_or_d_min_is_exit_two(fixture_dir, capsys, override, bad):
+    cfg = write_config(fixture_dir, **override)
+    assert main(["paths", "--config", str(cfg)]) == 2
+    assert bad in capsys.readouterr().err
+    assert not (fixture_dir / "out" / "paths.csv").exists()
+
+
+def test_integer_valued_floats_are_node_ids(fixture_dir):
+    cfg = write_config(fixture_dir, nodes=[3.0, 1], d_min=[1.0])
+    assert main(["paths", "--config", str(cfg)]) == 0
+    rows = list(csv.DictReader(open(fixture_dir / "out" / "paths.csv")))
+    assert [r["node_id"] for r in rows] == ["1", "3"]
+    assert "surface_dmin_1" in rows[0]
+    cfg = write_config(fixture_dir, nodes={"random": 2.0})
+    assert main(["paths", "--config", str(cfg)]) == 0
+    assert len(list(csv.DictReader(open(fixture_dir / "out" / "paths.csv")))) == 2
 
 
 def test_bad_config_is_exit_two(tmp_path):

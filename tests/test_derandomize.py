@@ -110,7 +110,7 @@ def test_exact_probs_constant_classifier(rng):
     d = rf.size - 1
     k = min(2, d)
     reps = enumerate_representatives(rf, k, tau=None)
-    probs = exact_label_probs(g, rf, reps, k, per_view(lambda view, v: 2), classes=4)
+    probs = exact_label_probs(rf, reps, k, per_view(g, lambda view, v: 2), classes=4)
     assert probs == (0, 0, 1, 0)
     assert sum(probs) == 1
 
@@ -123,7 +123,7 @@ def test_exact_probs_sum_to_one_exactly(rng):
     k = min(3, d)
     reps = enumerate_representatives(rf, k, tau=None)
     predict = lambda view, v: int(np.argmax(forward(model, view, v)))
-    probs = exact_label_probs(g, rf, reps, k, per_view(predict), classes=3)
+    probs = exact_label_probs(rf, reps, k, per_view(g, predict), classes=3)
     assert sum(probs) == Fraction(1)
 
 
@@ -138,7 +138,7 @@ def test_exact_probs_match_brute_force(rng):
         model = random_model(rng, d=3)
         predict = lambda view, v: int(np.argmax(forward(model, view, v)))
         reps = enumerate_representatives(rf, k, tau=None)
-        fast = exact_label_probs(g, rf, reps, k, per_view(predict), classes=3)
+        fast = exact_label_probs(rf, reps, k, per_view(g, predict), classes=3)
         slow = brute_force_probs(g, rf, k, predict, classes=3)
         assert fast == slow                          # exact rational equality
 
@@ -201,9 +201,7 @@ def test_many_representatives_are_scored_in_bounded_memory(rng):
 
     tracemalloc.start()
     try:
-        probs = exact_label_probs(g, rf, reps, 3,
-                                  lambda graph, v, deleted: scorer.predict_without(v, deleted),
-                                  classes=3)
+        probs = exact_label_probs(rf, reps, 3, scorer.predict_without, classes=3)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -239,7 +237,7 @@ def test_incomplete_representatives_rejected(rng):
     k = min(2, d)
     reps = enumerate_representatives(rf, k, tau=None)
     with pytest.raises(IncompleteRepresentativesError):
-        exact_label_probs(g, rf, reps[:-1], k, per_view(lambda view, v: 0), classes=2)
+        exact_label_probs(rf, reps[:-1], k, per_view(g, lambda view, v: 0), classes=2)
 
 
 def test_savings_below_one_on_sparse_fields(rng):
@@ -268,7 +266,7 @@ def test_sampled_bounds_contain_exact_probability(rng):
         model = random_model(rng, d=3)
         predict = lambda view, v: int(np.argmax(forward(model, view, v)))
         reps = enumerate_representatives(rf, k, tau=None)
-        exact = exact_label_probs(g, rf, reps, k, per_view(predict), classes=3)
+        exact = exact_label_probs(rf, reps, k, per_view(g, predict), classes=3)
 
         others = sorted(rf.members - {rf.target})
         n1 = 400

@@ -104,7 +104,7 @@ def test_estimate_selection_and_tally_disjoint():
 def test_estimate_live_model_reproducible_and_matches_per_node(rng):
     g = random_graph(rng, n=8, p_edge=0.4, d=3)
     model = random_model(rng, d=3, classes=3)
-    cfg = SmoothingConfig(p_del=0.3, p_abl=0.4, token=model.token, seed=21)
+    cfg = SmoothingConfig(p_del=0.3, p_abl=0.4, seed=21)
     batched = estimate_all(model, g, [1, 4, 6], cfg, n0=20, n1=40, alpha=0.05)
     for v in (1, 4, 6):
         single = estimate(model, g, v, cfg, n0=20, n1=40, alpha=0.05)
@@ -137,11 +137,11 @@ def test_estimate_matches_reference_forward_with_skip(rng):
 
     g = random_graph(rng, n=7, p_edge=0.4, d=3)
     model = random_model(rng, d=3, skip=True)
-    cfg = SmoothingConfig(p_del=0.4, p_abl=0.5, token=model.token, seed=33)
+    cfg = SmoothingConfig(p_del=0.4, p_abl=0.5, seed=33)
     nodes = np.arange(g.n)
     fast = streamed_votes(model, g, cfg, 25, nodes)
     for i in range(25):
-        view = apply(g, sample(g, cfg, i), cfg)
+        view = apply(g, sample(g, cfg, i), model.token)
         ref = np.argmax(dense_forward_all(model, view, clean_features=g.features),
                         axis=1)
         assert np.array_equal(fast[i], ref)
@@ -154,7 +154,7 @@ def per_sample_votes(model, g, cfg, n_samples, nodes):
 
     out = np.empty((n_samples, len(nodes)), dtype=np.int64)
     xw1 = g.features @ model.w1
-    token_w1 = cfg.token @ model.w1
+    token_w1 = model.token @ model.w1
     skip_h = np.maximum(xw1, 0.0) if model.skip else None
     for i in range(n_samples):
         s = sample(g, cfg, i)
@@ -179,7 +179,7 @@ def test_batched_votes_equal_per_sample_loop(rng, monkeypatch, step):
         g = random_graph(rng, n=int(rng.integers(5, 16)), p_edge=0.3,
                          directed=bool(trial % 2), d=3)
         model = random_model(rng, d=3, skip=bool(trial % 3 == 0))
-        cfg = SmoothingConfig(p_del=0.4, p_abl=0.5, token=model.token,
+        cfg = SmoothingConfig(p_del=0.4, p_abl=0.5,
                               seed=int(rng.integers(1 << 30)))
         for nodes in ([int(rng.integers(g.n))], list(range(g.n))):
             nodes = np.asarray(nodes)
@@ -195,7 +195,7 @@ def test_chunked_tally_equals_bincount_of_every_vote(rng, monkeypatch):
     monkeypatch.setattr(LocalScorer, "chunk", lambda self, hood: 3)
     g = random_graph(rng, n=9, p_edge=0.4, d=3)
     model = random_model(rng, d=3, classes=3)
-    cfg = SmoothingConfig(p_del=0.3, p_abl=0.4, token=model.token, seed=4)
+    cfg = SmoothingConfig(p_del=0.3, p_abl=0.4, seed=4)
     nodes = [0, 2, 5, 8]
     votes = streamed_votes(model, g, cfg, 7 + 11, np.asarray(nodes))
     tallies = estimate_all(model, g, nodes, cfg, n0=7, n1=11, alpha=0.05)

@@ -136,9 +136,9 @@ def test_batched_hidden_rows_equal_per_variant_propagation_bitwise(rng):
         hood = TwoHop(g, rows)
         for skip in (False, True):
             model = random_model(rng, d=3, skip=skip)
-            scorer = LocalScorer(model, g, model.token)
+            scorer = LocalScorer(model, g)
             for p_del, p_abl in ((0.0, 0.0), (1.0, 1.0), (0.0, 1.0), (0.5, 0.5)):
-                cfg = SmoothingConfig(p_del=p_del, p_abl=p_abl, token=model.token,
+                cfg = SmoothingConfig(p_del=p_del, p_abl=p_abl,
                                       seed=int(rng.integers(1 << 30)))
                 samples = [sample(g, cfg, i) for i in range(6)]
                 kept = np.array([s.edge_mask[hood.edges] for s in samples]
@@ -265,7 +265,7 @@ def test_training_on_pure_ablation_hits_majority_rate(rng):
     cfg = TrainConfig(epochs=200, patience=200, dropout=0.0, hidden=8,
                       p_del=0.0, p_abl=1.0, seed=2)
     model = train(g, list(range(g.n)), cfg)
-    scfg = SmoothingConfig(p_del=0.0, p_abl=1.0, token=model.token)
+    scfg = SmoothingConfig(p_del=0.0, p_abl=1.0)
     s = sample(g, scfg, 0)
     x = g.features.copy()
     x[s.ablated] = model.token
@@ -320,13 +320,13 @@ def test_interception_soundness_small(rng):
     for _ in range(10):
         g = random_graph(rng, n=int(rng.integers(4, 9)), p_edge=0.4, d=3)
         model = random_model(rng, d=3)
-        cfg = SmoothingConfig(p_del=0.4, p_abl=0.4, token=model.token,
+        cfg = SmoothingConfig(p_del=0.4, p_abl=0.4,
                               seed=int(rng.integers(1 << 30)))
         v = int(rng.integers(g.n))
         for i in range(30):
             s = sample(g, cfg, i)
             x = g.features.copy()
-            x[s.ablated] = cfg.token
+            x[s.ablated] = model.token
             view = g.with_edges(s.edge_mask, features=x)
             base_pred = int(np.argmax(forward(model, view, v)))
 
@@ -338,7 +338,7 @@ def test_interception_soundness_small(rng):
                 tampered = g.features.copy()
                 tampered[w] = rng.normal(size=3) * 10
                 x2 = tampered.copy()
-                x2[s.ablated] = cfg.token
+                x2[s.ablated] = model.token
                 view2 = g.with_edges(s.edge_mask, features=x2)
                 assert int(np.argmax(forward(model, view2, v))) == base_pred
 
@@ -380,12 +380,12 @@ def test_checkpoint_round_trip(tmp_path, rng):
 def test_vote_file_round_trip(tmp_path, rng):
     g = random_graph(rng, n=6, p_edge=0.4, d=3)
     model = random_model(rng, d=3)
-    cfg = SmoothingConfig(p_del=0.3, p_abl=0.3, token=model.token, seed=9)
+    cfg = SmoothingConfig(p_del=0.3, p_abl=0.3, seed=9)
     rows = []
     for i in range(20):
         s = sample(g, cfg, i)
         x = g.features.copy()
-        x[s.ablated] = cfg.token
+        x[s.ablated] = model.token
         preds = predict_all(model, g.with_edges(s.edge_mask, features=x))
         rows.extend((v, i, int(preds[v])) for v in range(g.n))
     path = tmp_path / "votes.csv"
