@@ -16,6 +16,13 @@ independent: the per-source product bound, the multiplicative combination of
 the top sources, and the (weaker) union bound.  One function, ``_worst_case``,
 chooses among these for a (field, d_min, method) and a list of budgets;
 ``delta_worst_case`` and ``worst_case_curve`` both go through it.
+
+A certificate needs the exact worst case only where it decides something.
+Given the certificate predicate, ``worst_case_curve`` decides each budget
+with the cheapest value that settles it: the multiplicative bound where it
+certifies, since the exact value never exceeds it; the exact value of one
+attacker set where that fails, since the exact maximum is at least as
+large; and the exact maximum only in the gap between the two.
 """
 
 from __future__ import annotations
@@ -33,6 +40,10 @@ from .smoothing import SmoothingConfig
 
 DEFAULT_MAX_IE_TERMS = 2 ** 20
 DEFAULT_SUBSET_CAP = 50_000
+# The exact worst case stays within this of the multiplicative bound in floating
+# point (tests/test_acceptance.py checks it at this tolerance); a bound that
+# certifies with this much to spare decides a certificate as the exact value would.
+FKG_TOLERANCE = 1e-12
 
 METHODS = frozenset({
     "node-ablation-exact",
@@ -166,6 +177,14 @@ def delta_single_source(rf: ReceptiveField, w: int, cfg: SmoothingConfig) -> Del
     return DeltaBound(value=_clip01(value), method="single-source", rho=1, node=w)
 
 
+def _single_values(rf: ReceptiveField, cfg: SmoothingConfig) -> dict[int, float]:
+    """``delta_single_source`` value of every member, once per field and (p_del, p_abl)."""
+    key = ("single-source", cfg.p_del, cfg.p_abl)
+    if key not in rf.memo:
+        rf.memo[key] = {w: delta_single_source(rf, w, cfg).value for w in rf.members}
+    return rf.memo[key]
+
+
 def _sorted_values(singles) -> list[float]:
     """Descending bound values of ``DeltaBound``s or plain numbers."""
     return sorted((s.value if isinstance(s, DeltaBound) else float(s) for s in singles),
@@ -263,36 +282,16 @@ def delta_exact_ie(
                       rho=len(attacked))
 
 
-def _tree_children(rf: ReceptiveField) -> dict[int, list[int]]:
+def _tree_children(rf: ReceptiveField) -> dict[int, tuple[int, ...]]:
     """Child lists of the field's message tree, or raise if it is not a tree."""
-    out_count: dict[int, int] = {w: 0 for w in rf.members}
-    children: dict[int, list[int]] = {w: [] for w in rf.members}
-    for a, b in rf.path_edges:
-        out_count[a] += 1
-        children[b].append(a)
-    for w in rf.members:
-        expected = 0 if w == rf.target else 1
-        if out_count[w] != expected:
-            raise NotATreeError(
-                f"node {w} has {out_count[w]} outgoing message edges; the "
-                f"receptive field of {rf.target} is not a tree"
-            )
-    if len(rf.path_edges) != len(rf.members) - 1:
+    if rf.tree_children is None:
         raise NotATreeError(
-            f"receptive field of {rf.target} has {len(rf.path_edges)} message "
-            f"edges over {len(rf.members)} members; not a tree"
-        )
-    for lst in children.values():
-        lst.sort()
-    return children
+            f"receptive field of {rf.target} is not a tree")
+    return rf.tree_children
 
 
 def is_tree(rf: ReceptiveField) -> bool:
-    try:
-        _tree_children(rf)
-        return True
-    except NotATreeError:
-        return False
+    return rf.tree_children is not None
 
 
 def delta_tree_exact(rf: ReceptiveField, attacked, cfg: SmoothingConfig) -> DeltaBound:
@@ -443,7 +442,8 @@ def _combined_curve(values: list[float], method: str, d_min: int,
 
 
 def _worst_case(rf: ReceptiveField, d_min: int, cfg: SmoothingConfig, method: str,
-                budgets, subset_cap: int, max_terms: int) -> list[DeltaBound]:
+                budgets, subset_cap: int, max_terms: int,
+                certifies=None) -> list[DeltaBound]:
     """Worst-case bounds at each of the ascending positive ``budgets``.
 
     The one place that picks how a worst case is computed: the combined
@@ -452,6 +452,11 @@ def _worst_case(rf: ReceptiveField, d_min: int, cfg: SmoothingConfig, method: st
     a field with a cycle the best ``delta_exact_ie`` over every candidate
     subset of each budget's size, refused at the first budget whose subsets
     exceed ``subset_cap``.
+
+    Given a certificate predicate ``certifies(delta)``, ``exact-enumeration``
+    runs ``_decided_curve`` instead: its entries decide the predicate
+    exactly as the exact maximum would, mostly without computing it, and it
+    ends at its first failing budget.  The other methods ignore it.
     """
     if method not in {"multiplicative", "union", "exact-enumeration"}:
         raise ValueError(f"unknown worst-case method {method!r}")
@@ -459,11 +464,14 @@ def _worst_case(rf: ReceptiveField, d_min: int, cfg: SmoothingConfig, method: st
         return []
     candidates = rf.candidates(d_min)
     if method != "exact-enumeration":
-        values = _sorted_values(delta_single_source(rf, w, cfg) for w in candidates)
+        singles = _single_values(rf, cfg)
+        values = sorted((singles[w] for w in candidates), reverse=True)
         return _combined_curve(values, method, d_min, budgets)
     if not candidates:
         return [DeltaBound(value=0.0, method="inclusion-exclusion-exact", rho=rho,
                            d_min=d_min) for rho in budgets]
+    if certifies is not None:
+        return _decided_curve(rf, d_min, cfg, budgets, certifies, subset_cap, max_terms)
     if is_tree(rf):
         curve = _tree_worst_curve(rf, d_min, cfg, max(budgets))
         return [curve[rho - 1] for rho in budgets]
@@ -484,6 +492,48 @@ def _worst_case(rf: ReceptiveField, d_min: int, cfg: SmoothingConfig, method: st
                 best, best_set = b, subset
         out.append(DeltaBound(value=best.value, method=best.method, rho=rho,
                               d_min=d_min, worst_set=best_set))
+    return out
+
+
+def _decided_curve(rf: ReceptiveField, d_min: int, cfg: SmoothingConfig, budgets,
+                   certifies, subset_cap: int, max_terms: int) -> list[DeltaBound]:
+    """``exact-enumeration`` entries that decide ``certifies`` up to its first failure.
+
+    The exact worst case never exceeds the multiplicative bound ``g`` by more
+    than ``FKG_TOLERANCE`` (arrival events are increasing in the coins), and
+    never falls below the exact value ``f`` of any one attacker set of the
+    budget's size, computed by the same function it maximizes.  The
+    predicate is monotone in delta, so at each budget:
+
+    * ``g``, tagged ``multiplicative``, decides when it passes even at
+      ``g + FKG_TOLERANCE``;
+    * else ``f`` of the top-r single-source set, tagged with that set,
+      decides when it fails: it witnesses that the exact maximum fails too;
+    * else the budget falls in the gap ``f < D* <= g`` and gets the exact
+      maximum from ``_worst_case``, under ``subset_cap`` as without a
+      predicate.
+
+    The curve ends at the first failing entry.
+    """
+    singles = _single_values(rf, cfg)
+    ranked = sorted(rf.candidates(d_min), key=lambda w: (-singles[w], w))
+    out = []
+    for g in _combined_curve([singles[w] for w in ranked], "multiplicative", d_min,
+                             budgets):
+        if certifies(g.value + FKG_TOLERANCE):
+            out.append(g)
+            continue
+        top = tuple(sorted(ranked[:g.rho]))
+        f = (delta_tree_exact(rf, top, cfg) if is_tree(rf)
+             else delta_exact_ie(rf, top, cfg, max_terms=max_terms))
+        if certifies(f.value):
+            out.append(_worst_case(rf, d_min, cfg, "exact-enumeration", [g.rho],
+                                   subset_cap, max_terms)[0])
+        else:
+            out.append(DeltaBound(value=f.value, method=f.method, rho=g.rho,
+                                  d_min=d_min, worst_set=top))
+        if not certifies(out[-1].value):
+            break
     return out
 
 
@@ -567,6 +617,7 @@ def worst_case_curve(
     rho_max: int | None = None,
     subset_cap: int = DEFAULT_SUBSET_CAP,
     max_terms: int = DEFAULT_MAX_IE_TERMS,
+    certifies=None,
 ) -> list[DeltaBound]:
     """Worst-case bounds for every budget 1..rho_max (default: attack surface).
 
@@ -574,11 +625,21 @@ def worst_case_curve(
     entry equals ``delta_worst_case`` at that budget.  The combined curves
     come from one sort and a running product or prefix sums, and the exact
     curve of a tree-shaped field from one knapsack pass for all budgets.
+
+    With a certificate predicate ``certifies(delta)`` (monotone: what
+    certifies, certifies every smaller delta) an ``exact-enumeration``
+    curve ends at its first budget that fails it, and its entries need not
+    equal ``delta_worst_case``: each passes or fails the predicate exactly
+    when the exact maximum does (see ``_decided_curve``).  Such a curve
+    computes the exact maximum only at budgets that neither the
+    multiplicative bound nor one exact witness decides, and refuses only
+    there, so its radius is that of the full exact curve.  The other
+    methods ignore the predicate.
     """
     if rho_max is None:
         rho_max = rf.attack_surface(d_min)
     return _worst_case(rf, d_min, cfg, method, range(1, rho_max + 1),
-                       subset_cap, max_terms)
+                       subset_cap, max_terms, certifies)
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import math
 import sys
@@ -84,6 +85,8 @@ class RunConfig:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
         raw.update({k: v for k, v in overrides.items() if v is not None})
         cfg = cls(**raw)
+        for f in fields(cls):
+            setattr(cfg, f.name, _typed(f.name, f.type, getattr(cfg, f.name)))
         for p in (cfg.p_del, cfg.p_abl, cfg.train_p_del, cfg.train_p_abl):
             if not 0.0 <= p <= 1.0:
                 raise ConfigError(f"probability {p} outside [0, 1]")
@@ -115,8 +118,35 @@ def _integer(value, what: str) -> int:
     return int(value)
 
 
+def _typed(name: str, kind: str, value):
+    """``value`` of config key ``name`` checked against its annotation ``kind``.
+
+    Integers go through ``_integer``; a float accepts an int but no bool or
+    non-finite number; ``d_min`` and ``flag_radii`` are lists of integers.
+    ``nodes`` is checked where it is read.
+    """
+    if value is None and kind.endswith("| None"):
+        return None
+    kind = kind.removesuffix(" | None")
+    if kind == "int":
+        return _integer(value, name)
+    if kind == "float":
+        if isinstance(value, bool) or not isinstance(value, (int, float)) \
+                or not math.isfinite(value):
+            raise ConfigError(f"{name} {value!r} is not a finite number")
+        return value
+    if kind == "list":
+        if not isinstance(value, list):
+            raise ConfigError(f"{name} {value!r} is not a list")
+        return [_integer(v, f"{name} entry") for v in value]
+    expected = {"str": str, "bool": bool}.get(kind)
+    if expected is not None and not isinstance(value, expected):
+        raise ConfigError(f"{name} {value!r} is not a {kind}")
+    return value
+
+
 def _d_mins(cfg: RunConfig) -> list[int]:
-    return sorted(_integer(d, "d_min entry") for d in cfg.d_min)
+    return sorted(cfg.d_min)
 
 
 def _select_nodes(cfg: RunConfig, g, checkpoint_payload: dict | None) -> list[int]:
@@ -262,9 +292,10 @@ def cmd_certify(cfg: RunConfig) -> int:
                  estimator.estimate(vote_table, g, v, scfg, cfg.n0, cfg.n1, cfg.alpha))
         rf = receptive_field(g, v, cfg.k, max_paths=cfg.max_paths)
         surfaces = {dm: rf.attack_surface(dm) for dm in d_mins}
+        # built by certify at the node's confidence bounds, unless it abstains
         curves = {
-            dm: bounds.worst_case_curve(
-                rf, dm, scfg, method=cfg.bound_method,
+            dm: functools.partial(
+                bounds.worst_case_curve, rf, dm, scfg, method=cfg.bound_method,
                 rho_max=cfg.rho_max_scan or surfaces[dm],
                 subset_cap=cfg.subset_cap, max_terms=cfg.max_ie_terms,
             )

@@ -11,9 +11,10 @@ the upper bound plus it.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 from scipy import special
@@ -188,18 +189,29 @@ def confidence_bounds(tally: VoteTally) -> tuple[float, float]:
     return p_lower, p_upper
 
 
+def certifies(p_lower: float, p_upper: float, delta: float,
+              binary: bool = False) -> bool:
+    """The certificate rule: does a worst-case arrival probability ``delta`` certify?
+
+    True iff p_lower - delta > p_upper + delta, or in binary mode iff
+    p_lower - delta > 1/2.  Monotone in ``delta``, also in floating point:
+    a delta that certifies certifies every smaller one.
+    """
+    return (p_lower - delta > 0.5) if binary else (p_lower - delta > p_upper + delta)
+
+
 def radius(p_lower: float, p_upper: float, deltas: Iterable[float],
            binary: bool = False) -> int:
     """Largest certified budget, given ``deltas`` = delta(1), delta(2), ...
 
-    Budget rho is certified iff p_lower - delta(rho) > p_upper + delta(rho),
-    or in binary mode iff p_lower - delta(rho) > 1/2.  The scan reads no
-    delta past the first failure: delta is non-decreasing in rho.
+    Budget rho is certified iff ``certifies`` holds for delta(rho).  The scan
+    reads no delta past the first failure, since delta is non-decreasing in
+    rho, so a curve that ends at its first failing budget gives the radius
+    of the whole curve.
     """
     certified = 0
     for rho, delta in enumerate(deltas, start=1):
-        ok = (p_lower - delta > 0.5) if binary else (p_lower - delta > p_upper + delta)
-        if not ok:
+        if not certifies(p_lower, p_upper, delta, binary):
             break
         certified = rho
     return certified
@@ -207,22 +219,32 @@ def radius(p_lower: float, p_upper: float, deltas: Iterable[float],
 
 def certify(
     tally: VoteTally,
-    curves: Mapping[int, Sequence[DeltaBound]],
+    curves: Mapping[int, Sequence[DeltaBound] | Callable[..., Sequence[DeltaBound]]],
     label: int | None = None,
     binary: bool = False,
 ) -> CertificateResult:
     """Certificate for one node across the requested minimum attacker distances.
 
     ``curves[d_min][rho - 1]`` bounds the arrival probability at budget rho;
-    budgets 1..len(curve) are scanned.  Abstains (radius 0) when the
-    confidence bounds overlap.  Otherwise each radius is ``radius`` of the
-    confidence bounds and the curve's values.
+    budgets 1..len(curve) are scanned.  ``curves[d_min]`` may instead be a
+    function that builds the curve when called with ``certifies=passes``,
+    the node's certificate predicate (``certifies`` at its confidence
+    bounds), so the curve can stop at its first failing budget.  The
+    confidence bounds are computed once.  Abstains (radius 0) when they
+    overlap, and then builds no curve.  Otherwise each radius is ``radius``
+    of the confidence bounds and the curve's values.
     """
     p_lower, p_upper = confidence_bounds(tally)
     abstain = p_lower <= p_upper
-    radii = {d_min: 0 if abstain else
-             radius(p_lower, p_upper, (b.value for b in curves[d_min]), binary)
-             for d_min in sorted(curves)}
+
+    passes = functools.partial(certifies, p_lower, p_upper, binary=binary)
+
+    def scan(curve) -> int:
+        if callable(curve):
+            curve = curve(certifies=passes)
+        return radius(p_lower, p_upper, (b.value for b in curve), binary)
+
+    radii = {d_min: 0 if abstain else scan(curves[d_min]) for d_min in sorted(curves)}
     correct = None if label is None else bool(tally.y_star == label and not abstain)
     return CertificateResult(
         node=tally.node, prediction=tally.y_star, abstain=abstain,

@@ -426,6 +426,34 @@ class ReceptiveField:
         return {w: tuple(tuple(canonical_edge(e, self.directed) for e in q) for q in plist)
                 for w, plist in self.paths.items()}
 
+    @functools.cached_property
+    def tree_children(self) -> dict[int, tuple[int, ...]] | None:
+        """Ascending child lists of the message tree, or None when the field is no tree.
+
+        The field is a tree when the target sends no message edge, every
+        other member sends exactly one, and the message edges number one
+        less than the members.  Built on first use.
+        """
+        if len(self.path_edges) != len(self.members) - 1:
+            return None
+        out_count = dict.fromkeys(self.members, 0)
+        children: dict[int, list[int]] = {w: [] for w in self.members}
+        for a, b in self.path_edges:
+            out_count[a] += 1
+            children[b].append(a)
+        if any(out_count[w] != (0 if w == self.target else 1) for w in self.members):
+            return None
+        return {w: tuple(sorted(c)) for w, c in children.items()}
+
+    @functools.cached_property
+    def memo(self) -> dict:
+        """Values other modules derive from this field, kept for reuse; empty at first.
+
+        ``bounds`` keeps every member's single-source value here, per pair of
+        smoothing probabilities, so that all d_min share one computation.
+        """
+        return {}
+
 
 def receptive_field(g: Graph, v: int, k: int,
                     max_paths: int = DEFAULT_MAX_PATHS) -> ReceptiveField:

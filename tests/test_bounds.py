@@ -1,3 +1,5 @@
+import collections
+import functools
 import itertools
 import math
 import tracemalloc
@@ -23,6 +25,7 @@ from gnncert import (
     worst_case_curve,
 )
 from gnncert.errors import NotATreeError, ResourceLimitError
+from gnncert.estimator import certifies, radius
 
 from conftest import random_graph, random_tree
 
@@ -427,6 +430,97 @@ def test_combined_curves_equal_per_budget_values(rng):
                     assert b == delta_worst_case(rf, rho, d_min, c, method=method)
                     assert b == combine(values, rho, d_min=d_min)
     assert 0.0 in tops and any(0.0 < t < 1e-12 for t in tops)
+
+
+def _first_refused_budget(rf, d_min, c, rho_max, cap, passes):
+    """Smallest budget up to which the predicate-driven curve refuses, else None."""
+    for top in range(1, rho_max + 1):
+        try:
+            worst_case_curve(rf, d_min, c, method="exact-enumeration", rho_max=top,
+                             subset_cap=cap, certifies=passes)
+        except ResourceLimitError:
+            return top
+    return None
+
+
+def test_decided_curve_decides_as_the_full_exact_curve(rng):
+    # D* = (p_lower - p_upper) / 2, or p_lower - 1/2 in binary mode, is put on,
+    # just above and just below every exact, witness and multiplicative value
+    kinds = collections.Counter()
+    for trial in range(100):
+        if trial % 3 == 0:
+            g = random_tree(rng, int(rng.integers(3, 9)))
+            rf = receptive_field(g, 0, int(rng.integers(1, 4)))
+        else:
+            g = random_graph(rng, n=int(rng.integers(4, 7)), p_edge=0.5)
+            rf = receptive_field(g, 0, 2)
+        if sum(len(p) for p in rf.paths.values()) > 10:
+            continue        # keeps inclusion-exclusion cheap
+        shape = "tree" if rf.tree_children is not None else "cycle"
+        c = cfg(p_del=float(rng.uniform(0, 0.9)), p_abl=float(rng.uniform(0, 0.9)))
+        for d_min in (0, 1):
+            rho_max = rf.attack_surface(d_min) + 1
+            if rho_max == 1:
+                continue
+            full = worst_case_curve(rf, d_min, c, method="exact-enumeration",
+                                    rho_max=rho_max)
+            cap = int(rng.choice([1, 4, 10**6]))
+            try:
+                worst_case_curve(rf, d_min, c, method="exact-enumeration",
+                                 rho_max=rho_max, subset_cap=cap)
+                capped_refuses = False
+            except ResourceLimitError:
+                capped_refuses = True
+            mult = worst_case_curve(rf, d_min, c, method="multiplicative",
+                                    rho_max=rho_max)
+            singles = {w: delta_single_source(rf, w, c).value
+                       for w in rf.candidates(d_min)}
+            ranked = sorted(singles, key=lambda w: (-singles[w], w))
+            exact_at = delta_tree_exact if shape == "tree" else delta_exact_ie
+            witnesses = [exact_at(rf, ranked[:rho], c).value
+                         for rho in range(1, rho_max + 1)]
+            points = {b.value for b in full + mult} | set(witnesses)
+            stars = {x + e for x in points for e in (0.0, -1e-13, 1e-13, 1e-12, -3e-12)}
+            for d_star in sorted(stars):
+                for binary in (False, True):
+                    p_upper = 0.2
+                    p_lower = 0.5 + d_star if binary else p_upper + 2 * d_star
+                    passes = functools.partial(certifies, p_lower, p_upper,
+                                               binary=binary)
+                    want = radius(p_lower, p_upper, (b.value for b in full), binary)
+                    try:
+                        lazy = worst_case_curve(rf, d_min, c, method="exact-enumeration",
+                                                rho_max=rho_max, subset_cap=cap,
+                                                certifies=passes)
+                    except ResourceLimitError:
+                        # refused only where the capped full curve refuses too,
+                        # at a budget the full radius scan reaches
+                        kinds["refused", shape] += 1
+                        assert capped_refuses
+                        refused = _first_refused_budget(rf, d_min, c, rho_max, cap, passes)
+                        assert refused <= want + 1
+                        with pytest.raises(ResourceLimitError):
+                            delta_worst_case(rf, refused, d_min, c,
+                                             method="exact-enumeration", subset_cap=cap)
+                        continue
+                    kinds["capped_full", shape] += capped_refuses
+                    assert radius(p_lower, p_upper, (b.value for b in lazy), binary) == want
+                    assert len(lazy) == min(want + 1, rho_max)
+                    for b, exact in zip(lazy, full):
+                        assert b.rho == exact.rho and b.d_min == d_min
+                        assert passes(b.value) == passes(exact.value)
+                        if b.method == "multiplicative":
+                            kinds["bound", shape] += 1
+                        elif b.worst_set == tuple(sorted(ranked[:b.rho])) and \
+                                not passes(b.value) and b.value == witnesses[b.rho - 1]:
+                            kinds["witness", shape] += 1
+                        else:
+                            kinds["exact", shape] += 1
+    # every way of deciding a budget is exercised; trees are never refused
+    for kind in ("bound", "witness", "exact", "refused", "capped_full"):
+        assert kinds[kind, "cycle"] > 20, kinds
+    for kind in ("bound", "witness", "exact"):
+        assert kinds[kind, "tree"] > 20, kinds
 
 
 def test_greedy_probe_is_lower_bound(rng):

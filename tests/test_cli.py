@@ -4,7 +4,9 @@ import json
 import numpy as np
 import pytest
 
+from gnncert import Graph, SmoothingConfig, receptive_field, worst_case_curve
 from gnncert.cli import main
+from gnncert.estimator import radius
 
 from conftest import two_block_graph
 
@@ -349,6 +351,29 @@ def test_integer_valued_floats_are_node_ids(fixture_dir):
     assert len(list(csv.DictReader(open(fixture_dir / "out" / "paths.csv")))) == 2
 
 
+@pytest.mark.parametrize("key,value", [
+    ("d_min", 1), ("d_min", ["1"]), ("flag_radii", 2), ("flag_radii", [0.5]),
+    ("max_paths", "x"), ("n0", "3"), ("subset_cap", "5"), ("k", 2.5),
+    ("rho_max_scan", "3"), ("rho_max_scan", 1.5), ("p_del", "0.1"),
+    ("alpha", True), ("lr", float("nan")), ("directed", 1), ("skip", "no"),
+    ("bound_method", 3), ("edges", 5), ("votes", []),
+])
+def test_wrong_json_type_is_exit_two_naming_the_key(fixture_dir, capsys, key, value):
+    cfg = write_config(fixture_dir, **{key: value})
+    assert main(["paths", "--config", str(cfg)]) == 2
+    assert key in capsys.readouterr().err
+    assert not (fixture_dir / "out" / "paths.csv").exists()
+
+
+def test_right_json_types_are_accepted(fixture_dir):
+    # ints stand for floats, integer-valued floats for ints, null for an unset
+    # optional integer; the ignored workers key stays accepted
+    cfg = write_config(fixture_dir, nodes=[0, 1], p_del=0, alpha=1, max_paths=5000.0,
+                       rho_max_scan=None, flag_radii=[1, 2.0], workers=1,
+                       directed=False)
+    assert main(["paths", "--config", str(cfg)]) == 0
+
+
 def test_bad_config_is_exit_two(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{\"edges\": \"nope.txt\", \"mystery\": 1}")
@@ -386,24 +411,64 @@ def test_negative_vote_class_is_exit_two(fixture_dir, capsys):
     assert "line 2: negative" in capsys.readouterr().err
 
 
-def test_exact_enumeration_cap_refuses_only_fields_with_a_cycle(tmp_path):
-    # node 0 sees a tree (0-1, 0-2, 1-3); node 4 sees the triangle 4-5-6
+def _cap_fixture(tmp_path, tally_ones_at_4, subset_cap):
+    """Node 0 sees a tree (0-1, 0-2, 1-3), node 4 the triangle 4-5-6 plus 4-7.
+
+    Both nodes vote class 1 throughout, except that node 4 votes class 1 in
+    only ``tally_ones_at_4`` of its 200 tally samples and class 0 in the rest.
+    """
     (tmp_path / "edges.txt").write_text("0 1\n0 2\n1 3\n4 5\n5 6\n6 4\n4 7\n")
     n0, n1 = 20, 200
     lines = ["node_id,sample_index,class"]
-    for v in (0, 4):
-        lines += [f"{v},{i},1" for i in range(n0 + n1)]
+    lines += [f"0,{i},1" for i in range(n0 + n1)]
+    lines += [f"4,{i},{int(i < n0 + tally_ones_at_4)}" for i in range(n0 + n1)]
     (tmp_path / "votes.csv").write_text("\n".join(lines) + "\n")
     cfg = tmp_path / "config.json"
     cfg.write_text(json.dumps({
         "edges": str(tmp_path / "edges.txt"), "votes": str(tmp_path / "votes.csv"),
         "out_dir": str(tmp_path / "out"), "nodes": [0, 4], "n0": n0, "n1": n1,
         "alpha": 0.05, "p_del": 0.5, "p_abl": 0.8, "d_min": [1],
-        "bound_method": "exact-enumeration", "subset_cap": 1,
+        "bound_method": "exact-enumeration", "subset_cap": subset_cap,
     }))
-    assert main(["certify", "--config", str(cfg)]) == 3
+    return cfg
+
+
+def _result_rows(tmp_path):
     with open(tmp_path / "out" / "results.csv", newline="") as fh:
-        rows = {r["node_id"]: r for r in csv.DictReader(fh)}
+        return {r["node_id"]: r for r in csv.DictReader(fh)}
+
+
+def test_exact_enumeration_cap_refuses_only_fields_with_a_cycle(tmp_path):
+    # node 4's D* = 0.2323 falls at budget 2 between the exact value 0.23 of
+    # {5, 6} and the multiplicative bound 0.2344, so only enumerating the
+    # C(3, 2) = 3 pairs decides budget 2, and they exceed the cap
+    cfg = _cap_fixture(tmp_path, tally_ones_at_4=159, subset_cap=1)
+    assert main(["certify", "--config", str(cfg)]) == 3
+    rows = _result_rows(tmp_path)
     assert rows["0"]["error"] == ""
     assert int(rows["0"]["radius_dmin_1"]) >= 1
     assert "ResourceLimitError" in rows["4"]["error"]
+
+
+def test_exact_enumeration_cap_binds_only_where_bound_and_witness_do_not_decide(tmp_path):
+    # with every tally vote on class 1 the multiplicative bound certifies
+    # node 4's whole surface: nothing is enumerated, so the cap never binds
+    cfg = _cap_fixture(tmp_path, tally_ones_at_4=200, subset_cap=1)
+    assert main(["certify", "--config", str(cfg)]) == 0
+    row = _result_rows(tmp_path)["4"]
+    assert row["error"] == ""
+    g = Graph.build(n=8, edges=[(0, 1), (0, 2), (1, 3), (4, 5), (5, 6), (6, 4), (4, 7)])
+    full = worst_case_curve(receptive_field(g, 4, 2), 1,
+                            SmoothingConfig(p_del=0.5, p_abl=0.8),
+                            method="exact-enumeration", subset_cap=100)
+    assert int(row["radius_dmin_1"]) == radius(
+        float(row["p_lower"]), float(row["p_upper"]), (b.value for b in full)) == 3
+
+
+def test_abstaining_node_builds_no_curve_and_is_not_refused(tmp_path):
+    # an even tally split abstains before any curve is built, so the cap that
+    # would refuse node 4's enumeration never comes into play
+    cfg = _cap_fixture(tmp_path, tally_ones_at_4=100, subset_cap=1)
+    assert main(["certify", "--config", str(cfg)]) == 0
+    row = _result_rows(tmp_path)["4"]
+    assert (row["abstain"], row["radius_dmin_1"], row["error"]) == ("1", "0", "")
