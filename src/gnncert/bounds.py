@@ -19,10 +19,12 @@ chooses among these for a (field, d_min, method) and a list of budgets;
 
 A certificate needs the exact worst case only where it decides something.
 Given the certificate predicate, ``worst_case_curve`` decides each budget
-with the cheapest value that settles it: the multiplicative bound where it
-certifies, since the exact value never exceeds it; the exact value of one
-attacker set where that fails, since the exact maximum is at least as
-large; and the exact maximum only in the gap between the two.
+with the cheapest value that settles it, in this order: the
+multiplicative bound where it certifies, since the exact value never
+exceeds it; the exact value of the top single-source set, then of the
+greedy probe's set, where one of them fails, since the exact maximum is at
+least as large; and the exact maximum only in the gap between the bound and
+both witnesses.
 """
 
 from __future__ import annotations
@@ -85,15 +87,17 @@ class DeltaBound:
 
 def _product_one_minus(values) -> float:
     """Stable product of (1 - x) factors; log-space once factors get tiny."""
-    factors = [1.0 - float(x) for x in values]
-    if any(f <= 0.0 for f in factors):
+    return _product([1.0 - float(x) for x in values])
+
+
+def _product(factors: list[float]) -> float:
+    """Product of ``factors`` left to right; 0 if one is <= 0, log-space if one is below 1e-12."""
+    low = min(factors, default=1.0)
+    if low <= 0.0:
         return 0.0
-    if min(factors, default=1.0) < 1e-12:
-        return math.exp(math.fsum(math.log(f) for f in factors))
-    out = 1.0
-    for f in factors:
-        out *= f
-    return out
+    if low < 1e-12:
+        return math.exp(math.fsum(map(math.log, factors)))
+    return math.prod(factors)
 
 
 def _clip01(x: float) -> float:
@@ -178,10 +182,22 @@ def delta_single_source(rf: ReceptiveField, w: int, cfg: SmoothingConfig) -> Del
 
 
 def _single_values(rf: ReceptiveField, cfg: SmoothingConfig) -> dict[int, float]:
-    """``delta_single_source`` value of every member, once per field and (p_del, p_abl)."""
+    """``delta_single_source`` value of every member, once per field and (p_del, p_abl).
+
+    Bit for bit ``delta_single_source(rf, w, cfg).value``, without building
+    a ``DeltaBound`` per member: the interception factor
+    ``1 - (1 - p_del)**L`` of a path depends only on its length ``L``, so
+    it comes from one table per field, and ``_product`` multiplies a
+    member's factors in path order, as ``_product_one_minus`` does.
+    """
     key = ("single-source", cfg.p_del, cfg.p_abl)
     if key not in rf.memo:
-        rf.memo[key] = {w: delta_single_source(rf, w, cfg).value for w in rf.members}
+        keep, reach = 1.0 - cfg.p_del, 1.0 - cfg.p_abl
+        factor = [1.0 - keep ** length for length in range(rf.k + 1)]
+        values = {w: _clip01(reach * (1.0 - _product([factor[len(q)] for q in plist])))
+                  for w, plist in rf.paths.items()}
+        values[rf.target] = _clip01(reach)
+        rf.memo[key] = values
     return rf.memo[key]
 
 
@@ -509,9 +525,11 @@ def _decided_curve(rf: ReceptiveField, d_min: int, cfg: SmoothingConfig, budgets
       ``g + FKG_TOLERANCE``;
     * else ``f`` of the top-r single-source set, tagged with that set,
       decides when it fails: it witnesses that the exact maximum fails too;
-    * else the budget falls in the gap ``f < D* <= g`` and gets the exact
-      maximum from ``_worst_case``, under ``subset_cap`` as without a
-      predicate.
+    * else ``f`` of ``delta_greedy_probe``'s set, a second witness, decides
+      the same way when it fails;
+    * else the budget falls in the gap ``f < D* <= g`` of both witnesses
+      and gets the exact maximum from ``_worst_case``, under ``subset_cap``
+      as without a predicate.
 
     The curve ends at the first failing entry.
     """
@@ -526,13 +544,15 @@ def _decided_curve(rf: ReceptiveField, d_min: int, cfg: SmoothingConfig, budgets
         top = tuple(sorted(ranked[:g.rho]))
         f = (delta_tree_exact(rf, top, cfg) if is_tree(rf)
              else delta_exact_ie(rf, top, cfg, max_terms=max_terms))
-        if certifies(f.value):
-            out.append(_worst_case(rf, d_min, cfg, "exact-enumeration", [g.rho],
-                                   subset_cap, max_terms)[0])
-        else:
-            out.append(DeltaBound(value=f.value, method=f.method, rho=g.rho,
-                                  d_min=d_min, worst_set=top))
-        if not certifies(out[-1].value):
+        entry = DeltaBound(value=f.value, method=f.method, rho=g.rho,
+                           d_min=d_min, worst_set=top)
+        if certifies(entry.value):
+            entry = delta_greedy_probe(rf, g.rho, d_min, cfg, max_terms=max_terms)
+        if certifies(entry.value):
+            entry = _worst_case(rf, d_min, cfg, "exact-enumeration", [g.rho],
+                                subset_cap, max_terms)[0]
+        out.append(entry)
+        if not certifies(entry.value):
             break
     return out
 
@@ -579,7 +599,8 @@ def delta_greedy_probe(
     and spreading the budget over different first-hop branches (independent
     branches maximize the chance some message survives).  The result is the
     exact probability for that single placement, hence a lower bound on the
-    true worst case.  Diagnostic only: never use it as a certificate value.
+    true worst case.  A lower bound can only show that a budget fails (it is
+    ``_decided_curve``'s second witness); never use it to certify one.
     """
     candidates = rf.candidates(d_min)
     if rho <= 0 or not candidates:
@@ -632,8 +653,8 @@ def worst_case_curve(
     equal ``delta_worst_case``: each passes or fails the predicate exactly
     when the exact maximum does (see ``_decided_curve``).  Such a curve
     computes the exact maximum only at budgets that neither the
-    multiplicative bound nor one exact witness decides, and refuses only
-    there, so its radius is that of the full exact curve.  The other
+    multiplicative bound nor the two exact witnesses decide, and refuses
+    only there, so its radius is that of the full exact curve.  The other
     methods ignore the predicate.
     """
     if rho_max is None:

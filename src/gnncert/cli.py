@@ -283,13 +283,24 @@ def cmd_certify(cfg: RunConfig) -> int:
     nodes = _select_nodes(cfg, g, payload)
     d_mins = _d_mins(cfg)
     scfg = smoothing.SmoothingConfig(p_del=cfg.p_del, p_abl=cfg.p_abl, seed=cfg.seed)
+    missing: dict[int, InsufficientSamplesError] = {}
     if vote_table is None:
         tallies = estimator.estimate_all(model, g, nodes, scfg,
                                          cfg.n0, cfg.n1, cfg.alpha)
+    else:
+        tallies = {}
+        for v in nodes:
+            try:
+                tallies[v] = estimator.estimate(vote_table, g, v, scfg,
+                                                cfg.n0, cfg.n1, cfg.alpha)
+            except InsufficientSamplesError as exc:
+                missing[v] = exc        # raised again by work, so v fails alone
+    confidence = dict(zip(tallies, estimator.confidence_bounds_all(list(tallies.values()))))
 
     def work(v: int):
-        tally = (tallies[v] if vote_table is None else
-                 estimator.estimate(vote_table, g, v, scfg, cfg.n0, cfg.n1, cfg.alpha))
+        if v in missing:
+            raise missing[v]
+        tally = tallies[v]
         rf = receptive_field(g, v, cfg.k, max_paths=cfg.max_paths)
         surfaces = {dm: rf.attack_surface(dm) for dm in d_mins}
         # built by certify at the node's confidence bounds, unless it abstains
@@ -304,7 +315,7 @@ def cmd_certify(cfg: RunConfig) -> int:
         label = None
         if g.labels is not None and g.labels[v] >= 0:
             label = int(g.labels[v])
-        res = estimator.certify(tally, curves, label=label)
+        res = estimator.certify(tally, curves, label=label, confidence=confidence[v])
         cells = [res.prediction, int(res.abstain),
                  repr(res.p_lower), repr(res.p_upper),
                  "" if res.correct is None else int(res.correct)]

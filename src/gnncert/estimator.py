@@ -29,40 +29,55 @@ from .bounds import DeltaBound
 CP_BISECTION_TOL = 1e-10
 
 
-def _beta_quantile(q: float, a: float, b: float) -> float:
-    """Quantile of Beta(a, b) by bisection on the regularized incomplete beta."""
-    lo, hi = 0.0, 1.0
-    while hi - lo > CP_BISECTION_TOL:
+def _beta_quantile(q, a, b) -> np.ndarray:
+    """Quantiles of Beta(a, b), elementwise, by bisection on the regularized incomplete beta.
+
+    Every element starts at [0, 1] and every step halves every width
+    exactly (the ends are dyadic), so all elements stop together, after the
+    34 steps one element alone takes to ``CP_BISECTION_TOL``, and each value
+    is the one a bisection of that element alone gives.
+    """
+    lo = np.zeros(np.shape(q))
+    hi = np.ones(np.shape(q))
+    while np.any(hi - lo > CP_BISECTION_TOL):
         mid = 0.5 * (lo + hi)
-        if special.betainc(a, b, mid) < q:
-            lo = mid
-        else:
-            hi = mid
+        below = special.betainc(a, b, mid) < q
+        lo = np.where(below, mid, lo)
+        hi = np.where(below, hi, mid)
+    width = hi - lo
+    assert np.all(width == width.max(initial=0.0)), "elements took different step counts"
     return 0.5 * (lo + hi)
 
 
-def clopper_pearson(successes: int, n: int, alpha_side: float, side: str) -> float:
-    """Exact one-sided Bernoulli confidence bound.
+def clopper_pearson(successes, n, alpha_side, side):
+    """Exact one-sided Bernoulli confidence bound, elementwise over broadcast arrays.
 
     ``side='lower'``: the alpha_side quantile of Beta(successes,
     n - successes + 1), with the 0-successes boundary pinned at 0.
     ``side='upper'``: the (1 - alpha_side) quantile of
     Beta(successes + 1, n - successes), with the all-successes boundary
-    pinned at 1.
+    pinned at 1.  Scalar arguments give a float; any array gives an array
+    of the same floats, from one bisection for all elements.
     """
-    if not 0 <= successes <= n or n <= 0:
-        raise ValueError(f"invalid counts: {successes} successes of {n}")
-    if not 0.0 < alpha_side < 1.0:
-        raise ValueError(f"alpha_side must be in (0, 1), got {alpha_side}")
-    if side == "lower":
-        if successes == 0:
-            return 0.0
-        return _beta_quantile(alpha_side, successes, n - successes + 1)
-    if side == "upper":
-        if successes == n:
-            return 1.0
-        return _beta_quantile(1.0 - alpha_side, successes + 1, n - successes)
-    raise ValueError(f"side must be 'lower' or 'upper', got {side!r}")
+    s, n_, alpha, side_ = np.broadcast_arrays(successes, n, alpha_side, side)
+    lower = side_ == "lower"
+    for bad, message in (
+            (~((0 <= s) & (s <= n_) & (n_ > 0)),
+             lambda i: f"invalid counts: {s.flat[i]} successes of {n_.flat[i]}"),
+            (~((0.0 < alpha) & (alpha < 1.0)),
+             lambda i: f"alpha_side must be in (0, 1), got {alpha.flat[i]}"),
+            (~(lower | (side_ == "upper")),
+             lambda i: f"side must be 'lower' or 'upper', got {side_.flat[i].item()!r}")):
+        if bad.any():
+            raise ValueError(message(np.flatnonzero(bad)[0]))
+    out = np.where(lower, 0.0, 1.0)       # the pinned boundaries
+    free = np.where(lower, s != 0, s != n_)
+    out[free] = _beta_quantile(
+        np.where(lower, alpha, 1.0 - alpha)[free],
+        np.where(lower, s, s + 1)[free],
+        np.where(lower, n_ - s + 1, n_ - s)[free],
+    )
+    return float(out) if out.ndim == 0 else out
 
 
 @dataclass(frozen=True)
@@ -182,11 +197,20 @@ def estimate(classifier, g, v: int, cfg: SmoothingConfig,
 
 def confidence_bounds(tally: VoteTally) -> tuple[float, float]:
     """Simultaneous (Bonferroni alpha/2) lower/upper bounds on the two classes."""
-    p_lower = clopper_pearson(int(tally.counts[tally.y_star]), tally.n1,
-                              tally.alpha / 2.0, "lower")
-    p_upper = clopper_pearson(int(tally.counts[tally.y_tilde]), tally.n1,
-                              tally.alpha / 2.0, "upper")
-    return p_lower, p_upper
+    return confidence_bounds_all([tally])[0]
+
+
+def confidence_bounds_all(tallies: Sequence[VoteTally]) -> list[tuple[float, float]]:
+    """``confidence_bounds`` of every tally, from one ``clopper_pearson`` call."""
+    if not tallies:
+        return []
+    t = len(tallies)
+    successes = [int(x.counts[x.y_star]) for x in tallies] + \
+                [int(x.counts[x.y_tilde]) for x in tallies]
+    n1 = [x.n1 for x in tallies] * 2
+    alpha_side = [x.alpha / 2.0 for x in tallies] * 2
+    p = clopper_pearson(successes, n1, alpha_side, ["lower"] * t + ["upper"] * t)
+    return list(zip(p[:t].tolist(), p[t:].tolist()))
 
 
 def certifies(p_lower: float, p_upper: float, delta: float,
@@ -222,6 +246,7 @@ def certify(
     curves: Mapping[int, Sequence[DeltaBound] | Callable[..., Sequence[DeltaBound]]],
     label: int | None = None,
     binary: bool = False,
+    confidence: tuple[float, float] | None = None,
 ) -> CertificateResult:
     """Certificate for one node across the requested minimum attacker distances.
 
@@ -230,11 +255,13 @@ def certify(
     function that builds the curve when called with ``certifies=passes``,
     the node's certificate predicate (``certifies`` at its confidence
     bounds), so the curve can stop at its first failing budget.  The
-    confidence bounds are computed once.  Abstains (radius 0) when they
-    overlap, and then builds no curve.  Otherwise each radius is ``radius``
-    of the confidence bounds and the curve's values.
+    confidence bounds are ``confidence``, when a caller has computed them
+    for many tallies at once with ``confidence_bounds_all``, or else
+    ``confidence_bounds(tally)``.  Abstains (radius 0) when they overlap,
+    and then builds no curve.  Otherwise each radius is ``radius`` of the
+    confidence bounds and the curve's values.
     """
-    p_lower, p_upper = confidence_bounds(tally)
+    p_lower, p_upper = confidence or confidence_bounds(tally)
     abstain = p_lower <= p_upper
 
     passes = functools.partial(certifies, p_lower, p_upper, binary=binary)

@@ -574,7 +574,7 @@ def save_checkpoint(model: GnnModel, path, train_config: TrainConfig | None = No
     if extra:
         payload.update(extra)
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, sort_keys=True)
+        fh.write(json.dumps(payload, sort_keys=True))   # dump runs the pure-Python encoder
         fh.write("\n")
 
 

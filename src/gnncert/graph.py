@@ -393,7 +393,9 @@ class ReceptiveField:
     member ``w`` to the target, each path a tuple of directed edges.
     ``path_edges`` is their union; ``edges_within`` holds every graph edge
     between members (needed when retained-subgraph connectivity matters, not
-    just message paths).
+    just message paths).  It is built from ``_graph`` on first read, so a
+    field whose certificate needs only its paths never scans the edge list;
+    ``_graph`` takes no part in ``==`` or ``repr``.
     """
 
     target: int
@@ -403,7 +405,7 @@ class ReceptiveField:
     distance: dict[int, int]
     paths: dict[int, tuple[Path, ...]]
     path_edges: frozenset[Edge]
-    edges_within: tuple[Edge, ...]
+    _graph: Graph = field(repr=False, compare=False)
 
     @property
     def size(self) -> int:
@@ -415,6 +417,15 @@ class ReceptiveField:
 
     def attack_surface(self, d_min: int) -> int:
         return len(self.candidates(d_min))
+
+    @functools.cached_property
+    def edges_within(self) -> tuple[Edge, ...]:
+        """Every edge of the graph between two members, in the graph's edge order."""
+        edges = self._graph.edges
+        inside = np.zeros(self._graph.n, dtype=bool)
+        inside[list(self.members)] = True
+        within = edges[inside[edges[:, 0]] & inside[edges[:, 1]]]
+        return tuple(map(tuple, within.tolist()))
 
     @functools.cached_property
     def logical_paths(self) -> dict[int, tuple[tuple[Edge, ...], ...]]:
@@ -501,10 +512,6 @@ def receptive_field(g: Graph, v: int, k: int,
         distance[w] = min(len(p) for p in plist)
     members = frozenset(distance)
     path_edges = frozenset(e for plist in paths.values() for p in plist for e in p)
-    inside = np.zeros(g.n, dtype=bool)
-    inside[list(members)] = True
-    within = g.edges[inside[g.edges[:, 0]] & inside[g.edges[:, 1]]]
-    edges_within = tuple(map(tuple, within.tolist()))
     return ReceptiveField(
         target=v,
         k=k,
@@ -513,5 +520,5 @@ def receptive_field(g: Graph, v: int, k: int,
         distance=distance,
         paths={w: tuple(p) for w, p in sorted(paths.items())},
         path_edges=path_edges,
-        edges_within=edges_within,
+        _graph=g,
     )

@@ -24,6 +24,7 @@ from gnncert import (
     receptive_field,
     worst_case_curve,
 )
+from gnncert.bounds import _single_values
 from gnncert.errors import NotATreeError, ResourceLimitError
 from gnncert.estimator import certifies, radius
 
@@ -116,6 +117,36 @@ def test_single_source_tight_for_two_layer_fields(rng):
             ss = delta_single_source(rf, w, c)
             ie = delta_exact_ie(rf, {w}, c)
             assert ss.value == pytest.approx(ie.value, abs=1e-12)
+
+
+def _single_source_by_hand(rf, w, c):
+    """The single-source value, each branch of the stable product written out."""
+    if w == rf.target:
+        return min(1.0, max(0.0, 1.0 - c.p_abl))
+    factors = [1.0 - (1.0 - c.p_del) ** len(q) for q in rf.paths[w]]
+    if min(factors) <= 0.0:
+        none_arrives = 0.0
+    elif min(factors) < 1e-12:
+        none_arrives = math.exp(math.fsum(math.log(f) for f in factors))
+    else:
+        none_arrives = math.prod(factors)
+    return min(1.0, max(0.0, (1.0 - c.p_abl) * (1.0 - none_arrives)))
+
+
+def test_single_values_equal_single_source_bit_for_bit(rng):
+    # p_del 1e-13 puts every path factor 1 - (1 - p_del)**L below 1e-12, so
+    # the log-space branch of the product runs; 0 and 1 give factors 0 and 1
+    for trial in range(40):
+        g = random_graph(rng, n=int(rng.integers(3, 9)), p_edge=0.4,
+                         directed=bool(trial % 2))
+        rf = receptive_field(g, int(rng.integers(g.n)), int(rng.integers(1, 4)))
+        for p_del in (0.0, 1e-13, 0.3, 1.0):
+            c = cfg(p_del=p_del, p_abl=float(rng.uniform(0, 1)))
+            values = _single_values(rf, c)
+            assert set(values) == rf.members
+            for w in rf.members:
+                want = _single_source_by_hand(rf, w, c)
+                assert values[w] == delta_single_source(rf, w, c).value == want, (w, p_del)
 
 
 # ---------------------------------------------------------------------------
@@ -479,7 +510,9 @@ def test_decided_curve_decides_as_the_full_exact_curve(rng):
             exact_at = delta_tree_exact if shape == "tree" else delta_exact_ie
             witnesses = [exact_at(rf, ranked[:rho], c).value
                          for rho in range(1, rho_max + 1)]
-            points = {b.value for b in full + mult} | set(witnesses)
+            greedy = [delta_greedy_probe(rf, rho, d_min, c)
+                      for rho in range(1, rho_max + 1)]
+            points = {b.value for b in full + mult + greedy} | set(witnesses)
             stars = {x + e for x in points for e in (0.0, -1e-13, 1e-13, 1e-12, -3e-12)}
             for d_star in sorted(stars):
                 for binary in (False, True):
@@ -514,6 +547,9 @@ def test_decided_curve_decides_as_the_full_exact_curve(rng):
                         elif b.worst_set == tuple(sorted(ranked[:b.rho])) and \
                                 not passes(b.value) and b.value == witnesses[b.rho - 1]:
                             kinds["witness", shape] += 1
+                        elif b == greedy[b.rho - 1] and not passes(b.value):
+                            assert passes(witnesses[b.rho - 1])
+                            kinds["greedy", shape] += 1
                         else:
                             kinds["exact", shape] += 1
     # every way of deciding a budget is exercised; trees are never refused
@@ -521,6 +557,7 @@ def test_decided_curve_decides_as_the_full_exact_curve(rng):
         assert kinds[kind, "cycle"] > 20, kinds
     for kind in ("bound", "witness", "exact"):
         assert kinds[kind, "tree"] > 20, kinds
+    assert kinds["greedy", "cycle"] >= 10 and kinds["greedy", "tree"] >= 10, kinds
 
 
 def test_greedy_probe_is_lower_bound(rng):

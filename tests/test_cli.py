@@ -1,5 +1,7 @@
 import csv
+import importlib
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -440,8 +442,9 @@ def _result_rows(tmp_path):
 
 def test_exact_enumeration_cap_refuses_only_fields_with_a_cycle(tmp_path):
     # node 4's D* = 0.2323 falls at budget 2 between the exact value 0.23 of
-    # {5, 6} and the multiplicative bound 0.2344, so only enumerating the
-    # C(3, 2) = 3 pairs decides budget 2, and they exceed the cap
+    # {5, 6} (the top and the greedy set) and the multiplicative bound
+    # 0.2344, so only enumerating the C(3, 2) = 3 pairs decides budget 2,
+    # and they exceed the cap
     cfg = _cap_fixture(tmp_path, tally_ones_at_4=159, subset_cap=1)
     assert main(["certify", "--config", str(cfg)]) == 3
     rows = _result_rows(tmp_path)
@@ -472,3 +475,35 @@ def test_abstaining_node_builds_no_curve_and_is_not_refused(tmp_path):
     assert main(["certify", "--config", str(cfg)]) == 0
     row = _result_rows(tmp_path)["4"]
     assert (row["abstain"], row["radius_dmin_1"], row["error"]) == ("1", "0", "")
+
+
+def test_certify_never_builds_edges_within(fixture_dir, monkeypatch):
+    from gnncert import cli
+    fields = []
+
+    def recording(*args, **kwargs):
+        fields.append(receptive_field(*args, **kwargs))
+        return fields[-1]
+
+    cfg = write_config(fixture_dir, bound_method="exact-enumeration")
+    assert main(["train", "--config", str(cfg)]) == 0
+    monkeypatch.setattr(cli, "receptive_field", recording)
+    assert main(["certify", "--config", str(cfg)]) == 0
+    assert fields and all("edges_within" not in rf.__dict__ for rf in fields)
+
+
+def test_second_witness_decides_a_budget_the_cap_refused(tmp_path, monkeypatch):
+    # certify-votes-exact seed 7, node 97, d_min 2, budget 3: D* = 0.35611 lies
+    # between the top-3 set's 0.35487 and the multiplicative 0.37935, and
+    # C(31, 3) = 4495 subsets exceed the cap of 2000; the greedy set's 0.37145
+    # fails, which decides the budget without enumerating
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
+    workloads = importlib.import_module("workloads")
+    inputs = workloads.WORKLOADS["certify-votes-exact"](7, tmp_path)
+    run = json.loads((tmp_path / inputs.run_config).read_text())
+    (tmp_path / inputs.run_config).write_text(json.dumps({**run, "nodes": [97]}))
+    monkeypatch.chdir(tmp_path)
+    assert main([inputs.command, "--config", inputs.run_config]) == 0
+    row = _result_rows(tmp_path)["97"]
+    assert (row["error"], row["radius_dmin_1"], row["radius_dmin_2"],
+            row["surface_dmin_2"]) == ("", "1", "2", "31")

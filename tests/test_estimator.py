@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy import stats
+from scipy import special, stats
 
 from gnncert import (
     DeltaBound,
@@ -17,7 +17,7 @@ from gnncert import (
     report,
 )
 from gnncert.errors import InsufficientSamplesError
-from gnncert.estimator import radius
+from gnncert.estimator import confidence_bounds, confidence_bounds_all, radius
 
 from conftest import random_graph
 from test_gcn import dense_forward_all, random_model
@@ -56,6 +56,59 @@ def test_clopper_pearson_validation():
         clopper_pearson(1, 4, 0.0, "lower")
     with pytest.raises(ValueError):
         clopper_pearson(1, 4, 0.01, "sideways")
+
+
+def _one_bisection(q, a, b):
+    """One element's Beta(a, b) quantile by the plain scalar bisection."""
+    lo, hi = 0.0, 1.0
+    while hi - lo > 1e-10:
+        mid = 0.5 * (lo + hi)
+        if special.betainc(a, b, mid) < q:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+def test_clopper_pearson_arrays_equal_scalar_calls_bit_for_bit(rng):
+    n = rng.integers(1, 500, size=200)
+    successes = rng.integers(0, n + 1)
+    successes[:20], successes[20:40] = 0, n[20:40]        # both boundaries
+    alpha = rng.uniform(1e-4, 0.3, size=200)
+    for side in ("lower", "upper"):
+        batch = clopper_pearson(successes, n, alpha, side)
+        for s, m, a, got in zip(successes.tolist(), n.tolist(), alpha.tolist(), batch):
+            scalar = clopper_pearson(s, m, a, side)
+            assert type(scalar) is float and got == scalar
+            if side == "lower":
+                assert scalar == (0.0 if s == 0 else _one_bisection(a, s, m - s + 1))
+            else:
+                assert scalar == (1.0 if s == m else _one_bisection(1.0 - a, s + 1, m - s))
+    # both sides in one call
+    sides = np.where(rng.random(200) < 0.5, "lower", "upper")
+    mixed = clopper_pearson(successes, n, alpha, sides)
+    assert mixed.tolist() == [clopper_pearson(*x) for x in zip(
+        successes.tolist(), n.tolist(), alpha.tolist(), sides.tolist())]
+
+
+def test_confidence_bounds_all_equal_one_tally_at_a_time(rng):
+    tallies = [make_tally(int(h), n1=int(m), alpha=float(a))
+               for h, m, a in zip(rng.integers(0, 301, 30), rng.integers(300, 400, 30),
+                                  rng.uniform(0.001, 0.1, 30))]
+    assert confidence_bounds_all(tallies) == [confidence_bounds(t) for t in tallies]
+    assert confidence_bounds_all([]) == []
+    curve = [DeltaBound(value=0.01 * r, method="multiplicative", rho=r) for r in (1, 2, 3)]
+    for t, bounds in zip(tallies, confidence_bounds_all(tallies)):
+        assert certify(t, {1: curve}, confidence=bounds) == certify(t, {1: curve})
+
+
+def test_clopper_pearson_validation_names_the_first_bad_element():
+    with pytest.raises(ValueError, match="invalid counts: 5 successes of 4"):
+        clopper_pearson([1, 5, 6], [4, 4, 4], 0.01, "lower")
+    with pytest.raises(ValueError, match=r"alpha_side must be in \(0, 1\), got 1.0"):
+        clopper_pearson([1, 2], 4, [0.01, 1.0], "upper")
+    with pytest.raises(ValueError, match="got 'up'"):
+        clopper_pearson([1, 2], 4, 0.01, ["lower", "up"])
 
 
 def test_clopper_pearson_coverage_quick(rng):
