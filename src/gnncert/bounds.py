@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -433,9 +432,8 @@ def _tree_worst_curve(rf: ReceptiveField, d_min: int, cfg: SmoothingConfig,
     return curve
 
 
-def _combined_curve(values: list[float], method: str, d_min: int,
-                    budgets) -> list[DeltaBound]:
-    """``delta_multiplicative``/``delta_union`` of descending ``values`` at each budget.
+def _combined_curve(values: list[float], method: str, d_min: int, budgets):
+    """``delta_multiplicative``/``delta_union`` of descending ``values`` at each budget, lazily.
 
     Bit for bit the per-budget values, from one sort.  ``1 - values[0]`` is
     the smallest factor of every prefix, so it alone picks the branch of
@@ -444,17 +442,37 @@ def _combined_curve(values: list[float], method: str, d_min: int,
     budget is computed on its own.  ``union`` sums each prefix with ``fsum``.
     """
     if method == "union":
-        raws = [math.fsum(values[:rho]) for rho in budgets]
-        return [DeltaBound(value=min(1.0, raw), method="union", rho=rho,
-                           d_min=d_min, raw=raw)
-                for rho, raw in zip(budgets, raws)]
-    if values and 0.0 < 1.0 - values[0] < 1e-12:
-        return [delta_multiplicative(values, rho, d_min=d_min) for rho in budgets]
-    products = list(itertools.accumulate(
-        (1.0 - v for v in values[:max(budgets)]), operator.mul, initial=1.0))
-    return [DeltaBound(value=_clip01(1.0 - products[min(rho, len(values))]),
-                       method="multiplicative", rho=rho, d_min=d_min)
-            for rho in budgets]
+        for rho in budgets:
+            raw = math.fsum(values[:rho])
+            yield DeltaBound(value=min(1.0, raw), method="union", rho=rho,
+                             d_min=d_min, raw=raw)
+    elif values and 0.0 < 1.0 - values[0] < 1e-12:
+        for rho in budgets:
+            yield delta_multiplicative(values, rho, d_min=d_min)
+    else:
+        product, done = 1.0, 0
+        for rho in budgets:
+            for v in values[done:rho]:
+                product *= 1.0 - v
+            done = rho
+            yield DeltaBound(value=_clip01(1.0 - product), method="multiplicative",
+                             rho=rho, d_min=d_min)
+
+
+def _up_to_failure(entries, certifies=None) -> list[DeltaBound]:
+    """``entries`` up to and including the first whose value fails ``certifies``.
+
+    Every entry without a predicate.  Entries past the first failure are
+    never computed, since a radius scan stops there.
+    """
+    if certifies is None:
+        return list(entries)
+    out = []
+    for entry in entries:
+        out.append(entry)
+        if not certifies(entry.value):
+            break
+    return out
 
 
 def _worst_case(rf: ReceptiveField, d_min: int, cfg: SmoothingConfig, method: str,
@@ -469,10 +487,10 @@ def _worst_case(rf: ReceptiveField, d_min: int, cfg: SmoothingConfig, method: st
     subset of each budget's size, refused at the first budget whose subsets
     exceed ``subset_cap``.
 
-    Given a certificate predicate ``certifies(delta)``, ``exact-enumeration``
-    runs ``_decided_curve`` instead: its entries decide the predicate
-    exactly as the exact maximum would, mostly without computing it, and it
-    ends at its first failing budget.  The other methods ignore it.
+    Given a certificate predicate ``certifies(delta)``, the curve ends at
+    its first failing budget, and ``exact-enumeration`` runs
+    ``_decided_curve`` instead: its entries decide the predicate exactly as
+    the exact maximum would, mostly without computing it.
     """
     if method not in {"multiplicative", "union", "exact-enumeration"}:
         raise ValueError(f"unknown worst-case method {method!r}")
@@ -482,12 +500,14 @@ def _worst_case(rf: ReceptiveField, d_min: int, cfg: SmoothingConfig, method: st
     if method != "exact-enumeration":
         singles = _single_values(rf, cfg)
         values = sorted((singles[w] for w in candidates), reverse=True)
-        return _combined_curve(values, method, d_min, budgets)
+        return _up_to_failure(_combined_curve(values, method, d_min, budgets), certifies)
     if not candidates:
-        return [DeltaBound(value=0.0, method="inclusion-exclusion-exact", rho=rho,
-                           d_min=d_min) for rho in budgets]
+        return _up_to_failure((DeltaBound(value=0.0, method="inclusion-exclusion-exact",
+                                          rho=rho, d_min=d_min) for rho in budgets),
+                              certifies)
     if certifies is not None:
-        return _decided_curve(rf, d_min, cfg, budgets, certifies, subset_cap, max_terms)
+        return _up_to_failure(_decided_curve(rf, d_min, cfg, budgets, certifies,
+                                             subset_cap, max_terms), certifies)
     if is_tree(rf):
         curve = _tree_worst_curve(rf, d_min, cfg, max(budgets))
         return [curve[rho - 1] for rho in budgets]
@@ -512,8 +532,8 @@ def _worst_case(rf: ReceptiveField, d_min: int, cfg: SmoothingConfig, method: st
 
 
 def _decided_curve(rf: ReceptiveField, d_min: int, cfg: SmoothingConfig, budgets,
-                   certifies, subset_cap: int, max_terms: int) -> list[DeltaBound]:
-    """``exact-enumeration`` entries that decide ``certifies`` up to its first failure.
+                   certifies, subset_cap: int, max_terms: int):
+    """``exact-enumeration`` entries that decide ``certifies``, lazily.
 
     The exact worst case never exceeds the multiplicative bound ``g`` by more
     than ``FKG_TOLERANCE`` (arrival events are increasing in the coins), and
@@ -531,15 +551,15 @@ def _decided_curve(rf: ReceptiveField, d_min: int, cfg: SmoothingConfig, budgets
       and gets the exact maximum from ``_worst_case``, under ``subset_cap``
       as without a predicate.
 
-    The curve ends at the first failing entry.
+    Each entry is computed only when read, so ``_up_to_failure`` stops the
+    work at the first failing one.
     """
     singles = _single_values(rf, cfg)
     ranked = sorted(rf.candidates(d_min), key=lambda w: (-singles[w], w))
-    out = []
     for g in _combined_curve([singles[w] for w in ranked], "multiplicative", d_min,
                              budgets):
         if certifies(g.value + FKG_TOLERANCE):
-            out.append(g)
+            yield g
             continue
         top = tuple(sorted(ranked[:g.rho]))
         f = (delta_tree_exact(rf, top, cfg) if is_tree(rf)
@@ -551,10 +571,7 @@ def _decided_curve(rf: ReceptiveField, d_min: int, cfg: SmoothingConfig, budgets
         if certifies(entry.value):
             entry = _worst_case(rf, d_min, cfg, "exact-enumeration", [g.rho],
                                 subset_cap, max_terms)[0]
-        out.append(entry)
-        if not certifies(entry.value):
-            break
-    return out
+        yield entry
 
 
 def delta_worst_case(
@@ -648,14 +665,15 @@ def worst_case_curve(
     curve of a tree-shaped field from one knapsack pass for all budgets.
 
     With a certificate predicate ``certifies(delta)`` (monotone: what
-    certifies, certifies every smaller delta) an ``exact-enumeration``
-    curve ends at its first budget that fails it, and its entries need not
-    equal ``delta_worst_case``: each passes or fails the predicate exactly
-    when the exact maximum does (see ``_decided_curve``).  Such a curve
-    computes the exact maximum only at budgets that neither the
-    multiplicative bound nor the two exact witnesses decide, and refuses
-    only there, so its radius is that of the full exact curve.  The other
-    methods ignore the predicate.
+    certifies, certifies every smaller delta) the curve ends at its first
+    budget that fails it: a prefix of the full curve for ``multiplicative``
+    and ``union``, with the full curve's radius.  The entries of such an
+    ``exact-enumeration`` curve need not equal ``delta_worst_case``: each
+    passes or fails the predicate exactly when the exact maximum does (see
+    ``_decided_curve``).  It computes the exact maximum only at budgets
+    that neither the multiplicative bound nor the two exact witnesses
+    decide, and refuses only there, so its radius is that of the full exact
+    curve.
     """
     if rho_max is None:
         rho_max = rf.attack_surface(d_min)

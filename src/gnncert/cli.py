@@ -283,18 +283,9 @@ def cmd_certify(cfg: RunConfig) -> int:
     nodes = _select_nodes(cfg, g, payload)
     d_mins = _d_mins(cfg)
     scfg = smoothing.SmoothingConfig(p_del=cfg.p_del, p_abl=cfg.p_abl, seed=cfg.seed)
-    missing: dict[int, InsufficientSamplesError] = {}
-    if vote_table is None:
-        tallies = estimator.estimate_all(model, g, nodes, scfg,
-                                         cfg.n0, cfg.n1, cfg.alpha)
-    else:
-        tallies = {}
-        for v in nodes:
-            try:
-                tallies[v] = estimator.estimate(vote_table, g, v, scfg,
-                                                cfg.n0, cfg.n1, cfg.alpha)
-            except InsufficientSamplesError as exc:
-                missing[v] = exc        # raised again by work, so v fails alone
+    missing: dict[int, InsufficientSamplesError] = {}   # work raises these, so each fails alone
+    tallies = estimator.estimate_all(model if vote_table is None else vote_table, g, nodes,
+                                     scfg, cfg.n0, cfg.n1, cfg.alpha, missing=missing)
     confidence = dict(zip(tallies, estimator.confidence_bounds_all(list(tallies.values()))))
 
     def work(v: int):

@@ -142,12 +142,18 @@ def estimate_all(
     n0: int,
     n1: int,
     alpha: float,
+    missing: dict[int, InsufficientSamplesError] | None = None,
 ) -> dict[int, VoteTally]:
     """Vote tallies for many nodes, sharing one sample stream.
 
     Selection uses sample indices 0..n0-1 and the tally uses n0..n0+n1-1, so
     the class choice is independent of the counts the confidence bounds see.
     Votes are counted per chunk of samples; they are never all held at once.
+
+    A vote table that lacks one of a node's samples raises
+    ``InsufficientSamplesError``.  Given a dict ``missing``, each such node
+    is put there with its error instead and left out of the result, and
+    every other node is still tallied in the same pass.
     """
     if n0 < 1 or n1 < 1:
         raise ValueError("n0 and n1 must be >= 1")
@@ -156,16 +162,20 @@ def estimate_all(
     if isinstance(classifier, VoteTable):
         classes = max(classifier.classes, 2)
         preds = np.empty((n0 + n1, len(nodes)), dtype=np.int64)
-        for j, v in enumerate(nodes):
-            per_node = classifier.votes.get(int(v), {})
+        tallied = np.ones(len(nodes), dtype=bool)
+        for j, v in enumerate(nodes.tolist()):
+            per_node = classifier.votes.get(v, {})
             try:
                 preds[:, j] = [per_node[i] for i in range(n0 + n1)]
-            except KeyError as missing:
-                raise InsufficientSamplesError(
-                    f"vote table lacks sample {missing.args[0]} for node {v} "
+            except KeyError as lacking:
+                error = InsufficientSamplesError(
+                    f"vote table lacks sample {lacking.args[0]} for node {v} "
                     f"(need {n0 + n1} samples)"
-                ) from None
-        chunks = [(0, preds)]
+                )
+                if missing is None:
+                    raise error from None
+                missing[v], tallied[j] = error, False
+        nodes, chunks = nodes[tallied], [(0, preds[:, tallied])]
     else:
         classes = classifier.classes
         chunks = _vote_chunks(classifier, g, cfg, n0 + n1, nodes)

@@ -203,9 +203,11 @@ def canonical_edge(e: Edge, directed: bool) -> Edge:
 # ---------------------------------------------------------------------------
 # loading
 #
-# Each file is parsed in one numpy pass.  When numpy rejects a file, or the
-# parsed values break a rule, the file is read again line by line only to
-# raise an error naming the first bad line; that re-read never accepts.
+# Each file is parsed in one numpy pass: a table of one-digit fields (binary
+# bag-of-words features, small-class labels) from its bytes, any other text
+# with ``np.loadtxt``; both give the same values.  When numpy rejects a file,
+# or the parsed values break a rule, the file is read again line by line only
+# to raise an error naming the first bad line; that re-read never accepts.
 
 _BLANK_LINE = re.compile(r"^[^\S\n]+$", re.MULTILINE)
 _INLINE_COMMENT = re.compile(r"^[^\S\n]*[^\s#][^\n]*#", re.MULTILINE)
@@ -268,13 +270,21 @@ def read_text(path) -> str:
 
 def read_table(text: str, dtype, delimiter: str | None = None,
                comments: str | None = None) -> np.ndarray | None:
-    """``text`` as a 2-D array in one ``np.loadtxt`` pass, or None where numpy rejects it.
+    """``text`` as a 2-D array in one numpy pass, or None where numpy rejects it.
 
-    Empty and whitespace-only lines are skipped, and CSV fields
-    (``delimiter=","``) may be quoted with ``"``.  ``loadtxt`` skips a
-    whitespace-only CSV line only once it is emptied, which takes a regex
-    pass over the text, so that pass runs only after a first attempt failed.
+    A table of one-digit fields (ASCII, every line the same width, each
+    ending in ``\\n``; one column only with the whitespace delimiter) is
+    read straight from its bytes: ``"0"``..``"9"`` parse to exactly 0..9,
+    so that gives what ``np.loadtxt`` gives, bit for bit.  Any other text
+    goes through ``np.loadtxt``.  Empty and whitespace-only lines are
+    skipped, and CSV fields (``delimiter=","``) may be quoted with ``"``.
+    ``loadtxt`` skips a whitespace-only CSV line only once it is emptied,
+    which takes a regex pass over the text, so that pass runs only after a
+    first attempt failed.
     """
+    digits = _digit_table(text, delimiter)
+    if digits is not None:
+        return digits.astype(dtype)
     for attempt in range(2):
         try:
             with warnings.catch_warnings():
@@ -287,6 +297,20 @@ def read_table(text: str, dtype, delimiter: str | None = None,
                 return None
             text = _BLANK_LINE.sub("", text)
     return None
+
+
+def _digit_table(text: str, delimiter: str | None) -> np.ndarray | None:
+    """(rows, columns) uint8 values of a table of one-digit fields, or None for any other text."""
+    width = text.find("\n") + 1          # bytes per line: each field a digit and a separator
+    if (width < 2 or width % 2 or len(text) % width or not text.isascii()
+            or (delimiter is None and width != 2)):
+        return None
+    lines = np.frombuffer(text.encode("ascii"), np.uint8).reshape(-1, width)
+    digits = lines[:, ::2] - 48          # wraps above 9 for every byte but "0".."9"
+    if ((digits > 9).any() or (lines[:, -1] != 10).any()
+            or (width > 2 and (lines[:, 1:-1:2] != ord(delimiter)).any())):
+        return None
+    return digits
 
 
 def numpy_readable(field: str) -> bool:
@@ -411,9 +435,20 @@ class ReceptiveField:
     def size(self) -> int:
         return len(self.members)
 
-    def candidates(self, d_min: int) -> list[int]:
-        """Nodes an adversary at hop distance >= d_min may control, ascending."""
-        return sorted(w for w in self.members if self.distance[w] >= d_min)
+    def candidates(self, d_min: int) -> tuple[int, ...]:
+        """Nodes an adversary at hop distance >= d_min may control, ascending.
+
+        Sorted once per ``d_min`` and kept on the field; a tuple, so no
+        caller can change the kept sequence.
+        """
+        kept = self._candidates
+        if d_min not in kept:
+            kept[d_min] = tuple(sorted(w for w in self.members if self.distance[w] >= d_min))
+        return kept[d_min]
+
+    @functools.cached_property
+    def _candidates(self) -> dict[int, tuple[int, ...]]:
+        return {}
 
     def attack_surface(self, d_min: int) -> int:
         return len(self.candidates(d_min))

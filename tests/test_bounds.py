@@ -463,6 +463,37 @@ def test_combined_curves_equal_per_budget_values(rng):
     assert 0.0 in tops and any(0.0 < t < 1e-12 for t in tops)
 
 
+def test_combined_curves_stop_at_the_first_failing_budget(rng):
+    # given the certificate predicate, a multiplicative or union curve is the
+    # full curve up to and including its first failing entry; D* is put on,
+    # just above and just below every value of the full curve
+    stopped = 0
+    for trial in range(60):
+        g = random_graph(rng, n=int(rng.integers(3, 12)), p_edge=0.4)
+        rf = receptive_field(g, int(rng.integers(g.n)), int(rng.integers(1, 4)))
+        c = cfg(p_del=float(rng.uniform(0, 1)), p_abl=float(rng.uniform(0, 1)))
+        for d_min in (0, 1):
+            rho_max = rf.attack_surface(d_min) + 2
+            for method in ("multiplicative", "union"):
+                full = worst_case_curve(rf, d_min, c, method=method, rho_max=rho_max)
+                values = [b.value for b in full]
+                for d_star in {x + e for x in values for e in (0.0, -1e-13, 1e-13)}:
+                    for binary in (False, True):
+                        p_upper = 0.2
+                        p_lower = 0.5 + d_star if binary else p_upper + 2 * d_star
+                        passes = functools.partial(certifies, p_lower, p_upper,
+                                                   binary=binary)
+                        curve = worst_case_curve(rf, d_min, c, method=method,
+                                                 rho_max=rho_max, certifies=passes)
+                        failing = [i for i, x in enumerate(values) if not passes(x)]
+                        end = failing[0] + 1 if failing else len(full)
+                        assert curve == full[:end]
+                        assert (radius(p_lower, p_upper, (b.value for b in curve), binary)
+                                == radius(p_lower, p_upper, values, binary))
+                        stopped += end < len(full)
+    assert stopped > 0
+
+
 def _first_refused_budget(rf, d_min, c, rho_max, cap, passes):
     """Smallest budget up to which the predicate-driven curve refuses, else None."""
     for top in range(1, rho_max + 1):

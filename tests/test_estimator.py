@@ -142,6 +142,24 @@ def test_estimate_insufficient_votes():
         estimate(table, None, 0, None, n0=8, n1=8, alpha=0.01)
 
 
+def test_vote_table_nodes_lacking_a_sample_are_handed_back():
+    complete = {i: i % 3 for i in range(10)}
+    table = VoteTable(votes={0: complete, 3: {i: 1 for i in range(10) if i != 6},
+                             5: dict(reversed(complete.items()))})
+    missing = {}
+    tallies = estimate_all(table, None, [5, 3, 0, 9], None, n0=4, n1=6, alpha=0.05,
+                           missing=missing)
+    assert list(tallies) == [0, 5] and list(missing) == [3, 9]
+    assert str(missing[3]) == "vote table lacks sample 6 for node 3 (need 10 samples)"
+    assert str(missing[9]) == "vote table lacks sample 0 for node 9 (need 10 samples)"
+    for v in (0, 5):
+        alone = estimate(table, None, v, None, n0=4, n1=6, alpha=0.05)
+        assert np.array_equal(tallies[v].counts, alone.counts)
+        assert (tallies[v].y_star, tallies[v].y_tilde) == (alone.y_star, alone.y_tilde)
+    with pytest.raises(InsufficientSamplesError, match="sample 6 for node 3 "):
+        estimate_all(table, None, [0, 3, 9], None, n0=4, n1=6, alpha=0.05)
+
+
 def test_estimate_selection_and_tally_disjoint():
     # selection round says class 1, certification round says class 0:
     # y_star must come from the first n0 indices only

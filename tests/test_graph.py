@@ -180,3 +180,13 @@ def test_edges_within_matches_per_edge_scan(rng):
             if int(a) in rf.members and int(b) in rf.members
         )
         assert rf.edges_within == expected
+
+
+def test_candidates_are_sorted_once_per_d_min(rng):
+    g = random_graph(rng, n=12, p_edge=0.3)
+    rf = receptive_field(g, 0, 3)
+    for d_min in (0, 1, 2, 3, 4):
+        got = rf.candidates(d_min)
+        assert got == tuple(sorted(w for w in rf.members if rf.distance[w] >= d_min))
+        assert rf.candidates(d_min) is got          # kept, and a tuple no caller can change
+        assert rf.attack_surface(d_min) == len(got)

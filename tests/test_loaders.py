@@ -9,15 +9,20 @@ line.
 """
 
 import csv
+import importlib
+import io
 import re
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from gnncert import Graph, load_graph, load_votes
+from gnncert import Graph, graph, load_graph, load_votes
 from gnncert.errors import GraphParseError, VoteFormatError
-from gnncert.graph import _load_edge_list, _load_feature_csv, _load_label_csv
+from gnncert.graph import _load_edge_list, _load_feature_csv, _load_label_csv, read_table
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def ref_edges(path):
@@ -355,6 +360,123 @@ def test_integral_float_labels_are_accepted(tmp_path):
     path = tmp_path / "labels.csv"
     path.write_text("1.0\n-1\n2e0\n 3 \n")
     assert _load_label_csv(path).tolist() == [1, -1, 2, 3]
+
+
+# ---------------------------------------------------------------------------
+# tables of one-digit fields, read from their bytes
+
+
+def random_digit_text(rng, trial):
+    rows, cols = [(1, int(rng.integers(1, 200))), (int(rng.integers(1, 40)), 1),
+                  (int(rng.integers(1, 40)), int(rng.integers(1, 200)))][trial % 3]
+    x = rng.integers(0, int(rng.choice([2, 10])), (rows, cols))
+    text = "\n".join(",".join(map(str, row)) for row in x.tolist())
+    return x, text + ("\n" if rng.random() < 0.8 else "")
+
+
+def test_digit_tables_match_reference_bitwise(tmp_path, rng):
+    path = tmp_path / "table.csv"
+    served = 0
+    for trial in range(200):
+        x, text = random_digit_text(rng, trial)
+        path.write_text(text)
+        served += graph._digit_table(text, ",") is not None
+        got = _load_feature_csv(path)
+        for ref in (ref_features(path), np.loadtxt(path, delimiter=",", ndmin=2)):
+            assert got.dtype == ref.dtype and got.shape == ref.shape
+            assert np.array_equal(got.view(np.int64), ref.view(np.int64))
+        assert np.array_equal(got, x)
+        ints = read_table(text, np.int64, delimiter=",")
+        ref = np.loadtxt(io.StringIO(text), dtype=np.int64, delimiter=",", ndmin=2)
+        assert ints.dtype == ref.dtype and np.array_equal(ints, ref)
+        if x.shape[1] == 1:
+            labels = _load_label_csv(path)
+            assert labels.dtype == np.int64 and np.array_equal(labels, ref_labels(path))
+            column = read_table(text, np.int64, comments="#")
+            ref = np.loadtxt(io.StringIO(text), dtype=np.int64, comments="#", ndmin=2)
+            assert column.dtype == ref.dtype and np.array_equal(column, ref)
+    assert served > 120         # the texts with a final newline
+
+
+DELIMITER = {"edges": None, "features": ",", "labels": None, "votes": ","}
+
+# (file kind, file text, whether the byte pass reads it)
+NEAR_DIGIT_TABLES = [
+    ("features", "1,0\n\n0,1\n", False),             # blank line
+    ("features", "1,0\n  \n0,1\n", False),           # whitespace line
+    ("features", "1,0 \n0,1\n", False),              # trailing space
+    ("features", "-0,1\n1,0\n", False),              # sign: loadtxt gives -0.0
+    ("features", "+1,0\n1,0\n", False),
+    ("features", "10,1\n1,0\n", False),              # two-digit field
+    ("features", "1,,0\n1,0,1\n", False),            # empty field
+    ("features", '"1",0\n1,0\n', False),             # quoted field
+    ("features", "# 1,0\n1,0\n", False),             # no comments in a CSV
+    ("features", "\ufeff1,0\n0,1\n", False),         # byte order mark
+    ("features", "1,0\n1,0,1\n", False),             # ragged rows
+    ("features", "1,0,1\n1,0\n0,1\n", False),        # ragged, total length a multiple
+    ("features", "1;0\n0;1\n", False),               # another separator
+    ("features", "1,0\n0,1", False),                 # no final newline
+    ("features", "1,0\r\n0,1\r\n", True),            # CR LF reads as LF
+    ("labels", "1\n\n2\n", False),
+    ("labels", "1\n 2\n", False),
+    ("labels", "1 \n2\n", False),
+    ("labels", "-0\n1\n", False),
+    ("labels", "-1\n2\n", False),                    # unlabelled node
+    ("labels", "10\n1\n", False),
+    ("labels", "# 1\n2\n", False),
+    ("labels", "\ufeff1\n2\n", False),
+    ("labels", "1\n2", False),
+    ("labels", "1\n2\n", True),
+    ("edges", "0 1\n1 2\n", False),                  # whitespace: one column only
+    ("edges", "# 0 1\n1\n", False),
+    ("edges", "0\n1\n", True),                       # one column, an error after parsing
+    ("votes", "0,0,1\n0,1,2\n1,0,1\n", True),
+    ("votes", "0,0,1\n1,0,1\n0,0,2\n", True),        # duplicate pair, named after parsing
+    ("votes", "0,0,1\n0,1\n", False),
+    ("votes", "0,0,1\n0,1,-1\n", False),
+]
+
+
+def _outcome(load, path):
+    """A loader's result as comparable data: arrays by their bits, or the error raised."""
+    try:
+        got = load(path)
+    except Exception as exc:
+        return type(exc), str(exc)
+    if isinstance(got, np.ndarray):
+        return got.dtype, got.shape, got.view(np.int64).tolist()
+    return [(v, list(d.items())) for v, d in got.votes.items()]
+
+
+@pytest.mark.parametrize("kind,text,served", NEAR_DIGIT_TABLES)
+def test_near_digit_tables_read_as_without_the_byte_pass(tmp_path, monkeypatch,
+                                                        kind, text, served):
+    # the byte pass is the one difference from ``np.loadtxt`` parsing, so a
+    # loader without it gives what the loaders gave before it existed
+    path = tmp_path / "input.txt"
+    path.write_bytes(text.encode())
+    assert (graph._digit_table(graph.read_text(path), DELIMITER[kind]) is not None) == served
+    load = LOADERS[kind][0]
+    got = _outcome(load, path)
+    monkeypatch.setattr(graph, "_digit_table", lambda text, delimiter: None)
+    assert got == _outcome(load, path)
+
+
+def test_benchmark_feature_file_is_read_from_its_bytes(tmp_path, monkeypatch):
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    workloads = importlib.import_module("workloads")
+    workloads.WORKLOADS["certify-gcn"](0, tmp_path)
+    features = ref_features(tmp_path / "features.csv")
+    labels = ref_labels(tmp_path / "labels.csv")
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("np.loadtxt called")
+
+    monkeypatch.setattr(np, "loadtxt", refuse)
+    got = _load_feature_csv(tmp_path / "features.csv")
+    assert got.shape == (2708, 128)
+    assert np.array_equal(got.view(np.int64), features.view(np.int64))
+    assert np.array_equal(_load_label_csv(tmp_path / "labels.csv"), labels)
 
 
 # ---------------------------------------------------------------------------
