@@ -15,7 +15,10 @@ any other field.  Upper bounds come from treating paths / sources as
 independent: the per-source product bound, the multiplicative combination of
 the top sources, and the (weaker) union bound.  One function, ``_worst_case``,
 chooses among these for a (field, d_min, method) and a list of budgets;
-``delta_worst_case`` and ``worst_case_curve`` both go through it.
+``delta_worst_case`` and ``worst_case_curve`` both go through it.  Each
+number has one implementation: ``_single_values`` every per-source value of
+a field, ``_combined_curve`` every combination, and ``_exact_for_set`` the
+exact value of a fixed set; the public functions for one value read them.
 
 A certificate needs the exact worst case only where it decides something.
 Given the certificate predicate, ``worst_case_curve`` decides each budget
@@ -56,6 +59,8 @@ METHODS = frozenset({
     "monte-carlo",
     "levine-reference",
 })
+# the ``method`` of ``delta_worst_case``, ``worst_case_curve`` and ``_worst_case``
+WORST_CASE_METHODS = ("multiplicative", "union", "exact-enumeration")
 
 
 @dataclass(frozen=True)
@@ -82,21 +87,6 @@ class DeltaBound:
             raise ValueError(f"unknown method {self.method!r}")
         if not 0.0 <= self.value <= 1.0:
             raise ValueError(f"bound value {self.value} outside [0, 1]")
-
-
-def _product_one_minus(values) -> float:
-    """Stable product of (1 - x) factors; log-space once factors get tiny."""
-    return _product([1.0 - float(x) for x in values])
-
-
-def _product(factors: list[float]) -> float:
-    """Product of ``factors`` left to right; 0 if one is <= 0, log-space if one is below 1e-12."""
-    low = min(factors, default=1.0)
-    if low <= 0.0:
-        return 0.0
-    if low < 1e-12:
-        return math.exp(math.fsum(map(math.log, factors)))
-    return math.prod(factors)
 
 
 def _clip01(x: float) -> float:
@@ -168,32 +158,24 @@ def delta_single_source(rf: ReceptiveField, w: int, cfg: SmoothingConfig) -> Del
     source cannot share edges there) and an upper bound in general.  A node
     outside the field has no qualifying path, hence probability 0.
     """
-    if w == rf.target:
-        return DeltaBound(value=_clip01(1.0 - cfg.p_abl), method="single-source",
-                          rho=1, node=w)
-    plist = rf.paths.get(w, ())
-    if not plist:
-        return DeltaBound(value=0.0, method="single-source", rho=1, node=w)
-    keep = 1.0 - cfg.p_del
-    none_arrives = _product_one_minus(keep ** len(q) for q in plist)
-    value = (1.0 - cfg.p_abl) * (1.0 - none_arrives)
-    return DeltaBound(value=_clip01(value), method="single-source", rho=1, node=w)
+    return DeltaBound(value=_single_values(rf, cfg).get(w, 0.0), method="single-source",
+                      rho=1, node=w)
 
 
 def _single_values(rf: ReceptiveField, cfg: SmoothingConfig) -> dict[int, float]:
     """``delta_single_source`` value of every member, once per field and (p_del, p_abl).
 
-    Bit for bit ``delta_single_source(rf, w, cfg).value``, without building
-    a ``DeltaBound`` per member: the interception factor
-    ``1 - (1 - p_del)**L`` of a path depends only on its length ``L``, so
-    it comes from one table per field, and ``_product`` multiplies a
-    member's factors in path order, as ``_product_one_minus`` does.
+    The interception factor ``1 - (1 - p_del)**L`` of a path depends only
+    on its length ``L``, so it comes from one table per field, and a
+    member's factors are multiplied in path order.  Only ``1 - product``
+    is read, and the rounding of a plain product lies far below the last
+    bit of that difference, also when a factor is tiny.
     """
     key = ("single-source", cfg.p_del, cfg.p_abl)
     if key not in rf.memo:
         keep, reach = 1.0 - cfg.p_del, 1.0 - cfg.p_abl
         factor = [1.0 - keep ** length for length in range(rf.k + 1)]
-        values = {w: _clip01(reach * (1.0 - _product([factor[len(q)] for q in plist])))
+        values = {w: _clip01(reach * (1.0 - math.prod(factor[len(q)] for q in plist)))
                   for w, plist in rf.paths.items()}
         values[rf.target] = _clip01(reach)
         rf.memo[key] = values
@@ -214,10 +196,7 @@ def delta_multiplicative(singles, rho: int, d_min: int = 0) -> DeltaBound:
     """
     if rho < 0:
         raise ValueError("rho must be >= 0")
-    top = _sorted_values(singles)[:rho]
-    value = 1.0 - _product_one_minus(top)
-    return DeltaBound(value=_clip01(value), method="multiplicative",
-                      rho=rho, d_min=d_min)
+    return next(_combined_curve(_sorted_values(singles), "multiplicative", d_min, [rho]))
 
 
 def delta_union(singles, rho: int, d_min: int = 0) -> DeltaBound:
@@ -228,10 +207,7 @@ def delta_union(singles, rho: int, d_min: int = 0) -> DeltaBound:
     """
     if rho < 0:
         raise ValueError("rho must be >= 0")
-    top = _sorted_values(singles)[:rho]
-    raw = math.fsum(top)
-    return DeltaBound(value=min(1.0, raw), method="union", rho=rho,
-                      d_min=d_min, raw=raw)
+    return next(_combined_curve(_sorted_values(singles), "union", d_min, [rho]))
 
 
 # ---------------------------------------------------------------------------
@@ -339,6 +315,20 @@ def delta_tree_exact(rf: ReceptiveField, attacked, cfg: SmoothingConfig) -> Delt
                       rho=len(attacked))
 
 
+def _exact_for_set(rf: ReceptiveField, attacked, rho: int, d_min: int,
+                   cfg: SmoothingConfig, max_terms: int) -> DeltaBound:
+    """Exact value of the set ``attacked``, tagged with budget ``rho``, ``d_min`` and the set.
+
+    The one place that picks the exact method for a fixed set:
+    ``delta_tree_exact`` on a tree-shaped field, else ``delta_exact_ie``.
+    """
+    attacked = tuple(sorted(attacked))
+    b = (delta_tree_exact(rf, attacked, cfg) if is_tree(rf)
+         else delta_exact_ie(rf, attacked, cfg, max_terms=max_terms))
+    return DeltaBound(value=b.value, method=b.method, rho=rho, d_min=d_min,
+                      worst_set=attacked)
+
+
 # ---------------------------------------------------------------------------
 # worst case over attacker placements
 
@@ -433,22 +423,17 @@ def _tree_worst_curve(rf: ReceptiveField, d_min: int, cfg: SmoothingConfig,
 
 
 def _combined_curve(values: list[float], method: str, d_min: int, budgets):
-    """``delta_multiplicative``/``delta_union`` of descending ``values`` at each budget, lazily.
+    """Multiplicative or union combination of descending ``values`` at each budget, lazily.
 
-    Bit for bit the per-budget values, from one sort.  ``1 - values[0]`` is
-    the smallest factor of every prefix, so it alone picks the branch of
-    ``_product_one_minus``: in its plain and its zero branch the running
-    product is each prefix's product, and in its log-space branch every
-    budget is computed on its own.  ``union`` sums each prefix with ``fsum``.
+    ``multiplicative`` is ``1 - prod(1 - v)`` over each prefix, from a
+    running product; ``union`` sums each prefix with ``fsum``.  A budget of
+    0 combines nothing, and one past ``len(values)`` combines them all.
     """
     if method == "union":
         for rho in budgets:
             raw = math.fsum(values[:rho])
             yield DeltaBound(value=min(1.0, raw), method="union", rho=rho,
                              d_min=d_min, raw=raw)
-    elif values and 0.0 < 1.0 - values[0] < 1e-12:
-        for rho in budgets:
-            yield delta_multiplicative(values, rho, d_min=d_min)
     else:
         product, done = 1.0, 0
         for rho in budgets:
@@ -492,7 +477,7 @@ def _worst_case(rf: ReceptiveField, d_min: int, cfg: SmoothingConfig, method: st
     ``_decided_curve`` instead: its entries decide the predicate exactly as
     the exact maximum would, mostly without computing it.
     """
-    if method not in {"multiplicative", "union", "exact-enumeration"}:
+    if method not in WORST_CASE_METHODS:
         raise ValueError(f"unknown worst-case method {method!r}")
     if not budgets:
         return []
@@ -521,13 +506,10 @@ def _worst_case(rf: ReceptiveField, d_min: int, cfg: SmoothingConfig, method: st
                 f"{n_subsets} candidate subsets exceed cap {subset_cap}; use the "
                 f"multiplicative or union method"
             )
-        best = best_set = None
-        for subset in itertools.combinations(candidates, r):
-            b = delta_exact_ie(rf, subset, cfg, max_terms=max_terms)
-            if best is None or b.value > best.value:
-                best, best_set = b, subset
-        out.append(DeltaBound(value=best.value, method=best.method, rho=rho,
-                              d_min=d_min, worst_set=best_set))
+        # max keeps the first maximal subset
+        out.append(max((_exact_for_set(rf, subset, rho, d_min, cfg, max_terms)
+                        for subset in itertools.combinations(candidates, r)),
+                       key=lambda b: b.value))
     return out
 
 
@@ -561,11 +543,7 @@ def _decided_curve(rf: ReceptiveField, d_min: int, cfg: SmoothingConfig, budgets
         if certifies(g.value + FKG_TOLERANCE):
             yield g
             continue
-        top = tuple(sorted(ranked[:g.rho]))
-        f = (delta_tree_exact(rf, top, cfg) if is_tree(rf)
-             else delta_exact_ie(rf, top, cfg, max_terms=max_terms))
-        entry = DeltaBound(value=f.value, method=f.method, rho=g.rho,
-                           d_min=d_min, worst_set=top)
+        entry = _exact_for_set(rf, ranked[:g.rho], g.rho, d_min, cfg, max_terms)
         if certifies(entry.value):
             entry = delta_greedy_probe(rf, g.rho, d_min, cfg, max_terms=max_terms)
         if certifies(entry.value):
@@ -639,12 +617,7 @@ def delta_greedy_probe(
         for q in queues:
             if q and len(chosen) < min(rho, len(candidates)):
                 chosen.append(q.pop(0))
-    chosen_set = tuple(sorted(chosen))
-
-    b = (delta_tree_exact(rf, chosen_set, cfg) if is_tree(rf)
-         else delta_exact_ie(rf, chosen_set, cfg, max_terms=max_terms))
-    return DeltaBound(value=b.value, method=b.method, rho=rho, d_min=d_min,
-                      worst_set=chosen_set)
+    return _exact_for_set(rf, chosen, rho, d_min, cfg, max_terms)
 
 
 def worst_case_curve(

@@ -96,6 +96,13 @@ class RunConfig:
             raise ConfigError(f"tau {cfg.tau} must be >= 1")
         if cfg.n0 < 1 or cfg.n1 < 1:
             raise ConfigError(f"sample counts n0 {cfg.n0} and n1 {cfg.n1} must be >= 1")
+        if cfg.bound_method not in bounds.WORST_CASE_METHODS:
+            raise ConfigError(f"bound_method {cfg.bound_method!r} is not one of "
+                              f"{list(bounds.WORST_CASE_METHODS)}")
+        if not cfg.d_min or len(set(cfg.d_min)) < len(cfg.d_min) or min(cfg.d_min) < 0:
+            raise ConfigError(f"d_min {cfg.d_min} must be distinct integers >= 0, at least one")
+        if cfg.rho_max_scan is not None and cfg.rho_max_scan < 1:
+            raise ConfigError(f"rho_max_scan {cfg.rho_max_scan} must be >= 1 or null")
         if not cfg.edges:
             raise ConfigError("config must name an edge file")
         return cfg
@@ -298,7 +305,7 @@ def cmd_certify(cfg: RunConfig) -> int:
         curves = {
             dm: functools.partial(
                 bounds.worst_case_curve, rf, dm, scfg, method=cfg.bound_method,
-                rho_max=cfg.rho_max_scan or surfaces[dm],
+                rho_max=cfg.rho_max_scan,
                 subset_cap=cfg.subset_cap, max_terms=cfg.max_ie_terms,
             )
             for dm in d_mins

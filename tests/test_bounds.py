@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from gnncert import (
+    DeltaBound,
     Graph,
     SmoothingConfig,
     delta_exact_ie,
@@ -119,28 +120,32 @@ def test_single_source_tight_for_two_layer_fields(rng):
             assert ss.value == pytest.approx(ie.value, abs=1e-12)
 
 
+def _stable_product(factors):
+    """Product of ``factors``: 0 if one is <= 0, in log space if one is below 1e-12."""
+    if min(factors, default=1.0) <= 0.0:
+        return 0.0
+    if min(factors, default=1.0) < 1e-12:
+        return math.exp(math.fsum(math.log(f) for f in factors))
+    return math.prod(factors)
+
+
 def _single_source_by_hand(rf, w, c):
     """The single-source value, each branch of the stable product written out."""
     if w == rf.target:
         return min(1.0, max(0.0, 1.0 - c.p_abl))
-    factors = [1.0 - (1.0 - c.p_del) ** len(q) for q in rf.paths[w]]
-    if min(factors) <= 0.0:
-        none_arrives = 0.0
-    elif min(factors) < 1e-12:
-        none_arrives = math.exp(math.fsum(math.log(f) for f in factors))
-    else:
-        none_arrives = math.prod(factors)
+    none_arrives = _stable_product([1.0 - (1.0 - c.p_del) ** len(q) for q in rf.paths[w]])
     return min(1.0, max(0.0, (1.0 - c.p_abl) * (1.0 - none_arrives)))
 
 
 def test_single_values_equal_single_source_bit_for_bit(rng):
-    # p_del 1e-13 puts every path factor 1 - (1 - p_del)**L below 1e-12, so
-    # the log-space branch of the product runs; 0 and 1 give factors 0 and 1
+    # p_del 1e-13 and 1e-16 put every path factor 1 - (1 - p_del)**L below
+    # 1e-12, where a log-space product and the plain one must give the same
+    # bits after 1 - product; 0 and 1 give factors 0 and 1
     for trial in range(40):
         g = random_graph(rng, n=int(rng.integers(3, 9)), p_edge=0.4,
                          directed=bool(trial % 2))
         rf = receptive_field(g, int(rng.integers(g.n)), int(rng.integers(1, 4)))
-        for p_del in (0.0, 1e-13, 0.3, 1.0):
+        for p_del in (0.0, 1e-16, 1e-13, 0.3, 1.0):
             c = cfg(p_del=p_del, p_abl=float(rng.uniform(0, 1)))
             values = _single_values(rf, c)
             assert set(values) == rf.members
@@ -158,6 +163,14 @@ def test_multiplicative_arithmetic():
     assert delta_multiplicative([0.3, 0.2], 5).value == pytest.approx(0.44)
     x = 0.375
     assert delta_multiplicative([x], 1).value == pytest.approx(x)
+    for singles in ([0.3, 0.2], []):
+        assert delta_multiplicative(singles, 0).value == 0.0
+    assert delta_multiplicative([], 3).value == 0.0
+    tagged = [DeltaBound(value=v, method="single-source", rho=1) for v in (0.2, 0.3)]
+    for rho in range(4):
+        assert delta_multiplicative(tagged, rho) == delta_multiplicative([0.2, 0.3], rho)
+    with pytest.raises(ValueError):
+        delta_multiplicative([0.3], -1)
 
 
 def test_union_arithmetic_and_clamp():
@@ -165,6 +178,15 @@ def test_union_arithmetic_and_clamp():
     clamped = delta_union([0.6, 0.6], 2)
     assert clamped.value == 1.0
     assert clamped.raw == pytest.approx(1.2)
+    for singles in ([0.3, 0.2], []):
+        b = delta_union(singles, 0)
+        assert b.value == 0.0 and b.raw == 0.0
+    assert delta_union([], 3).raw == 0.0
+    tagged = [DeltaBound(value=v, method="single-source", rho=1) for v in (0.2, 0.6, 0.6)]
+    for rho in range(5):
+        assert delta_union(tagged, rho) == delta_union([0.2, 0.6, 0.6], rho)
+    with pytest.raises(ValueError):
+        delta_union([0.3], -1)
 
 
 def test_union_dominates_multiplicative(rng):
@@ -437,9 +459,9 @@ def test_worst_case_curve_matches_pointwise(rng):
 
 
 def test_combined_curves_equal_per_budget_values(rng):
-    # the running-product / prefix-sum curves must be bit for bit the per-budget
-    # values, also when the top source's value is 1 (zero product) or within
-    # 1e-12 of 1 (log-space product)
+    # the running-product / prefix-sum curves must be bit for bit a per-budget
+    # reference, also when the top source's value is 1 (zero product) or within
+    # 1e-12 of 1 (where the reference takes its product in log space)
     tops = set()
     for trial in range(90):
         g = random_graph(rng, n=int(rng.integers(3, 12)), p_edge=0.4)
@@ -453,13 +475,17 @@ def test_combined_curves_equal_per_budget_values(rng):
             rho_max = rf.attack_surface(d_min) + 2
             values = sorted((delta_single_source(rf, w, c).value
                              for w in rf.candidates(d_min)), reverse=True)
-            for method, combine in (("multiplicative", delta_multiplicative),
-                                    ("union", delta_union)):
+            for method in ("multiplicative", "union"):
                 curve = worst_case_curve(rf, d_min, c, method=method, rho_max=rho_max)
                 assert len(curve) == rho_max
                 for rho, b in enumerate(curve, start=1):
                     assert b == delta_worst_case(rf, rho, d_min, c, method=method)
-                    assert b == combine(values, rho, d_min=d_min)
+                    if method == "union":
+                        raw = math.fsum(values[:rho])
+                        assert (b.value, b.raw) == (min(1.0, raw), raw)
+                    else:
+                        none = _stable_product([1.0 - v for v in values[:rho]])
+                        assert b.value == min(1.0, max(0.0, 1.0 - none))
     assert 0.0 in tops and any(0.0 < t < 1e-12 for t in tops)
 
 

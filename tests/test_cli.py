@@ -334,6 +334,9 @@ def test_paths_dump(fixture_dir):
     ({"nodes": {"random": 2.5}}, "2.5"),
     ({"nodes": [0], "d_min": [1.5]}, "1.5"),
     ({"nodes": [0], "d_min": [False]}, "False"),
+    ({"nodes": [0], "d_min": []}, "d_min []"),
+    ({"nodes": [0], "d_min": [1, 1]}, "[1, 1]"),
+    ({"nodes": [0], "d_min": [-1]}, "[-1]"),
 ])
 def test_bad_node_id_count_or_d_min_is_exit_two(fixture_dir, capsys, override, bad):
     cfg = write_config(fixture_dir, **override)
@@ -359,6 +362,7 @@ def test_integer_valued_floats_are_node_ids(fixture_dir):
     ("rho_max_scan", "3"), ("rho_max_scan", 1.5), ("p_del", "0.1"),
     ("alpha", True), ("lr", float("nan")), ("directed", 1), ("skip", "no"),
     ("bound_method", 3), ("edges", 5), ("votes", []),
+    ("bound_method", "exact"), ("rho_max_scan", 0), ("rho_max_scan", -2),
 ])
 def test_wrong_json_type_is_exit_two_naming_the_key(fixture_dir, capsys, key, value):
     cfg = write_config(fixture_dir, **{key: value})
