@@ -273,14 +273,6 @@ def delta_exact_ie(
                       rho=len(attacked))
 
 
-def _tree_children(rf: ReceptiveField) -> dict[int, tuple[int, ...]]:
-    """Child lists of the field's message tree, or raise if it is not a tree."""
-    if rf.tree_children is None:
-        raise NotATreeError(
-            f"receptive field of {rf.target} is not a tree")
-    return rf.tree_children
-
-
 def is_tree(rf: ReceptiveField) -> bool:
     return rf.tree_children is not None
 
@@ -301,7 +293,9 @@ def delta_tree_exact(rf: ReceptiveField, attacked, cfg: SmoothingConfig) -> Delt
     attacker sets equal to the maximum of this function's values.
     """
     attacked = set(int(w) for w in attacked)
-    children = _tree_children(rf)
+    children = rf.tree_children
+    if children is None:
+        raise NotATreeError(f"receptive field of {rf.target} is not a tree")
 
     def arrive(i: int) -> float:
         via = 1.0 - math.prod(
@@ -354,71 +348,51 @@ def _tree_worst_curve(rf: ReceptiveField, d_min: int, cfg: SmoothingConfig,
     floating point, so each value is the float maximum of
     ``delta_tree_exact`` over sets of at most ``b`` candidates, not an
     approximation.  Budgets past the attack surface repeat the surface value.
-    ``worst_set`` is one maximizing set, padded with the smallest unused
-    candidates to ``min(rho, surface)`` members.  Cost O(s * R**2) for
-    ``R = min(rho_max, surface)``.
+
+    Each entry is a pair: the value and one set that reaches it.  A merge
+    keeps the first split with the strictly smallest product and joins the
+    two sets it reads; a candidate adds itself where attacking it is
+    strictly better.  ``worst_set`` is the root's set, padded with the
+    smallest unused candidates to ``min(rho, surface)`` members.  Cost
+    O(s * R**2) for ``R = min(rho_max, surface)``, plus O(R) per entry to
+    copy its set.
     """
-    children = _tree_children(rf)
     candidates = rf.candidates(d_min)
     top = min(rho_max, len(candidates))
     keep_e = 1.0 - cfg.p_del
-    best: dict[int, list[float]] = {}
-    attacks: dict[int, list[bool]] = {}        # best[i][b] attacks i itself
-    splits: dict[int, list[list[int]]] = {}    # per child: c_j chosen for each b
-    widths: dict[int, int] = {}                # len(prod) once all children are in
 
-    def solve(i: int) -> None:
-        prod = [1.0]
-        splits[i] = []
-        for j in children[i]:
-            solve(j)
-            factor = [1.0 - keep_e * x for x in best[j]]
-            width = min(len(prod) + len(factor) - 1, top + 1)
-            merged, chosen = [], []
-            for b in range(width):
+    def solve(i: int) -> list[tuple[float, tuple[int, ...]]]:
+        prod = [(1.0, ())]
+        for j in rf.tree_children[i]:
+            factor = [(1.0 - keep_e * x, chosen) for x, chosen in solve(j)]
+            merged = []
+            for b in range(min(len(prod) + len(factor) - 1, top + 1)):
                 low, arg = math.inf, 0
                 for c in range(max(0, b - len(prod) + 1), min(b, len(factor) - 1) + 1):
-                    t = prod[b - c] * factor[c]
+                    t = prod[b - c][0] * factor[c][0]
                     if t < low:
                         low, arg = t, c
-                merged.append(low)
-                chosen.append(arg)
+                merged.append((low, prod[b - arg][1] + factor[arg][1]))
             prod = merged
-            splits[i].append(chosen)
-        widths[i] = len(prod)
-        via = [1.0 - p for p in prod]
+        via = [(1.0 - p, chosen) for p, chosen in prod]
         if rf.distance[i] < d_min:
-            best[i], attacks[i] = via, [False] * len(via)
-            return
-        best[i], attacks[i] = via[:1], [False]
+            return via
+        best = via[:1]
         for b in range(1, min(len(via) + 1, top + 1)):
             stay = via[min(b, len(via) - 1)]
-            hit = 1.0 - cfg.p_abl * (1.0 - via[b - 1])
-            best[i].append(max(stay, hit))
-            attacks[i].append(hit > stay)
+            hit = 1.0 - cfg.p_abl * (1.0 - via[b - 1][0])
+            best.append((hit, via[b - 1][1] + (i,)) if hit > stay[0] else stay)
+        return best
 
-    def collect(i: int, b: int, out: list[int]) -> None:
-        if attacks[i][b]:
-            out.append(i)
-            b -= 1
-        b = min(b, widths[i] - 1)
-        for j, chosen in zip(reversed(children[i]), reversed(splits[i])):
-            c = chosen[b]
-            collect(j, c, out)
-            b -= c
-
-    solve(rf.target)
+    best = solve(rf.target)
     curve = []
     for rho in range(1, rho_max + 1):
-        b = min(rho, top)
-        chosen: list[int] = []
-        collect(rf.target, b, chosen)
+        value, chosen = best[min(rho, top)]
         taken = set(chosen)
         spare = (w for w in candidates if w not in taken)
-        while len(chosen) < b:
-            chosen.append(next(spare))
-        curve.append(DeltaBound(value=_clip01(best[rf.target][b]), method="tree-exact",
-                                rho=rho, d_min=d_min, worst_set=tuple(sorted(chosen))))
+        chosen += tuple(itertools.islice(spare, min(rho, top) - len(chosen)))
+        curve.append(DeltaBound(value=_clip01(value), method="tree-exact", rho=rho,
+                                d_min=d_min, worst_set=tuple(sorted(chosen))))
     return curve
 
 
@@ -611,12 +585,8 @@ def delta_greedy_probe(
     by_branch: dict[int, list[int]] = {}
     for w in sorted(candidates, key=lambda w: (rf.distance[w], w)):
         by_branch.setdefault(branch_of(w), []).append(w)
-    queues = [by_branch[b] for b in sorted(by_branch)]
-    chosen: list[int] = []
-    while len(chosen) < min(rho, len(candidates)):
-        for q in queues:
-            if q and len(chosen) < min(rho, len(candidates)):
-                chosen.append(q.pop(0))
+    rounds = itertools.zip_longest(*(by_branch[b] for b in sorted(by_branch)))
+    chosen = [w for layer in rounds for w in layer if w is not None][:rho]
     return _exact_for_set(rf, chosen, rho, d_min, cfg, max_terms)
 
 

@@ -94,6 +94,8 @@ class RunConfig:
             raise ConfigError(f"k_rel {cfg.k_rel} outside [0, 1]")
         if cfg.tau < 1:
             raise ConfigError(f"tau {cfg.tau} must be >= 1")
+        if cfg.k < 1:
+            raise ConfigError(f"k {cfg.k} must be >= 1")
         if cfg.n0 < 1 or cfg.n1 < 1:
             raise ConfigError(f"sample counts n0 {cfg.n0} and n1 {cfg.n1} must be >= 1")
         if cfg.bound_method not in bounds.WORST_CASE_METHODS:
@@ -101,11 +103,23 @@ class RunConfig:
                               f"{list(bounds.WORST_CASE_METHODS)}")
         if not cfg.d_min or len(set(cfg.d_min)) < len(cfg.d_min) or min(cfg.d_min) < 0:
             raise ConfigError(f"d_min {cfg.d_min} must be distinct integers >= 0, at least one")
+        if len(set(cfg.flag_radii)) < len(cfg.flag_radii) or min(cfg.flag_radii, default=0) < 0:
+            raise ConfigError(f"flag_radii {cfg.flag_radii} must be distinct integers >= 0")
         if cfg.rho_max_scan is not None and cfg.rho_max_scan < 1:
             raise ConfigError(f"rho_max_scan {cfg.rho_max_scan} must be >= 1 or null")
         if not cfg.edges:
             raise ConfigError("config must name an edge file")
         return cfg
+
+
+def _check_model_k(cfg: RunConfig) -> None:
+    """A model-backed run needs ``k`` >= the GCN's two layers.
+
+    With a shallower field, a node two hops away moves the prediction but
+    is no candidate, so the certificate would be unsound.
+    """
+    if cfg.k < 2:
+        raise ConfigError(f"k {cfg.k} is below the model's 2 layers; use k >= 2")
 
 
 def _load_inputs(cfg: RunConfig):
@@ -271,6 +285,8 @@ def cmd_train(cfg: RunConfig) -> int:
 
 
 def cmd_certify(cfg: RunConfig) -> int:
+    if not cfg.votes:
+        _check_model_k(cfg)
     g = _load_inputs(cfg)
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -349,6 +365,7 @@ def cmd_certify(cfg: RunConfig) -> int:
 
 
 def cmd_derandomize(cfg: RunConfig) -> int:
+    _check_model_k(cfg)
     g = _load_inputs(cfg)
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)

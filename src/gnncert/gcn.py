@@ -120,7 +120,8 @@ def propagate(a_hat: sparse.csr_matrix, xw1: np.ndarray,
     ``xw1`` is the first layer's dense product ``X @ W1``: aggregation
     commutes with it, so a caller can compute it once and patch ablated rows
     with ``token @ W1``.  ``skip_h`` is the skip path's hidden layer
-    ``relu(X_clean @ W1)``, added before ``W2``.  Returns the hidden
+    ``relu(X_clean @ W1)``, added before ``W2`` in a full pass; a pass over
+    ``rows`` leaves the skip path to its caller.  Returns the hidden
     pre-activation ``z1`` and the hidden input to ``W2``; the caller applies
     ``W2``.
 
@@ -142,7 +143,7 @@ def propagate(a_hat: sparse.csr_matrix, xw1: np.ndarray,
                                    shape=(second.shape[0], z1.shape[0]))
         h2 = second @ _relu(z1)
     if skip_h is not None:
-        h2 = h2 + (skip_h if rows is None else skip_h[rows])
+        h2 = h2 + skip_h
     return z1, h2
 
 

@@ -358,6 +358,68 @@ def _brute_tree_worst(rf, d_min, c, rho):
                for s in itertools.combinations(candidates, size))
 
 
+def _split_table_tree_worst(rf, d_min, c, rho_max):
+    """Reference tree knapsack that keeps split tables and rebuilds each set.
+
+    Same recursion and tie rules as ``_tree_worst_curve``, but each set is
+    recovered by walking the tree again through the recorded splits.
+    Returns ``(value, worst_set)`` for budgets 1..rho_max.
+    """
+    children = rf.tree_children
+    candidates = rf.candidates(d_min)
+    top = min(rho_max, len(candidates))
+    keep_e = 1.0 - c.p_del
+    best, attacks, splits, widths = {}, {}, {}, {}
+
+    def solve(i):
+        prod = [1.0]
+        splits[i] = []
+        for j in children[i]:
+            solve(j)
+            factor = [1.0 - keep_e * x for x in best[j]]
+            merged, chosen = [], []
+            for b in range(min(len(prod) + len(factor) - 1, top + 1)):
+                low, arg = math.inf, 0
+                for cj in range(max(0, b - len(prod) + 1), min(b, len(factor) - 1) + 1):
+                    t = prod[b - cj] * factor[cj]
+                    if t < low:
+                        low, arg = t, cj
+                merged.append(low)
+                chosen.append(arg)
+            prod = merged
+            splits[i].append(chosen)
+        widths[i] = len(prod)
+        via = [1.0 - q for q in prod]
+        if rf.distance[i] < d_min:
+            best[i], attacks[i] = via, [False] * len(via)
+            return
+        best[i], attacks[i] = via[:1], [False]
+        for b in range(1, min(len(via) + 1, top + 1)):
+            stay = via[min(b, len(via) - 1)]
+            hit = 1.0 - c.p_abl * (1.0 - via[b - 1])
+            best[i].append(max(stay, hit))
+            attacks[i].append(hit > stay)
+
+    def collect(i, b, out):
+        if attacks[i][b]:
+            out.append(i)
+            b -= 1
+        b = min(b, widths[i] - 1)
+        for j, chosen in zip(reversed(children[i]), reversed(splits[i])):
+            collect(j, chosen[b], out)
+            b -= chosen[b]
+
+    solve(rf.target)
+    curve = []
+    for rho in range(1, rho_max + 1):
+        b = min(rho, top)
+        chosen = []
+        collect(rf.target, b, chosen)
+        chosen += [w for w in candidates if w not in chosen][:b - len(chosen)]
+        curve.append((min(1.0, max(0.0, best[rf.target][b])), tuple(sorted(chosen))))
+    return curve
+
+
 def test_tree_worst_case_ignores_subset_cap():
     # the same star without the cycle is a tree: nothing is enumerated
     edges = [(i, 0) for i in range(1, 15)]
@@ -385,11 +447,15 @@ def test_tree_worst_case_matches_brute_force(rng):
             curve = worst_case_curve(rf, d_min, c, method="exact-enumeration",
                                      rho_max=surface + 1)
             assert len(curve) == surface + 1
+            reference = _split_table_tree_worst(rf, d_min, c, surface + 1)
             for rho, b in enumerate(curve, start=1):
                 brute = _brute_tree_worst(rf, d_min, c, rho)
                 point = delta_worst_case(rf, rho, d_min, c, method="exact-enumeration")
+                ref_value, ref_set = reference[rho - 1]
                 for got in (b, point):
                     assert got.method == "tree-exact" and got.rho == rho
+                    assert got.value.hex() == ref_value.hex()
+                    assert got.worst_set == ref_set
                     assert brute <= got.value <= brute + 1e-12
                     assert len(got.worst_set) == min(rho, surface)
                     assert set(got.worst_set) <= set(rf.candidates(d_min))

@@ -101,6 +101,22 @@ def test_certify_end_to_end(fixture_dir):
     assert (out / "results.csv").read_bytes() == first
 
 
+def test_certify_all_nodes_writes_flag_columns(fixture_dir):
+    cfg = write_config(fixture_dir, nodes="all", flag_radii=[1, 2])
+    assert main(["train", "--config", str(cfg)]) == 0
+    assert main(["certify", "--config", str(cfg)]) == 0
+    rows = list(csv.DictReader(open(fixture_dir / "out" / "results.csv")))
+    assert [int(r["node_id"]) for r in rows] == list(range(40))
+    flags = [(dm, r) for dm in (0, 1) for r in (1, 2)]
+    assert list(rows[0])[-5:] == [f"cert_dmin_{dm}_rho_{r}" for dm, r in flags] + ["error"]
+    for row in rows:
+        assert row["error"] == ""
+        for dm, r in flags:
+            assert int(row[f"cert_dmin_{dm}_rho_{r}"]) == \
+                int(int(row[f"radius_dmin_{dm}"]) >= r)
+    assert any(int(row["radius_dmin_1"]) >= 1 for row in rows)
+
+
 def test_certify_tiny_sample_count_abstains(fixture_dir):
     # with 4 samples the one-sided bounds cross even on unanimous votes
     cfg = write_config(fixture_dir, n0=5, n1=4)
@@ -120,7 +136,8 @@ def test_certify_from_votes_with_missing_samples_is_partial(fixture_dir):
         lines += [f"{v},{i},1" for i in range(10)]
     votes = fixture_dir / "votes.csv"
     votes.write_text("\n".join(lines) + "\n")
-    cfg2 = write_config(fixture_dir, votes=str(votes), n0=5, n1=5)
+    # the classifier behind a vote file may be one layer deep, so k = 1 is accepted
+    cfg2 = write_config(fixture_dir, votes=str(votes), n0=5, n1=5, k=1)
     assert main(["certify", "--config", str(cfg2)]) == 3
     rows = list(csv.DictReader(open(fixture_dir / "out" / "results.csv")))
     errors = [r for r in rows if r["error"]]
@@ -363,6 +380,8 @@ def test_integer_valued_floats_are_node_ids(fixture_dir):
     ("alpha", True), ("lr", float("nan")), ("directed", 1), ("skip", "no"),
     ("bound_method", 3), ("edges", 5), ("votes", []),
     ("bound_method", "exact"), ("rho_max_scan", 0), ("rho_max_scan", -2),
+    ("flag_radii", [1, 1, -3]), ("flag_radii", [2, 2]), ("flag_radii", [-1]),
+    ("k", 0),
 ])
 def test_wrong_json_type_is_exit_two_naming_the_key(fixture_dir, capsys, key, value):
     cfg = write_config(fixture_dir, **{key: value})
@@ -389,11 +408,16 @@ def test_bad_config_is_exit_two(tmp_path):
     assert main(["train", "--config", str(bad2)]) == 2
 
 
-@pytest.mark.parametrize("key,value", [("k_rel", -0.5), ("k_rel", 1.5), ("tau", 0)])
+@pytest.mark.parametrize("key,value", [("k_rel", -0.5), ("k_rel", 1.5), ("tau", 0),
+                                       ("k", 1), ("k", 0)])
 def test_bad_k_rel_or_tau_is_exit_two(fixture_dir, capsys, key, value):
+    # the model-backed commands; a k below the GCN's two layers would leave
+    # nodes that move the prediction out of the candidates
     cfg = write_config(fixture_dir, **{key: value})
-    assert main(["derandomize", "--config", str(cfg)]) == 2
-    assert key in capsys.readouterr().err
+    for command in ("derandomize", "certify"):
+        assert main([command, "--config", str(cfg)]) == 2
+        assert f"{key} {value}" in capsys.readouterr().err
+        assert not (fixture_dir / "out").exists()
 
 
 @pytest.mark.parametrize("key", ["n0", "n1"])
