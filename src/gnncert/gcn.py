@@ -11,10 +11,12 @@ updates through the same forward pass, so no autodiff dependency is needed.
 
 Inference is two-hop-local and batched: a target's score reads only its
 two-hop in-neighbourhood, so ``LocalScorer`` scores many variants of the
-graph (smoothing samples, derandomization views) in one block-diagonal
-sparse pass over that neighbourhood, with the hidden rows bitwise those of
-the full forward.  ``forward``, ``forward_all`` and ``train`` run on the
-whole graph.
+graph (smoothing samples, derandomization views) in one sparse pass over
+that neighbourhood.  ``TwoHop`` builds the pattern of both layers once; a
+pass only picks each variant's surviving entries and their values, and
+reads every ablated row from one shared ``token @ W1`` row.  The hidden
+rows are bitwise those of the full forward.  ``forward``, ``forward_all``
+and ``train`` run on the whole graph.
 
 External classifiers are supported through vote files instead of live
 models, so certification is not tied to this architecture.
@@ -81,8 +83,7 @@ class TrainConfig:
             raise ValueError("epochs must be >= 1")
 
 
-def normalized_adjacency(n: int, edges: np.ndarray,
-                         extra_degree: np.ndarray | None = None) -> sparse.csr_matrix:
+def normalized_adjacency(n: int, edges: np.ndarray) -> sparse.csr_matrix:
     """Symmetric degree-normalized aggregation matrix with self-loops, as CSR.
 
     Row = receiver, column = sender; entry ``(r, c)`` is
@@ -90,10 +91,7 @@ def normalized_adjacency(n: int, edges: np.ndarray,
     Degrees are counted from the surviving edges of a sample, never the
     clean graph: using clean-graph degrees would leak which edges were
     deleted.  ``edges`` holds distinct ``(src, dst)`` pairs without
-    self-loops, as every ``Graph`` stores them.  ``extra_degree[r]`` counts
-    surviving in-edges of ``r`` left out of ``edges``: they carry no message
-    here but count in the degree, so a block cut from a larger graph keeps
-    that graph's normalization.
+    self-loops, as every ``Graph`` stores them.
     """
     # sorting the flat keys row * n + col yields canonical CSR order directly
     key = np.concatenate([edges[:, 1] * n + edges[:, 0], np.arange(n) * (n + 1)])
@@ -102,8 +100,7 @@ def normalized_adjacency(n: int, edges: np.ndarray,
     counts = np.bincount(rows, minlength=n)
     indptr = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(counts, out=indptr[1:])
-    degree = counts if extra_degree is None else counts + extra_degree
-    inv_sqrt = 1.0 / np.sqrt(degree.astype(np.float64))
+    inv_sqrt = 1.0 / np.sqrt(counts.astype(np.float64))
     return sparse.csr_matrix((inv_sqrt[rows] * inv_sqrt[cols], cols, indptr),
                              shape=(n, n))
 
@@ -113,35 +110,19 @@ def _relu(x: np.ndarray) -> np.ndarray:
 
 
 def propagate(a_hat: sparse.csr_matrix, xw1: np.ndarray,
-              rows: np.ndarray | None = None,
               skip_h: np.ndarray | None = None):
-    """The model's two-layer aggregation, shared by inference and training.
+    """The model's two-layer aggregation, shared by full-graph inference and training.
 
     ``xw1`` is the first layer's dense product ``X @ W1``: aggregation
     commutes with it, so a caller can compute it once and patch ablated rows
     with ``token @ W1``.  ``skip_h`` is the skip path's hidden layer
-    ``relu(X_clean @ W1)``, added before ``W2`` in a full pass; a pass over
-    ``rows`` leaves the skip path to its caller.  Returns the hidden
+    ``relu(X_clean @ W1)``, added before ``W2``.  Returns the hidden
     pre-activation ``z1`` and the hidden input to ``W2``; the caller applies
-    ``W2``.
-
-    With ``rows`` the second layer runs for those nodes only, and the first
-    for the nodes they read (their in-neighbours and themselves), so ``z1``
-    holds those nodes' rows, ascending.  A CSR product computes each row on
-    its own, in column order, so every row is bitwise the full pass's.
+    ``W2``.  A CSR product computes each row on its own, summing its stored
+    entries in order, which ``TwoHop`` relies on to reproduce any row.
     """
-    if rows is None:
-        z1 = a_hat @ xw1
-        h2 = a_hat @ _relu(z1)
-    else:
-        second = a_hat[rows]
-        read = np.zeros(a_hat.shape[0], dtype=bool)
-        read[second.indices] = True
-        z1 = a_hat[read] @ xw1
-        rank = np.cumsum(read) - 1          # column -> row of z1, order kept
-        second = sparse.csr_matrix((second.data, rank[second.indices], second.indptr),
-                                   shape=(second.shape[0], z1.shape[0]))
-        h2 = second @ _relu(z1)
+    z1 = a_hat @ xw1
+    h2 = a_hat @ _relu(z1)
     if skip_h is not None:
         h2 = h2 + skip_h
     return z1, h2
@@ -189,7 +170,20 @@ def predict_all(model: GnnModel, g: Graph,
 # ---------------------------------------------------------------------------
 # batched two-hop-local inference
 
-_CHUNK_BYTES = 2 << 20      # working set of one block-diagonal pass
+_CHUNK_BYTES = 2 << 20      # working set of one pass over a chunk of variants
+
+
+def _segments(indptr: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Places of the entries of ``rows``, row by row, in a CSR layout with ``indptr``."""
+    starts, lens = indptr[rows], indptr[rows + 1] - indptr[rows]
+    return np.repeat(starts - np.cumsum(lens) + lens, lens) + np.arange(lens.sum())
+
+
+def _indptr(counts: np.ndarray) -> np.ndarray:
+    """CSR row pointers of rows holding ``counts`` entries, in ``int32`` as scipy keeps them."""
+    indptr = np.zeros(counts.size + 1, dtype=np.int32)
+    np.cumsum(counts.astype(np.int32), out=indptr[1:])
+    return indptr
 
 
 class TwoHop:
@@ -201,6 +195,13 @@ class TwoHop:
     edge carries no message to ``R`` but counts in its receiver's degree,
     which scales the messages that do.  ``V`` comes from the graph, so it
     holds whatever a deletion anywhere can change about ``R``'s scores.
+
+    The CSR pattern of both aggregation layers is built here once.  The
+    first layer's rows are ``U``: ``R`` and the senders of edges into
+    ``R``.  Each row holds its edges and its self-loop by ascending sender,
+    the order of ``normalized_adjacency``.  The second layer's rows are
+    ``R``'s rows of the first.  A pass over variants (``aggregate``) only
+    selects the surviving entries and writes their values.
     """
 
     def __init__(self, g: Graph, rows):
@@ -217,43 +218,101 @@ class TwoHop:
         in_u = with_senders(in_r)           # R and its in-neighbours: z1 is read there
         in_v = with_senders(in_u)
         self.nodes = np.flatnonzero(in_v)
-        self._n_read = np.count_nonzero(in_u)
         self.edges = np.flatnonzero(in_v[dst])
         self._senders = src[self.edges]
         self._receivers = dst[self.edges]
-        to_u = in_u[self._receivers]
-        # edges into U carry messages; edges into V \ U only count in degrees
-        self._inner = np.flatnonzero(to_u)
-        self._outer = np.flatnonzero(~to_u)
-        self._inner_src = self._local(self._senders[self._inner])
-        self._inner_dst = self._local(self._receivers[self._inner])
-        self._outer_dst = self._local(self._receivers[self._outer])
-        self._targets = self._local(self.rows)
+        receiver_at = self._local(self._receivers)
+        # in-edge incidence over V, row v holding a 1 per edge into v: a
+        # product with the kept masks counts in-degrees faster, and in half
+        # the bytes, than a bincount of the kept receivers
+        self._incidence = sparse.csr_matrix(
+            (np.ones(self.edges.size), (receiver_at, np.arange(self.edges.size))),
+            shape=(self.nodes.size, self.edges.size))
+        # first layer: the edges into U and U's self-loops, by receiver, then sender
+        into_u = np.flatnonzero(in_u[self._receivers])
+        self._u_at = self._local(np.flatnonzero(in_u))
+        row = np.concatenate([receiver_at[into_u], self._u_at])
+        col = np.concatenate([self._local(self._senders[into_u]), self._u_at])
+        order = np.lexsort((col, row))
+        self._row, self._col = row[order], col[order].astype(np.int32)
+        self._edge_at = np.flatnonzero(order < into_u.size)     # entries that are edges
+        self._edge = into_u[order[self._edge_at]]
+        # second layer: R's rows of the first, its columns z1's rows (U's order)
+        u_rank = np.zeros(self.nodes.size, dtype=np.int64)
+        u_rank[self._u_at] = np.arange(self._u_at.size)
+        self._r_at = self._local(self.rows)
+        self._second = _segments(_indptr(np.bincount(u_rank[self._row],
+                                                     minlength=self._u_at.size)),
+                                 u_rank[self._r_at])
+        self._second_col = u_rank[self._col[self._second]].astype(np.int32)
 
     def _local(self, ids: np.ndarray) -> np.ndarray:
-        # ranks in ascending ``nodes``, so a block's columns keep the graph's order
+        # ranks in ascending ``nodes``, so a row's entries keep the graph's order
         return np.searchsorted(self.nodes, ids)
 
-    def adjacency(self, kept: np.ndarray) -> sparse.csr_matrix:
-        """Block-diagonal ``normalized_adjacency`` of the variants ``kept`` (b, |edges|).
+    def aggregate(self, x: np.ndarray, kept: np.ndarray,
+                  ablated: np.ndarray | None = None) -> np.ndarray:
+        """``R``'s rows of ``A @ relu(A @ x)`` for each variant, stacked: (b * |R|, hidden).
 
-        Block ``i`` holds variant ``i`` on ``V``.  Its rows for ``R`` and
-        their in-neighbours are bitwise the rows of that variant's full
-        matrix; other rows hold only their self-loop.
+        ``kept`` (b, |edges|) masks the variants' edges and ``ablated``
+        (b, |V|) their ablated nodes.  ``x`` holds ``X @ W1``'s rows of
+        ``V`` and, last, ``token @ W1``: every variant reads an ablated
+        sender from that last row.  Degrees count the kept in-edges plus
+        the self-loop, and a deleted edge's entry is left out, so each row
+        sums the terms of the same row of the variant's ``propagate`` in
+        the same order: the rows are bitwise equal.  After the remap a
+        row's columns may repeat and need not ascend, so these matrices
+        are never put in canonical form.
         """
-        b, nv = kept.shape[0], self.nodes.size
-        offset = np.arange(b, dtype=np.int64)[:, None] * nv
-        inner = kept[:, self._inner]
-        edges = np.stack([(offset + self._inner_src)[inner],
-                          (offset + self._inner_dst)[inner]], axis=1)
-        extra = np.bincount((offset + self._outer_dst)[kept[:, self._outer]],
-                            minlength=b * nv)
-        return normalized_adjacency(b * nv, edges, extra)
+        b, nv, nu = kept.shape[0], self.nodes.size, self._u_at.size
+        degree = (self._incidence @ kept.T.astype(np.float64)).T
+        degree += 1.0                       # the self-loop; sums of ones are exact
+        inv_sqrt = 1.0 / np.sqrt(degree)
+        keep = np.ones((b, self._row.size), dtype=bool)
+        keep[:, self._edge_at] = kept[:, self._edge]
+        value = inv_sqrt[:, self._row] * inv_sqrt[:, self._col]
+        col = (np.broadcast_to(self._col, keep.shape) if ablated is None
+               else np.where(ablated[:, self._col], nv, self._col))
+        first = sparse.csr_matrix((value[keep], col[keep], _indptr(degree[:, self._u_at])),
+                                  shape=(b * nu, nv + 1))
+        z1 = first @ x
+        np.maximum(z1, 0.0, out=z1)
+        del first, col                      # out of the working set before the second layer
+        keep = keep[:, self._second]
+        col = np.arange(b, dtype=np.int32)[:, None] * nu + self._second_col
+        second = sparse.csr_matrix((value[:, self._second][keep], col[keep],
+                                    _indptr(degree[:, self._r_at])),
+                                   shape=(b * self.rows.size, b * nu))
+        return second @ z1
 
-    def block_rows(self, b: int) -> np.ndarray:
-        """Rows of ``R`` in a ``b``-block matrix, variant-major."""
-        return (np.arange(b, dtype=np.int64)[:, None] * self.nodes.size
-                + self._targets).reshape(-1)
+    def chunk(self, hidden: int, classes: int) -> int:
+        """Variants per pass under ``_CHUNK_BYTES``, ``x`` having ``hidden`` columns.
+
+        Per variant it sums every array a pass makes, at its largest: the
+        masks, ``aggregate``'s arrays and the ``classes`` scores.  Not all
+        of them live at once, so the sum bounds the pass from above.
+        """
+        edges, nodes, rows = self.edges.size, self.nodes.size, self.rows.size
+        per_variant = (
+            edges * (1 + 8)                 # kept, and as floats
+            # ablated; degree, inv_sqrt; np.sqrt's result, later the row
+            # pointers' gather, int32 copy and cumsum (8 + 4 + 4)
+            + nodes * (1 + 8 + 8 + 16)
+            # per entry of a layer: keep 1, value 8, value[keep] 8, col 4,
+            # col[keep] 4; the first layer's inv_sqrt gathers (8 + 8) are
+            # freed before value[keep] and col are made
+            + 25 * (self._row.size + self._second.size)
+            + 8 * (self._u_at.size + rows) * hidden     # z1, the returned rows
+            + 8 * rows * classes)                       # scores
+        shared = 8 * (nodes + 1 + rows) * hidden        # x, the skip path's rows
+        return max(1, (_CHUNK_BYTES - shared) // per_variant)
+
+    @functools.cached_property
+    def _ends(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Nodes an edge touches, ascending, and the places of each edge's sender and receiver."""
+        ends = np.union1d(self.nodes, self._senders)
+        return (ends, np.searchsorted(ends, self._senders),
+                np.searchsorted(ends, self._receivers))
 
     def kept_without(self, deleted) -> np.ndarray:
         """(len(deleted), |edges|) kept masks with each set of nodes deleted.
@@ -261,7 +320,7 @@ class TwoHop:
         An edge survives when neither endpoint is deleted, as in
         ``Graph.without_nodes``.
         """
-        ends = np.union1d(self.nodes, self._senders)
+        ends, sender_at, receiver_at = self._ends
         sizes = [len(d) for d in deleted]
         flat = np.fromiter(itertools.chain.from_iterable(deleted), dtype=np.int64,
                            count=sum(sizes))
@@ -269,8 +328,7 @@ class TwoHop:
         hit = np.isin(flat, ends)           # deletions that touch no edge do nothing
         drop = np.zeros((len(sizes), ends.size), dtype=bool)
         drop[which[hit], np.searchsorted(ends, flat[hit])] = True
-        return ~(drop[:, np.searchsorted(ends, self._senders)]
-                 | drop[:, np.searchsorted(ends, self._receivers)])
+        return ~(drop[:, sender_at] | drop[:, receiver_at])
 
 
 class LocalScorer:
@@ -278,9 +336,11 @@ class LocalScorer:
 
     ``X @ W1`` (and the skip path's ``relu(X @ W1)``) is computed once for
     the whole graph, so the rows a variant reads are bitwise those of the
-    full forward; ablated rows are the model's ``token @ W1``.  Variants are
-    scored in chunks under a fixed byte budget, so memory grows with ``|V|``
-    times the chunk, not with the graph or the number of variants.
+    full forward.  A pass reads one table, ``X @ W1`` on ``V`` and the
+    model's ``token @ W1``, shared by all its variants.  Variants are
+    scored in chunks under a fixed byte budget, so memory grows with the
+    neighbourhood times the chunk, not with the graph or the number of
+    variants.
     """
 
     def __init__(self, model: GnnModel, g: Graph):
@@ -289,34 +349,23 @@ class LocalScorer:
         self.xw1 = g.features @ model.w1
         self.token_w1 = model.token @ model.w1
         self.skip_h = _relu(self.xw1) if model.skip else None
-        self._x = np.empty(0)
 
     def chunk(self, hood: TwoHop) -> int:
-        """Variants per block-diagonal pass under the byte budget."""
-        nv, h = hood.nodes.size, self.model.hidden
-        per_variant = 8 * (nv * h + 2 * hood._n_read * h    # X W1 rows, z1, relu(z1)
-                           + hood.rows.size * (h + self.model.classes)
-                           + 6 * (nv + hood._inner.size))   # building the CSR block
-        return max(1, _CHUNK_BYTES // per_variant)
+        """Variants per pass over ``hood`` under the byte budget."""
+        return hood.chunk(self.model.hidden, self.model.classes)
 
     def hidden(self, hood: TwoHop, kept: np.ndarray,
                ablated: np.ndarray | None = None) -> np.ndarray:
         """(b, |R|, hidden) input to ``W2`` of every variant, in one pass.
 
-        ``ablated`` (b, |V|) marks rows read as ``token @ W1``.  The stacked
-        ``X @ W1`` rows go to a buffer the scorer keeps from pass to pass.
+        ``ablated`` (b, |V|) marks rows read as ``token @ W1``.
         """
-        b, nv, h = kept.shape[0], hood.nodes.size, self.model.hidden
-        if self._x.size < b * nv * h:
-            self._x = np.empty(b * nv * h)
-        x = self._x[:b * nv * h].reshape(b, nv, h)
+        x = np.empty((hood.nodes.size + 1, self.model.hidden))
         # mode "clip" writes straight into ``out``; "raise" fills a temporary first
-        np.take(self.xw1, hood.nodes, axis=0, out=x[0], mode="clip")
-        x[1:] = x[0]
-        if ablated is not None:
-            x[ablated] = self.token_w1
-        h2 = propagate(hood.adjacency(kept), x.reshape(b * nv, h),
-                       rows=hood.block_rows(b))[1].reshape(b, hood.rows.size, h)
+        np.take(self.xw1, hood.nodes, axis=0, out=x[:-1], mode="clip")
+        x[-1] = self.token_w1
+        h2 = hood.aggregate(x, kept, ablated)
+        h2 = h2.reshape(kept.shape[0], hood.rows.size, self.model.hidden)
         if self.skip_h is not None:
             h2 += self.skip_h[hood.rows]
         return h2

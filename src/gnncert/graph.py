@@ -89,7 +89,7 @@ class Graph:
         key = arr[:, 0] * n + arr[:, 1]
         if not directed:
             key = np.concatenate([key, arr[:, 1] * n + arr[:, 0]])
-        arr = np.stack(np.divmod(np.unique(key), n), axis=1)   # dedup + sort
+        arr = np.stack(np.divmod(_sorted_distinct(key), n), axis=1)
 
         if features is not None:
             features = np.asarray(features, dtype=np.float64)
@@ -175,21 +175,40 @@ class Graph:
         return self.with_edges(mask)
 
 
+def _sorted_distinct(key: np.ndarray) -> np.ndarray:
+    """``np.unique(key)``: a sort and a neighbour-inequality mask, without its overhead."""
+    key = np.sort(key)
+    first = np.ones(key.size, dtype=bool)
+    np.not_equal(key[1:], key[:-1], out=first[1:])
+    return key[first]
+
+
 def _logical_edge_ids(edges: np.ndarray, directed: bool) -> tuple[np.ndarray, int]:
     """Rank of each edge's ``canonical_edge`` pair, and the number of distinct pairs.
 
-    Pairs are ranked by flat keys ``a * base + b`` with ``base`` above every
-    endpoint, which order like the pairs themselves.
+    ``edges`` is a list as ``Graph.build`` stores it: sorted, distinct,
+    without self-loops and, unless ``directed``, holding both orientations
+    of every edge.  A directed edge's rank is its place.  An undirected
+    edge's pair is ranked by the flat key ``a * base + b`` with ``base``
+    above every endpoint, which orders like the pairs themselves.  The
+    forward edges (``src < dst``) are their own pairs, already ascending,
+    and the reverse edges' pairs are the same keys, so a reverse edge's
+    rank is its place in their sort.
     """
-    if edges.shape[0] == 0:
-        return np.zeros(0, dtype=np.int64), 0
+    m = edges.shape[0]
+    if directed or m == 0:
+        return np.arange(m, dtype=np.int64), m
+    src, dst = edges[:, 0], edges[:, 1]
     base = int(edges.max()) + 1
-    if directed:
-        key = edges[:, 0] * base + edges[:, 1]
-    else:
-        key = edges.min(axis=1) * base + edges.max(axis=1)
-    uniq, ids = np.unique(key, return_inverse=True)
-    return ids.astype(np.int64), int(uniq.size)
+    forward = src < dst
+    reverse = dst[~forward] * base + src[~forward]
+    order = np.argsort(reverse)
+    assert np.array_equal(reverse[order], src[forward] * base + dst[forward]), \
+        "an undirected edge list lacks an orientation"
+    ids = np.empty(m, dtype=np.int64)
+    ids[forward] = np.arange(order.size)
+    ids[np.flatnonzero(~forward)[order]] = np.arange(order.size)
+    return ids, int(order.size)
 
 
 def canonical_edge(e: Edge, directed: bool) -> Edge:

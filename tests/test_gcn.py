@@ -1,7 +1,9 @@
+import tracemalloc
 from collections import Counter
 
 import numpy as np
 import pytest
+from scipy import sparse
 
 from gnncert import (
     Graph,
@@ -21,7 +23,7 @@ from gnncert import (
     train,
 )
 from gnncert.errors import ConfigError, VoteFormatError
-from gnncert.gcn import loss_and_grads, normalized_adjacency, propagate
+from gnncert.gcn import _CHUNK_BYTES, loss_and_grads, normalized_adjacency, propagate
 
 from conftest import random_graph, two_block_graph
 
@@ -110,6 +112,15 @@ def local_cases(rng):
     yield g, [6]
     yield Graph.build(n=5, edges=[(0, 1), (1, 2), (2, 0), (3, 2), (4, 3)],
                       features=rng.normal(size=(5, 3)), directed=True), [0]
+    # in-neighbours of the target with in-edges (1) and without (2)
+    yield Graph.build(n=5, edges=[(1, 0), (2, 0), (3, 1), (4, 3)],
+                      features=rng.normal(size=(5, 3)), directed=True), [0]
+    # a star: under full ablation the target reads the token row four times
+    yield Graph.build(n=6, edges=[(1, 0), (2, 0), (3, 0), (4, 3), (5, 4)],
+                      features=rng.normal(size=(6, 3))), [0]
+    # two targets, one sending to the other
+    yield Graph.build(n=7, edges=[(0, 1), (1, 2), (2, 3), (3, 4), (5, 1), (6, 5)],
+                      features=rng.normal(size=(7, 3))), [1, 2]
     for _ in range(12):
         g = random_graph(rng, n=int(rng.integers(4, 14)),
                          p_edge=float(rng.uniform(0.1, 0.5)),
@@ -150,6 +161,80 @@ def test_batched_hidden_rows_equal_per_variant_propagation_bitwise(rng):
                     ref = full_hidden(model, g, s.edge_mask, s.ablated, model.token)[rows]
                     assert np.array_equal(hidden[i], ref)
                     assert np.array_equal(scores[i], ref @ model.w2)
+
+
+def test_hand_built_variants_equal_full_propagation_bitwise(rng):
+    # variants a smoothing draw seldom gives: every edge into the targets
+    # deleted while the rest survive, and every sender into the targets
+    # ablated, alone or with those edges deleted
+    for g, rows in local_cases(rng):
+        hood = TwoHop(g, rows)
+        into_rows = np.isin(g.edges[hood.edges, 1], rows)
+        senders = np.isin(hood.nodes, g.edges[hood.edges[into_rows], 0])
+        kept = np.stack([~into_rows, np.ones_like(into_rows), ~into_rows])
+        ablated = np.stack([np.zeros_like(senders), senders, senders])
+        for skip in (False, True):
+            model = random_model(rng, d=3, skip=skip)
+            hidden = LocalScorer(model, g).hidden(hood, kept, ablated)
+            for i in range(len(kept)):
+                edge_mask = np.ones(g.m, dtype=bool)
+                edge_mask[hood.edges] = kept[i]
+                node_mask = np.zeros(g.n, dtype=bool)
+                node_mask[hood.nodes] = ablated[i]
+                ref = full_hidden(model, g, edge_mask, node_mask, model.token)[rows]
+                assert np.array_equal(hidden[i], ref)
+
+
+def test_csr_product_sums_each_row_in_stored_order():
+    # ``TwoHop.aggregate`` reads every ablated sender from one shared row,
+    # so its rows hold repeated, non-ascending columns, and the product must
+    # add each row's entries in the order they are stored.  Here the order
+    # decides the rounded sum: 1e16 + 1 rounds back to 1e16.
+    x = np.array([[1e16, 1.0], [1.0, 1e16], [-1e16, -1e16]])
+    rows = [[0, 1, 2], [0, 2, 1], [2, 1, 0], [1, 0, 2], [0, 1, 1, 2], [0, 2, 1, 1],
+            [1, 1, 0, 2]]
+    indices = np.array([c for r in rows for c in r], dtype=np.int32)
+    indptr = np.cumsum([0] + [len(r) for r in rows], dtype=np.int32)
+    m = sparse.csr_matrix((np.ones(indices.size), indices, indptr), shape=(len(rows), 3))
+    got = m @ x
+    assert got[:, 0].tolist() == [0.0, 1.0, 0.0, 0.0, 0.0, 2.0, 2.0]
+    for i, r in enumerate(rows):
+        want = np.zeros(2)
+        for c in r:
+            want = want + 1.0 * x[c]
+        assert np.array_equal(got[i], want)
+    assert np.array_equal(m.indices, indices)       # the product reordered nothing
+
+
+def test_many_samples_are_scored_in_bounded_memory(rng):
+    # the smoothing path's counterpart of the derandomization memory test:
+    # 2,000 samples of a hood whose masks alone would take ~19 MB are
+    # scored one chunk at a time within the scorer's budget
+    n, samples = 3000, 2000
+    pairs = rng.integers(n, size=(9000, 2))
+    g = Graph.build(n=n, edges=pairs[pairs[:, 0] != pairs[:, 1]],
+                    features=rng.normal(size=(n, 3)))
+    hood = TwoHop(g, np.sort(rng.choice(n, size=40, replace=False)))
+    assert samples * (hood.edges.size + hood.nodes.size) > 8 * _CHUNK_BYTES
+    scorer = LocalScorer(random_model(rng, d=3), g)
+    bank_kept = rng.random((4, hood.edges.size)) < 0.7
+    bank_ablated = rng.random((4, hood.nodes.size)) < 0.5
+
+    def fill(lo, kept, ablated):
+        b = min(len(kept), samples - lo)
+        for j in range(b):
+            kept[j] = bank_kept[(lo + j) % 4]
+            ablated[j] = bank_ablated[(lo + j) % 4]
+        return b
+
+    tracemalloc.start()
+    try:
+        scored = sum(len(scores) for _, scores in scorer.scores(hood, fill, ablation=True))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert scored == samples
+    assert peak < _CHUNK_BYTES
 
 
 def test_two_hop_reads_only_the_neighbourhood(rng):

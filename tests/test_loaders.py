@@ -215,6 +215,22 @@ def test_edge_list_and_graph_match_reference(tmp_path, rng):
         assert g.n_logical == n_logical
 
 
+def test_graph_build_matches_unique_reference(rng):
+    # duplicates, self-loops and empty lists, directed and undirected
+    for trial in range(400):
+        n = int(rng.integers(1, 40))
+        raw = rng.integers(0, n, size=(0 if trial < 4 else int(rng.integers(1, 3 * n)), 2))
+        raw = np.vstack([raw, raw[rng.random(len(raw)) < 0.3]])
+        directed = bool(trial % 2)
+        g = Graph.build(n=n, edges=raw, directed=directed)
+        edges, ids, n_logical = ref_canonical(n, raw, directed)
+        assert g.edges.dtype == np.int64 and g.edges.shape == edges.shape
+        assert np.array_equal(g.edges, edges)
+        assert g.logical_edge_ids.dtype == np.int64
+        assert np.array_equal(g.logical_edge_ids, ids)
+        assert g.n_logical == n_logical
+
+
 def test_features_match_reference_bitwise(tmp_path, rng):
     path = tmp_path / "feats.csv"
     for _ in range(100):
