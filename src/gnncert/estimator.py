@@ -1,12 +1,13 @@
 """Monte-Carlo estimation of the smoothed classifier and the certificate rule.
 
 The smoothed prediction for a node is the majority vote of the base
-classifier over interception samples.  A first round of ``n0`` samples fixes
-the majority and runner-up classes; a disjoint round of ``n1`` samples feeds
-one-sided Clopper-Pearson bounds on their probabilities (Bonferroni split
-alpha/2 + alpha/2 so both hold simultaneously).  A budget rho is certified
-when the lower bound minus the worst-case arrival probability still beats
-the upper bound plus it.
+classifier over interception samples.  The votes come from a vote file or
+from ``gcn.LocalScorer.sample_votes``; this module tallies and certifies.
+A first round of ``n0`` samples fixes the majority and runner-up classes;
+a disjoint round of ``n1`` samples feeds one-sided Clopper-Pearson bounds
+on their probabilities (Bonferroni split alpha/2 + alpha/2 so both hold
+simultaneously).  A budget rho is certified when the lower bound minus the
+worst-case arrival probability still beats the upper bound plus it.
 """
 
 from __future__ import annotations
@@ -21,9 +22,8 @@ from scipy import special
 
 from .errors import InsufficientSamplesError
 from .graph import Graph
-from .gcn import GnnModel, LocalScorer, TwoHop, VoteTable
+from .gcn import GnnModel, LocalScorer, VoteTable
 from .smoothing import SmoothingConfig
-from . import smoothing
 from .bounds import DeltaBound
 
 CP_BISECTION_TOL = 1e-10
@@ -104,36 +104,6 @@ class CertificateResult:
     correct: bool | None = None
 
 
-def _vote_chunks(model: GnnModel, g: Graph, cfg: SmoothingConfig,
-                 n_samples: int, nodes: np.ndarray):
-    """Smoothed votes of samples 0..n_samples-1, one ``LocalScorer`` pass at a time.
-
-    Yields ``(lo, classes)``, ``classes`` being a new (b, len(nodes)) array
-    whose row j holds the votes under sample ``lo + j``.  Samples are keyed
-    by index, so a node sees bitwise the same sampled graphs whether it is
-    evaluated alone or with others.  Only the two-hop in-neighbourhood of
-    ``nodes`` is read; the hidden rows are bitwise those of one full-graph
-    forward per sample.  ``W2`` stays one product per sample, because BLAS
-    rounds products of few rows differently: 1-row slices of a 2708 x 64 @
-    64 x 7 product differ from the whole product in the last bits on most
-    rows, while 20-row slices match.
-    """
-    if not len(nodes):
-        return
-    hood = TwoHop(g, nodes)
-
-    def fill(lo, kept, ablated):
-        b = min(len(kept), n_samples - lo)
-        for j in range(b):
-            s = smoothing.sample(g, cfg, lo + j)
-            np.take(s.edge_mask, hood.edges, out=kept[j], mode="clip")   # no temporary
-            np.take(s.ablated, hood.nodes, out=ablated[j], mode="clip")
-        return b
-
-    for lo, scores in LocalScorer(model, g).scores(hood, fill, ablation=True):
-        yield lo, np.argmax(scores, axis=2)
-
-
 def estimate_all(
     classifier: GnnModel | VoteTable,
     g: Graph | None,
@@ -157,7 +127,7 @@ def estimate_all(
     """
     if n0 < 1 or n1 < 1:
         raise ValueError("n0 and n1 must be >= 1")
-    nodes = np.asarray(sorted(int(v) for v in nodes), dtype=np.int64)
+    nodes = np.asarray(sorted({int(v) for v in nodes}), dtype=np.int64)
 
     if isinstance(classifier, VoteTable):
         classes = max(classifier.classes, 2)
@@ -178,7 +148,7 @@ def estimate_all(
         nodes, chunks = nodes[tallied], [(0, preds[:, tallied])]
     else:
         classes = classifier.classes
-        chunks = _vote_chunks(classifier, g, cfg, n0 + n1, nodes)
+        chunks = LocalScorer(classifier, g).sample_votes(nodes, cfg, n0 + n1)
 
     # flat key of a vote: (round, node, class), round 1 being the tally
     counts = np.zeros(2 * len(nodes) * classes, dtype=np.int64)
@@ -189,15 +159,14 @@ def estimate_all(
         counts += np.bincount(keys.ravel(), minlength=counts.size)
     sel_counts, tally_counts = counts.reshape(2, len(nodes), classes)
 
-    out: dict[int, VoteTally] = {}
-    for j, v in enumerate(nodes):
-        y_star = int(np.argmax(sel_counts[j]))
-        runner = sel_counts[j].copy()
-        runner[y_star] = -1
-        y_tilde = int(np.argmax(runner))
-        out[int(v)] = VoteTally(node=int(v), counts=tally_counts[j], y_star=y_star,
-                                y_tilde=y_tilde, n0=n0, n1=n1, alpha=alpha)
-    return out
+    # argmax keeps the first maximum; the runner-up is the first maximum of the rest
+    y_star = np.argmax(sel_counts, axis=1)
+    sel_counts[np.arange(len(nodes)), y_star] = -1
+    y_tilde = np.argmax(sel_counts, axis=1)
+    return {v: VoteTally(node=v, counts=counts, y_star=star, y_tilde=tilde,
+                         n0=n0, n1=n1, alpha=alpha)
+            for v, counts, star, tilde in zip(nodes.tolist(), tally_counts,
+                                              y_star.tolist(), y_tilde.tolist())}
 
 
 def estimate(classifier, g, v: int, cfg: SmoothingConfig,

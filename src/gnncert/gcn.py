@@ -15,8 +15,10 @@ graph (smoothing samples, derandomization views) in one sparse pass over
 that neighbourhood.  ``TwoHop`` builds the pattern of both layers once; a
 pass only picks each variant's surviving entries and their values, and
 reads every ablated row from one shared ``token @ W1`` row.  The hidden
-rows are bitwise those of the full forward.  ``forward``, ``forward_all``
-and ``train`` run on the whole graph.
+rows are bitwise those of the full forward.  Both vote streams start
+here: ``sample_votes`` draws and scores smoothing samples,
+``predict_without`` node-deleted views.  ``forward``, ``forward_all`` and
+``train`` run on the whole graph.
 
 External classifiers are supported through vote files instead of live
 models, so certification is not tied to this architecture.
@@ -170,13 +172,7 @@ def predict_all(model: GnnModel, g: Graph,
 # ---------------------------------------------------------------------------
 # batched two-hop-local inference
 
-_CHUNK_BYTES = 2 << 20      # working set of one pass over a chunk of variants
-
-
-def _segments(indptr: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """Places of the entries of ``rows``, row by row, in a CSR layout with ``indptr``."""
-    starts, lens = indptr[rows], indptr[rows + 1] - indptr[rows]
-    return np.repeat(starts - np.cumsum(lens) + lens, lens) + np.arange(lens.sum())
+_CHUNK_BYTES = 2 << 20      # working set of a pass, unless one variant needs more
 
 
 def _indptr(counts: np.ndarray) -> np.ndarray:
@@ -189,23 +185,27 @@ def _indptr(counts: np.ndarray) -> np.ndarray:
 class TwoHop:
     """The two-hop in-neighbourhood ``V`` of target rows ``R``: all their scores read.
 
-    ``nodes`` is ``V`` ascending; ``edges`` indexes, ascending, the graph
-    edges whose receiver lies in ``V``.  A variant of the graph is a kept
-    mask over ``edges``.  Senders of ``edges`` may lie outside ``V``: such an
-    edge carries no message to ``R`` but counts in its receiver's degree,
-    which scales the messages that do.  ``V`` comes from the graph, so it
-    holds whatever a deletion anywhere can change about ``R``'s scores.
+    ``rows`` is ``R``, ascending without repeats; ``nodes`` is ``V``
+    ascending; ``edges`` indexes, ascending, the graph edges whose receiver
+    lies in ``V``.  A variant of the graph is a kept mask over ``edges``.
+    Senders of ``edges`` may lie outside ``V``: such an edge carries no
+    message to ``R`` but counts in its receiver's degree, which scales the
+    messages that do.  ``V`` comes from the graph, so it holds whatever a
+    deletion anywhere can change about ``R``'s scores.
 
     The CSR pattern of both aggregation layers is built here once.  The
     first layer's rows are ``U``: ``R`` and the senders of edges into
     ``R``.  Each row holds its edges and its self-loop by ascending sender,
     the order of ``normalized_adjacency``.  The second layer's rows are
-    ``R``'s rows of the first.  A pass over variants (``aggregate``) only
-    selects the surviving entries and writes their values.
+    ``R``'s rows of the first, in stored order, as both ascend.  A pass
+    over variants (``aggregate``) only selects the surviving entries and
+    writes their values.
     """
 
     def __init__(self, g: Graph, rows):
         self.rows = np.asarray(rows, dtype=np.int64).reshape(-1)
+        if np.any(np.diff(self.rows) <= 0):
+            raise ValueError("TwoHop rows must ascend without repeats")
         src, dst = g.edges[:, 0], g.edges[:, 1]
 
         def with_senders(mask):
@@ -241,9 +241,7 @@ class TwoHop:
         u_rank = np.zeros(self.nodes.size, dtype=np.int64)
         u_rank[self._u_at] = np.arange(self._u_at.size)
         self._r_at = self._local(self.rows)
-        self._second = _segments(_indptr(np.bincount(u_rank[self._row],
-                                                     minlength=self._u_at.size)),
-                                 u_rank[self._r_at])
+        self._second = np.flatnonzero(in_r[self.nodes][self._row])
         self._second_col = u_rank[self._col[self._second]].astype(np.int32)
 
     def _local(self, ids: np.ndarray) -> np.ndarray:
@@ -290,7 +288,10 @@ class TwoHop:
 
         Per variant it sums every array a pass makes, at its largest: the
         masks, ``aggregate``'s arrays and the ``classes`` scores.  Not all
-        of them live at once, so the sum bounds the pass from above.
+        of them live at once, so the sum bounds the pass from above.  A
+        pass holds at least one variant, so a hood whose one variant needs
+        more runs above the budget: the whole-graph hood of a Cora-sized
+        graph takes about 3.1 MB, plus the 1.4 MB shared table.
         """
         edges, nodes, rows = self.edges.size, self.nodes.size, self.rows.size
         per_variant = (
@@ -338,9 +339,8 @@ class LocalScorer:
     the whole graph, so the rows a variant reads are bitwise those of the
     full forward.  A pass reads one table, ``X @ W1`` on ``V`` and the
     model's ``token @ W1``, shared by all its variants.  Variants are
-    scored in chunks under a fixed byte budget, so memory grows with the
-    neighbourhood times the chunk, not with the graph or the number of
-    variants.
+    scored in chunks under a byte budget, so memory does not grow with
+    their number; a chunk of one variant may exceed it (``TwoHop.chunk``).
     """
 
     def __init__(self, model: GnnModel, g: Graph):
@@ -393,6 +393,34 @@ class LocalScorer:
                 h2 = self.hidden(hood, kept[:b], None if ablated is None else ablated[:b])
                 yield lo, np.matmul(h2, self.model.w2, out=out[:b])
                 lo += b
+
+    def sample_votes(self, nodes: np.ndarray, cfg: smoothing.SmoothingConfig,
+                     n_samples: int):
+        """Votes of ascending ``nodes`` on smoothing samples 0..n_samples-1, pass by pass.
+
+        Yields ``(lo, classes)``, ``classes`` being a new (b, len(nodes))
+        array whose row j holds the votes under sample ``lo + j``.  Samples
+        are keyed by index, so a node sees bitwise the same sampled graphs
+        whether it is evaluated alone or with others.  ``W2`` stays one
+        product per sample, because BLAS rounds products of few rows
+        differently: 1-row slices of a 2708 x 64 @ 64 x 7 product differ
+        from the whole product in the last bits on most rows, while 20-row
+        slices match.
+        """
+        if not len(nodes):
+            return
+        hood = TwoHop(self.g, nodes)
+
+        def fill(lo, kept, ablated):
+            b = min(len(kept), n_samples - lo)
+            for j in range(b):
+                s = smoothing.sample(self.g, cfg, lo + j)
+                np.take(s.edge_mask, hood.edges, out=kept[j], mode="clip")   # no temporary
+                np.take(s.ablated, hood.nodes, out=ablated[j], mode="clip")
+            return b
+
+        for lo, scores in self.scores(hood, fill, ablation=True):
+            yield lo, np.argmax(scores, axis=2)
 
     def predict_without(self, v: int, deleted) -> list[int]:
         """Class of ``v`` with each set of nodes deleted: ``derandomize``'s batch ``predict``.

@@ -315,7 +315,6 @@ def read_table(text: str, dtype, delimiter: str | None = None,
             if attempt or delimiter is None or not _BLANK_LINE.search(text):
                 return None
             text = _BLANK_LINE.sub("", text)
-    return None
 
 
 def _digit_table(text: str, delimiter: str | None) -> np.ndarray | None:
@@ -495,19 +494,16 @@ class ReceptiveField:
     def tree_children(self) -> dict[int, tuple[int, ...]] | None:
         """Ascending child lists of the message tree, or None when the field is no tree.
 
-        The field is a tree when the target sends no message edge, every
-        other member sends exactly one, and the message edges number one
-        less than the members.  Built on first use.
+        The field is a tree when the message edges number one less than
+        the members.  Then every other member sends exactly one of them:
+        each sends the first edge of its own paths, and the target, where
+        every path ends, sends none.  Built on first use.
         """
         if len(self.path_edges) != len(self.members) - 1:
             return None
-        out_count = dict.fromkeys(self.members, 0)
         children: dict[int, list[int]] = {w: [] for w in self.members}
         for a, b in self.path_edges:
-            out_count[a] += 1
             children[b].append(a)
-        if any(out_count[w] != (0 if w == self.target else 1) for w in self.members):
-            return None
         return {w: tuple(sorted(c)) for w, c in children.items()}
 
     @functools.cached_property

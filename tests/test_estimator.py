@@ -181,21 +181,24 @@ def test_estimate_live_model_reproducible_and_matches_per_node(rng):
         single = estimate(model, g, v, cfg, n0=20, n1=40, alpha=0.05)
         assert np.array_equal(single.counts, batched[v].counts)
         assert single.y_star == batched[v].y_star
-    again = estimate_all(model, g, [1, 4, 6], cfg, n0=20, n1=40, alpha=0.05)
+    # any order, repeats allowed: the scorer's neighbourhood needs ascending,
+    # distinct targets, which estimate_all makes
+    again = estimate_all(model, g, [6, 1, 4, 1], cfg, n0=20, n1=40, alpha=0.05)
+    assert sorted(again) == [1, 4, 6]
     for v in (1, 4, 6):
         assert np.array_equal(again[v].counts, batched[v].counts)
 
 
 def streamed_votes(model, g, cfg, n_samples, nodes):
-    """``_vote_chunks`` joined into one (n_samples, len(nodes)) matrix.
+    """``LocalScorer.sample_votes`` joined into one (n_samples, len(nodes)) matrix.
 
     Checks that the chunks come in order, each starting where the last one
     ended, and cover every sample.
     """
-    from gnncert.estimator import _vote_chunks
+    from gnncert import LocalScorer
 
     chunks, lo = [], 0
-    for start, classes in _vote_chunks(model, g, cfg, n_samples, nodes):
+    for start, classes in LocalScorer(model, g).sample_votes(nodes, cfg, n_samples):
         assert start == lo and classes.shape[1:] == (len(nodes),)
         chunks.append(classes)
         lo += len(classes)

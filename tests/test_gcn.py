@@ -253,6 +253,16 @@ def test_two_hop_reads_only_the_neighbourhood(rng):
                                               model.token)[rows])
 
 
+@pytest.mark.parametrize("rows", [[2, 1], [1, 1], [0, 3, 3], [4, 0, 2]])
+def test_two_hop_rejects_unsorted_or_repeated_rows(rng, rows):
+    # the second layer's entries are the first layer's rows of R in stored
+    # order, which are R's rows in R's order only when R ascends
+    g = random_graph(rng, n=6, p_edge=0.4, d=3)
+    with pytest.raises(ValueError, match="ascend"):
+        TwoHop(g, rows)
+    TwoHop(g, sorted(set(rows)))
+
+
 def test_no_edges_scores_depend_only_on_own_features(rng):
     model = random_model(rng, d=4)
     feats_a = rng.normal(size=(5, 4))
