@@ -79,6 +79,8 @@ class RunConfig:
             raise ConfigError(f"cannot read config {path}: {exc}") from None
         except json.JSONDecodeError as exc:
             raise ConfigError(f"config {path} is not valid JSON: {exc}") from None
+        if not isinstance(raw, dict):
+            raise ConfigError(f"config {path} is not a JSON object")
         known = {f.name for f in fields(cls)}
         unknown = set(raw) - known
         if unknown:
@@ -96,6 +98,8 @@ class RunConfig:
             raise ConfigError(f"tau {cfg.tau} must be >= 1")
         if cfg.k < 1:
             raise ConfigError(f"k {cfg.k} must be >= 1")
+        if cfg.labeled_per_class < 1:
+            raise ConfigError(f"labeled_per_class {cfg.labeled_per_class} must be >= 1")
         if cfg.n0 < 1 or cfg.n1 < 1:
             raise ConfigError(f"sample counts n0 {cfg.n0} and n1 {cfg.n1} must be >= 1")
         if cfg.bound_method not in bounds.WORST_CASE_METHODS:

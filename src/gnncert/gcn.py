@@ -15,8 +15,9 @@ graph (smoothing samples, derandomization views) in one sparse pass over
 that neighbourhood.  ``TwoHop`` builds the pattern of both layers once; a
 pass only picks each variant's surviving entries and their values, and
 reads every ablated row from one shared ``token @ W1`` row.  The hidden
-rows are bitwise those of the full forward.  Both vote streams start
-here: ``sample_votes`` draws and scores smoothing samples,
+rows are bitwise those of the full forward.  One pass is one call,
+``LocalScorer.scores``.  Both vote producers live here and chunk their own
+input: ``sample_votes`` draws and scores smoothing samples,
 ``predict_without`` node-deleted views.  ``forward``, ``forward_all`` and
 ``train`` run on the whole graph.
 
@@ -338,9 +339,11 @@ class LocalScorer:
     ``X @ W1`` (and the skip path's ``relu(X @ W1)``) is computed once for
     the whole graph, so the rows a variant reads are bitwise those of the
     full forward.  A pass reads one table, ``X @ W1`` on ``V`` and the
-    model's ``token @ W1``, shared by all its variants.  Variants are
-    scored in chunks under a byte budget, so memory does not grow with
-    their number; a chunk of one variant may exceed it (``TwoHop.chunk``).
+    model's ``token @ W1``, shared by all its variants.  ``scores`` runs
+    one pass over the variants it is given; ``sample_votes`` and
+    ``predict_without`` feed it ``chunk`` variants at a time, so memory
+    stays under a byte budget whatever their number.  A chunk of one
+    variant may exceed it (``TwoHop.chunk``).
     """
 
     def __init__(self, model: GnnModel, g: Graph):
@@ -370,34 +373,22 @@ class LocalScorer:
             h2 += self.skip_h[hood.rows]
         return h2
 
-    def scores(self, hood: TwoHop, fill, ablation: bool = False):
-        """Scores of variants ``0, 1, ...`` of the graph, one pass per chunk.
+    def scores(self, hood: TwoHop, kept: np.ndarray,
+               ablated: np.ndarray | None = None) -> np.ndarray:
+        """(b, |R|, classes) scores of the variants ``kept``, ``ablated``, as a new array.
 
-        ``fill(lo, kept, ablated)`` writes the masks of variants ``lo, lo +
-        1, ...`` into the first rows of ``kept`` (chunk, |edges|) and, with
-        ``ablation``, of ``ablated`` (chunk, |V|; else None), and returns how
-        many it wrote; fewer than a chunk ends the stream.  Yields ``(lo,
-        scores)`` per chunk, ``scores`` (b, |R|, classes) being a buffer the
-        next chunk overwrites, as are the masks.  ``W2`` is applied per
-        variant (``matmul`` over the stack), so each product has the shape
-        of a one-graph pass over ``R``.
+        One call is one pass (``hidden``).  ``W2`` is applied per variant
+        (``matmul`` over the stack), so each product has the shape of a
+        one-graph pass over ``R``.  The callers keep the pass under the
+        byte budget by chunking their own variants (``chunk``).
         """
-        step = self.chunk(hood)
-        kept = np.empty((step, hood.edges.size), dtype=bool)
-        ablated = np.empty((step, hood.nodes.size), dtype=bool) if ablation else None
-        out = np.empty((step, hood.rows.size, self.model.classes))
-        lo, b = 0, step
-        while b == step:
-            b = fill(lo, kept, ablated)
-            if b:
-                h2 = self.hidden(hood, kept[:b], None if ablated is None else ablated[:b])
-                yield lo, np.matmul(h2, self.model.w2, out=out[:b])
-                lo += b
+        return np.matmul(self.hidden(hood, kept, ablated), self.model.w2)
 
     def sample_votes(self, nodes: np.ndarray, cfg: smoothing.SmoothingConfig,
                      n_samples: int):
-        """Votes of ascending ``nodes`` on smoothing samples 0..n_samples-1, pass by pass.
+        """Votes of ascending ``nodes`` on smoothing samples 0..n_samples-1, chunk by chunk.
 
+        Each chunk of ``chunk`` samples is drawn and scored in one pass.
         Yields ``(lo, classes)``, ``classes`` being a new (b, len(nodes))
         array whose row j holds the votes under sample ``lo + j``.  Samples
         are keyed by index, so a node sees bitwise the same sampled graphs
@@ -410,39 +401,33 @@ class LocalScorer:
         if not len(nodes):
             return
         hood = TwoHop(self.g, nodes)
-
-        def fill(lo, kept, ablated):
-            b = min(len(kept), n_samples - lo)
+        step = self.chunk(hood)
+        for lo in range(0, n_samples, step):
+            b = min(step, n_samples - lo)
+            kept = np.empty((b, hood.edges.size), dtype=bool)
+            ablated = np.empty((b, hood.nodes.size), dtype=bool)
             for j in range(b):
                 s = smoothing.sample(self.g, cfg, lo + j)
                 np.take(s.edge_mask, hood.edges, out=kept[j], mode="clip")   # no temporary
                 np.take(s.ablated, hood.nodes, out=ablated[j], mode="clip")
-            return b
-
-        for lo, scores in self.scores(hood, fill, ablation=True):
-            yield lo, np.argmax(scores, axis=2)
+            yield lo, np.argmax(self.scores(hood, kept, ablated), axis=2)
 
     def predict_without(self, v: int, deleted) -> list[int]:
         """Class of ``v`` with each set of nodes deleted: ``derandomize``'s batch ``predict``.
 
-        ``deleted`` is an iterable of node sets, read one chunk at a time,
-        so memory does not grow with the number of sets.  The hidden rows
-        are bitwise ``forward``'s, but ``W2`` multiplies one row here and
-        all rows there, and BLAS rounds the two products differently in the
-        last bits: at a near-tie of two classes this classifier and
-        ``forward``'s argmax may pick different ones.
+        ``deleted`` is an iterable of node sets, read and scored ``chunk``
+        sets per pass, so memory does not grow with the number of sets.
+        The hidden rows are bitwise ``forward``'s, but ``W2`` multiplies one
+        row here and all rows there, and BLAS rounds the two products
+        differently in the last bits: at a near-tie of two classes this
+        classifier and ``forward``'s argmax may pick different ones.
         """
         hood = TwoHop(self.g, [v])
+        step = self.chunk(hood)
         deleted = iter(deleted)
-
-        def fill(lo, kept, _):
-            sets = list(itertools.islice(deleted, len(kept)))
-            kept[:len(sets)] = hood.kept_without(sets)
-            return len(sets)
-
         out: list[int] = []
-        for _, scores in self.scores(hood, fill):
-            out += np.argmax(scores[:, 0], axis=1).tolist()
+        while sets := list(itertools.islice(deleted, step)):
+            out += np.argmax(self.scores(hood, hood.kept_without(sets))[:, 0], axis=1).tolist()
         return out
 
 
@@ -695,8 +680,8 @@ def _blank_row(row: list[str]) -> bool:
 
 
 def _header_row(row: list[str]) -> bool:
-    """Whether a first CSV row is a header: a non-blank row not led by an integer."""
-    return not _blank_row(row) and not row[0].strip().lstrip("-").isdigit()
+    """Whether a first CSV row is a header: a non-blank row not led by a signed or bare integer."""
+    return not _blank_row(row) and not row[0].strip().lstrip("+-").isdigit()
 
 
 def load_votes(path) -> VoteTable:

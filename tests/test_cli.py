@@ -381,7 +381,7 @@ def test_integer_valued_floats_are_node_ids(fixture_dir):
     ("bound_method", 3), ("edges", 5), ("votes", []),
     ("bound_method", "exact"), ("rho_max_scan", 0), ("rho_max_scan", -2),
     ("flag_radii", [1, 1, -3]), ("flag_radii", [2, 2]), ("flag_radii", [-1]),
-    ("k", 0),
+    ("k", 0), ("labeled_per_class", -1), ("labeled_per_class", 0),
 ])
 def test_wrong_json_type_is_exit_two_naming_the_key(fixture_dir, capsys, key, value):
     cfg = write_config(fixture_dir, **{key: value})
@@ -399,13 +399,18 @@ def test_right_json_types_are_accepted(fixture_dir):
     assert main(["paths", "--config", str(cfg)]) == 0
 
 
-def test_bad_config_is_exit_two(tmp_path):
+def test_bad_config_is_exit_two(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{\"edges\": \"nope.txt\", \"mystery\": 1}")
     assert main(["certify", "--config", str(bad)]) == 2
     bad2 = tmp_path / "bad2.json"
     bad2.write_text("not json")
     assert main(["train", "--config", str(bad2)]) == 2
+    # valid JSON that is no object: a list, null, a number, a string
+    for text in ("[]", "null", "1", '"x"'):
+        bad2.write_text(text)
+        assert main(["train", "--config", str(bad2)]) == 2
+        assert "is not a JSON object" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("key,value", [("k_rel", -0.5), ("k_rel", 1.5), ("tau", 0),

@@ -19,7 +19,7 @@ from gnncert import (
 from gnncert.errors import EnumerationRefused, IncompleteRepresentativesError
 
 from conftest import random_graph
-from test_gcn import all_scores, random_model
+from test_gcn import random_model
 from gnncert.gcn import _CHUNK_BYTES, forward
 
 
@@ -163,6 +163,24 @@ def test_batched_predictor_equals_per_view_forward(rng):
         assert batched == per_view
 
 
+@pytest.mark.parametrize("step", [lambda sets: 1, lambda sets: 3, lambda sets: sets,
+                                  lambda sets: sets + 1],
+                         ids=["one", "three", "all", "all+1"])
+def test_predict_without_reads_every_chunk_boundary(rng, monkeypatch, step):
+    # passes of one and of three sets, of exactly every set (the loop stops
+    # on an empty read), and of one set more than there are
+    leaves = 5
+    edges = [(0, i) for i in range(1, leaves + 1)] + [(i, i + 1) for i in range(1, leaves)]
+    g = Graph.build(n=leaves + 1, edges=edges, features=rng.normal(size=(leaves + 1, 3)))
+    model = random_model(rng, d=3, skip=True)
+    rf = field_of(g, 0, k=2)
+    deleted = [rf.members - r.nodes for r in enumerate_representatives(rf, 2, tau=None)]
+    assert len(deleted) % 3
+    monkeypatch.setattr(LocalScorer, "chunk", lambda self, hood: step(len(deleted)))
+    per_view = [int(np.argmax(forward(model, g.without_nodes(dset), 0))) for dset in deleted]
+    assert LocalScorer(model, g).predict_without(0, iter(deleted)) == per_view
+
+
 def test_batched_predictor_equals_per_view_forward_at_cora_scale(rng):
     # W2 multiplies one row here and all 2708 rows in ``forward``, so the
     # scores differ in the last bits; the classes must still agree
@@ -224,7 +242,7 @@ def test_deletions_beyond_two_hops_change_degrees_inside_the_neighbourhood(rng):
     hood = TwoHop(g, [0])
     assert hood.nodes.tolist() == [0, 1, 2]
     deleted = [frozenset(), frozenset({3})]
-    scores = all_scores(LocalScorer(model, g), hood, hood.kept_without(deleted))[:, 0]
+    scores = LocalScorer(model, g).scores(hood, hood.kept_without(deleted))[:, 0]
     full = [forward(model, g.without_nodes(dset), 0) for dset in deleted]
     assert not np.allclose(full[0], full[1])
     assert np.allclose(scores, full, rtol=0.0, atol=1e-12)

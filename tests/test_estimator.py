@@ -247,7 +247,7 @@ def test_batched_votes_equal_per_sample_loop(rng, monkeypatch, step):
     from gnncert import LocalScorer
 
     if step is not None:
-        # passes of three samples: 10 samples split 3 + 3 + 3 + 1
+        # passes of three samples: 9 samples fill three, 10 split 3 + 3 + 3 + 1
         monkeypatch.setattr(LocalScorer, "chunk", lambda self, hood: step)
     for trial in range(6):
         g = random_graph(rng, n=int(rng.integers(5, 16)), p_edge=0.3,
@@ -257,7 +257,7 @@ def test_batched_votes_equal_per_sample_loop(rng, monkeypatch, step):
                               seed=int(rng.integers(1 << 30)))
         for nodes in ([int(rng.integers(g.n))], list(range(g.n))):
             nodes = np.asarray(nodes)
-            for n_samples in (1, 10):
+            for n_samples in (1, 9, 10):
                 assert np.array_equal(streamed_votes(model, g, cfg, n_samples, nodes),
                                       per_sample_votes(model, g, cfg, n_samples, nodes))
 

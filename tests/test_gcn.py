@@ -9,6 +9,7 @@ from gnncert import (
     Graph,
     GnnModel,
     LocalScorer,
+    SmoothedSample,
     SmoothingConfig,
     TrainConfig,
     TwoHop,
@@ -22,6 +23,7 @@ from gnncert import (
     save_votes,
     train,
 )
+from gnncert import gcn
 from gnncert.errors import ConfigError, VoteFormatError
 from gnncert.gcn import _CHUNK_BYTES, loss_and_grads, normalized_adjacency, propagate
 
@@ -129,19 +131,6 @@ def local_cases(rng):
         yield g, sorted(rng.choice(g.n, size=size, replace=False).tolist())
 
 
-def all_scores(scorer, hood, kept, ablated=None):
-    """(b, |R|, classes) scores of the variants ``kept`` through the chunk stream."""
-    def fill(lo, kept_buf, ablated_buf):
-        b = min(len(kept_buf), len(kept) - lo)
-        kept_buf[:b] = kept[lo:lo + b]
-        if ablated_buf is not None:
-            ablated_buf[:b] = ablated[lo:lo + b]
-        return b
-
-    return np.concatenate([np.empty((0, hood.rows.size, scorer.model.classes))]
-                          + [s.copy() for _, s in scorer.scores(hood, fill, ablated is not None)])
-
-
 def test_batched_hidden_rows_equal_per_variant_propagation_bitwise(rng):
     for g, rows in local_cases(rng):
         hood = TwoHop(g, rows)
@@ -156,7 +145,7 @@ def test_batched_hidden_rows_equal_per_variant_propagation_bitwise(rng):
                                 ).reshape(len(samples), -1)
                 ablated = np.array([s.ablated[hood.nodes] for s in samples])
                 hidden = scorer.hidden(hood, kept, ablated)
-                scores = all_scores(scorer, hood, kept, ablated)
+                scores = scorer.scores(hood, kept, ablated)
                 for i, s in enumerate(samples):
                     ref = full_hidden(model, g, s.edge_mask, s.ablated, model.token)[rows]
                     assert np.array_equal(hidden[i], ref)
@@ -206,7 +195,7 @@ def test_csr_product_sums_each_row_in_stored_order():
     assert np.array_equal(m.indices, indices)       # the product reordered nothing
 
 
-def test_many_samples_are_scored_in_bounded_memory(rng):
+def test_many_samples_are_scored_in_bounded_memory(rng, monkeypatch):
     # the smoothing path's counterpart of the derandomization memory test:
     # 2,000 samples of a hood whose masks alone would take ~19 MB are
     # scored one chunk at a time within the scorer's budget
@@ -217,19 +206,16 @@ def test_many_samples_are_scored_in_bounded_memory(rng):
     hood = TwoHop(g, np.sort(rng.choice(n, size=40, replace=False)))
     assert samples * (hood.edges.size + hood.nodes.size) > 8 * _CHUNK_BYTES
     scorer = LocalScorer(random_model(rng, d=3), g)
-    bank_kept = rng.random((4, hood.edges.size)) < 0.7
-    bank_ablated = rng.random((4, hood.nodes.size)) < 0.5
-
-    def fill(lo, kept, ablated):
-        b = min(len(kept), samples - lo)
-        for j in range(b):
-            kept[j] = bank_kept[(lo + j) % 4]
-            ablated[j] = bank_ablated[(lo + j) % 4]
-        return b
+    # four full-graph samples, built before tracing starts, stand in for
+    # the draws, so the trace holds what ``sample_votes`` itself allocates
+    bank = [SmoothedSample(edge_mask=rng.random(g.m) < 0.7, ablated=rng.random(n) < 0.5,
+                           sample_index=i) for i in range(4)]
+    monkeypatch.setattr(gcn.smoothing, "sample", lambda g, cfg, i: bank[i % 4])
+    cfg = SmoothingConfig(p_del=0.3, p_abl=0.5)
 
     tracemalloc.start()
     try:
-        scored = sum(len(scores) for _, scores in scorer.scores(hood, fill, ablation=True))
+        scored = sum(len(votes) for _, votes in scorer.sample_votes(hood.rows, cfg, samples))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -508,3 +494,12 @@ def test_vote_file_examples(tmp_path):
     dup.write_text("0,0,1\n0,0,2\n")
     with pytest.raises(VoteFormatError, match="duplicate"):
         load_votes(dup)
+
+    # a signed first field is a vote, not a header, on the numpy path and
+    # on the line-by-line path a duplicate sends the file down
+    plus = tmp_path / "plus.csv"
+    plus.write_text("+0,0,1\n0,1,1\n0,2,1\n")
+    assert load_votes(plus).votes == {0: {0: 1, 1: 1, 2: 1}}
+    plus.write_text("+0,0,1\n0,0,2\n")
+    with pytest.raises(VoteFormatError, match="line 2: duplicate"):
+        load_votes(plus)
