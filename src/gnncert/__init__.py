@@ -7,7 +7,7 @@ certificates follow from bounding the probability that any such message
 reaches the target.
 """
 
-from .graph import Graph, ReceptiveField, load_graph, receptive_field
+from .graph import Graph, ReceptiveField, load_graph, receptive_field, receptive_fields
 from .smoothing import SmoothingConfig, SmoothedSample, sample, apply
 from .bounds import (
     DeltaBound,
@@ -59,7 +59,7 @@ from .derandomize import (
 from . import errors
 
 __all__ = [
-    "Graph", "ReceptiveField", "load_graph", "receptive_field",
+    "Graph", "ReceptiveField", "load_graph", "receptive_field", "receptive_fields",
     "SmoothingConfig", "SmoothedSample", "sample", "apply",
     "DeltaBound", "delta_exact_ie", "delta_greedy_probe", "delta_monte_carlo",
     "delta_multiplicative", "delta_node_ablation_exact",

@@ -16,7 +16,7 @@ independent: the per-source product bound, the multiplicative combination of
 the top sources, and the (weaker) union bound.  One function, ``_worst_case``,
 chooses among these for a (field, d_min, method) and a list of budgets;
 ``delta_worst_case`` and ``worst_case_curve`` both go through it.  Each
-number has one implementation: ``_single_values`` every per-source value of
+number has one implementation: ``_single_array`` every per-source value of
 a field, ``_combined_curve`` every combination, and ``_exact_for_set`` the
 exact value of a fixed set; the public functions for one value read them.
 
@@ -163,23 +163,42 @@ def delta_single_source(rf: ReceptiveField, w: int, cfg: SmoothingConfig) -> Del
 
 
 def _single_values(rf: ReceptiveField, cfg: SmoothingConfig) -> dict[int, float]:
-    """``delta_single_source`` value of every member, once per field and (p_del, p_abl).
+    """``delta_single_source`` value of every member: ``_single_array`` keyed by node."""
+    return dict(zip(rf.member_ids.tolist(), _single_array(rf, cfg).tolist()))
 
-    The interception factor ``1 - (1 - p_del)**L`` of a path depends only
-    on its length ``L``, so it comes from one table per field, and a
-    member's factors are multiplied in path order.  Only ``1 - product``
-    is read, and the rounding of a plain product lies far below the last
-    bit of that difference, also when a factor is tiny.
+
+def _single_array(rf: ReceptiveField, cfg: SmoothingConfig) -> np.ndarray:
+    """Single-source value of every member, aligned with ``rf.member_ids``.
+
+    Computed once per (p_del, p_abl) for every field of ``rf.chunk``, the
+    fields built together.  The interception factor ``1 - (1 - p_del)**L``
+    of a path depends only on its length ``L``, so it comes from one
+    table.  A member's factors are multiplied left to right in path order,
+    starting from 1, as ``math.prod`` does: the j-th factors of all members
+    at once, for j = 0, 1, ...  Only ``1 - product`` is read, and the
+    rounding of a plain product lies far below the last bit of that
+    difference, also when a factor is tiny.  A target, the one member at
+    distance 0, arrives unless ablated.
     """
+    chunk = rf.chunk
     key = ("single-source", cfg.p_del, cfg.p_abl)
-    if key not in rf.memo:
+    if key not in chunk.memo:
         keep, reach = 1.0 - cfg.p_del, 1.0 - cfg.p_abl
-        factor = [1.0 - keep ** length for length in range(rf.k + 1)]
-        values = {w: _clip01(reach * (1.0 - math.prod(factor[len(q)] for q in plist)))
-                  for w, plist in rf.paths.items()}
-        values[rf.target] = _clip01(reach)
-        rf.memo[key] = values
-    return rf.memo[key]
+        longest = int(chunk.path_length.max(initial=0))
+        factor = np.array([1.0 - keep ** length for length in range(longest + 1)])
+        factor = factor[chunk.path_length]
+        counts = np.diff(chunk.path_offsets)
+        member = np.repeat(np.arange(len(counts)), counts)
+        rank = np.arange(len(factor)) - chunk.path_offsets[member]
+        order = np.argsort(rank, kind="stable")
+        product = np.ones(len(counts))
+        for rows in np.split(order, np.cumsum(np.bincount(rank))[:-1]):
+            product[member[rows]] *= factor[rows]
+        values = reach * (1.0 - product)
+        values = np.where(values > 0.0, np.minimum(values, 1.0), 0.0)    # _clip01
+        values[chunk.member_distance == 0] = _clip01(reach)
+        chunk.memo[key] = values
+    return chunk.memo[key][rf.member_span]
 
 
 def _sorted_values(singles) -> list[float]:
@@ -455,11 +474,11 @@ def _worst_case(rf: ReceptiveField, d_min: int, cfg: SmoothingConfig, method: st
         raise ValueError(f"unknown worst-case method {method!r}")
     if not budgets:
         return []
-    candidates = rf.candidates(d_min)
     if method != "exact-enumeration":
-        singles = _single_values(rf, cfg)
-        values = sorted((singles[w] for w in candidates), reverse=True)
+        singles = _single_array(rf, cfg)[rf.member_distance >= d_min]
+        values = np.sort(singles)[::-1].tolist()
         return _up_to_failure(_combined_curve(values, method, d_min, budgets), certifies)
+    candidates = rf.candidates(d_min)
     if not candidates:
         return _up_to_failure((DeltaBound(value=0.0, method="inclusion-exclusion-exact",
                                           rho=rho, d_min=d_min) for rho in budgets),
@@ -510,10 +529,11 @@ def _decided_curve(rf: ReceptiveField, d_min: int, cfg: SmoothingConfig, budgets
     Each entry is computed only when read, so ``_up_to_failure`` stops the
     work at the first failing one.
     """
-    singles = _single_values(rf, cfg)
-    ranked = sorted(rf.candidates(d_min), key=lambda w: (-singles[w], w))
-    for g in _combined_curve([singles[w] for w in ranked], "multiplicative", d_min,
-                             budgets):
+    candidate = rf.member_distance >= d_min
+    singles = _single_array(rf, cfg)[candidate]
+    order = np.argsort(-singles, kind="stable")      # ties by node, as members ascend
+    ranked = rf.member_ids[candidate][order].tolist()
+    for g in _combined_curve(singles[order].tolist(), "multiplicative", d_min, budgets):
         if certifies(g.value + FKG_TOLERANCE):
             yield g
             continue
@@ -577,10 +597,13 @@ def delta_greedy_probe(
                           rho=max(rho, 0), d_min=d_min, worst_set=())
 
     def branch_of(w: int) -> int:
+        """The neighbour delivering into the target on ``w``'s first shortest path."""
         if w == rf.target:
             return rf.target
-        shortest = min(rf.paths[w], key=len)
-        return shortest[-1][0]      # neighbor delivering into the target
+        i = int(np.searchsorted(rf.member_ids, w))
+        first = rf.path_offsets[i]
+        shortest = first + int(np.argmin(rf.path_length[first:rf.path_offsets[i + 1]]))
+        return int(rf.path_nodes[shortest, 0])
 
     by_branch: dict[int, list[int]] = {}
     for w in sorted(candidates, key=lambda w: (rf.distance[w], w)):

@@ -23,7 +23,8 @@ import numpy as np
 from . import bounds, derandomize, estimator, gcn, smoothing
 from .errors import (ConfigError, EnumerationRefused, InsufficientSamplesError,
                      ResourceLimitError)
-from .graph import load_graph, receptive_field
+# ``receptive_field`` stays bound here: perfbench's tracer patches it by this name
+from .graph import load_graph, receptive_field, receptive_fields  # noqa: F401
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -94,12 +95,10 @@ class RunConfig:
                 raise ConfigError(f"probability {p} outside [0, 1]")
         if not 0.0 <= cfg.k_rel <= 1.0:
             raise ConfigError(f"k_rel {cfg.k_rel} outside [0, 1]")
-        if cfg.tau < 1:
-            raise ConfigError(f"tau {cfg.tau} must be >= 1")
-        if cfg.k < 1:
-            raise ConfigError(f"k {cfg.k} must be >= 1")
-        if cfg.labeled_per_class < 1:
-            raise ConfigError(f"labeled_per_class {cfg.labeled_per_class} must be >= 1")
+        for name in ("tau", "k", "labeled_per_class", "max_paths", "subset_cap",
+                     "max_ie_terms", "hidden"):
+            if getattr(cfg, name) < 1:
+                raise ConfigError(f"{name} {getattr(cfg, name)} must be >= 1")
         if cfg.n0 < 1 or cfg.n1 < 1:
             raise ConfigError(f"sample counts n0 {cfg.n0} and n1 {cfg.n1} must be >= 1")
         if cfg.bound_method not in bounds.WORST_CASE_METHODS:
@@ -204,6 +203,23 @@ def _write_json(path: Path, payload: dict) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(payload, fh, sort_keys=True, indent=1, default=str)
         fh.write("\n")
+
+
+def _field_reader(g, nodes: list[int], cfg: RunConfig):
+    """``field(v)`` for the ``nodes`` in order: ``v``'s receptive field.
+
+    Fields are enumerated a chunk of nodes at a time as the reads move
+    on, and a node may be skipped.  A node over ``max_paths`` raises its
+    ``ResourceLimitError`` when read, so it fails alone.
+    """
+    fields = zip(nodes, receptive_fields(g, nodes, cfg.k, max_paths=cfg.max_paths))
+
+    def field(v: int):
+        rf = next(rf for u, rf in fields if u == v)
+        if isinstance(rf, ResourceLimitError):
+            raise rf
+        return rf
+    return field
 
 
 def _per_node(path: Path, header: list[str], nodes: list[int],
@@ -314,12 +330,13 @@ def cmd_certify(cfg: RunConfig) -> int:
     tallies = estimator.estimate_all(model if vote_table is None else vote_table, g, nodes,
                                      scfg, cfg.n0, cfg.n1, cfg.alpha, missing=missing)
     confidence = dict(zip(tallies, estimator.confidence_bounds_all(list(tallies.values()))))
+    field = _field_reader(g, nodes, cfg)
 
     def work(v: int):
         if v in missing:
             raise missing[v]
         tally = tallies[v]
-        rf = receptive_field(g, v, cfg.k, max_paths=cfg.max_paths)
+        rf = field(v)
         surfaces = {dm: rf.attack_surface(dm) for dm in d_mins}
         # built by certify at the node's confidence bounds, unless it abstains
         curves = {
@@ -380,9 +397,10 @@ def cmd_derandomize(cfg: RunConfig) -> int:
     classes = model.classes
 
     scorer = gcn.LocalScorer(model, g)
+    field = _field_reader(g, nodes, cfg)
 
     def work(v: int):
-        rf = receptive_field(g, v, cfg.k, max_paths=cfg.max_paths)
+        rf = field(v)
         d = rf.size - 1
         kk = derandomize.retention_count(d, cfg.k_rel)
         support = math.comb(d, kk)
@@ -519,12 +537,12 @@ def cmd_paths(cfg: RunConfig) -> int:
         payload = gcn.load_checkpoint(cfg.model)[1]
     nodes = _select_nodes(cfg, g, payload)
     d_mins = _d_mins(cfg)
+    field = _field_reader(g, nodes, cfg)
 
     def work(v: int):
-        rf = receptive_field(g, v, cfg.k, max_paths=cfg.max_paths)
-        n_paths = sum(len(p) for p in rf.paths.values())
-        longest = max((len(q) for p in rf.paths.values() for q in p), default=0)
-        return ([rf.size, n_paths, longest, int(bounds.is_tree(rf))]
+        rf = field(v)
+        longest = int(rf.path_length.max(initial=0))
+        return ([rf.size, len(rf.path_length), longest, int(bounds.is_tree(rf))]
                 + [rf.attack_surface(dm) for dm in d_mins]), None
 
     header = (["node_id", "field_size", "simple_paths", "longest_path", "is_tree"]

@@ -1,10 +1,11 @@
 """Graph representation, loading, and receptive-field extraction.
 
 A ``Graph`` stores a directed edge list (undirected inputs are symmetrized at
-load time), per-node features, and optional labels.  ``receptive_field``
-enumerates, for a target node, every simple path of bounded length that can
-carry a message into it; those paths are the substrate for all interception
-probability computations.
+load time), per-node features, and optional labels.  ``receptive_fields``
+enumerates, for each of a list of target nodes, every simple path of bounded
+length that can carry a message into it, in arrays, a chunk of targets at a
+time; ``receptive_field`` does so for one target.  Those paths are the
+substrate for all interception probability computations.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ import io
 import re
 import warnings
 from dataclasses import dataclass, field
+from typing import Iterator
 
 import numpy as np
 
@@ -132,12 +134,15 @@ class Graph:
         """CSR in-neighbour index ``(indptr, senders)``, built on first use.
 
         The senders into node ``u`` are ``senders[indptr[u]:indptr[u + 1]]``,
-        ascending.
+        ascending: the flat keys ``dst * n + src`` sort by receiver and then
+        sender, and ``% n`` reads the sender back.  The receiver column
+        alone is no shortcut, since a ``with_edges`` view of an undirected
+        graph may hold one orientation of an edge only.
         """
-        order = np.lexsort((self.edges[:, 0], self.edges[:, 1]))
+        src, dst = self.edges[:, 0], self.edges[:, 1]
         indptr = np.zeros(self.n + 1, dtype=np.int64)
-        np.cumsum(np.bincount(self.edges[:, 1], minlength=self.n), out=indptr[1:])
-        return indptr, self.edges[order, 0]
+        np.cumsum(np.bincount(dst, minlength=self.n), out=indptr[1:])
+        return indptr, np.sort(dst * self.n + src) % self.n
 
     def with_edges(self, edge_mask: np.ndarray, features: np.ndarray | None = None) -> "Graph":
         """View of this graph keeping only the masked edges (features optionally replaced).
@@ -425,43 +430,105 @@ def _load_label_csv(path) -> np.ndarray:
 
 # ---------------------------------------------------------------------------
 # receptive fields
+#
+# Fields are enumerated a chunk of targets at a time, in arrays.  Each layer
+# extends every path of the chunk by every in-neighbour of its far end that
+# is not on it already; one lexsort then puts each target's paths in the
+# order of a depth-first search backward from the target.
+
+# Building a chunk, its path rows and the arrays that sort them, peaks at
+# about this many bytes: runs of targets are cut to fit, at 16 bytes per
+# row and column plus 128 per row.  (tracemalloc showed a 1.1 MB peak for
+# the chunks of all 2,708 targets at k = 2 on a Cora-sized graph, and
+# less per row at k = 3..6.)
+_CHUNK_BYTES = 1 << 20
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
+class FieldChunk:
+    """The fields of a chunk of targets built together, one after another.
+
+    The arrays are those of ``ReceptiveField``, for every field of the
+    chunk in turn, with ``path_offsets`` counted from the chunk's first
+    row.  A target is the one member at distance 0 of its field.
+    ``memo`` keeps values other modules derive for every field of the
+    chunk at once: ``bounds`` keeps every member's single-source value
+    there, per pair of smoothing probabilities.
+    """
+
+    member_ids: np.ndarray
+    member_distance: np.ndarray
+    path_offsets: np.ndarray
+    path_source: np.ndarray
+    path_length: np.ndarray
+    path_nodes: np.ndarray
+    memo: dict = field(default_factory=dict, repr=False)
+
+
+@dataclass(frozen=True, eq=False)
 class ReceptiveField:
     """All structure that can influence a k-layer prediction at ``target``.
 
-    ``paths[w]`` is the complete set of simple paths of length <= k from
-    member ``w`` to the target, each path a tuple of directed edges.
-    ``path_edges`` is their union; ``edges_within`` holds every graph edge
-    between members (needed when retained-subgraph connectivity matters, not
-    just message paths).  It is built from ``_graph`` on first read, so a
-    field whose certificate needs only its paths never scans the edge list;
-    ``_graph`` takes no part in ``==`` or ``repr``.
+    The field is held as arrays.  ``member_ids`` lists the members in
+    ascending order, the target among them, and ``member_distance`` their
+    hop distances to the target.  The path table has one row per simple
+    path of length <= k into the target: ``path_source``, ``path_length``
+    and ``path_nodes``, the nodes 1, 2, ... hops from the target along the
+    path, padded with -1 past its length to ``min(k, n - 1)`` columns, the
+    most hops a simple path can take.  Rows are grouped by source in
+    member order, so member ``i``'s paths are the rows
+    ``path_offsets[i]:path_offsets[i + 1]`` (none for the target).  Within
+    a source they come in the order of a depth-first search backward from
+    the target that takes senders in ascending order and records a path
+    before its extensions.  The arrays are views of the ``chunk`` of fields
+    built together, whose members ``member_span`` holds.
+
+    ``members``, ``distance`` and ``paths`` (each path a tuple of directed
+    edges from its source to the target), ``path_edges`` (their union),
+    ``logical_paths`` and ``tree_children`` are derived from the arrays on
+    first read, for the exact bounds, derandomization and the ``paths``
+    command; the multiplicative and union bounds read the arrays only.
+    ``edges_within`` holds every graph edge between members (needed when
+    retained-subgraph connectivity matters, not just message paths).  It
+    is built from ``_graph`` on first read, so a field whose certificate
+    needs only its paths never scans the edge list.
     """
 
     target: int
     k: int
     directed: bool
-    members: frozenset[int]
-    distance: dict[int, int]
-    paths: dict[int, tuple[Path, ...]]
-    path_edges: frozenset[Edge]
-    _graph: Graph = field(repr=False, compare=False)
+    member_ids: np.ndarray        # (M,) int64, ascending
+    member_distance: np.ndarray   # (M,) int64
+    path_offsets: np.ndarray      # (M + 1,) int64
+    path_source: np.ndarray       # (P,) int64
+    path_length: np.ndarray       # (P,) int64
+    path_nodes: np.ndarray        # (P, min(k, n - 1)) int64
+    chunk: FieldChunk = field(repr=False)
+    member_span: slice
+    _graph: Graph = field(repr=False)
 
     @property
     def size(self) -> int:
-        return len(self.members)
+        return len(self.member_ids)
+
+    @functools.cached_property
+    def members(self) -> frozenset[int]:
+        return frozenset(self.member_ids.tolist())
+
+    @functools.cached_property
+    def distance(self) -> dict[int, int]:
+        """Hop distance of every member to the target, in member order."""
+        return dict(zip(self.member_ids.tolist(), self.member_distance.tolist()))
 
     def candidates(self, d_min: int) -> tuple[int, ...]:
         """Nodes an adversary at hop distance >= d_min may control, ascending.
 
-        Sorted once per ``d_min`` and kept on the field; a tuple, so no
+        Built once per ``d_min`` and kept on the field; a tuple, so no
         caller can change the kept sequence.
         """
         kept = self._candidates
         if d_min not in kept:
-            kept[d_min] = tuple(sorted(w for w in self.members if self.distance[w] >= d_min))
+            kept[d_min] = tuple(self.member_ids[self.member_distance >= d_min].tolist())
         return kept[d_min]
 
     @functools.cached_property
@@ -469,14 +536,41 @@ class ReceptiveField:
         return {}
 
     def attack_surface(self, d_min: int) -> int:
-        return len(self.candidates(d_min))
+        return int(np.count_nonzero(self.member_distance >= d_min))
+
+    @functools.cached_property
+    def paths(self) -> dict[int, tuple[Path, ...]]:
+        """Each source's paths in table order, a path as its edges from the source on."""
+        out = []
+        for row, length in zip(self.path_nodes.tolist(), self.path_length.tolist()):
+            walk = row[length - 1::-1] + [self.target]
+            out.append(tuple(zip(walk, walk[1:])))
+        cut = self.path_offsets.tolist()
+        return {w: tuple(out[a:b])
+                for w, a, b in zip(self.member_ids.tolist(), cut, cut[1:]) if b > a}
+
+    def _first_edges(self) -> Iterator[Edge]:
+        """Each path's first edge, in table order."""
+        length = self.path_length
+        nxt = self.path_nodes[np.arange(len(length)), length - 2]
+        nxt = np.where(length > 1, nxt, self.target)
+        return zip(self.path_source.tolist(), nxt.tolist())
+
+    @functools.cached_property
+    def path_edges(self) -> frozenset[Edge]:
+        """Every edge on a path of the field, built on first use.
+
+        These are the paths' first edges: the rest of a path is a shorter
+        simple path into the target, and so a path of the field too.
+        """
+        return frozenset(self._first_edges())
 
     @functools.cached_property
     def edges_within(self) -> tuple[Edge, ...]:
         """Every edge of the graph between two members, in the graph's edge order."""
         edges = self._graph.edges
         inside = np.zeros(self._graph.n, dtype=bool)
-        inside[list(self.members)] = True
+        inside[self.member_ids] = True
         within = edges[inside[edges[:, 0]] & inside[edges[:, 1]]]
         return tuple(map(tuple, within.tolist()))
 
@@ -495,80 +589,197 @@ class ReceptiveField:
         """Ascending child lists of the message tree, or None when the field is no tree.
 
         The field is a tree when the message edges number one less than
-        the members.  Then every other member sends exactly one of them:
-        each sends the first edge of its own paths, and the target, where
-        every path ends, sends none.  Built on first use.
+        the members.  That is when the paths do: every member but the
+        target has a path and sends its first edge, and where two paths
+        from one member part, the node they part at sends two edges.  In a
+        tree each member but the target sends the first edge of its one
+        path, and the rows list the senders ascending.  Built on first use.
         """
-        if len(self.path_edges) != len(self.members) - 1:
+        if len(self.path_length) != self.size - 1:
             return None
-        children: dict[int, list[int]] = {w: [] for w in self.members}
-        for a, b in self.path_edges:
+        children: dict[int, list[int]] = {w: [] for w in self.member_ids.tolist()}
+        for a, b in self._first_edges():
             children[b].append(a)
-        return {w: tuple(sorted(c)) for w, c in children.items()}
-
-    @functools.cached_property
-    def memo(self) -> dict:
-        """Values other modules derive from this field, kept for reuse; empty at first.
-
-        ``bounds`` keeps every member's single-source value here, per pair of
-        smoothing probabilities, so that all d_min share one computation.
-        """
-        return {}
+        return {w: tuple(c) for w, c in children.items()}
 
 
 def receptive_field(g: Graph, v: int, k: int,
                     max_paths: int = DEFAULT_MAX_PATHS) -> ReceptiveField:
-    """Enumerate every simple path of length <= k ending at ``v``.
+    """The field of one target: every simple path of length <= k ending at ``v``.
 
-    Runs a depth-limited search backward from the target against edge
+    ``receptive_fields`` for the one target ``v``.  Paths follow edge
     direction, so directed graphs (e.g. after directional sparsification)
     are handled natively.  Exceeding ``max_paths`` raises
     ``ResourceLimitError`` rather than truncating, because a truncated path
     set would invalidate any certificate derived from it.
     """
-    if not 0 <= v < g.n:
-        raise ValueError(f"target node {v} out of range [0, {g.n})")
+    rf = next(receptive_fields(g, [v], k, max_paths))
+    if isinstance(rf, ResourceLimitError):
+        raise rf
+    return rf
+
+
+def receptive_fields(g: Graph, targets, k: int, max_paths: int = DEFAULT_MAX_PATHS
+                     ) -> Iterator[ReceptiveField | ResourceLimitError]:
+    """The field of each of ``targets``, in order, enumerated a chunk of targets at a time.
+
+    A target with more than ``max_paths`` simple paths of length <= k gets
+    a ``ResourceLimitError`` in place of its field, so it fails alone and
+    its paths are never truncated.  Consecutive targets share a chunk while
+    the walks of length <= k into them, which bound their paths, fit
+    ``_CHUNK_BYTES``.  Only one chunk is enumerated at a time, so the paths
+    held at once do not grow with the number of targets.  A target whose
+    walks alone exceed the budget is enumerated alone, a budget's worth of
+    extensions at a time, and holds at most ``max_paths`` paths plus one
+    such piece.  Targets and ``k`` are checked here, before the first field
+    is built.
+    """
+    targets = np.asarray(targets, dtype=np.int64).reshape(-1)
+    outside = targets[(targets < 0) | (targets >= g.n)]
+    if outside.size:
+        raise ValueError(f"target node {int(outside[0])} out of range [0, {g.n})")
     if k < 1:
         raise ValueError("layer count k must be >= 1")
+    hops = max(1, min(k, g.n - 1))          # no simple path is longer
+    rows = max(1, _CHUNK_BYTES // (16 * (hops + 8)))
+    cut = _chunk_bounds(g, targets, hops, rows)
+    return (rf for a, b in zip(cut, cut[1:])
+            for rf in _chunk_fields(g, targets[a:b], k, hops, max_paths, rows))
 
+
+def _chunk_bounds(g: Graph, targets: np.ndarray, hops: int, rows: int) -> list[int]:
+    """Cuts of ``targets`` into runs whose walks of length <= hops total at most ``rows``.
+
+    The walks into a target bound its simple paths, and at every layer the
+    extensions a layer tries, so a run's table fits ``rows``; a target
+    whose walks alone exceed it is a run of its own.  Walk counts are
+    capped at ``rows + 1``, which keeps every comparison and every sum
+    finite.
+    """
+    if len(targets) < 2:
+        return [0, len(targets)]
     indptr, senders = g.in_neighbors
-    paths: dict[int, list[Path]] = {}
-    count = 0
-    # stack of (node, suffix of edges from node to v, set of nodes on suffix)
-    on_path = [v]
+    receiver = np.repeat(np.arange(g.n), np.diff(indptr))
+    walks, total = np.ones(g.n), np.zeros(g.n)
+    for _ in range(hops):
+        walks = np.minimum(np.bincount(receiver, weights=walks[senders], minlength=g.n),
+                           rows + 1)
+        total += walks
+    reach = np.cumsum(np.minimum(total[targets], rows + 1))
+    cut = [0]
+    while cut[-1] < len(targets):
+        start = cut[-1]
+        base = reach[start - 1] if start else 0.0
+        cut.append(max(start + 1, int(np.searchsorted(reach, base + rows, side="right"))))
+    return cut
 
-    def visit(u: int, suffix: Path, depth: int) -> None:
-        nonlocal count
-        for a in senders[indptr[u]:indptr[u + 1]].tolist():
-            if a in on_path:
-                continue
-            new_path: Path = ((a, u),) + suffix
-            count += 1
-            if count > max_paths:
-                raise ResourceLimitError(
-                    f"receptive field of node {v} exceeds {max_paths} simple "
-                    f"paths; sparsify the graph or raise max_paths"
-                )
-            paths.setdefault(a, []).append(new_path)
-            if depth + 1 < k:
-                on_path.append(a)
-                visit(a, new_path, depth + 1)
-                on_path.pop()
 
-    visit(v, (), 0)
+def _extend(walks: np.ndarray, depth: int, owner: np.ndarray, indptr: np.ndarray,
+            senders: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each path of length ``depth`` in ``walks`` extended by every sender into its end not on it.
 
-    distance = {v: 0}
-    for w, plist in paths.items():
-        distance[w] = min(len(p) for p in plist)
-    members = frozenset(distance)
-    path_edges = frozenset(e for plist in paths.values() for p in plist for e in p)
-    return ReceptiveField(
-        target=v,
-        k=k,
-        directed=g.directed,
-        members=members,
-        distance=distance,
-        paths={w: tuple(p) for w, p in sorted(paths.items())},
-        path_edges=path_edges,
-        _graph=g,
-    )
+    A row of ``walks`` holds a path's nodes from the target outward,
+    padded with -1.  Rows come out in input order, and each row's
+    extensions with their senders ascending.
+    """
+    last = walks[:, depth]
+    ext = indptr[last + 1] - indptr[last]
+    parent = np.repeat(np.arange(len(last)), ext)
+    sender = senders[np.arange(parent.size) + np.repeat(indptr[last] - (np.cumsum(ext) - ext), ext)]
+    simple = (walks[parent, :depth + 1] != sender[:, None]).all(axis=1)
+    grown = walks[parent[simple]]
+    grown[:, depth + 1] = sender[simple]
+    return grown, owner[parent[simple]]
+
+
+def _path_rows(g: Graph, targets: np.ndarray, hops: int, max_paths: int, rows: int):
+    """Every simple path of length <= hops into each target, and the targets over ``max_paths``.
+
+    Returns each path's owner (its target's position in ``targets``), its
+    length and its nodes from the one next to the target outward, padded
+    with -1 to ``hops`` columns, layer after layer.  Layer ``L + 1`` extends
+    the paths of length ``L``, at most ``rows`` tried extensions at a time.
+    A target is over once its paths counted so far exceed ``max_paths``:
+    its paths are dropped, and no more are grown from them.
+    """
+    indptr, senders = g.in_neighbors
+    count = np.zeros(len(targets), dtype=np.int64)
+    over = np.zeros(len(targets), dtype=bool)
+    walks = np.full((len(targets), hops + 1), -1, dtype=np.int64)
+    walks[:, 0] = targets
+    owner = np.arange(len(targets))
+    layers = []
+    for depth in range(hops):
+        tried = np.cumsum(indptr[walks[:, depth] + 1] - indptr[walks[:, depth]])
+        grown, start = [], 0
+        while start < len(walks) and not over.all():
+            base = tried[start - 1] if start else 0
+            stop = max(start + 1, int(np.searchsorted(tried, base + rows, side="right")))
+            grown.append(_extend(walks[start:stop], depth, owner[start:stop], indptr, senders))
+            count += np.bincount(grown[-1][1], minlength=len(targets))
+            over |= count > max_paths
+            start = stop
+        if not grown:
+            break
+        walks = np.concatenate([w for w, _ in grown])
+        owner = np.concatenate([o for _, o in grown])
+        alive = ~over[owner]
+        walks, owner = walks[alive], owner[alive]
+        layers.append((walks, owner))
+    kept = [~over[o] for _, o in layers]
+    return (np.concatenate([o[m] for (_, o), m in zip(layers, kept)] + [owner[:0]]),
+            np.concatenate([np.full(m.sum(), depth) for depth, m in enumerate(kept, 1)]
+                           + [owner[:0]]),
+            np.concatenate([w[m, 1:] for (w, _), m in zip(layers, kept)] + [walks[:0, 1:]]),
+            over)
+
+
+def _chunk_fields(g: Graph, targets: np.ndarray, k: int, hops: int, max_paths: int,
+                  rows: int):
+    """The field of each target of one chunk, or its ``ResourceLimitError``, in order.
+
+    A depth-first search backward from the target, senders ascending,
+    meets the paths in the lexicographic order of their node sequences
+    from the target outward, a path before its extensions; padding with -1
+    puts a prefix first.  One lexsort by owner, source and those sequences
+    puts the chunk's rows in that order within each source.
+    """
+    owner, length, nodes, over = _path_rows(g, targets, hops, max_paths, rows)
+    source = nodes[np.arange(len(length)), length - 1]
+    order = np.lexsort((*nodes.T[::-1], source, owner))
+    owner, length, nodes, source = owner[order], length[order], nodes[order], source[order]
+
+    head = np.ones(len(owner), dtype=bool)
+    head[1:] = (owner[1:] != owner[:-1]) | (source[1:] != source[:-1])
+    first = np.flatnonzero(head)
+    t = len(targets)
+    m_owner = np.concatenate([owner[first], np.arange(t)])
+    m_id = np.concatenate([source[first], targets])
+    m_dist = np.concatenate([np.minimum.reduceat(length, first) if len(first) else first,
+                             np.zeros(t, dtype=np.int64)])
+    m_count = np.concatenate([np.diff(np.append(first, len(owner))),
+                              np.zeros(t, dtype=np.int64)])
+    by_member = np.lexsort((m_id, m_owner))
+    m_owner, m_id, m_dist = m_owner[by_member], m_id[by_member], m_dist[by_member]
+    m_offset = np.zeros(len(by_member) + 1, dtype=np.int64)
+    np.cumsum(m_count[by_member], out=m_offset[1:])
+    m_cut = np.searchsorted(m_owner, np.arange(t + 1)).tolist()
+    p_cut = m_offset[m_cut].tolist()
+    chunk = FieldChunk(member_ids=m_id, member_distance=m_dist, path_offsets=m_offset,
+                       path_source=source, path_length=length, path_nodes=nodes)
+
+    for i, v in enumerate(targets.tolist()):
+        if over[i]:
+            yield ResourceLimitError(
+                f"receptive field of node {v} exceeds {max_paths} simple "
+                f"paths; sparsify the graph or raise max_paths"
+            )
+            continue
+        ma, mb, pa, pb = m_cut[i], m_cut[i + 1], p_cut[i], p_cut[i + 1]
+        yield ReceptiveField(
+            target=v, k=k, directed=g.directed,
+            member_ids=m_id[ma:mb], member_distance=m_dist[ma:mb],
+            path_offsets=m_offset[ma:mb + 1] - pa,
+            path_source=source[pa:pb], path_length=length[pa:pb],
+            path_nodes=nodes[pa:pb], chunk=chunk, member_span=slice(ma, mb), _graph=g,
+        )

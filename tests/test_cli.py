@@ -6,7 +6,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gnncert import Graph, SmoothingConfig, receptive_field, worst_case_curve
+from gnncert import (Graph, SmoothingConfig, receptive_field, receptive_fields,
+                     worst_case_curve)
 from gnncert.cli import main
 from gnncert.estimator import radius
 
@@ -425,6 +426,18 @@ def test_bad_k_rel_or_tau_is_exit_two(fixture_dir, capsys, key, value):
         assert not (fixture_dir / "out").exists()
 
 
+@pytest.mark.parametrize("key", ["max_paths", "subset_cap", "max_ie_terms", "hidden"])
+@pytest.mark.parametrize("value", [0, -1])
+def test_budget_or_hidden_below_one_is_exit_two(fixture_dir, capsys, key, value):
+    # without the check, max_paths 0 failed every node, hidden 0 trained a
+    # constant classifier and a negative hidden ended in a numpy error
+    cfg = write_config(fixture_dir, **{key: value})
+    for command in ("train", "certify", "derandomize", "paths"):
+        assert main([command, "--config", str(cfg)]) == 2
+        assert f"{key} {value} must be >= 1" in capsys.readouterr().err
+        assert not (fixture_dir / "out").exists()
+
+
 @pytest.mark.parametrize("key", ["n0", "n1"])
 @pytest.mark.parametrize("votes", [False, True])
 def test_bad_sample_count_is_exit_two(fixture_dir, capsys, key, votes):
@@ -515,12 +528,13 @@ def test_certify_never_builds_edges_within(fixture_dir, monkeypatch):
     fields = []
 
     def recording(*args, **kwargs):
-        fields.append(receptive_field(*args, **kwargs))
-        return fields[-1]
+        for rf in receptive_fields(*args, **kwargs):
+            fields.append(rf)
+            yield rf
 
     cfg = write_config(fixture_dir, bound_method="exact-enumeration")
     assert main(["train", "--config", str(cfg)]) == 0
-    monkeypatch.setattr(cli, "receptive_field", recording)
+    monkeypatch.setattr(cli, "receptive_fields", recording)
     assert main(["certify", "--config", str(cfg)]) == 0
     assert fields and all("edges_within" not in rf.__dict__ for rf in fields)
 

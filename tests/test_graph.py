@@ -1,7 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 
-from gnncert import Graph, load_graph, receptive_field
+from gnncert import Graph, SmoothingConfig, graph, load_graph, receptive_field, receptive_fields
+from gnncert.bounds import _single_values
 from gnncert.errors import DimensionError, GraphParseError, ResourceLimitError
 
 from conftest import brute_force_paths, random_graph
@@ -199,3 +202,128 @@ def test_candidates_are_sorted_once_per_d_min(rng):
         assert got == tuple(sorted(w for w in rf.members if rf.distance[w] >= d_min))
         assert rf.candidates(d_min) is got          # kept, and a tuple no caller can change
         assert rf.attack_surface(d_min) == len(got)
+
+
+# ---------------------------------------------------------------------------
+# array enumeration against a depth-first search
+
+
+def dfs_field(g, v, k, max_paths):
+    """Distances and paths into ``v`` by a depth-first search backward from it.
+
+    Senders are taken in ascending order and a path is recorded before its
+    extensions; each source's paths keep that order, and sources ascend.
+    Raises ``ResourceLimitError`` at the first path past ``max_paths``.
+    """
+    indptr, senders = g.in_neighbors
+    paths, on_path, count = {}, [v], 0
+
+    def visit(u, suffix, depth):
+        nonlocal count
+        for a in senders[indptr[u]:indptr[u + 1]].tolist():
+            if a in on_path:
+                continue
+            path = ((a, u),) + suffix
+            count += 1
+            if count > max_paths:
+                raise ResourceLimitError(
+                    f"receptive field of node {v} exceeds {max_paths} simple "
+                    f"paths; sparsify the graph or raise max_paths"
+                )
+            paths.setdefault(a, []).append(path)
+            if depth + 1 < k:
+                on_path.append(a)
+                visit(a, path, depth + 1)
+                on_path.pop()
+
+    visit(v, (), 0)
+    distance = {v: 0, **{w: min(map(len, plist)) for w, plist in paths.items()}}
+    return distance, {w: tuple(plist) for w, plist in sorted(paths.items())}
+
+
+def reference_cases(rng, count=60):
+    for i in range(count):
+        g = random_graph(rng, n=int(rng.integers(1, 13)),
+                         p_edge=float(rng.uniform(0.0, 0.6)), directed=bool(i % 2))
+        yield g, 1 + i % 3
+
+
+def test_fields_equal_the_depth_first_search(rng):
+    for g, k in reference_cases(rng):
+        for v, rf in enumerate(receptive_fields(g, range(g.n), k)):
+            distance, paths = dfs_field(g, v, k, graph.DEFAULT_MAX_PATHS)
+            assert rf.target == v and rf.members == set(distance)
+            assert rf.distance == distance
+            assert list(rf.paths) == list(paths)
+            assert rf.paths == paths                    # each source's paths in DFS order
+            edges = {e for plist in paths.values() for q in plist for e in q}
+            assert rf.path_edges == edges
+            # a tree when the message edges number one less than the members
+            children = {w: tuple(sorted(a for a, b in edges if b == w)) for w in distance}
+            want = children if len(edges) == len(distance) - 1 else None
+            assert rf.tree_children == want
+
+
+def test_single_values_equal_the_product_in_depth_first_order(rng):
+    for g, k in reference_cases(rng):
+        c = SmoothingConfig(p_del=float(rng.uniform(0.0, 1.0)),
+                            p_abl=float(rng.uniform(0.0, 1.0)))
+        keep, reach = 1.0 - c.p_del, 1.0 - c.p_abl
+        for v in range(g.n):
+            _, paths = dfs_field(g, v, k, graph.DEFAULT_MAX_PATHS)
+            want = {w: min(1.0, max(0.0, reach * (1.0 - math.prod(
+                1.0 - keep ** len(q) for q in plist)))) for w, plist in paths.items()}
+            want[v] = min(1.0, max(0.0, reach))
+            got = _single_values(receptive_field(g, v, k), c)
+            assert got.keys() == want.keys()
+            assert all(got[w].hex() == want[w].hex() for w in want), v
+
+
+def test_chunked_builds_equal_one_target_builds(rng, monkeypatch):
+    tables = ("member_ids", "member_distance", "path_offsets", "path_source",
+              "path_length", "path_nodes")
+    cases = list(reference_cases(rng, count=30))
+    singles = [[receptive_field(g, v, k) for v in range(g.n)] for g, k in cases]
+    # a budget of 1 to 50 path rows cuts the targets into many chunks, and
+    # splits a layer's extensions into pieces
+    for chunk_bytes in (8, 400, 2000, graph._CHUNK_BYTES):
+        monkeypatch.setattr(graph, "_CHUNK_BYTES", chunk_bytes)
+        for (g, k), alone in zip(cases, singles):
+            targets = rng.permutation(g.n).tolist() * 2     # any order, repeats too
+            for v, rf in zip(targets, receptive_fields(g, targets, k)):
+                for name in tables:
+                    assert np.array_equal(getattr(rf, name), getattr(alone[v], name)), name
+
+
+def test_chunks_hold_a_bounded_number_of_paths(rng, monkeypatch):
+    held = []
+    path_rows = graph._path_rows
+
+    def recording(g, targets, k, max_paths, rows):
+        owner, length, nodes, over = path_rows(g, targets, k, max_paths, rows)
+        held.append((len(targets), len(owner), rows))
+        return owner, length, nodes, over
+
+    monkeypatch.setattr(graph, "_path_rows", recording)
+    monkeypatch.setattr(graph, "_CHUNK_BYTES", 2000)
+    for g, k in reference_cases(rng, count=30):
+        list(receptive_fields(g, range(g.n), k))
+    assert any(n > 1 for n, _, _ in held) and any(p > rows for _, p, rows in held)
+    assert all(p <= rows for n, p, rows in held if n > 1)    # only a lone target exceeds
+
+
+def test_max_paths_refusals_equal_the_depth_first_search(rng):
+    refused = 0
+    for g, k in reference_cases(rng):
+        max_paths = int(rng.integers(1, 40))
+        for v, rf in enumerate(receptive_fields(g, range(g.n), k, max_paths)):
+            try:
+                dfs_field(g, v, k, max_paths)
+            except ResourceLimitError as exc:
+                refused += 1
+                assert isinstance(rf, ResourceLimitError) and str(rf) == str(exc)
+                with pytest.raises(ResourceLimitError, match=f"^{exc}$"):
+                    receptive_field(g, v, k, max_paths)
+            else:
+                assert not isinstance(rf, ResourceLimitError)
+    assert refused
