@@ -134,6 +134,13 @@ def _load_inputs(cfg: RunConfig):
                       directed=cfg.directed)
 
 
+def _load_model(cfg: RunConfig):
+    """The checkpoint of a model-backed run; a missing file is named like any input."""
+    if not Path(cfg.model).exists():
+        raise ConfigError(f"model file not found: {cfg.model}")
+    return gcn.load_checkpoint(cfg.model)
+
+
 def _integer(value, what: str) -> int:
     """``value`` as an int: ``1.0`` reads as 1; ``1.5``, ``true`` and strings are errors."""
     if isinstance(value, bool) or not (
@@ -314,14 +321,16 @@ def cmd_certify(cfg: RunConfig) -> int:
     payload = None
     vote_table = None
     model = None
-    if cfg.model and Path(cfg.model).exists():
-        model, payload = gcn.load_checkpoint(cfg.model)
     if cfg.votes:
         if not Path(cfg.votes).exists():
             raise ConfigError(f"vote file not found: {cfg.votes}")
+        if cfg.model and Path(cfg.model).exists():      # read for its splits only
+            payload = gcn.load_checkpoint(cfg.model)[1]
         vote_table = gcn.load_votes(cfg.votes)
-    elif model is None:
+    elif not cfg.model:
         raise ConfigError("certify needs either a model checkpoint or a vote file")
+    else:
+        model, payload = _load_model(cfg)
 
     nodes = _select_nodes(cfg, g, payload)
     d_mins = _d_mins(cfg)
@@ -390,9 +399,9 @@ def cmd_derandomize(cfg: RunConfig) -> int:
     g = _load_inputs(cfg)
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    if not cfg.model or not Path(cfg.model).exists():
+    if not cfg.model:
         raise ConfigError("derandomize needs a model checkpoint")
-    model, payload = gcn.load_checkpoint(cfg.model)
+    model, payload = _load_model(cfg)
     nodes = _select_nodes(cfg, g, payload)
     classes = model.classes
 

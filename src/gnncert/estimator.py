@@ -131,20 +131,14 @@ def estimate_all(
 
     if isinstance(classifier, VoteTable):
         classes = max(classifier.classes, 2)
-        preds = np.empty((n0 + n1, len(nodes)), dtype=np.int64)
-        tallied = np.ones(len(nodes), dtype=bool)
-        for j, v in enumerate(nodes.tolist()):
-            per_node = classifier.votes.get(v, {})
-            try:
-                preds[:, j] = [per_node[i] for i in range(n0 + n1)]
-            except KeyError as lacking:
-                error = InsufficientSamplesError(
-                    f"vote table lacks sample {lacking.args[0]} for node {v} "
-                    f"(need {n0 + n1} samples)"
-                )
-                if missing is None:
-                    raise error from None
-                missing[v], tallied[j] = error, False
+        preds, lacking = classifier.gather(nodes, n0 + n1)
+        tallied = lacking == n0 + n1
+        for v, first in zip(nodes[~tallied].tolist(), lacking[~tallied].tolist()):
+            error = InsufficientSamplesError(
+                f"vote table lacks sample {first} for node {v} (need {n0 + n1} samples)")
+            if missing is None:
+                raise error
+            missing[v] = error
         nodes, chunks = nodes[tallied], [(0, preds[:, tallied])]
     else:
         classes = classifier.classes

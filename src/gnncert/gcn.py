@@ -27,11 +27,13 @@ models, so certification is not tied to this architecture.
 
 from __future__ import annotations
 
+import base64
 import csv
 import functools
 import io
 import itertools
 import json
+import math
 from dataclasses import dataclass, asdict
 
 import numpy as np
@@ -225,9 +227,11 @@ class TwoHop:
         receiver_at = self._local(self._receivers)
         # in-edge incidence over V, row v holding a 1 per edge into v: a
         # product with the kept masks counts in-degrees faster, and in half
-        # the bytes, than a bincount of the kept receivers
+        # the bytes, than a bincount of the kept receivers.  Built as CSR
+        # directly: a stable sort by receiver keeps each row's edges ascending
         self._incidence = sparse.csr_matrix(
-            (np.ones(self.edges.size), (receiver_at, np.arange(self.edges.size))),
+            (np.ones(self.edges.size), np.argsort(receiver_at, kind="stable"),
+             _indptr(np.bincount(receiver_at, minlength=self.nodes.size))),
             shape=(self.nodes.size, self.edges.size))
         # first layer: the edges into U and U's self-loops, by receiver, then sender
         into_u = np.flatnonzero(in_u[self._receivers])
@@ -622,12 +626,23 @@ def train(g: Graph, labeled, cfg: TrainConfig,
 # checkpoints and vote files
 
 
+_WEIGHTS = {"w1": 2, "w2": 2, "token": 1}     # checkpoint key -> number of axes
+
+
 def save_checkpoint(model: GnnModel, path, train_config: TrainConfig | None = None,
                     extra: dict | None = None) -> None:
+    """Write ``model`` as JSON, each weight array as its raw float64 bytes.
+
+    ``w1``, ``w2`` and ``token`` are each ``{"shape": [...], "float64_le":
+    "..."}``, the base64 of the array's little-endian float64 bytes in C
+    order, so every weight reads back bit for bit (``-0.0``, NaN and
+    subnormals included) without parsing a number.  The skip flag, the
+    sizes, ``train_config`` and the ``extra`` keys are plain JSON.
+    """
     payload = {
-        "w1": model.w1.tolist(),
-        "w2": model.w2.tolist(),
-        "token": model.token.tolist(),
+        **{key: {"shape": list(np.shape(a)),
+                 "float64_le": base64.b64encode(np.asarray(a, dtype="<f8").tobytes()).decode()}
+           for key, a in zip(_WEIGHTS, (model.w1, model.w2, model.token))},
         "skip": bool(model.skip),
         "hidden": model.hidden,
         "classes": model.classes,
@@ -642,28 +657,116 @@ def save_checkpoint(model: GnnModel, path, train_config: TrainConfig | None = No
 
 
 def load_checkpoint(path) -> tuple[GnnModel, dict]:
+    """The model a ``save_checkpoint`` file holds, and the file's whole JSON payload.
+
+    Each weight is decoded from its bytes into a new writable float64
+    array.  A file that is not such a checkpoint is a ``ConfigError`` that
+    names the file and the key: a missing ``w1``, ``w2``, ``token`` or
+    ``skip``, invalid base64, a byte count that does not match ``shape``,
+    or weights as lists of numbers, the form older versions wrote, which
+    must be trained again.
+    """
     with open(path, "r", encoding="utf-8") as fh:
-        payload = json.load(fh)
-    model = GnnModel(
-        w1=np.asarray(payload["w1"], dtype=np.float64),
-        w2=np.asarray(payload["w2"], dtype=np.float64),
-        token=np.asarray(payload["token"], dtype=np.float64),
-        skip=bool(payload["skip"]),
-    )
-    return model, payload
+        try:
+            payload = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ConfigError(f"checkpoint {path} is not valid JSON: {exc}") from None
+    if not isinstance(payload, dict):
+        raise ConfigError(f"checkpoint {path} is not a JSON object")
+    for key in (*_WEIGHTS, "skip"):
+        if key not in payload:
+            raise ConfigError(f"checkpoint {path} has no {key!r}")
+    w1, w2, token = (_weights(path, key, payload[key], axes) for key, axes in _WEIGHTS.items())
+    return GnnModel(w1=w1, w2=w2, token=token, skip=bool(payload["skip"])), payload
 
 
-@dataclass
+def _weights(path, key: str, entry, axes: int) -> np.ndarray:
+    """The float64 array a checkpoint holds under ``key``, bit for bit."""
+    def bad(what: str) -> ConfigError:
+        return ConfigError(f"checkpoint {path}: {key!r} {what}")
+
+    if isinstance(entry, list):
+        raise bad("is a list of numbers, the weight form of an older version; "
+                  "re-run `gnncert train`")
+    if not isinstance(entry, dict) or set(entry) != {"shape", "float64_le"}:
+        raise bad('is not {"shape": [...], "float64_le": "..."}')
+    shape = entry["shape"]
+    if not (isinstance(shape, list) and len(shape) == axes
+            and all(type(size) is int and size >= 0 for size in shape)):
+        raise bad(f"has shape {shape!r}, not {axes} sizes >= 0")
+    try:
+        raw = base64.b64decode(entry["float64_le"], validate=True)
+    except (TypeError, ValueError):     # binascii.Error is a ValueError
+        raise bad("is not valid base64") from None
+    if len(raw) != 8 * math.prod(shape):
+        raise bad(f"holds {len(raw)} bytes, but shape {shape} takes {8 * math.prod(shape)}")
+    return np.frombuffer(raw, dtype="<f8").astype(np.float64).reshape(shape)
+
+
 class VoteTable:
-    """Predictions of an external classifier, per (node, sample index)."""
+    """Predictions of an external classifier: one ``(node, sample, class)`` row per vote.
 
-    votes: dict[int, dict[int, int]]
+    ``table`` holds the rows as int64, sorted by node and then by sample,
+    no ``(node, sample)`` pair twice; ``order`` holds the place of each of
+    its rows in the input.  Build one from rows in input order
+    (``rows=``, an (m, 3) array; a repeated pair is a ``VoteFormatError``)
+    or from a ``{node: {sample: class}}`` dict (``votes=``).  The ``votes``
+    dict is a view built on first read, in input order: nodes by first
+    appearance, each node's samples as they came.  Certification reads
+    ``table`` only.
+    """
+
+    def __init__(self, votes: dict[int, dict[int, int]] | None = None, *,
+                 rows: np.ndarray | None = None):
+        if (votes is None) == (rows is None):
+            raise TypeError("VoteTable takes one of votes and rows")
+        if votes is not None:
+            rows = [(v, i, c) for v, per_node in votes.items() for i, c in per_node.items()]
+        rows = np.asarray(rows, dtype=np.int64).reshape(-1, 3)
+        self.order = np.lexsort((rows[:, 1], rows[:, 0]))
+        self.table = np.take(rows, self.order, axis=0)
+        node, sample = self.table[:, 0], self.table[:, 1]
+        repeat = np.flatnonzero((node[1:] == node[:-1]) & (sample[1:] == sample[:-1]))
+        if repeat.size:
+            raise VoteFormatError(f"duplicate vote for node {node[repeat[0]]}, "
+                                  f"sample {sample[repeat[0]]}")
+
+    @property
+    def classes(self) -> int:
+        """1 + the largest class voted."""
+        return 1 + int(self.table[:, 2].max(initial=-1))
 
     @functools.cached_property
-    def classes(self) -> int:
-        """1 + the largest class voted; counted once per table."""
-        return 1 + max((max(per_node.values()) for per_node in self.votes.values()
-                        if per_node), default=-1)
+    def votes(self) -> dict[int, dict[int, int]]:
+        """``{node: {sample: class}}`` in input order, built on first read."""
+        rows = np.empty_like(self.table)
+        rows[self.order] = self.table
+        out: dict[int, dict[int, int]] = {}
+        for v, i, c in rows.tolist():
+            out.setdefault(v, {})[i] = c
+        return out
+
+    def gather(self, nodes: np.ndarray, count: int) -> tuple[np.ndarray, np.ndarray]:
+        """Votes of ascending ``nodes`` on samples 0..count-1, and the first sample each lacks.
+
+        Returns a (count, len(nodes)) class array, column j for
+        ``nodes[j]``, and per node the first sample index it has no vote
+        for, or ``count`` when it has them all.  A lacking node's column
+        is meaningless.  A node's rows ascend by sample without repeats,
+        so it has samples 0..count-1 exactly when its first ``count`` rows
+        each hold their own rank, and the first row that does not is the
+        first sample it lacks.
+        """
+        if not len(self.table):
+            return np.zeros((count, len(nodes)), dtype=np.int64), np.zeros(len(nodes), np.int64)
+        want = np.arange(count)
+        node, sample, cls = self.table.T
+        at = np.searchsorted(node, nodes)[:, None] + want
+        held = at < len(node)
+        np.minimum(at, len(node) - 1, out=at)
+        held &= (node[at] == nodes[:, None]) & (sample[at] == want)
+        lacking = np.where(held.all(axis=1), count, np.argmin(held, axis=1))
+        return cls[at].T, lacking
 
 
 def save_votes(path, rows) -> None:
@@ -685,11 +788,12 @@ def _header_row(row: list[str]) -> bool:
 
 
 def load_votes(path) -> VoteTable:
-    """Read a vote CSV (header optional).
+    """Read a vote CSV (header optional) into a ``VoteTable``.
 
-    Every field is a non-negative integer; duplicate (node, sample) pairs are
-    errors.  ``votes`` keeps nodes in order of first appearance and each
-    node's samples in file order.
+    Every field is a non-negative integer; duplicate (node, sample) pairs
+    are errors.  The file is parsed in one numpy pass and its rows sorted
+    once, which finds any repeated pair.  A file that fails there is read
+    again line by line, only to name its first bad line.
     """
     text = read_text(path)
     first, _, rest = text.partition("\n")
@@ -697,9 +801,10 @@ def load_votes(path) -> VoteTable:
                        np.int64, delimiter=",")
     if table is not None and (table.shape[0] == 0
                               or (table.shape[1] == 3 and table.min() >= 0)):
-        votes = _group_votes(table.reshape(-1, 3))
-        if sum(map(len, votes.values())) == table.shape[0]:    # no duplicate pair
-            return VoteTable(votes=votes)
+        try:
+            return VoteTable(rows=table)
+        except VoteFormatError:
+            pass                # a repeated pair: the pass below names its line
 
     seen: dict[int, set[int]] = {}
     for lineno, row in enumerate(csv.reader(io.StringIO(text)), start=1):
@@ -731,19 +836,3 @@ def load_votes(path) -> VoteTable:
             )
         per_node.add(sample_index)
     raise VoteFormatError(f"{path}: not a node_id,sample_index,class CSV")
-
-
-def _group_votes(table: np.ndarray) -> dict[int, dict[int, int]]:
-    """``{node: {sample: class}}`` from (node, sample, class) rows.
-
-    A duplicate (node, sample) pair keeps one entry, so the entries number
-    fewer than the rows.
-    """
-    if table.shape[0] == 0:
-        return {}
-    nodes = table[:, 0]
-    order = np.argsort(nodes, kind="stable")        # by node, file order within
-    groups = np.split(order, np.flatnonzero(np.diff(nodes[order])) + 1)
-    groups.sort(key=lambda rows: rows[0])           # nodes by first appearance
-    return {int(nodes[rows[0]]): dict(zip(table[rows, 1].tolist(), table[rows, 2].tolist()))
-            for rows in groups}

@@ -6,8 +6,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gnncert import (Graph, SmoothingConfig, receptive_field, receptive_fields,
-                     worst_case_curve)
+from gnncert import (GnnModel, Graph, SmoothingConfig, load_checkpoint, receptive_field,
+                     receptive_fields, save_checkpoint, worst_case_curve)
 from gnncert.cli import main
 from gnncert.estimator import radius
 
@@ -235,11 +235,10 @@ def test_derandomized_radius_is_the_largest_certified_budget(fixture_dir):
 def test_derandomize_constant_classifier_is_zero_one(fixture_dir):
     cfg = write_config(fixture_dir)
     assert main(["train", "--config", str(cfg)]) == 0
-    ck_path = fixture_dir / "out" / "model.json"
-    payload = json.loads(ck_path.read_text())
-    payload["w1"] = (np.zeros_like(np.asarray(payload["w1"]))).tolist()
+    model, payload = load_checkpoint(fixture_dir / "out" / "model.json")
+    model.w1 = np.zeros_like(model.w1)
     ck2 = fixture_dir / "constant.json"
-    ck2.write_text(json.dumps(payload, sort_keys=True))
+    save_checkpoint(model, ck2, extra={"splits": payload["splits"]})
     cfg2 = write_config(fixture_dir, model=str(ck2), k_rel=0.1)
     assert main(["derandomize", "--config", str(cfg2)]) == 0
     rows = list(csv.DictReader(open(fixture_dir / "out" / "derandomized.csv")))
@@ -457,6 +456,68 @@ def test_negative_vote_class_is_exit_two(fixture_dir, capsys):
                        n0=1, n1=1)
     assert main(["certify", "--config", str(cfg)]) == 2
     assert "line 2: negative" in capsys.readouterr().err
+
+
+def test_missing_model_file_is_named(fixture_dir, capsys):
+    missing = fixture_dir / "out" / "model.json"
+    cfg = write_config(fixture_dir, nodes=[0, 1])
+    for command in ("certify", "derandomize"):
+        assert main([command, "--config", str(cfg)]) == 2
+        assert f"model file not found: {missing}" in capsys.readouterr().err
+    # a config may name its model before it is trained: paths and a
+    # vote-backed certify do not need it
+    assert main(["paths", "--config", str(cfg)]) == 0
+    (fixture_dir / "votes.csv").write_text("".join(f"{v},{i},1\n" for v in (0, 1)
+                                                   for i in range(4)))
+    cfg = write_config(fixture_dir, nodes=[0, 1], n0=2, n1=2,
+                       votes=str(fixture_dir / "votes.csv"))
+    assert main(["certify", "--config", str(cfg)]) == 0
+
+
+def _drop(key):
+    def edit(payload):
+        del payload[key]
+    return edit
+
+
+def _set(key, field, value):
+    return lambda payload: payload[key].__setitem__(field, value)
+
+
+@pytest.mark.parametrize("edit,message", [
+    (_drop("w1"), "has no 'w1'"),
+    (_drop("w2"), "has no 'w2'"),
+    (_drop("token"), "has no 'token'"),
+    (_drop("skip"), "has no 'skip'"),
+    (_set("w2", "float64_le", "AAAA*AAA"), "'w2' is not valid base64"),
+    (_set("w1", "float64_le", "AAAAAAAAAA"), "'w1' is not valid base64"),
+    (_set("w1", "float64_le", "AAAA\u00e9AAA"), "'w1' is not valid base64"),
+    (_set("token", "float64_le", 5), "'token' is not valid base64"),
+    (_set("w1", "float64_le", "AAAAAAAAAAA="),
+     "'w1' holds 8 bytes, but shape [12, 8] takes 768"),
+    (_set("token", "shape", [13]), "'token' holds 96 bytes, but shape [13] takes 104"),
+    (_set("w1", "shape", [12, 8, 1]), "'w1' has shape [12, 8, 1], not 2 sizes >= 0"),
+    (lambda payload: payload.__setitem__("w1", np.zeros((12, 8)).tolist()),
+     "'w1' is a list of numbers, the weight form of an older version; "
+     "re-run `gnncert train`"),
+    (lambda payload: "{not json", "is not valid JSON"),
+    (lambda payload: json.dumps([payload]), "is not a JSON object"),
+])
+def test_malformed_checkpoint_is_exit_two_naming_file_and_key(fixture_dir, capsys, rng,
+                                                              edit, message):
+    path = fixture_dir / "model.json"
+    model = GnnModel(w1=rng.normal(size=(12, 8)), w2=rng.normal(size=(8, 2)),
+                     token=rng.normal(size=12))
+    save_checkpoint(model, path, extra={"splits": {"test": [0, 1]}})
+    payload = json.loads(path.read_text())
+    text = edit(payload)        # a whole new text, or None after editing the payload
+    path.write_text(text if isinstance(text, str) else json.dumps(payload))
+    cfg = write_config(fixture_dir, model=str(path))
+    for command in ("certify", "derandomize"):
+        assert main([command, "--config", str(cfg)]) == 2
+        assert f"error: checkpoint {path}" in (err := capsys.readouterr().err)
+        assert message in err
+        assert not (fixture_dir / "out" / "results.csv").exists()
 
 
 def _cap_fixture(tmp_path, tally_ones_at_4, subset_cap):

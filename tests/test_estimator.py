@@ -14,9 +14,10 @@ from gnncert import (
     clopper_pearson,
     estimate,
     estimate_all,
+    load_votes,
     report,
 )
-from gnncert.errors import InsufficientSamplesError
+from gnncert.errors import InsufficientSamplesError, VoteFormatError
 from gnncert.estimator import confidence_bounds, confidence_bounds_all, radius
 
 from conftest import random_graph
@@ -158,6 +159,99 @@ def test_vote_table_nodes_lacking_a_sample_are_handed_back():
         assert (tallies[v].y_star, tallies[v].y_tilde) == (alone.y_star, alone.y_tilde)
     with pytest.raises(InsufficientSamplesError, match="sample 6 for node 3 "):
         estimate_all(table, None, [0, 3, 9], None, n0=4, n1=6, alpha=0.05)
+
+
+def group_votes_ref(table):
+    """``{node: {sample: class}}`` the way the loader once grouped rows: a dict walk."""
+    votes = {}
+    for node, sample_index, cls in table.tolist():
+        votes.setdefault(node, {})[sample_index] = cls
+    return votes
+
+
+def tallies_ref(votes, nodes, n0, n1):
+    """Tallies and lacking-sample messages by a per-node, per-sample dict lookup."""
+    classes = max(1 + max((max(d.values()) for d in votes.values() if d), default=-1), 2)
+    tallies, missing = {}, []
+    for v in sorted(set(nodes)):
+        per_node = votes.get(v, {})
+        lacking = next((i for i in range(n0 + n1) if i not in per_node), None)
+        if lacking is not None:
+            missing.append((v, f"vote table lacks sample {lacking} for node {v} "
+                               f"(need {n0 + n1} samples)"))
+            continue
+        column = np.array([per_node[i] for i in range(n0 + n1)])
+        sel = np.bincount(column[:n0], minlength=classes)
+        star = int(np.argmax(sel))
+        sel[star] = -1
+        tallies[v] = (np.bincount(column[n0:], minlength=classes), star, int(np.argmax(sel)))
+    return tallies, missing
+
+
+def random_vote_file(rng, samples):
+    """Shuffled rows of up to 8 nodes: complete, with gaps, short, or absent."""
+    rows = []
+    for v in rng.permutation(10)[:int(rng.integers(0, 8))].tolist():
+        kind = int(rng.integers(4))
+        have = np.arange(samples + int(rng.integers(0, 4)))
+        if kind == 1:           # gaps
+            have = np.sort(rng.choice(have, size=int(rng.integers(1, have.size + 1)),
+                                      replace=False))
+        elif kind == 2:         # too few
+            have = have[:int(rng.integers(0, samples))]
+        elif kind == 3:         # far indices only
+            have = have + samples
+        classes = rng.integers(0, int(rng.integers(1, 5)), have.size)
+        rows += [(v, i, c) for i, c in zip(have.tolist(), classes.tolist())]
+    return [rows[k] for k in rng.permutation(len(rows))]
+
+
+def test_vote_table_tallies_as_the_dict_walk(tmp_path, rng):
+    path = tmp_path / "votes.csv"
+    for trial in range(150):
+        n0, n1 = int(rng.integers(1, 6)), int(rng.integers(1, 8))
+        rows = random_vote_file(rng, n0 + n1)
+        lines = [",".join(map(str, row)) for row in rows]
+        header = trial % 2 == 0
+        duplicate = bool(rows) and trial % 5 == 0
+        if duplicate:           # a repeated pair, placed after its first row
+            at = int(rng.integers(len(lines)))
+            node, sample_index = rows[at][:2]
+            lines.insert(int(rng.integers(at + 1, len(lines) + 1)),
+                         f"{node},{sample_index},{int(rng.integers(3))}")
+        path.write_text("\n".join(["node_id,sample_index,class"] * header + lines) + "\n")
+        if duplicate:
+            seen, first_repeat = set(), None
+            for lineno, line in enumerate(lines, start=1 + header):
+                pair = tuple(line.split(",")[:2])
+                if pair in seen:
+                    first_repeat = (lineno, pair)
+                    break
+                seen.add(pair)
+            lineno, (node, sample_index) = first_repeat
+            with pytest.raises(VoteFormatError) as err:
+                load_votes(path)
+            assert str(err.value) == (f"{path}: line {lineno}: duplicate vote for "
+                                      f"node {node}, sample {sample_index}")
+            continue
+
+        table = load_votes(path)
+        ref = group_votes_ref(np.array(rows, dtype=np.int64).reshape(-1, 3))
+        assert table.votes == ref and list(table.votes) == list(ref)
+        nodes = rng.permutation(12)[:int(rng.integers(1, 12))].tolist()
+        want, want_missing = tallies_ref(ref, nodes, n0, n1)
+        missing = {}
+        got = estimate_all(table, None, nodes, None, n0=n0, n1=n1, alpha=0.05,
+                           missing=missing)
+        assert [(v, str(e)) for v, e in missing.items()] == want_missing
+        assert list(got) == sorted(want)
+        for v, (counts, star, tilde) in want.items():
+            assert np.array_equal(got[v].counts, counts)
+            assert (got[v].y_star, got[v].y_tilde) == (star, tilde)
+        if want_missing:
+            with pytest.raises(InsufficientSamplesError) as err:
+                estimate_all(table, None, nodes, None, n0=n0, n1=n1, alpha=0.05)
+            assert str(err.value) == want_missing[0][1]
 
 
 def test_estimate_selection_and_tally_disjoint():

@@ -249,6 +249,30 @@ def test_two_hop_rejects_unsorted_or_repeated_rows(rng, rows):
     TwoHop(g, sorted(set(rows)))
 
 
+def test_incidence_equals_the_coo_build(rng):
+    # the in-edge incidence is built as CSR directly; a COO build of the
+    # same (receiver, edge) ones is the reference, array for array
+    cases = list(local_cases(rng))
+    for _ in range(20):
+        n = int(rng.integers(1, 60))
+        pairs = rng.integers(n, size=(int(rng.integers(0, 4 * n)), 2))
+        g = Graph.build(n=n, edges=pairs[pairs[:, 0] != pairs[:, 1]],
+                        features=rng.normal(size=(n, 3)), directed=bool(rng.integers(2)))
+        cases.append((g, sorted(rng.choice(n, size=int(rng.integers(1, n + 1)),
+                                           replace=False).tolist())))
+    for g, rows in cases:
+        hood = TwoHop(g, rows)
+        receiver_at = np.searchsorted(hood.nodes, g.edges[hood.edges, 1])
+        ref = sparse.csr_matrix(
+            (np.ones(hood.edges.size), (receiver_at, np.arange(hood.edges.size))),
+            shape=(hood.nodes.size, hood.edges.size))
+        got = hood._incidence
+        assert got.shape == ref.shape
+        for name in ("data", "indices", "indptr"):
+            assert getattr(got, name).dtype == getattr(ref, name).dtype
+            assert np.array_equal(getattr(got, name), getattr(ref, name))
+
+
 def test_no_edges_scores_depend_only_on_own_features(rng):
     model = random_model(rng, d=4)
     feats_a = rng.normal(size=(5, 4))
@@ -447,15 +471,24 @@ def test_skip_carries_clean_signal_under_full_ablation(rng):
 
 
 def test_checkpoint_round_trip(tmp_path, rng):
-    model = random_model(rng, d=5, skip=True)
-    path = tmp_path / "model.json"
-    save_checkpoint(model, path, train_config=TrainConfig(epochs=3))
-    loaded, payload = load_checkpoint(path)
-    assert np.array_equal(loaded.w1, model.w1)
-    assert np.array_equal(loaded.w2, model.w2)
-    assert np.array_equal(loaded.token, model.token)
-    assert loaded.skip is True
-    assert payload["train_config"]["epochs"] == 3
+    # every weight reads back bit for bit, the specials included
+    specials = np.array([-0.0, np.inf, -np.inf, np.nan, 5e-324, -2.5e-310,
+                         np.finfo(np.float64).max, 1.0 / 3.0])
+    for hidden, skip in ((8, True), (1, True), (1, False)):
+        model = random_model(rng, d=5, h=hidden, skip=skip)
+        for w in (model.w1, model.w2, model.token):
+            w.flat[:specials.size] = specials[:w.size]
+        path = tmp_path / "model.json"
+        save_checkpoint(model, path, train_config=TrainConfig(epochs=3))
+        loaded, payload = load_checkpoint(path)
+        for got, want in ((loaded.w1, model.w1), (loaded.w2, model.w2),
+                          (loaded.token, model.token)):
+            assert got.dtype == np.float64 and got.shape == want.shape
+            assert got.flags.writeable and got.flags.c_contiguous
+            assert np.array_equal(got.view(np.int64), want.view(np.int64))
+        assert loaded.skip is skip and loaded.hidden == hidden
+        assert payload["train_config"]["epochs"] == 3
+        assert payload["w1"]["shape"] == [5, hidden]
 
 
 def test_vote_file_round_trip(tmp_path, rng):
