@@ -39,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NotATreeError, ResourceLimitError
-from .graph import ReceptiveField, canonical_edge
+from .graph import ReceptiveField
 from .smoothing import SmoothingConfig
 
 DEFAULT_MAX_IE_TERMS = 2 ** 20
@@ -174,11 +174,12 @@ def _single_array(rf: ReceptiveField, cfg: SmoothingConfig) -> np.ndarray:
     fields built together.  The interception factor ``1 - (1 - p_del)**L``
     of a path depends only on its length ``L``, so it comes from one
     table.  A member's factors are multiplied left to right in path order,
-    starting from 1, as ``math.prod`` does: the j-th factors of all members
-    at once, for j = 0, 1, ...  Only ``1 - product`` is read, and the
-    rounding of a plain product lies far below the last bit of that
-    difference, also when a factor is tiny.  A target, the one member at
-    distance 0, arrives unless ablated.
+    as ``math.prod`` does: one ``np.multiply.reduceat`` over the rows of
+    the members that send a path, whose row runs are nonempty; the others'
+    product stays 1.  Only ``1 - product`` is read, and the rounding of a
+    plain product lies far below the last bit of that difference, also
+    when a factor is tiny.  A target, the one member at distance 0,
+    arrives unless ablated.
     """
     chunk = rf.chunk
     key = ("single-source", cfg.p_del, cfg.p_abl)
@@ -187,13 +188,9 @@ def _single_array(rf: ReceptiveField, cfg: SmoothingConfig) -> np.ndarray:
         longest = int(chunk.path_length.max(initial=0))
         factor = np.array([1.0 - keep ** length for length in range(longest + 1)])
         factor = factor[chunk.path_length]
-        counts = np.diff(chunk.path_offsets)
-        member = np.repeat(np.arange(len(counts)), counts)
-        rank = np.arange(len(factor)) - chunk.path_offsets[member]
-        order = np.argsort(rank, kind="stable")
-        product = np.ones(len(counts))
-        for rows in np.split(order, np.cumsum(np.bincount(rank))[:-1]):
-            product[member[rows]] *= factor[rows]
+        sends = np.diff(chunk.path_offsets) > 0
+        product = np.ones(len(sends))
+        product[sends] = np.multiply.reduceat(factor, chunk.path_offsets[:-1][sends])
         values = reach * (1.0 - product)
         values = np.where(values > 0.0, np.minimum(values, 1.0), 0.0)    # _clip01
         values[chunk.member_distance == 0] = _clip01(reach)
@@ -243,29 +240,27 @@ def delta_exact_ie(
 
     Every nonempty subset of the attacked nodes' simple paths contributes
     ``(1-p_del)**a * (1-p_abl)**b`` with alternating sign, where ``a`` counts
-    distinct edges and ``b`` distinct source nodes on the subset.  An
-    attacked target composes in independently: it arrives iff not ablated,
-    regardless of edges.  Refuses (rather than approximates) when 2**paths
-    exceeds ``max_terms``.
+    distinct edge coins (``rf.path_coins``) and ``b`` distinct source nodes
+    on the subset.  An attacked target composes in independently: it
+    arrives iff not ablated, regardless of edges.  Refuses (rather than
+    approximates) when 2**paths exceeds ``max_terms``.
     """
     attacked = set(int(w) for w in attacked)
-    sources = sorted(attacked - {rf.target})
-
-    path_list: list[tuple[int, int]] = []   # (edge_bits, source_bits)
-    edge_ids: dict[tuple[int, int], int] = {}
-    for si, w in enumerate(sources):
-        for q in rf.logical_paths.get(w, ()):
-            bits = 0
-            for key in q:
-                bits |= 1 << edge_ids.setdefault(key, len(edge_ids))
-            path_list.append((bits, 1 << si))
-
-    if (1 << len(path_list)) > max_terms:
+    rows = np.flatnonzero(np.isin(rf.path_source, list(attacked - {rf.target})))
+    if (1 << len(rows)) > max_terms:
         raise ResourceLimitError(
-            f"inclusion-exclusion over {len(path_list)} paths needs "
-            f"2**{len(path_list)} terms (> {max_terms}); use the tree or "
+            f"inclusion-exclusion over {len(rows)} paths needs "
+            f"2**{len(rows)} terms (> {max_terms}); use the tree or "
             f"multiplicative method"
         )
+
+    # bits number the distinct coins and sources; a simple path's coins are distinct
+    coins = rf.path_coins[rows]
+    coins = np.unique(coins, return_inverse=True)[1].reshape(coins.shape)
+    source = np.unique(rf.path_source[rows], return_inverse=True)[1]
+    path_list = [(sum(1 << c for c in row[:length]), 1 << si)     # (edge_bits, source_bits)
+                 for row, length, si in zip(coins.tolist(), rf.path_length[rows].tolist(),
+                                            source.tolist())]
 
     keep_e = 1.0 - cfg.p_del
     keep_n = 1.0 - cfg.p_abl
@@ -660,26 +655,28 @@ def delta_monte_carlo(
 ) -> DeltaBound:
     """Estimate the arrival probability for a fixed attacked set by sampling.
 
-    Simulates edge deletion and node ablation, then checks by k-hop backward
-    reachability whether any attacked, non-ablated node stays connected to
-    the target in the surviving graph.  The reachability sweep shares no
-    logic with the path-product or inclusion-exclusion computations, so it
-    serves as an independent check on them.
+    Simulates edge deletion, one coin per distinct ``rf.path_coins`` entry
+    (so both orientations of an undirected edge fall together), and node
+    ablation, then checks by k-hop backward reachability whether any
+    attacked, non-ablated node stays connected to the target in the
+    surviving graph.  The reachability sweep shares no logic with the
+    path-product or inclusion-exclusion computations, so it serves as an
+    independent check on them.
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
     attacked = sorted(set(int(w) for w in attacked))
     rng = np.random.default_rng(cfg.seed if seed is None else seed)
 
-    directed_edges = sorted(rf.path_edges)
-    logical = sorted({canonical_edge(e, rf.directed) for e in directed_edges})
-    eid = {e: i for i, e in enumerate(logical)}
-    coin_of = [eid[canonical_edge(e, rf.directed)] for e in directed_edges]
+    # every path edge is some path's first edge; its coin is the last of that row
+    first_coin = rf.path_coins[np.arange(len(rf.path_length)), rf.path_length - 1]
+    logical, coin_of = np.unique(first_coin, return_inverse=True)
     sources = [w for w in attacked if w != rf.target]
     src_pos = {w: i for i, w in enumerate(sources)}
     # work arrays are indexed by position among the field's members, not node id
-    col = {w: i for i, w in enumerate(sorted(rf.members))}
-    arcs = [(col[a], col[c], coin) for (a, c), coin in zip(directed_edges, coin_of)]
+    col = {w: i for i, w in enumerate(rf.member_ids.tolist())}
+    arcs = sorted({(col[a], col[c], coin)
+                   for (a, c), coin in zip(rf._first_edges(), coin_of.tolist())})
 
     hits = 0
     chunk = 20_000
@@ -687,7 +684,7 @@ def delta_monte_carlo(
     while done < samples:
         b = min(chunk, samples - done)
         kept = (rng.random((b, len(logical))) >= cfg.p_del
-                if logical else np.ones((b, 0), dtype=bool))
+                if len(logical) else np.ones((b, 0), dtype=bool))
         abl = rng.random((b, len(sources) + 1)) < cfg.p_abl
 
         # within[:, x]: node x reaches the target within <= hop surviving hops

@@ -226,8 +226,13 @@ class TwoHop:
         self._receivers = dst[self.edges]
         receiver_at = self._local(self._receivers)
         # in-edge incidence over V, row v holding a 1 per edge into v: a
-        # product with the kept masks counts in-degrees faster, and in half
-        # the bytes, than a bincount of the kept receivers.  Built as CSR
+        # product with the kept masks counts in-degrees faster than a
+        # bincount of the kept receivers, with bitwise-equal counts.  On
+        # the seed-0 certify-gcn hood (11 variants, 4,116 edges; 2-core VM,
+        # one BLAS thread) a degree pass took 96-128 us against 338-441 us,
+        # best of 5 x 200 calls in three runs.  It holds no fewer bytes:
+        # scipy copies the F-ordered float mask to C order, and tracemalloc
+        # peaked at 0.78 MB against the bincount's 0.62 MB.  Built as CSR
         # directly: a stable sort by receiver keeps each row's edges ascending
         self._incidence = sparse.csr_matrix(
             (np.ones(self.edges.size), np.argsort(receiver_at, kind="stable"),

@@ -5,7 +5,8 @@ load time), per-node features, and optional labels.  ``receptive_fields``
 enumerates, for each of a list of target nodes, every simple path of bounded
 length that can carry a message into it, in arrays, a chunk of targets at a
 time; ``receptive_field`` does so for one target.  Those paths are the
-substrate for all interception probability computations.
+substrate for all interception probability computations; a field reads the
+deletion coin of each path edge off ``Graph.logical_edge_ids``.
 """
 
 from __future__ import annotations
@@ -41,7 +42,8 @@ class Graph:
     ``logical_edge_ids`` maps each stored edge to its coin-flip identity:
     for undirected graphs the two orientations of one edge share an id, so
     random edge deletion treats them as a single edge.  Ids are the ranks of
-    the ``canonical_edge`` pairs in lexicographic order.
+    the edges' canonical pairs, ``(src, dst)`` on a directed graph and
+    ``(min, max)`` on an undirected one, in lexicographic order.
 
     ``_features`` is the feature matrix as given, or None for a graph
     without features; ``features`` then reads as the one-hot node identity,
@@ -121,6 +123,11 @@ class Graph:
             return np.eye(self.n, dtype=np.float64)
         return self._features
 
+    @functools.cached_property
+    def edge_keys(self) -> np.ndarray:
+        """(m,) int64 flat keys ``src * n + dst`` of the edges, ascending as the edges are."""
+        return self.edges[:, 0] * self.n + self.edges[:, 1]
+
     @property
     def m(self) -> int:
         return int(self.edges.shape[0])
@@ -189,7 +196,7 @@ def _sorted_distinct(key: np.ndarray) -> np.ndarray:
 
 
 def _logical_edge_ids(edges: np.ndarray, directed: bool) -> tuple[np.ndarray, int]:
-    """Rank of each edge's ``canonical_edge`` pair, and the number of distinct pairs.
+    """Rank of each edge's canonical pair (see ``Graph``), and the number of distinct pairs.
 
     ``edges`` is a list as ``Graph.build`` stores it: sorted, distinct,
     without self-loops and, unless ``directed``, holding both orientations
@@ -214,14 +221,6 @@ def _logical_edge_ids(edges: np.ndarray, directed: bool) -> tuple[np.ndarray, in
     ids[forward] = np.arange(order.size)
     ids[np.flatnonzero(~forward)[order]] = np.arange(order.size)
     return ids, int(order.size)
-
-
-def canonical_edge(e: Edge, directed: bool) -> Edge:
-    """Coin-flip identity of an edge: orientation-free unless the graph is directed."""
-    if directed:
-        return (int(e[0]), int(e[1]))
-    a, b = int(e[0]), int(e[1])
-    return (a, b) if a <= b else (b, a)
 
 
 # ---------------------------------------------------------------------------
@@ -483,11 +482,11 @@ class ReceptiveField:
     before its extensions.  The arrays are views of the ``chunk`` of fields
     built together, whose members ``member_span`` holds.
 
-    ``members``, ``distance`` and ``paths`` (each path a tuple of directed
-    edges from its source to the target), ``path_edges`` (their union),
-    ``logical_paths`` and ``tree_children`` are derived from the arrays on
-    first read, for the exact bounds, derandomization and the ``paths``
-    command; the multiplicative and union bounds read the arrays only.
+    ``members``, ``distance``, ``tree_children``, ``path_coins`` (each
+    path edge's deletion coin, for the exact bounds) and ``paths`` (each
+    path a tuple of directed edges from its source to the target, a view
+    for library callers; no command reads it) are derived from the arrays
+    on first read; the multiplicative and union bounds read the arrays only.
     ``edges_within`` holds every graph edge between members (needed when
     retained-subgraph connectivity matters, not just message paths).  It
     is built from ``_graph`` on first read, so a field whose certificate
@@ -496,7 +495,6 @@ class ReceptiveField:
 
     target: int
     k: int
-    directed: bool
     member_ids: np.ndarray        # (M,) int64, ascending
     member_distance: np.ndarray   # (M,) int64
     path_offsets: np.ndarray      # (M + 1,) int64
@@ -557,13 +555,19 @@ class ReceptiveField:
         return zip(self.path_source.tolist(), nxt.tolist())
 
     @functools.cached_property
-    def path_edges(self) -> frozenset[Edge]:
-        """Every edge on a path of the field, built on first use.
+    def path_coins(self) -> np.ndarray:
+        """Each path edge's deletion coin, shaped like ``path_nodes``, built on first use.
 
-        These are the paths' first edges: the rest of a path is a shorter
-        simple path into the target, and so a path of the field too.
+        Entry ``[:, j]`` is the ``logical_edge_ids`` entry of the edge from
+        ``path_nodes[:, j]`` into the node before it (the target for j = 0),
+        and -1 past the path; paths share a coin where they share an entry.
         """
-        return frozenset(self._first_edges())
+        g, nodes = self._graph, self.path_nodes
+        on = nodes >= 0
+        key = nodes * g.n + np.insert(nodes[:, :-1], 0, self.target, axis=1)
+        coins = np.full(nodes.shape, -1, dtype=np.int64)
+        coins[on] = g.logical_edge_ids[np.searchsorted(g.edge_keys, key[on])]
+        return coins
 
     @functools.cached_property
     def edges_within(self) -> tuple[Edge, ...]:
@@ -573,16 +577,6 @@ class ReceptiveField:
         inside[self.member_ids] = True
         within = edges[inside[edges[:, 0]] & inside[edges[:, 1]]]
         return tuple(map(tuple, within.tolist()))
-
-    @functools.cached_property
-    def logical_paths(self) -> dict[int, tuple[tuple[Edge, ...], ...]]:
-        """``paths`` with each edge replaced by its coin-flip identity, built on first use.
-
-        Two paths share an edge coin exactly when they share an entry here
-        (``canonical_edge``), which is what inclusion-exclusion counts.
-        """
-        return {w: tuple(tuple(canonical_edge(e, self.directed) for e in q) for q in plist)
-                for w, plist in self.paths.items()}
 
     @functools.cached_property
     def tree_children(self) -> dict[int, tuple[int, ...]] | None:
@@ -777,7 +771,7 @@ def _chunk_fields(g: Graph, targets: np.ndarray, k: int, hops: int, max_paths: i
             continue
         ma, mb, pa, pb = m_cut[i], m_cut[i + 1], p_cut[i], p_cut[i + 1]
         yield ReceptiveField(
-            target=v, k=k, directed=g.directed,
+            target=v, k=k,
             member_ids=m_id[ma:mb], member_distance=m_dist[ma:mb],
             path_offsets=m_offset[ma:mb + 1] - pa,
             path_source=source[pa:pb], path_length=length[pa:pb],

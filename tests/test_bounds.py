@@ -2,6 +2,7 @@ import collections
 import functools
 import itertools
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -246,6 +247,104 @@ def test_ie_agrees_with_monte_carlo(rng):
         mc = delta_monte_carlo(rf, attacked, c, n, seed=int(rng.integers(1 << 30)))
         se = math.sqrt(max(exact * (1 - exact), 1e-12) / n)
         assert abs(mc.value - exact) <= 4 * se
+
+
+# the tuple form the coin table replaced: each path a tuple of directed edges,
+# each edge's coin its canonical pair, and the field's path edges a set
+
+
+def _canonical_edge(e, directed):
+    a, b = int(e[0]), int(e[1])
+    return (a, b) if directed or a <= b else (b, a)
+
+
+def _tuple_ie(rf, attacked, c, directed, max_terms):
+    attacked = set(int(w) for w in attacked)
+    path_list, edge_ids = [], {}
+    for si, w in enumerate(sorted(attacked - {rf.target})):
+        for q in rf.paths.get(w, ()):
+            bits = 0
+            for e in q:
+                bits |= 1 << edge_ids.setdefault(_canonical_edge(e, directed), len(edge_ids))
+            path_list.append((bits, 1 << si))
+    if (1 << len(path_list)) > max_terms:
+        raise ResourceLimitError(
+            f"inclusion-exclusion over {len(path_list)} paths needs "
+            f"2**{len(path_list)} terms (> {max_terms}); use the tree or "
+            f"multiplicative method")
+    terms = []
+    for size in range(1, len(path_list) + 1):
+        for subset in itertools.combinations(path_list, size):
+            ebits = functools.reduce(int.__or__, (e for e, _ in subset))
+            sbits = functools.reduce(int.__or__, (s for _, s in subset))
+            t = (1.0 - c.p_del) ** ebits.bit_count() * (1.0 - c.p_abl) ** sbits.bit_count()
+            terms.append(t if size % 2 else -t)
+    p_paths = min(1.0, max(0.0, math.fsum(terms)))
+    value = 1.0 - (1.0 - p_paths) * c.p_abl if rf.target in attacked else p_paths
+    return min(1.0, max(0.0, value))
+
+
+def _tuple_monte_carlo(rf, attacked, c, directed, samples, seed):
+    attacked = sorted(set(int(w) for w in attacked))
+    rng = np.random.default_rng(seed)
+    directed_edges = sorted({e for plist in rf.paths.values() for q in plist for e in q})
+    logical = sorted({_canonical_edge(e, directed) for e in directed_edges})
+    eid = {e: i for i, e in enumerate(logical)}
+    sources = [w for w in attacked if w != rf.target]
+    col = {w: i for i, w in enumerate(sorted(rf.members))}
+    arcs = [(col[a], col[b], eid[_canonical_edge((a, b), directed)])
+            for a, b in directed_edges]
+    kept = (rng.random((samples, len(logical))) >= c.p_del
+            if logical else np.ones((samples, 0), dtype=bool))
+    abl = rng.random((samples, len(sources) + 1)) < c.p_abl
+    within = np.zeros((samples, len(col)), dtype=bool)
+    within[:, col[rf.target]] = True
+    frontier = within.copy()
+    for _ in range(rf.k):
+        new = np.zeros_like(within)
+        for a, b, coin in arcs:
+            new[:, a] |= frontier[:, b] & kept[:, coin]
+        frontier = new & ~within
+        within |= frontier
+    arrived = ~abl[:, -1] if rf.target in attacked else np.zeros(samples, dtype=bool)
+    for i, w in enumerate(sources):
+        if w in col:
+            arrived |= within[:, col[w]] & ~abl[:, i]
+    return int(arrived.sum()) / samples
+
+
+def test_coin_table_bounds_equal_the_tuple_form(rng):
+    # directed and undirected graphs, and views keeping some edges, whose
+    # coins are re-ranked and may keep one orientation of an undirected edge
+    refused = compared = 0
+    for i in range(40):
+        g = random_graph(rng, n=int(rng.integers(2, 10)),
+                         p_edge=float(rng.uniform(0.2, 0.6)), directed=bool(i % 2))
+        if i % 4 >= 2:
+            g = g.with_edges(rng.random(g.m) < 0.7)
+        k = 1 + i % 3
+        for v in rng.choice(g.n, size=min(3, g.n), replace=False).tolist():
+            rf = receptive_field(g, v, k)
+            for _ in range(3):
+                attacked = rng.choice(g.n, size=int(rng.integers(1, min(4, g.n) + 1)),
+                                      replace=False).tolist()
+                c = cfg(p_del=float(rng.uniform(0.0, 1.0)), p_abl=float(rng.uniform(0.0, 1.0)))
+                max_terms = 2 ** int(rng.integers(0, 13))
+                try:
+                    want = _tuple_ie(rf, attacked, c, g.directed, max_terms)
+                except ResourceLimitError as exc:
+                    refused += 1
+                    with pytest.raises(ResourceLimitError, match=f"^{re.escape(str(exc))}$"):
+                        delta_exact_ie(rf, attacked, c, max_terms=max_terms)
+                else:
+                    compared += 1
+                    got = delta_exact_ie(rf, attacked, c, max_terms=max_terms).value
+                    assert got.hex() == want.hex(), (i, v, attacked)
+                seed = int(rng.integers(1 << 30))
+                mc = delta_monte_carlo(rf, attacked, c, 300, seed=seed).value
+                assert mc.hex() == _tuple_monte_carlo(rf, attacked, c, g.directed,
+                                                      300, seed).hex()
+    assert refused and compared > 100
 
 
 # ---------------------------------------------------------------------------

@@ -598,6 +598,9 @@ def test_certify_never_builds_edges_within(fixture_dir, monkeypatch):
     monkeypatch.setattr(cli, "receptive_fields", recording)
     assert main(["certify", "--config", str(cfg)]) == 0
     assert fields and all("edges_within" not in rf.__dict__ for rf in fields)
+    # inclusion-exclusion reads coins off the path table, never the tuple paths
+    assert all("paths" not in rf.__dict__ for rf in fields)
+    assert any("path_coins" in rf.__dict__ and rf.tree_children is None for rf in fields)
 
 
 def test_second_witness_decides_a_budget_the_cap_refused(tmp_path, monkeypatch):

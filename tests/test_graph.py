@@ -159,7 +159,7 @@ def test_in_neighbor_index_matches_brute_force(rng):
 
 
 def ref_logical_ids(edges, directed):
-    """Ranks of the edges' ``canonical_edge`` pairs, and their number, by ``np.unique``."""
+    """Ranks of the edges' canonical pairs (ends sorted unless directed), and their number."""
     if not edges.size:
         return np.zeros(0, dtype=np.int64), 0
     canon = edges if directed else np.sort(edges, axis=1)
@@ -250,14 +250,19 @@ def reference_cases(rng, count=60):
 
 def test_fields_equal_the_depth_first_search(rng):
     for g, k in reference_cases(rng):
+        coin = dict(zip(map(tuple, g.edges.tolist()),
+                        ref_logical_ids(g.edges, g.directed)[0].tolist()))
         for v, rf in enumerate(receptive_fields(g, range(g.n), k)):
             distance, paths = dfs_field(g, v, k, graph.DEFAULT_MAX_PATHS)
             assert rf.target == v and rf.members == set(distance)
             assert rf.distance == distance
             assert list(rf.paths) == list(paths)
             assert rf.paths == paths                    # each source's paths in DFS order
+            # each edge's coin, from the target outward, -1 past the path
+            want = [[coin[e] for e in q[::-1]] + [-1] * (rf.path_nodes.shape[1] - len(q))
+                    for plist in paths.values() for q in plist]
+            assert rf.path_coins.tolist() == want
             edges = {e for plist in paths.values() for q in plist for e in q}
-            assert rf.path_edges == edges
             # a tree when the message edges number one less than the members
             children = {w: tuple(sorted(a for a, b in edges if b == w)) for w in distance}
             want = children if len(edges) == len(distance) - 1 else None
