@@ -243,24 +243,35 @@ def delta_exact_ie(
     distinct edge coins (``rf.path_coins``) and ``b`` distinct source nodes
     on the subset.  An attacked target composes in independently: it
     arrives iff not ablated, regardless of edges.  Refuses (rather than
-    approximates) when 2**paths exceeds ``max_terms``.
+    approximates) when 2**paths exceeds ``max_terms``, counting the paths
+    before any bit is built.
+
+    The paths are the attacked sources' rows of the path table, found in
+    ``rf.path_spans`` (attacked non-members have none), by ascending source
+    and in table order.  Only those rows' coins are read, and they and the
+    sources get bits in the order first met, numbered with a dict: which
+    bit stands for which coin or source changes no ``bit_count``, and
+    ``math.fsum`` is exactly rounded in any order, so the value depends
+    neither on the numbering nor on the order of the paths.
     """
     attacked = set(int(w) for w in attacked)
-    rows = np.flatnonzero(np.isin(rf.path_source, list(attacked - {rf.target})))
-    if (1 << len(rows)) > max_terms:
+    spans = rf.path_spans
+    spans = [spans[w] for w in sorted(attacked - {rf.target}) if w in spans]
+    n_paths = sum(b - a for a, b in spans)
+    if (1 << n_paths) > max_terms:
         raise ResourceLimitError(
-            f"inclusion-exclusion over {len(rows)} paths needs "
-            f"2**{len(rows)} terms (> {max_terms}); use the tree or "
+            f"inclusion-exclusion over {n_paths} paths needs "
+            f"2**{n_paths} terms (> {max_terms}); use the tree or "
             f"multiplicative method"
         )
 
     # bits number the distinct coins and sources; a simple path's coins are distinct
-    coins = rf.path_coins[rows]
-    coins = np.unique(coins, return_inverse=True)[1].reshape(coins.shape)
-    source = np.unique(rf.path_source[rows], return_inverse=True)[1]
-    path_list = [(sum(1 << c for c in row[:length]), 1 << si)     # (edge_bits, source_bits)
-                 for row, length, si in zip(coins.tolist(), rf.path_length[rows].tolist(),
-                                            source.tolist())]
+    coin_bit: dict[int, int] = {}
+    path_list = [(sum(1 << coin_bit.setdefault(c, len(coin_bit)) for c in coins[:length]),
+                  1 << si)                                      # (edge_bits, source_bits)
+                 for si, (a, b) in enumerate(spans)
+                 for coins, length in zip(rf.path_coins[a:b].tolist(),
+                                          rf.path_length[a:b].tolist())]
 
     keep_e = 1.0 - cfg.p_del
     keep_n = 1.0 - cfg.p_abl
@@ -288,7 +299,7 @@ def delta_exact_ie(
 
 
 def is_tree(rf: ReceptiveField) -> bool:
-    return rf.tree_children is not None
+    return rf.tree_order is not None
 
 
 def delta_tree_exact(rf: ReceptiveField, attacked, cfg: SmoothingConfig) -> DeltaBound:
@@ -301,26 +312,27 @@ def delta_tree_exact(rf: ReceptiveField, attacked, cfg: SmoothingConfig) -> Delt
         arrive(i) = via_branches(i)                     otherwise
         via_branches(i) = 1 - prod_j (1 - (1 - p_del) * arrive(j))
 
-    with the product over i's children (empty for leaves), taken left to
-    right in ascending child order.  ``_tree_worst_curve`` applies the same
-    floating-point steps in the same order, which keeps its maximum over
-    attacker sets equal to the maximum of this function's values.
+    with the product over i's children (empty for leaves) taken from 1.0,
+    left to right in ascending child order.  One loop visits the
+    ``(member, parent)`` pairs of ``rf.tree_order``: each child comes
+    before its parent, and the children of a node in ascending order, so a
+    member's product is complete when it is read and each factor is
+    multiplied into its parent's product in that order.  The target comes
+    last.  ``_tree_worst_curve`` applies the same floating-point steps in
+    the same order, which keeps its maximum over attacker sets equal to the
+    maximum of this function's values.
     """
     attacked = set(int(w) for w in attacked)
-    children = rf.tree_children
-    if children is None:
+    order = rf.tree_order
+    if order is None:
         raise NotATreeError(f"receptive field of {rf.target} is not a tree")
-
-    def arrive(i: int) -> float:
-        via = 1.0 - math.prod(
-            1.0 - (1.0 - cfg.p_del) * arrive(j) for j in children[i]
-        )
-        if i in attacked:
-            return 1.0 - cfg.p_abl * (1.0 - via)
-        return via
-
-    return DeltaBound(value=_clip01(arrive(rf.target)), method="tree-exact",
-                      rho=len(attacked))
+    keep_e = 1.0 - cfg.p_del
+    product: dict[int, float] = {}
+    for i, parent in order:
+        via = 1.0 - product.get(i, 1.0)
+        arrive = 1.0 - cfg.p_abl * (1.0 - via) if i in attacked else via
+        product[parent] = product.get(parent, 1.0) * (1.0 - keep_e * arrive)
+    return DeltaBound(value=_clip01(arrive), method="tree-exact", rho=len(attacked))
 
 
 def _exact_for_set(rf: ReceptiveField, attacked, rho: int, d_min: int,
@@ -329,6 +341,8 @@ def _exact_for_set(rf: ReceptiveField, attacked, rho: int, d_min: int,
 
     The one place that picks the exact method for a fixed set:
     ``delta_tree_exact`` on a tree-shaped field, else ``delta_exact_ie``.
+    Only the gap scan of ``_worst_case``, which runs on fields with a cycle,
+    calls ``delta_exact_ie`` itself, to tag just the maximum of each budget.
     """
     attacked = tuple(sorted(attacked))
     b = (delta_tree_exact(rf, attacked, cfg) if is_tree(rf)
@@ -357,8 +371,9 @@ def _tree_worst_curve(rf: ReceptiveField, d_min: int, cfg: SmoothingConfig,
         best[i][b] = max(via[b], 1 - p_abl * (1 - via[b - 1]))  if i is a candidate
         best[i][b] = via[b]                                     otherwise
 
-    Children are folded in ascending order by a min-product convolution, the
-    order ``delta_tree_exact`` multiplies in.  Every step is monotone in
+    Children are folded in ascending order by a min-product convolution
+    from 1.0, so each product takes the same floating-point steps in the
+    same order as ``delta_tree_exact``'s loop.  Every step is monotone in
     floating point, so each value is the float maximum of
     ``delta_tree_exact`` over sets of at most ``b`` candidates, not an
     approximation.  Budgets past the attack surface repeat the surface value.
@@ -458,7 +473,11 @@ def _worst_case(rf: ReceptiveField, d_min: int, cfg: SmoothingConfig, method: st
     ``exact-enumeration``, one knapsack pass on a tree-shaped field, and on
     a field with a cycle the best ``delta_exact_ie`` over every candidate
     subset of each budget's size, refused at the first budget whose subsets
-    exceed ``subset_cap``.
+    exceed ``subset_cap``.  That scan compares the plain float values of
+    the subsets in ``itertools.combinations`` order, keeps the first
+    maximal one (a later subset must be strictly larger) and builds one
+    ``DeltaBound`` per budget.  An empty attack surface gives 0 at every
+    budget.
 
     Given a certificate predicate ``certifies(delta)``, the curve ends at
     its first failing budget, and ``exact-enumeration`` runs
@@ -473,8 +492,7 @@ def _worst_case(rf: ReceptiveField, d_min: int, cfg: SmoothingConfig, method: st
         singles = _single_array(rf, cfg)[rf.member_distance >= d_min]
         values = np.sort(singles)[::-1].tolist()
         return _up_to_failure(_combined_curve(values, method, d_min, budgets), certifies)
-    candidates = rf.candidates(d_min)
-    if not candidates:
+    if not rf.attack_surface(d_min):
         return _up_to_failure((DeltaBound(value=0.0, method="inclusion-exclusion-exact",
                                           rho=rho, d_min=d_min) for rho in budgets),
                               certifies)
@@ -485,6 +503,7 @@ def _worst_case(rf: ReceptiveField, d_min: int, cfg: SmoothingConfig, method: st
         curve = _tree_worst_curve(rf, d_min, cfg, max(budgets))
         return [curve[rho - 1] for rho in budgets]
 
+    candidates = rf.candidates(d_min)
     out = []
     for rho in budgets:
         r = min(rho, len(candidates))
@@ -494,10 +513,13 @@ def _worst_case(rf: ReceptiveField, d_min: int, cfg: SmoothingConfig, method: st
                 f"{n_subsets} candidate subsets exceed cap {subset_cap}; use the "
                 f"multiplicative or union method"
             )
-        # max keeps the first maximal subset
-        out.append(max((_exact_for_set(rf, subset, rho, d_min, cfg, max_terms)
-                        for subset in itertools.combinations(candidates, r)),
-                       key=lambda b: b.value))
+        best, worst_set = -1.0, ()
+        for subset in itertools.combinations(candidates, r):
+            value = delta_exact_ie(rf, subset, cfg, max_terms=max_terms).value
+            if value > best:                # strictly: the first maximal subset stays
+                best, worst_set = value, subset
+        out.append(DeltaBound(value=best, method="inclusion-exclusion-exact", rho=rho,
+                              d_min=d_min, worst_set=worst_set))
     return out
 
 
@@ -585,24 +607,27 @@ def delta_greedy_probe(
     exact probability for that single placement, hence a lower bound on the
     true worst case.  A lower bound can only show that a budget fails (it is
     ``_decided_curve``'s second witness); never use it to certify one.
+
+    A member's branch is the node next to the target on its first shortest
+    path: the first of its rows whose length equals its distance, found for
+    every member in one array pass.  The target is its own branch.  The
+    candidates, ordered by (distance, node), are dealt round by round over
+    the branches in ascending order: each round takes the next candidate
+    of every branch that has one, and the first ``rho`` taken are attacked.
     """
-    candidates = rf.candidates(d_min)
-    if rho <= 0 or not candidates:
+    if rho <= 0 or not rf.attack_surface(d_min):
         return DeltaBound(value=0.0, method="inclusion-exclusion-exact",
                           rho=max(rho, 0), d_min=d_min, worst_set=())
-
-    def branch_of(w: int) -> int:
-        """The neighbour delivering into the target on ``w``'s first shortest path."""
-        if w == rf.target:
-            return rf.target
-        i = int(np.searchsorted(rf.member_ids, w))
-        first = rf.path_offsets[i]
-        shortest = first + int(np.argmin(rf.path_length[first:rf.path_offsets[i + 1]]))
-        return int(rf.path_nodes[shortest, 0])
-
+    owner = np.repeat(np.arange(rf.size), np.diff(rf.path_offsets))
+    shortest = np.flatnonzero(rf.path_length == rf.member_distance[owner])
+    first = shortest[np.diff(owner[shortest], prepend=-1) > 0]
+    branch = np.full(rf.size, rf.target)
+    branch[owner[first]] = rf.path_nodes[first, 0]
+    order = np.argsort(rf.member_distance, kind="stable")         # by (distance, node)
+    order = order[rf.member_distance[order] >= d_min]
     by_branch: dict[int, list[int]] = {}
-    for w in sorted(candidates, key=lambda w: (rf.distance[w], w)):
-        by_branch.setdefault(branch_of(w), []).append(w)
+    for w, b in zip(rf.member_ids[order].tolist(), branch[order].tolist()):
+        by_branch.setdefault(b, []).append(w)
     rounds = itertools.zip_longest(*(by_branch[b] for b in sorted(by_branch)))
     chosen = [w for layer in rounds for w in layer if w is not None][:rho]
     return _exact_for_set(rf, chosen, rho, d_min, cfg, max_terms)

@@ -230,10 +230,14 @@ class TwoHop:
         # bincount of the kept receivers, with bitwise-equal counts.  On
         # the seed-0 certify-gcn hood (11 variants, 4,116 edges; 2-core VM,
         # one BLAS thread) a degree pass took 96-128 us against 338-441 us,
-        # best of 5 x 200 calls in three runs.  It holds no fewer bytes:
-        # scipy copies the F-ordered float mask to C order, and tracemalloc
-        # peaked at 0.78 MB against the bincount's 0.62 MB.  Built as CSR
-        # directly: a stable sort by receiver keeps each row's edges ascending
+        # best of 5 x 200 calls in three runs.  The masks go in as a uint8
+        # view of the bools: scipy copies the F-ordered transpose to C order
+        # (1 byte an entry) and converts that to floats (8 bytes), and
+        # tracemalloc peaked at 0.46 MB.  A float64 mask is copied to C order
+        # once more, 16 bytes an entry: 0.78 MB, against the bincount's
+        # 0.62 MB, at the same speed (70-95 against 74-88 us, best of 5 x 200
+        # calls in three runs).  Built as CSR directly: a stable sort by
+        # receiver keeps each row's edges ascending
         self._incidence = sparse.csr_matrix(
             (np.ones(self.edges.size), np.argsort(receiver_at, kind="stable"),
              _indptr(np.bincount(receiver_at, minlength=self.nodes.size))),
@@ -273,7 +277,7 @@ class TwoHop:
         are never put in canonical form.
         """
         b, nv, nu = kept.shape[0], self.nodes.size, self._u_at.size
-        degree = (self._incidence @ kept.T.astype(np.float64)).T
+        degree = (self._incidence @ kept.T.view(np.uint8)).T
         degree += 1.0                       # the self-loop; sums of ones are exact
         inv_sqrt = 1.0 / np.sqrt(degree)
         keep = np.ones((b, self._row.size), dtype=bool)
@@ -305,7 +309,8 @@ class TwoHop:
         """
         edges, nodes, rows = self.edges.size, self.nodes.size, self.rows.size
         per_variant = (
-            edges * (1 + 8)                 # kept, and as floats
+            # kept; for the degrees, scipy's C-order copy of it and that as floats
+            edges * (1 + 1 + 8)
             # ablated; degree, inv_sqrt; np.sqrt's result, later the row
             # pointers' gather, int32 copy and cumsum (8 + 4 + 4)
             + nodes * (1 + 8 + 8 + 16)

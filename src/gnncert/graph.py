@@ -482,8 +482,9 @@ class ReceptiveField:
     before its extensions.  The arrays are views of the ``chunk`` of fields
     built together, whose members ``member_span`` holds.
 
-    ``members``, ``distance``, ``tree_children``, ``path_coins`` (each
-    path edge's deletion coin, for the exact bounds) and ``paths`` (each
+    ``members``, ``distance``, ``tree_children`` and ``tree_order`` (for
+    the tree bounds), ``path_spans`` and ``path_coins`` (each path edge's
+    deletion coin, for the exact bounds) and ``paths`` (each
     path a tuple of directed edges from its source to the target, a view
     for library callers; no command reads it) are derived from the arrays
     on first read; the multiplicative and union bounds read the arrays only.
@@ -547,12 +548,15 @@ class ReceptiveField:
         return {w: tuple(out[a:b])
                 for w, a, b in zip(self.member_ids.tolist(), cut, cut[1:]) if b > a}
 
-    def _first_edges(self) -> Iterator[Edge]:
-        """Each path's first edge, in table order."""
+    def _next_hops(self) -> np.ndarray:
+        """The node each path's first edge delivers to, in table order."""
         length = self.path_length
         nxt = self.path_nodes[np.arange(len(length)), length - 2]
-        nxt = np.where(length > 1, nxt, self.target)
-        return zip(self.path_source.tolist(), nxt.tolist())
+        return np.where(length > 1, nxt, self.target)
+
+    def _first_edges(self) -> Iterator[Edge]:
+        """Each path's first edge, in table order."""
+        return zip(self.path_source.tolist(), self._next_hops().tolist())
 
     @functools.cached_property
     def path_coins(self) -> np.ndarray:
@@ -568,6 +572,12 @@ class ReceptiveField:
         coins = np.full(nodes.shape, -1, dtype=np.int64)
         coins[on] = g.logical_edge_ids[np.searchsorted(g.edge_keys, key[on])]
         return coins
+
+    @functools.cached_property
+    def path_spans(self) -> dict[int, tuple[int, int]]:
+        """Each source's rows ``(start, stop)`` in the path table, by node; built on first use."""
+        cut = self.path_offsets.tolist()
+        return {w: (a, b) for w, a, b in zip(self.member_ids.tolist(), cut, cut[1:]) if b > a}
 
     @functools.cached_property
     def edges_within(self) -> tuple[Edge, ...]:
@@ -595,6 +605,24 @@ class ReceptiveField:
         for a, b in self._first_edges():
             children[b].append(a)
         return {w: tuple(c) for w, c in children.items()}
+
+    @functools.cached_property
+    def tree_order(self) -> tuple[tuple[int, int], ...] | None:
+        """``(member, parent)`` pairs of the message tree, children first, or None when no tree.
+
+        A tree is as in ``tree_children``; a member's parent is the node
+        its one path's first edge delivers to.  The members come by
+        descending distance, then ascending node: a child lies one hop
+        farther from the target than its parent, so it comes before it, and
+        the children of one node come in ascending order.  The target comes
+        last, with parent -1.  Built on first use.
+        """
+        if len(self.path_length) != self.size - 1:
+            return None
+        parent = np.full(self.size, -1)
+        parent[np.diff(self.path_offsets) > 0] = self._next_hops()
+        order = np.lexsort((self.member_ids, -self.member_distance))
+        return tuple(zip(self.member_ids[order].tolist(), parent[order].tolist()))
 
 
 def receptive_field(g: Graph, v: int, k: int,

@@ -26,7 +26,13 @@ from gnncert import (
     receptive_field,
     worst_case_curve,
 )
-from gnncert.bounds import _single_values
+from gnncert.bounds import (
+    DEFAULT_MAX_IE_TERMS,
+    DEFAULT_SUBSET_CAP,
+    _exact_for_set,
+    _single_values,
+    _worst_case,
+)
 from gnncert.errors import NotATreeError, ResourceLimitError
 from gnncert.estimator import certifies, radius
 
@@ -389,6 +395,65 @@ def test_tree_rejects_non_tree():
         delta_tree_exact(rf, {1}, cfg(p_del=0.5))
 
 
+def _recursive_tree_exact(rf, attacked, c, reverse=False):
+    """The recursion the tree loop replaced: ``arrive`` from the target down.
+
+    ``reverse`` multiplies the children in descending order instead.
+    """
+    attacked = set(int(w) for w in attacked)
+    children = rf.tree_children
+
+    def arrive(i):
+        order = reversed(children[i]) if reverse else children[i]
+        via = 1.0 - math.prod(1.0 - (1.0 - c.p_del) * arrive(j) for j in order)
+        return 1.0 - c.p_abl * (1.0 - via) if i in attacked else via
+
+    return min(1.0, max(0.0, arrive(rf.target)))
+
+
+def _random_tree_graph(rng, n, directed):
+    """A bushy random tree, node i joined to one of nodes 0..i//2.
+
+    Directed, an edge points from the later node to the earlier one four
+    times in five, so fields of early nodes hold most of their subtrees.
+    """
+    pairs = [(i, int(rng.integers(0, max(1, i // 2)))) for i in range(1, n)]
+    if directed:
+        pairs = [(a, b) if rng.random() < 0.8 else (b, a) for a, b in pairs]
+    return Graph.build(n=n, edges=pairs, features=np.eye(n), directed=directed)
+
+
+def test_tree_loop_equals_the_recursion_bit_for_bit(rng):
+    # each product runs from 1.0 over the children in ascending order, as the
+    # recursion's math.prod does; with three or more factors the order can
+    # show in the last bit, and "order shows" counts the sets where it does
+    seen = collections.Counter()
+    for trial in range(240):
+        directed = bool(trial % 2)
+        g = _random_tree_graph(rng, int(rng.integers(2, 30)), directed)
+        v = int(rng.integers(max(1, g.n // 4)))       # near the root, where trees branch
+        rf = receptive_field(g, v, 1 + trial % 4)
+        assert rf.tree_children is not None
+        p_del, p_abl = rng.uniform(0, 1, size=2).tolist()
+        if trial % 8 < 4:       # 0 and 1 for each probability in turn
+            p_del, p_abl = [(0.0, p_abl), (1.0, p_abl), (p_del, 0.0), (p_del, 1.0)][trial % 8]
+        c = cfg(p_del=p_del, p_abl=p_abl)
+        for _ in range(4):
+            attacked = set(rng.choice(g.n, size=max(1, int(rng.binomial(g.n, 0.5))),
+                                      replace=False).tolist())
+            attacked.add(v) if rng.random() < 0.5 else attacked.discard(v)
+            seen["target" if v in attacked else "no target"] += 1
+            seen["non-member"] += bool(attacked - rf.members)
+            seen["directed" if directed else "undirected"] += 1
+            got = delta_tree_exact(rf, attacked, c)
+            want = _recursive_tree_exact(rf, attacked, c)
+            assert got.value.hex() == want.hex()
+            assert got.rho == len(attacked) and got.method == "tree-exact"
+            seen["order shows"] += want != _recursive_tree_exact(rf, attacked, c, reverse=True)
+    order_shows = seen.pop("order shows")
+    assert order_shows >= 20 and min(seen.values()) > 100, (order_shows, seen)
+
+
 # ---------------------------------------------------------------------------
 # worst case over placements
 
@@ -447,6 +512,51 @@ def test_refusal_counts_only_the_budgets_asked_for():
                          subset_cap=100)
     with pytest.raises(ResourceLimitError):
         delta_worst_case(rf, 3, 1, c, method="exact-enumeration", subset_cap=100)
+
+
+def _first_maximal_subset(rf, d_min, c, rho, max_terms):
+    """The scan as ``max`` over ``_exact_for_set``, which keeps the first maximal subset."""
+    candidates = rf.candidates(d_min)
+    return max((_exact_for_set(rf, s, rho, d_min, c, max_terms)
+                for s in itertools.combinations(candidates, min(rho, len(candidates)))),
+               key=lambda b: b.value)
+
+
+def test_gap_scan_keeps_the_first_maximal_subset(rng):
+    # a probability of 0 or 1 ties many subsets at one value, and the scan
+    # must keep the first of them in combinations order, as ``max`` does
+    seen = collections.Counter()
+    for trial in range(150):
+        g = random_graph(rng, n=int(rng.integers(3, 7)), p_edge=float(rng.uniform(0.4, 0.8)),
+                         directed=bool(trial % 2))
+        rf = receptive_field(g, int(rng.integers(g.n)), 2 + trial % 2)
+        if rf.tree_children is not None or len(rf.path_length) > 12:
+            continue
+        p_del, p_abl = rng.uniform(0, 1, size=2).tolist()
+        if trial % 5 < 4:
+            p_del, p_abl = [(0.0, p_abl), (1.0, p_abl), (p_del, 0.0), (p_del, 1.0)][trial % 5]
+        c = cfg(p_del=p_del, p_abl=p_abl)
+        max_terms = int(rng.choice([2, 8, 64, DEFAULT_MAX_IE_TERMS]))
+        for d_min in (0, 1):
+            surface = rf.attack_surface(d_min)
+            budgets = range(1, surface + 2)
+            try:
+                want = [_first_maximal_subset(rf, d_min, c, rho, max_terms) for rho in budgets]
+            except ResourceLimitError as exc:
+                seen["refused"] += 1
+                with pytest.raises(ResourceLimitError, match=f"^{re.escape(str(exc))}$"):
+                    _worst_case(rf, d_min, c, "exact-enumeration", budgets,
+                                DEFAULT_SUBSET_CAP, max_terms)
+                continue
+            got = _worst_case(rf, d_min, c, "exact-enumeration", budgets,
+                              DEFAULT_SUBSET_CAP, max_terms)
+            assert got == want
+            assert [b.value.hex() for b in got] == [b.value.hex() for b in want]
+            for b in want:
+                subsets = itertools.combinations(rf.candidates(d_min), min(b.rho, surface))
+                tied = sum(delta_exact_ie(rf, s, c).value == b.value for s in subsets)
+                seen["tied" if tied > 1 else "unique"] += 1
+    assert min(seen.values()) > 20, seen
 
 
 def _brute_tree_worst(rf, d_min, c, rho):
@@ -805,6 +915,50 @@ def test_greedy_probe_often_tight_on_stars(rng):
         probe = delta_greedy_probe(rf, rho, 1, c)
         exact = delta_worst_case(rf, rho, 1, c, method="exact-enumeration")
         assert probe.value == pytest.approx(exact.value, abs=1e-12)
+
+
+def _branch_of(rf, w):
+    """The per-candidate rule: the neighbour into the target on ``w``'s first shortest path."""
+    if w == rf.target:
+        return rf.target
+    i = int(np.searchsorted(rf.member_ids, w))
+    first = rf.path_offsets[i]
+    shortest = first + int(np.argmin(rf.path_length[first:rf.path_offsets[i + 1]]))
+    return int(rf.path_nodes[shortest, 0])
+
+
+def _greedy_set(rf, rho, d_min):
+    by_branch = {}
+    for w in sorted(rf.candidates(d_min), key=lambda w: (rf.distance[w], w)):
+        by_branch.setdefault(_branch_of(rf, w), []).append(w)
+    rounds = itertools.zip_longest(*(by_branch[b] for b in sorted(by_branch)))
+    return tuple(sorted([w for layer in rounds for w in layer if w is not None][:rho]))
+
+
+def test_greedy_probe_set_equals_the_per_candidate_rule(rng):
+    # fields where a member's shortest paths leave the target by two
+    # different neighbours tell the first shortest path from the others
+    split = compared = 0
+    for trial in range(120):
+        g = random_graph(rng, n=int(rng.integers(4, 9)),
+                         p_edge=float(rng.uniform(0.3, 0.6)), directed=bool(trial % 2))
+        rf = receptive_field(g, int(rng.integers(g.n)), 2 + trial % 3 // 2)
+        if len(rf.path_length) > 12:
+            continue
+        first_hops = collections.defaultdict(set)
+        for w, plist in rf.paths.items():
+            first_hops[w] |= {q[-1][0] for q in plist if len(q) == rf.distance[w]}
+        split += any(len(hops) > 1 for hops in first_hops.values())
+        c = cfg(p_del=float(rng.uniform(0, 1)), p_abl=float(rng.uniform(0, 1)))
+        for d_min in (0, 1, 2):
+            surface = rf.attack_surface(d_min)
+            for rho in range(1, surface + 2 if surface else 1):
+                probe = delta_greedy_probe(rf, rho, d_min, c)
+                assert probe.worst_set == _greedy_set(rf, rho, d_min)
+                assert probe == _exact_for_set(rf, probe.worst_set, rho, d_min, c,
+                                               DEFAULT_MAX_IE_TERMS)
+                compared += 1
+    assert split > 20 and compared > 300, (split, compared)
 
 
 # ---------------------------------------------------------------------------

@@ -223,6 +223,28 @@ def test_many_samples_are_scored_in_bounded_memory(rng, monkeypatch):
     assert peak < _CHUNK_BYTES
 
 
+def test_a_pass_whose_degree_step_dominates_stays_within_the_budget(rng):
+    # 20,000 edges into node 2 come from outside V = {0, 1, 2}: they count in
+    # the degrees only, so the degree step holds nearly all of a pass, and a
+    # pass of ``chunk`` variants stays within the budget only if ``chunk``
+    # charges every byte per edge that the degree step holds
+    fan = 20_000
+    n = 3 + fan
+    edges = [(1, 0), (2, 1)] + [(j, 2) for j in range(3, n)]
+    g = Graph.build(n=n, edges=edges, features=rng.normal(size=(n, 3)), directed=True)
+    hood = TwoHop(g, [0])
+    assert hood.nodes.tolist() == [0, 1, 2] and hood.edges.size == fan + 2
+    scorer = LocalScorer(random_model(rng, d=3), g)
+    kept = rng.random((scorer.chunk(hood), hood.edges.size)) < 0.7
+    tracemalloc.start()
+    try:
+        scorer.scores(hood, kept)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < _CHUNK_BYTES
+
+
 def test_two_hop_reads_only_the_neighbourhood(rng):
     # edges whose receiver lies outside V change no target score
     for g, rows in local_cases(rng):
