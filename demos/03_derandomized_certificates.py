@@ -18,7 +18,6 @@ from gnncert import (
     Graph,
     enumerate_representatives,
     exact_label_probs,
-    levine_delta,
     per_view,
     receptive_field,
     retention_count,
@@ -76,8 +75,8 @@ for kk in (1, 2, 3):
     y_tilde = 1 - y_star
     radius = 0
     for rho in range(1, d - kk + 1):
-        delta = levine_delta(d, kk, rho).value
-        if float(probs[y_star]) - delta > float(probs[y_tilde]) + delta:
+        delta = 1 - Fraction(math.comb(d - rho, kk), math.comb(d, kk))   # exact, as the CLI
+        if probs[y_star] - delta > probs[y_tilde] + delta:
             radius = rho
         else:
             break

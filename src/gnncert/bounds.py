@@ -7,18 +7,19 @@ at the target.  The smoothed classifier's certified radius is the largest
 budget for which that probability stays small enough.
 
 Exact values for a fixed attacked set come from inclusion-exclusion over
-simple paths (small fields), a branch recursion (tree-shaped fields), or a
-closed form (ablation-only smoothing).  The exact worst case over attacker
-placements comes from a knapsack recursion over branches on tree-shaped
-fields, for every budget at once, and from enumerating candidate subsets on
-any other field.  Upper bounds come from treating paths / sources as
-independent: the per-source product bound, the multiplicative combination of
-the top sources, and the (weaker) union bound.  One function, ``_worst_case``,
-chooses among these for a (field, d_min, method) and a list of budgets;
-``delta_worst_case`` and ``worst_case_curve`` both go through it.  Each
-number has one implementation: ``_single_array`` every per-source value of
-a field, ``_combined_curve`` every combination, and ``_exact_for_set`` the
-exact value of a fixed set; the public functions for one value read them.
+simple paths (small fields), a child-first loop over the message tree
+(tree-shaped fields), or a closed form (ablation-only smoothing).  The exact
+worst case over attacker placements comes from a knapsack over branches in
+the same child-first loop on tree-shaped fields, for every budget at once,
+and from enumerating candidate subsets on any other field.  Upper bounds
+come from treating paths / sources as independent: the per-source product
+bound, the multiplicative combination of the top sources, and the (weaker)
+union bound.  One function, ``_worst_case``, chooses among these for a
+(field, d_min, method) and a list of budgets; ``delta_worst_case`` and
+``worst_case_curve`` both go through it.  Each number has one
+implementation: ``_single_array`` every per-source value of a field,
+``_combined_curve`` every combination, and ``_exact_for_set`` the exact
+value of a fixed set; the public functions for one value read them.
 
 A certificate needs the exact worst case only where it decides something.
 Given the certificate predicate, ``worst_case_curve`` decides each budget
@@ -371,49 +372,52 @@ def _tree_worst_curve(rf: ReceptiveField, d_min: int, cfg: SmoothingConfig,
         best[i][b] = max(via[b], 1 - p_abl * (1 - via[b - 1]))  if i is a candidate
         best[i][b] = via[b]                                     otherwise
 
-    Children are folded in ascending order by a min-product convolution
-    from 1.0, so each product takes the same floating-point steps in the
-    same order as ``delta_tree_exact``'s loop.  Every step is monotone in
+    One loop visits the ``(member, parent)`` pairs of ``rf.tree_order``, as
+    ``delta_tree_exact`` does: a pair finalizes the member's ``best`` from
+    its complete product and merges it into its parent's product, which
+    starts at ``[(1.0, ())]``, by a min-product convolution.  Children come
+    in ascending order, so each product takes the same floating-point steps
+    in the same order as ``delta_tree_exact``.  Every step is monotone in
     floating point, so each value is the float maximum of
     ``delta_tree_exact`` over sets of at most ``b`` candidates, not an
-    approximation.  Budgets past the attack surface repeat the surface value.
+    approximation.  The target comes last; its ``best`` is the curve, and
+    budgets past the attack surface repeat the surface value.
 
     Each entry is a pair: the value and one set that reaches it.  A merge
     keeps the first split with the strictly smallest product and joins the
-    two sets it reads; a candidate adds itself where attacking it is
-    strictly better.  ``worst_set`` is the root's set, padded with the
-    smallest unused candidates to ``min(rho, surface)`` members.  Cost
-    O(s * R**2) for ``R = min(rho_max, surface)``, plus O(R) per entry to
-    copy its set.
+    two sets it reads, the parent's first; a candidate adds itself where
+    attacking it is strictly better.  ``worst_set`` is the target's set,
+    padded with the smallest unused candidates to ``min(rho, surface)``
+    members.  Cost O(s * R**2) for ``R = min(rho_max, surface)``, plus O(R)
+    per entry to copy its set.
     """
     candidates = rf.candidates(d_min)
     top = min(rho_max, len(candidates))
     keep_e = 1.0 - cfg.p_del
+    prods: dict[int, list[tuple[float, tuple[int, ...]]]] = {}
+    for i, parent in rf.tree_order:
+        via = [(1.0 - p, chosen) for p, chosen in prods.pop(i, [(1.0, ())])]
+        best = via
+        if rf.distance[i] >= d_min:
+            best = via[:1]
+            for b in range(1, min(len(via) + 1, top + 1)):
+                stay = via[min(b, len(via) - 1)]
+                hit = 1.0 - cfg.p_abl * (1.0 - via[b - 1][0])
+                best.append((hit, via[b - 1][1] + (i,)) if hit > stay[0] else stay)
+        if parent < 0:
+            break
+        prod = prods.get(parent, [(1.0, ())])
+        factor = [(1.0 - keep_e * x, chosen) for x, chosen in best]
+        merged = []
+        for b in range(min(len(prod) + len(factor) - 1, top + 1)):
+            low, arg = math.inf, 0
+            for c in range(max(0, b - len(prod) + 1), min(b, len(factor) - 1) + 1):
+                t = prod[b - c][0] * factor[c][0]
+                if t < low:
+                    low, arg = t, c
+            merged.append((low, prod[b - arg][1] + factor[arg][1]))
+        prods[parent] = merged
 
-    def solve(i: int) -> list[tuple[float, tuple[int, ...]]]:
-        prod = [(1.0, ())]
-        for j in rf.tree_children[i]:
-            factor = [(1.0 - keep_e * x, chosen) for x, chosen in solve(j)]
-            merged = []
-            for b in range(min(len(prod) + len(factor) - 1, top + 1)):
-                low, arg = math.inf, 0
-                for c in range(max(0, b - len(prod) + 1), min(b, len(factor) - 1) + 1):
-                    t = prod[b - c][0] * factor[c][0]
-                    if t < low:
-                        low, arg = t, c
-                merged.append((low, prod[b - arg][1] + factor[arg][1]))
-            prod = merged
-        via = [(1.0 - p, chosen) for p, chosen in prod]
-        if rf.distance[i] < d_min:
-            return via
-        best = via[:1]
-        for b in range(1, min(len(via) + 1, top + 1)):
-            stay = via[min(b, len(via) - 1)]
-            hit = 1.0 - cfg.p_abl * (1.0 - via[b - 1][0])
-            best.append((hit, via[b - 1][1] + (i,)) if hit > stay[0] else stay)
-        return best
-
-    best = solve(rf.target)
     curve = []
     for rho in range(1, rho_max + 1):
         value, chosen = best[min(rho, top)]
@@ -578,8 +582,8 @@ def delta_worst_case(
     a target the adversary cannot control, e.g. under a skip connection).
     ``multiplicative`` and ``union`` combine the top-rho single-source
     bounds.  ``exact-enumeration`` is the exact maximum on every field and
-    reports a maximizing set: tree-shaped fields use the knapsack recursion
-    of ``_tree_worst_curve`` and are never refused; any other field
+    reports a maximizing set: tree-shaped fields use the knapsack loop of
+    ``_tree_worst_curve`` and are never refused; any other field
     maximizes over every size-rho candidate subset, refusing when the subset
     count exceeds ``subset_cap``.  This is the dispatch ``_worst_case`` at
     budget rho, as in ``worst_case_curve``; a budget rho <= 0 gives 0.
@@ -701,7 +705,8 @@ def delta_monte_carlo(
     # work arrays are indexed by position among the field's members, not node id
     col = {w: i for i, w in enumerate(rf.member_ids.tolist())}
     arcs = sorted({(col[a], col[c], coin)
-                   for (a, c), coin in zip(rf._first_edges(), coin_of.tolist())})
+                   for a, c, coin in zip(rf.path_source.tolist(), rf._next_hops().tolist(),
+                                         coin_of.tolist())})
 
     hits = 0
     chunk = 20_000

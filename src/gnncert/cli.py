@@ -16,6 +16,7 @@ import json
 import math
 import sys
 from dataclasses import dataclass, asdict, field, fields
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -421,9 +422,10 @@ def cmd_derandomize(cfg: RunConfig) -> int:
                                               classes)
         order = sorted(range(classes), key=lambda c: (-probs[c], c))
         y_star, y_tilde = order[0], order[1] if classes > 1 else order[0]
+        # the keep-k deletion bound 1 - C(d - rho, k) / C(d, k), exact like probs
         radius = estimator.radius(
-            float(probs[y_star]), float(probs[y_tilde]),
-            (bounds.levine_delta(d, kk, rho).value for rho in range(1, d - kk + 1)))
+            probs[y_star], probs[y_tilde],
+            (1 - Fraction(math.comb(d - rho, kk), support) for rho in range(1, d - kk + 1)))
         savings = derandomize.savings_ratio(reps, d, kk)
         return ([d, kk, support, 1, len(reps), repr(savings), y_star, radius,
                  int(radius >= 1)]

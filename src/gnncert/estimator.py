@@ -192,7 +192,8 @@ def certifies(p_lower: float, p_upper: float, delta: float,
 
     True iff p_lower - delta > p_upper + delta, or in binary mode iff
     p_lower - delta > 1/2.  Monotone in ``delta``, also in floating point:
-    a delta that certifies certifies every smaller one.
+    a delta that certifies certifies every smaller one.  Given ``Fraction``s,
+    as ``derandomize`` gives, the comparison is exact.
     """
     return (p_lower - delta > 0.5) if binary else (p_lower - delta > p_upper + delta)
 

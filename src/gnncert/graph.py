@@ -447,20 +447,18 @@ _CHUNK_BYTES = 1 << 20
 class FieldChunk:
     """The fields of a chunk of targets built together, one after another.
 
-    The arrays are those of ``ReceptiveField``, for every field of the
-    chunk in turn, with ``path_offsets`` counted from the chunk's first
-    row.  A target is the one member at distance 0 of its field.
-    ``memo`` keeps values other modules derive for every field of the
-    chunk at once: ``bounds`` keeps every member's single-source value
-    there, per pair of smoothing probabilities.
+    The arrays are the ``member_distance``, ``path_offsets`` and
+    ``path_length`` of ``ReceptiveField``, for every field of the chunk in
+    turn, with ``path_offsets`` counted from the chunk's first row.  A
+    target is the one member at distance 0 of its field.  ``memo`` keeps
+    values other modules derive for every field of the chunk at once:
+    ``bounds`` keeps every member's single-source value there, per pair of
+    smoothing probabilities.
     """
 
-    member_ids: np.ndarray
     member_distance: np.ndarray
     path_offsets: np.ndarray
-    path_source: np.ndarray
     path_length: np.ndarray
-    path_nodes: np.ndarray
     memo: dict = field(default_factory=dict, repr=False)
 
 
@@ -479,15 +477,18 @@ class ReceptiveField:
     ``path_offsets[i]:path_offsets[i + 1]`` (none for the target).  Within
     a source they come in the order of a depth-first search backward from
     the target that takes senders in ascending order and records a path
-    before its extensions.  The arrays are views of the ``chunk`` of fields
-    built together, whose members ``member_span`` holds.
+    before its extensions.  The arrays are views of arrays built for a
+    chunk of fields together; ``chunk`` keeps those the single-source
+    values read for all of them, and ``member_span`` is this field's
+    members among them.
 
-    ``members``, ``distance``, ``tree_children`` and ``tree_order`` (for
-    the tree bounds), ``path_spans`` and ``path_coins`` (each path edge's
-    deletion coin, for the exact bounds) and ``paths`` (each
-    path a tuple of directed edges from its source to the target, a view
-    for library callers; no command reads it) are derived from the arrays
-    on first read; the multiplicative and union bounds read the arrays only.
+    ``members``, ``distance``, ``tree_order`` (the message tree, children
+    first, which both tree bounds walk), ``path_spans`` and ``path_coins``
+    (each path edge's deletion coin, for the exact bounds) and ``paths``
+    (each path a tuple of directed edges from its source to the target, a
+    view for library callers; no command reads it) are derived from the
+    arrays on first read; the multiplicative and union bounds read the
+    arrays only.
     ``edges_within`` holds every graph edge between members (needed when
     retained-subgraph connectivity matters, not just message paths).  It
     is built from ``_graph`` on first read, so a field whose certificate
@@ -554,10 +555,6 @@ class ReceptiveField:
         nxt = self.path_nodes[np.arange(len(length)), length - 2]
         return np.where(length > 1, nxt, self.target)
 
-    def _first_edges(self) -> Iterator[Edge]:
-        """Each path's first edge, in table order."""
-        return zip(self.path_source.tolist(), self._next_hops().tolist())
-
     @functools.cached_property
     def path_coins(self) -> np.ndarray:
         """Each path edge's deletion coin, shaped like ``path_nodes``, built on first use.
@@ -589,33 +586,24 @@ class ReceptiveField:
         return tuple(map(tuple, within.tolist()))
 
     @functools.cached_property
-    def tree_children(self) -> dict[int, tuple[int, ...]] | None:
-        """Ascending child lists of the message tree, or None when the field is no tree.
+    def tree_order(self) -> tuple[tuple[int, int], ...] | None:
+        """``(member, parent)`` pairs of the message tree, children first, or None when no tree.
 
         The field is a tree when the message edges number one less than
         the members.  That is when the paths do: every member but the
         target has a path and sends its first edge, and where two paths
         from one member part, the node they part at sends two edges.  In a
         tree each member but the target sends the first edge of its one
-        path, and the rows list the senders ascending.  Built on first use.
-        """
-        if len(self.path_length) != self.size - 1:
-            return None
-        children: dict[int, list[int]] = {w: [] for w in self.member_ids.tolist()}
-        for a, b in self._first_edges():
-            children[b].append(a)
-        return {w: tuple(c) for w, c in children.items()}
+        path, and its parent is the node that edge delivers to.
 
-    @functools.cached_property
-    def tree_order(self) -> tuple[tuple[int, int], ...] | None:
-        """``(member, parent)`` pairs of the message tree, children first, or None when no tree.
-
-        A tree is as in ``tree_children``; a member's parent is the node
-        its one path's first edge delivers to.  The members come by
-        descending distance, then ascending node: a child lies one hop
-        farther from the target than its parent, so it comes before it, and
-        the children of one node come in ascending order.  The target comes
-        last, with parent -1.  Built on first use.
+        The members come by descending distance, then ascending node: a
+        child lies one hop farther from the target than its parent, so it
+        comes before it, and the children of one node come in ascending
+        order.  The target comes last, with parent -1.  A loop over the
+        pairs that folds each member into its parent thus sees every
+        member's children complete and in ascending order before the
+        member itself; both tree bounds rely on that order for their bits.
+        Built on first use.
         """
         if len(self.path_length) != self.size - 1:
             return None
@@ -787,8 +775,7 @@ def _chunk_fields(g: Graph, targets: np.ndarray, k: int, hops: int, max_paths: i
     np.cumsum(m_count[by_member], out=m_offset[1:])
     m_cut = np.searchsorted(m_owner, np.arange(t + 1)).tolist()
     p_cut = m_offset[m_cut].tolist()
-    chunk = FieldChunk(member_ids=m_id, member_distance=m_dist, path_offsets=m_offset,
-                       path_source=source, path_length=length, path_nodes=nodes)
+    chunk = FieldChunk(member_distance=m_dist, path_offsets=m_offset, path_length=length)
 
     for i, v in enumerate(targets.tolist()):
         if over[i]:

@@ -38,7 +38,6 @@ class SmoothedSample:
 
     edge_mask: np.ndarray   # (m,) bool over graph.edges
     ablated: np.ndarray     # (n,) bool
-    sample_index: int
 
     def kept_edges(self, g: Graph) -> np.ndarray:
         return g.edges[self.edge_mask]
@@ -57,8 +56,7 @@ def sample(g: Graph, cfg: SmoothingConfig, sample_index: int) -> SmoothedSample:
     kept_logical = u_edges >= cfg.p_del
     edge_mask = kept_logical[g.logical_edge_ids] if g.m else np.zeros(0, dtype=bool)
     ablated = u_nodes < cfg.p_abl
-    return SmoothedSample(edge_mask=edge_mask, ablated=ablated,
-                          sample_index=int(sample_index))
+    return SmoothedSample(edge_mask=edge_mask, ablated=ablated)
 
 
 def apply(g: Graph, s: SmoothedSample, token: np.ndarray) -> Graph:

@@ -56,7 +56,7 @@ def test_traced_exact_bounds_count_every_fixed_set(monkeypatch):
     # tracer wraps, so their call counts are the fixed sets evaluated
     tree = graph.receptive_field(Graph.build(n=5, edges=[(1, 0), (2, 0), (3, 1), (4, 1)]), 0, 2)
     cycle = graph.receptive_field(Graph.build(n=4, edges=[(0, 1), (1, 2), (2, 3), (3, 0)]), 0, 2)
-    assert tree.tree_children is not None and cycle.tree_children is None
+    assert tree.tree_order is not None and cycle.tree_order is None
     c = SmoothingConfig(p_del=0.3, p_abl=0.4)
     tracer = _tracer(monkeypatch)
     try:

@@ -31,6 +31,7 @@ from gnncert.bounds import (
     DEFAULT_SUBSET_CAP,
     _exact_for_set,
     _single_values,
+    _tree_worst_curve,
     _worst_case,
 )
 from gnncert.errors import NotATreeError, ResourceLimitError
@@ -395,13 +396,22 @@ def test_tree_rejects_non_tree():
         delta_tree_exact(rf, {1}, cfg(p_del=0.5))
 
 
+def _tree_children(rf):
+    """Each member's children in the message tree, ascending, read off ``rf.tree_order``."""
+    children = {w: [] for w, _ in rf.tree_order}
+    for w, parent in rf.tree_order:
+        if parent >= 0:
+            children[parent].append(w)
+    return {w: tuple(sorted(c)) for w, c in children.items()}
+
+
 def _recursive_tree_exact(rf, attacked, c, reverse=False):
     """The recursion the tree loop replaced: ``arrive`` from the target down.
 
     ``reverse`` multiplies the children in descending order instead.
     """
     attacked = set(int(w) for w in attacked)
-    children = rf.tree_children
+    children = _tree_children(rf)
 
     def arrive(i):
         order = reversed(children[i]) if reverse else children[i]
@@ -433,7 +443,7 @@ def test_tree_loop_equals_the_recursion_bit_for_bit(rng):
         g = _random_tree_graph(rng, int(rng.integers(2, 30)), directed)
         v = int(rng.integers(max(1, g.n // 4)))       # near the root, where trees branch
         rf = receptive_field(g, v, 1 + trial % 4)
-        assert rf.tree_children is not None
+        assert rf.tree_order is not None
         p_del, p_abl = rng.uniform(0, 1, size=2).tolist()
         if trial % 8 < 4:       # 0 and 1 for each probability in turn
             p_del, p_abl = [(0.0, p_abl), (1.0, p_abl), (p_del, 0.0), (p_del, 1.0)][trial % 8]
@@ -530,7 +540,7 @@ def test_gap_scan_keeps_the_first_maximal_subset(rng):
         g = random_graph(rng, n=int(rng.integers(3, 7)), p_edge=float(rng.uniform(0.4, 0.8)),
                          directed=bool(trial % 2))
         rf = receptive_field(g, int(rng.integers(g.n)), 2 + trial % 2)
-        if rf.tree_children is not None or len(rf.path_length) > 12:
+        if rf.tree_order is not None or len(rf.path_length) > 12:
             continue
         p_del, p_abl = rng.uniform(0, 1, size=2).tolist()
         if trial % 5 < 4:
@@ -574,7 +584,7 @@ def _split_table_tree_worst(rf, d_min, c, rho_max):
     recovered by walking the tree again through the recorded splits.
     Returns ``(value, worst_set)`` for budgets 1..rho_max.
     """
-    children = rf.tree_children
+    children = _tree_children(rf)
     candidates = rf.candidates(d_min)
     top = min(rho_max, len(candidates))
     keep_e = 1.0 - c.p_del
@@ -672,6 +682,79 @@ def test_tree_worst_case_matches_brute_force(rng):
                         pytest.approx(got.value, abs=1e-12)
                 checked += 1
     assert checked >= 300
+
+
+def _recursive_tree_worst(rf, d_min, c, rho_max, reverse=False):
+    """The recursion the tree knapsack loop replaced, as ``(value, worst_set, method)``.
+
+    ``solve`` folds each node's children in ascending order, or descending
+    with ``reverse``, into a product from ``[(1.0, ())]``, with the loop's
+    convolution, tie rule and set order.
+    """
+    children = _tree_children(rf)
+    candidates = rf.candidates(d_min)
+    top = min(rho_max, len(candidates))
+    keep_e = 1.0 - c.p_del
+
+    def solve(i):
+        prod = [(1.0, ())]
+        for j in (reversed(children[i]) if reverse else children[i]):
+            factor = [(1.0 - keep_e * x, chosen) for x, chosen in solve(j)]
+            merged = []
+            for b in range(min(len(prod) + len(factor) - 1, top + 1)):
+                low, arg = math.inf, 0
+                for cj in range(max(0, b - len(prod) + 1), min(b, len(factor) - 1) + 1):
+                    t = prod[b - cj][0] * factor[cj][0]
+                    if t < low:
+                        low, arg = t, cj
+                merged.append((low, prod[b - arg][1] + factor[arg][1]))
+            prod = merged
+        via = [(1.0 - q, chosen) for q, chosen in prod]
+        if rf.distance[i] < d_min:
+            return via
+        best = via[:1]
+        for b in range(1, min(len(via) + 1, top + 1)):
+            stay = via[min(b, len(via) - 1)]
+            hit = 1.0 - c.p_abl * (1.0 - via[b - 1][0])
+            best.append((hit, via[b - 1][1] + (i,)) if hit > stay[0] else stay)
+        return best
+
+    best = solve(rf.target)
+    curve = []
+    for rho in range(1, rho_max + 1):
+        value, chosen = best[min(rho, top)]
+        chosen += tuple(w for w in candidates if w not in chosen)[:min(rho, top) - len(chosen)]
+        curve.append((min(1.0, max(0.0, value)), tuple(sorted(chosen)), "tree-exact"))
+    return curve
+
+
+def test_tree_worst_loop_equals_the_recursion_bit_for_bit(rng):
+    # the loop over tree_order merges each member into its parent's product
+    # in ascending child order, as the recursion folds its children; "order
+    # shows" counts the curves that folding in descending order would change
+    seen = collections.Counter()
+    for trial in range(200):
+        directed = bool(trial % 2)
+        g = _random_tree_graph(rng, int(rng.integers(2, 30)), directed)
+        v = int(rng.integers(max(1, g.n // 4)))       # near the root, where trees branch
+        rf = receptive_field(g, v, 1 + trial % 4)
+        p_del, p_abl = rng.uniform(0, 1, size=2).tolist()
+        if trial % 8 < 4:       # 0 and 1 for each probability in turn
+            p_del, p_abl = [(0.0, p_abl), (1.0, p_abl), (p_del, 0.0), (p_del, 1.0)][trial % 8]
+        c = cfg(p_del=p_del, p_abl=p_abl)
+        for d_min in (0, 1, 2):
+            surface = rf.attack_surface(d_min)
+            if not surface:
+                continue
+            got = [(b.value.hex(), b.worst_set, b.method)
+                   for b in _tree_worst_curve(rf, d_min, c, surface + 1)]
+            want = _recursive_tree_worst(rf, d_min, c, surface + 1)
+            assert got == [(x.hex(), s, m) for x, s, m in want]
+            seen["directed" if directed else "undirected"] += len(got)
+            seen["order shows"] += want != _recursive_tree_worst(rf, d_min, c, surface + 1,
+                                                                 reverse=True)
+    order_shows = seen.pop("order shows")
+    assert order_shows >= 100 and min(seen.values()) > 500, (order_shows, seen)
 
 
 def test_ordering_chain_exact_mult_union(rng):
@@ -819,7 +902,7 @@ def test_decided_curve_decides_as_the_full_exact_curve(rng):
             rf = receptive_field(g, 0, 2)
         if sum(len(p) for p in rf.paths.values()) > 10:
             continue        # keeps inclusion-exclusion cheap
-        shape = "tree" if rf.tree_children is not None else "cycle"
+        shape = "tree" if rf.tree_order is not None else "cycle"
         c = cfg(p_del=float(rng.uniform(0, 0.9)), p_abl=float(rng.uniform(0, 0.9)))
         for d_min in (0, 1):
             rho_max = rf.attack_surface(d_min) + 1

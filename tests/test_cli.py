@@ -1,13 +1,15 @@
 import csv
 import importlib
 import json
+import math
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from gnncert import (GnnModel, Graph, SmoothingConfig, load_checkpoint, receptive_field,
-                     receptive_fields, save_checkpoint, worst_case_curve)
+from gnncert import (GnnModel, Graph, SmoothingConfig, derandomize, load_checkpoint,
+                     receptive_field, receptive_fields, save_checkpoint, worst_case_curve)
 from gnncert.cli import main
 from gnncert.estimator import radius
 
@@ -207,10 +209,6 @@ def test_derandomize_fallback_and_exact(fixture_dir):
 
 
 def test_derandomized_radius_is_the_largest_certified_budget(fixture_dir):
-    from fractions import Fraction
-
-    from gnncert import levine_delta
-
     cfg = write_config(fixture_dir, tau=200_000, k_rel=0.1)
     assert main(["train", "--config", str(cfg)]) == 0
     assert main(["derandomize", "--config", str(cfg)]) == 0
@@ -219,17 +217,43 @@ def test_derandomized_radius_is_the_largest_certified_budget(fixture_dir):
     assert done
     radii = []
     for r in done:
-        probs = [float(Fraction(r[f"p_class_{c}"])) for c in range(2)]
+        probs = [Fraction(r[f"p_class_{c}"]) for c in range(2)]
         y_star = int(r["prediction"])
         p_star, p_tilde = probs[y_star], probs[1 - y_star]
         d, kk = int(r["field_size"]), int(r["k"])
-        margins = [rho for rho in range(1, d - kk + 1)
-                   if p_star - levine_delta(d, kk, rho).value
-                   > p_tilde + levine_delta(d, kk, rho).value]
+        # the keep-k deletion bound in exact arithmetic
+        deltas = {rho: 1 - Fraction(math.comb(d - rho, kk), math.comb(d, kk))
+                  for rho in range(1, d - kk + 1)}
+        margins = [rho for rho, delta in deltas.items() if p_star - delta > p_tilde + delta]
         assert int(r["radius"]) == max(margins, default=0)
         assert r["certified"] == str(int(max(margins, default=0) >= 1))
         radii.append(int(r["radius"]))
     assert len(set(radii)) > 1            # the column is not one constant
+
+
+@pytest.mark.parametrize("d, probs, want", [
+    (6, (Fraction(2, 3), Fraction(1, 3)), 0),                  # 2/3 - 1/6 == 1/3 + 1/6
+    (10, (Fraction(7, 10), Fraction(3, 10)), 1),               # a tie at budget 2
+    (5, (Fraction(3, 5), Fraction(1, 5), Fraction(1, 5)), 0),  # a tie at budget 1
+])
+def test_derandomized_radius_is_exact_at_a_tie(tmp_path, rng, monkeypatch, d, probs, want):
+    # the centre of a star with d leaves keeps k = 1 of them, so delta(rho) is
+    # 1 - C(d - rho, 1) / C(d, 1) = rho / d; where the margin ties it exactly,
+    # the float 1.0 - (d - rho) / d rounds below rho / d and certified a budget
+    (tmp_path / "edges.txt").write_text("".join(f"0 {i}\n" for i in range(1, d + 1)))
+    (tmp_path / "feats.csv").write_text("\n".join(
+        ",".join(str(int(i == j)) for j in range(d + 1)) for i in range(d + 1)) + "\n")
+    model = GnnModel(w1=rng.normal(size=(d + 1, 4)), w2=rng.normal(size=(4, len(probs))),
+                     token=rng.normal(size=d + 1))
+    save_checkpoint(model, tmp_path / "model.json")
+    monkeypatch.setattr(derandomize, "exact_label_probs", lambda *args: list(probs))
+    cfg = write_config(tmp_path, labels=None, model=str(tmp_path / "model.json"),
+                       nodes=[0], k_rel=1 / d)
+    assert main(["derandomize", "--config", str(cfg)]) == 0
+    (row,) = csv.DictReader(open(tmp_path / "out" / "derandomized.csv"))
+    assert (row["field_size"], row["k"], row["derandomized"]) == (str(d), "1", "1")
+    assert [Fraction(row[f"p_class_{c}"]) for c in range(len(probs))] == list(probs)
+    assert (row["radius"], row["certified"]) == (str(want), str(int(want >= 1)))
 
 
 def test_derandomize_constant_classifier_is_zero_one(fixture_dir):
@@ -600,7 +624,7 @@ def test_certify_never_builds_edges_within(fixture_dir, monkeypatch):
     assert fields and all("edges_within" not in rf.__dict__ for rf in fields)
     # inclusion-exclusion reads coins off the path table, never the tuple paths
     assert all("paths" not in rf.__dict__ for rf in fields)
-    assert any("path_coins" in rf.__dict__ and rf.tree_children is None for rf in fields)
+    assert any("path_coins" in rf.__dict__ and rf.tree_order is None for rf in fields)
 
 
 def test_second_witness_decides_a_budget_the_cap_refused(tmp_path, monkeypatch):

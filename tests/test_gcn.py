@@ -208,8 +208,8 @@ def test_many_samples_are_scored_in_bounded_memory(rng, monkeypatch):
     scorer = LocalScorer(random_model(rng, d=3), g)
     # four full-graph samples, built before tracing starts, stand in for
     # the draws, so the trace holds what ``sample_votes`` itself allocates
-    bank = [SmoothedSample(edge_mask=rng.random(g.m) < 0.7, ablated=rng.random(n) < 0.5,
-                           sample_index=i) for i in range(4)]
+    bank = [SmoothedSample(edge_mask=rng.random(g.m) < 0.7, ablated=rng.random(n) < 0.5)
+            for _ in range(4)]
     monkeypatch.setattr(gcn.smoothing, "sample", lambda g, cfg, i: bank[i % 4])
     cfg = SmoothingConfig(p_del=0.3, p_abl=0.5)
 

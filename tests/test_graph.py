@@ -263,10 +263,16 @@ def test_fields_equal_the_depth_first_search(rng):
                     for plist in paths.values() for q in plist]
             assert rf.path_coins.tolist() == want
             edges = {e for plist in paths.values() for q in plist for e in q}
-            # a tree when the message edges number one less than the members
-            children = {w: tuple(sorted(a for a, b in edges if b == w)) for w in distance}
-            want = children if len(edges) == len(distance) - 1 else None
-            assert rf.tree_children == want
+            # a tree when the message edges number one less than the members; then
+            # each member but the target sends one edge, to its parent, and the
+            # pairs come children first: by descending distance, then ascending node
+            want = None
+            if len(edges) == len(distance) - 1:
+                parent = {**dict(edges), v: -1}
+                want = tuple((w, parent[w])
+                             for w in sorted(distance, key=lambda w: (-distance[w], w)))
+                assert want[-1] == (v, -1)
+            assert rf.tree_order == want
 
 
 def test_single_values_equal_the_product_in_depth_first_order(rng):

@@ -46,7 +46,7 @@ def test_single_node_ablated_replaces_one_row(rng):
     s = sample(g, cfg, 0)
     ablated = np.zeros(g.n, dtype=bool)
     ablated[2] = True
-    forced = type(s)(edge_mask=s.edge_mask, ablated=ablated, sample_index=0)
+    forced = type(s)(edge_mask=s.edge_mask, ablated=ablated)
     out = apply(g, forced, np.full(g.dim, 9.0))
     assert np.array_equal(out.features[2], np.full(g.dim, 9.0))
     assert np.array_equal(out.features[[0, 1, 3, 4]], g.features[[0, 1, 3, 4]])
