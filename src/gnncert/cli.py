@@ -5,12 +5,29 @@ run is reconstructible from its artifacts alone.  Outputs are deterministic
 byte-for-byte for a fixed config and seed: rows are sorted by node id and no
 timestamps are written.  Per-node failures (path budget, subset caps,
 missing votes) are recorded in the output and do not abort the batch.
+
+Memory policy: ``main`` first tells glibc's allocator to keep freed memory
+for reuse (``_keep_freed_memory``).  Every smoothed sample and every training
+epoch allocates and frees arrays of a few MB.  By default glibc serves such
+arrays with ``mmap`` or trims them off the heap when freed, so the next pass
+faults the same pages in again; in a paper-scale ``certify`` that was about
+half of the CPU time (README, "Performance").  ``main`` sets
+``M_MMAP_THRESHOLD`` to 32 MB (glibc's 64-bit maximum) and
+``M_TRIM_THRESHOLD`` to 64 MB.  Both are needed: setting either one turns
+off glibc's dynamic thresholds, so the other stays at 128 KB.  The policy
+lasts for the life of the process, so an in-process caller of ``main`` (the
+tests, a notebook) keeps it afterwards.  Importing ``gnncert`` changes
+nothing; library users get the same effect by starting Python with
+``MALLOC_MMAP_THRESHOLD_=33554432 MALLOC_TRIM_THRESHOLD_=67108864`` (both
+variables).  Where ``mallopt`` is missing or refuses (not glibc), nothing
+changes.  No output depends on it.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import ctypes
 import functools
 import json
 import math
@@ -567,8 +584,29 @@ def cmd_paths(cfg: RunConfig) -> int:
 # ---------------------------------------------------------------------------
 # entry point
 
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+_MMAP_THRESHOLD = 32 * 1024 * 1024     # glibc's largest on 64-bit
+_TRIM_THRESHOLD = 64 * 1024 * 1024
+
+
+def _keep_freed_memory() -> None:
+    """Have glibc keep freed MB-sized arrays on the heap; see the module doc.
+
+    Does nothing where the C library has no ``mallopt`` or refuses it.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, TypeError, AttributeError):
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    if mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD):
+        mallopt(_M_TRIM_THRESHOLD, _TRIM_THRESHOLD)
+
 
 def main(argv=None) -> int:
+    _keep_freed_memory()
     parser = argparse.ArgumentParser(
         prog="gnncert",
         description="Certify message-passing node classifiers under "

@@ -1,7 +1,13 @@
 import csv
+import ctypes
 import importlib
 import json
 import math
+import os
+import platform
+import subprocess
+import sys
+import types
 from fractions import Fraction
 from pathlib import Path
 
@@ -10,6 +16,7 @@ import pytest
 
 from gnncert import (GnnModel, Graph, SmoothingConfig, derandomize, load_checkpoint,
                      receptive_field, receptive_fields, save_checkpoint, worst_case_curve)
+from gnncert import cli
 from gnncert.cli import main
 from gnncert.estimator import radius
 
@@ -642,3 +649,124 @@ def test_second_witness_decides_a_budget_the_cap_refused(tmp_path, monkeypatch):
     row = _result_rows(tmp_path)["97"]
     assert (row["error"], row["radius_dmin_1"], row["radius_dmin_2"],
             row["surface_dmin_2"]) == ("", "1", "2", "31")
+
+
+# ---------------------------------------------------------------------------
+# allocator policy: cli.main keeps freed heap memory for reuse
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def _fresh_python(script, *args, cwd=None):
+    """Run ``script`` in a new interpreter with no ``MALLOC_*`` tuning set."""
+    env = {k: v for k, v in os.environ.items() if not k.startswith("MALLOC_")}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", script, *args], cwd=cwd, env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    return proc.stdout
+
+
+# one "epoch": four live 3 MB arrays, then all freed; prints faults per epoch
+_EPOCH_FAULTS = """
+import resource, sys
+import numpy as np
+from gnncert import cli
+if sys.argv[1] == "policy":
+    cli._keep_freed_memory()
+n = (3 << 20) // 8
+def epoch():
+    a = np.ones(n); b = a * 2.0; c = a + b; d = c * b
+    return float(d[-1])
+epoch()
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+for _ in range(10):
+    epoch()
+print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 10)
+"""
+
+
+def _huge_pages_always():
+    try:
+        return "[always]" in Path("/sys/kernel/mm/transparent_hugepage/enabled").read_text()
+    except OSError:
+        return False
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="mallopt policy is glibc's")
+@pytest.mark.skipif(_huge_pages_always(), reason="huge pages fault 2 MB at a time")
+def test_freed_arrays_are_reused_without_faulting():
+    plain = float(_fresh_python(_EPOCH_FAULTS, "plain"))
+    policy = float(_fresh_python(_EPOCH_FAULTS, "policy"))
+    # glibc's default trims the freed 12 MB each epoch and faults it back in
+    # (3,072 pages); with the policy the heap keeps it
+    assert plain > 1000
+    assert policy < 50
+
+
+def _refusing_libc(calls):
+    def mallopt(param, value):
+        calls.append((param, value))
+        return 0
+    return types.SimpleNamespace(mallopt=mallopt)
+
+
+def _no_libc(name):
+    raise OSError("no such library")
+
+
+@pytest.mark.parametrize("stand_in", ["missing", "no mallopt", "refuses"])
+def test_allocator_policy_is_quiet_without_mallopt(fixture_dir, monkeypatch, capsys, stand_in):
+    calls = []
+    libc = {"missing": _no_libc,
+            "no mallopt": lambda name: types.SimpleNamespace(),
+            "refuses": lambda name: _refusing_libc(calls)}[stand_in]
+    monkeypatch.setattr(ctypes, "CDLL", libc)
+    cli._keep_freed_memory()
+    assert capsys.readouterr() == ("", "")
+    # a refused mmap threshold leaves the trim threshold alone too
+    assert calls == ([(-3, 32 << 20)] if stand_in == "refuses" else [])
+    cfg = write_config(fixture_dir, nodes=[0, 1])
+    assert main(["paths", "--config", str(cfg)]) == 0
+    assert (fixture_dir / "out" / "paths.csv").exists()
+
+
+# train, certify from the model, certify from a vote file, derandomize
+_ALL_COMMANDS = """
+import json, sys
+from gnncert import cli
+if sys.argv[1] == "plain":
+    cli._keep_freed_memory = lambda: None
+for args in json.loads(sys.argv[2]):
+    assert cli.main(args) == 0, args
+"""
+
+
+def test_allocator_policy_moves_no_output_byte(fixture_dir):
+    runs = fixture_dir / "runs"
+    write_config(fixture_dir, model=str(runs / "train" / "model.json"),
+                 tau=200_000, k_rel=0.1).rename(fixture_dir / "model.json")
+    lines = ["node_id,sample_index,class"]
+    lines += [f"{v},{i},{(v * i) % 3 % 2}" for v in (0, 3, 7, 12) for i in range(10)]
+    (fixture_dir / "votes.csv").write_text("\n".join(lines) + "\n")
+    write_config(fixture_dir, votes=str(fixture_dir / "votes.csv"), nodes=[0, 3, 7, 12],
+                 n0=5, n1=5).rename(fixture_dir / "votes.json")
+    commands = [[cmd, "--config", str(fixture_dir / cfg), "--out", str(runs / out)]
+                for cmd, cfg, out in [("train", "model.json", "train"),
+                                      ("certify", "model.json", "certify"),
+                                      ("certify", "votes.json", "votes"),
+                                      ("derandomize", "model.json", "derandomize")]]
+    outputs = {}
+    for side in ("policy", "plain"):
+        _fresh_python(_ALL_COMMANDS, side, json.dumps(commands), cwd=fixture_dir)
+        outputs[side] = {str(f.relative_to(runs)): f.read_bytes()
+                         for f in sorted(runs.rglob("*")) if f.is_file()}
+        runs.rename(fixture_dir / side)
+    assert sorted(outputs["policy"]) == sorted(
+        f"{out}/{name}" for out, names in [
+            ("train", ["model.json", "training_log.csv"]),
+            ("certify", ["results.csv", "summary.json"]),
+            ("votes", ["results.csv", "summary.json"]),
+            ("derandomize", ["derandomize_summary.json", "derandomized.csv"])]
+        for name in names)
+    assert outputs["policy"] == outputs["plain"]
