@@ -40,7 +40,7 @@ import numpy as np
 from scipy import sparse
 
 from .errors import ConfigError, VoteFormatError
-from .graph import Graph, numpy_readable, read_table, read_text
+from .graph import Graph, load_table, numpy_readable, read_table, read_text
 from . import smoothing
 
 
@@ -720,10 +720,13 @@ class VoteTable:
     no ``(node, sample)`` pair twice; ``order`` holds the place of each of
     its rows in the input.  Build one from rows in input order
     (``rows=``, an (m, 3) array; a repeated pair is a ``VoteFormatError``)
-    or from a ``{node: {sample: class}}`` dict (``votes=``).  The ``votes``
-    dict is a view built on first read, in input order: nodes by first
-    appearance, each node's samples as they came.  Certification reads
-    ``table`` only.
+    or from a ``{node: {sample: class}}`` dict (``votes=``).  Rows that
+    already ascend by (node, sample), as a vote file written in that order
+    gives them, are kept as given, with no sort and no copy when they are
+    an int64 array, and ``order`` is ``arange``; any other rows are sorted
+    once, stably.  The ``votes`` dict is a view built on first read, in
+    input order: nodes by first appearance, each node's samples as they
+    came.  Certification reads ``table`` only.
     """
 
     def __init__(self, votes: dict[int, dict[int, int]] | None = None, *,
@@ -733,9 +736,15 @@ class VoteTable:
         if votes is not None:
             rows = [(v, i, c) for v, per_node in votes.items() for i, c in per_node.items()]
         rows = np.asarray(rows, dtype=np.int64).reshape(-1, 3)
-        self.order = np.lexsort((rows[:, 1], rows[:, 0]))
-        self.table = np.take(rows, self.order, axis=0)
-        node, sample = self.table[:, 0], self.table[:, 1]
+        node, sample = rows[:, 0], rows[:, 1]
+        same_node = node[1:] == node[:-1]
+        if ((node[1:] > node[:-1]) | (same_node & (sample[1:] >= sample[:-1]))).all():
+            self.order = np.arange(len(rows))
+            self.table = rows
+        else:
+            self.order = np.lexsort((sample, node))
+            self.table = np.take(rows, self.order, axis=0)
+            node, sample = self.table[:, 0], self.table[:, 1]
         repeat = np.flatnonzero((node[1:] == node[:-1]) & (sample[1:] == sample[:-1]))
         if repeat.size:
             raise VoteFormatError(f"duplicate vote for node {node[repeat[0]]}, "
@@ -801,20 +810,23 @@ def load_votes(path) -> VoteTable:
     """Read a vote CSV (header optional) into a ``VoteTable``.
 
     Every field is a non-negative integer; duplicate (node, sample) pairs
-    are errors.  The file is parsed in one numpy pass and its rows sorted
-    once, which finds any repeated pair.  A file that fails there is read
-    again line by line, only to name its first bad line.
+    are errors.  The file is parsed in place: its first line alone is read
+    to tell a header, then ``np.loadtxt`` iterates the rest of the open
+    file, with no copy of its text, and ``VoteTable`` keeps rows that
+    already ascend and sorts any others once, which finds any repeated
+    pair.  Only where that fails is the text read: it is parsed again as a
+    whole (which also skips whitespace-only lines), and where that fails
+    too, read line by line, only to name its first bad line.
     """
+    votes = _vote_table(_read_votes_in_place(path))
+    if votes is not None:
+        return votes
     text = read_text(path)
     first, _, rest = text.partition("\n")
-    table = read_table(rest if _header_row(next(csv.reader([first]), [])) else text,
-                       np.int64, delimiter=",")
-    if table is not None and (table.shape[0] == 0
-                              or (table.shape[1] == 3 and table.min() >= 0)):
-        try:
-            return VoteTable(rows=table)
-        except VoteFormatError:
-            pass                # a repeated pair: the pass below names its line
+    votes = _vote_table(read_table(rest if _header_row(next(csv.reader([first]), [])) else text,
+                                   np.int64, delimiter=","))
+    if votes is not None:
+        return votes
 
     seen: dict[int, set[int]] = {}
     for lineno, row in enumerate(csv.reader(io.StringIO(text)), start=1):
@@ -846,3 +858,25 @@ def load_votes(path) -> VoteTable:
             )
         per_node.add(sample_index)
     raise VoteFormatError(f"{path}: not a node_id,sample_index,class CSV")
+
+
+def _read_votes_in_place(path) -> np.ndarray | None:
+    """The rows of a vote file parsed from the open file, or None where numpy rejects it."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            first = fh.readline()
+        except ValueError:      # not UTF-8: reading the text raises it again
+            return None
+        if not _header_row(next(csv.reader([first.removesuffix("\n")]), [])):
+            fh.seek(0)
+        return load_table(fh, np.int64, delimiter=",")
+
+
+def _vote_table(table: np.ndarray | None) -> VoteTable | None:
+    if table is not None and (table.shape[0] == 0
+                              or (table.shape[1] == 3 and table.min() >= 0)):
+        try:
+            return VoteTable(rows=table)
+        except VoteFormatError:
+            pass                # a repeated pair: the line pass names its line
+    return None

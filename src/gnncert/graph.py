@@ -231,6 +231,9 @@ def _logical_edge_ids(edges: np.ndarray, directed: bool) -> tuple[np.ndarray, in
 # with ``np.loadtxt``; both give the same values.  When numpy rejects a file,
 # or the parsed values break a rule, the file is read again line by line only
 # to raise an error naming the first bad line; that re-read never accepts.
+# Edge, feature and label files are parsed from their decoded text.  Vote
+# files (``gcn.load_votes``) are parsed from the open file by ``load_table``,
+# with no copy of their text, which is read only where that parse fails.
 
 _BLANK_LINE = re.compile(r"^[^\S\n]+$", re.MULTILINE)
 _INLINE_COMMENT = re.compile(r"^[^\S\n]*[^\s#][^\n]*#", re.MULTILINE)
@@ -291,6 +294,26 @@ def read_text(path) -> str:
         return fh.read()
 
 
+def load_table(lines, dtype, delimiter: str | None = None,
+               comments: str | None = None) -> np.ndarray | None:
+    """``np.loadtxt`` of ``lines`` as a 2-D array, or None where numpy rejects them.
+
+    ``lines`` is a file open for reading text or a ``StringIO``; numpy
+    iterates the lines of either, and both read CR LF and lone CR as LF.
+    Empty and whitespace-only lines are skipped, except that a CSV
+    (``delimiter=","``) line of whitespace is an error; CSV fields may be
+    quoted with ``"``.  A file that is not UTF-8 is rejected too
+    (``UnicodeDecodeError`` is a ``ValueError``).
+    """
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)    # "input contained no data"
+            return np.loadtxt(lines, dtype=dtype, delimiter=delimiter, comments=comments,
+                              ndmin=2, quotechar='"' if delimiter else None)
+    except ValueError:
+        return None
+
+
 def read_table(text: str, dtype, delimiter: str | None = None,
                comments: str | None = None) -> np.ndarray | None:
     """``text`` as a 2-D array in one numpy pass, or None where numpy rejects it.
@@ -299,26 +322,17 @@ def read_table(text: str, dtype, delimiter: str | None = None,
     ending in ``\\n``; one column only with the whitespace delimiter) is
     read straight from its bytes: ``"0"``..``"9"`` parse to exactly 0..9,
     so that gives what ``np.loadtxt`` gives, bit for bit.  Any other text
-    goes through ``np.loadtxt``.  Empty and whitespace-only lines are
-    skipped, and CSV fields (``delimiter=","``) may be quoted with ``"``.
-    ``loadtxt`` skips a whitespace-only CSV line only once it is emptied,
-    which takes a regex pass over the text, so that pass runs only after a
-    first attempt failed.
+    goes through ``load_table``.  ``loadtxt`` skips a whitespace-only CSV
+    line only once it is emptied, which takes a regex pass over the text,
+    so that pass runs only after a first attempt failed.
     """
     digits = _digit_table(text, delimiter)
     if digits is not None:
         return digits.astype(dtype)
-    for attempt in range(2):
-        try:
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", UserWarning)    # "input contained no data"
-                return np.loadtxt(io.StringIO(text), dtype=dtype, delimiter=delimiter,
-                                  comments=comments, ndmin=2,
-                                  quotechar='"' if delimiter else None)
-        except ValueError:
-            if attempt or delimiter is None or not _BLANK_LINE.search(text):
-                return None
-            text = _BLANK_LINE.sub("", text)
+    table = load_table(io.StringIO(text), dtype, delimiter, comments)
+    if table is None and delimiter is not None and _BLANK_LINE.search(text):
+        table = load_table(io.StringIO(_BLANK_LINE.sub("", text)), dtype, delimiter, comments)
+    return table
 
 
 def _digit_table(text: str, delimiter: str | None) -> np.ndarray | None:

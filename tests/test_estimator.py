@@ -17,6 +17,7 @@ from gnncert import (
     load_votes,
     report,
 )
+from gnncert import estimator
 from gnncert.errors import InsufficientSamplesError, VoteFormatError
 from gnncert.estimator import confidence_bounds, confidence_bounds_all, radius
 
@@ -90,6 +91,62 @@ def test_clopper_pearson_arrays_equal_scalar_calls_bit_for_bit(rng):
     mixed = clopper_pearson(successes, n, alpha, sides)
     assert mixed.tolist() == [clopper_pearson(*x) for x in zip(
         successes.tolist(), n.tolist(), alpha.tolist(), sides.tolist())]
+
+
+def _bisection(q, a, b):
+    """Beta(a, b) quantiles by 34 halvings of [0, 1] for every element, as they once were found."""
+    lo, hi = np.zeros(np.shape(q)), np.ones(np.shape(q))
+    while np.any(hi - lo > 1e-10):
+        mid = 0.5 * (lo + hi)
+        below = special.betainc(a, b, mid) < q
+        lo, hi = np.where(below, mid, lo), np.where(below, hi, mid)
+    return 0.5 * (lo + hi)
+
+
+def _cp_sweep():
+    """Every success count for a dozen sample counts, at seven alphas from 1e-4 to 0.5."""
+    counts = [1, 2, 3, 5, 8, 24, 50, 100, 300, 1000, 3000, 4000]
+    successes = np.concatenate([np.arange(n + 1) for n in counts])
+    n = np.concatenate([np.full(n + 1, n) for n in counts])
+    alphas = np.geomspace(1e-4, 0.5, 7)
+    return np.repeat(successes, 7), np.repeat(n, 7), np.tile(alphas, len(n))
+
+
+def _assert_cp_is_the_bisection(successes, n, alpha):
+    for side in ("lower", "upper"):
+        got = clopper_pearson(successes, n, alpha, side)
+        lower = side == "lower"
+        free = successes != 0 if lower else successes != n
+        assert np.all(got[~free] == (0.0 if lower else 1.0))
+        want = _bisection(np.where(lower, alpha, 1.0 - alpha)[free],
+                          np.where(lower, successes, successes + 1)[free],
+                          np.where(lower, n - successes + 1, n - successes)[free])
+        assert np.array_equal(got[free].view(np.int64), want.view(np.int64))
+
+
+def _count_bisected(monkeypatch) -> list[int]:
+    bisected = []
+    bisect = estimator._bisect
+    monkeypatch.setattr(estimator, "_bisect",
+                        lambda q, a, b: bisected.append(len(q)) or bisect(q, a, b))
+    return bisected
+
+
+def test_clopper_pearson_equals_the_full_bisection_bit_for_bit(monkeypatch):
+    bisected = _count_bisected(monkeypatch)
+    _assert_cp_is_the_bisection(*_cp_sweep())
+    assert 0 < sum(bisected) < 100      # of 118,902 values, a few fall back
+
+
+@pytest.mark.parametrize("cells", [-3, -1, 1, 2, 5])
+def test_clopper_pearson_bisects_where_the_estimate_misses_its_cell(monkeypatch, cells):
+    betaincinv = special.betaincinv
+    monkeypatch.setattr(special, "betaincinv", lambda a, b, q: np.clip(
+        betaincinv(a, b, q) + cells * estimator.CP_CELL, 0.0, 1.0))
+    bisected = _count_bisected(monkeypatch)
+    successes, n, alpha = (x[::29] for x in _cp_sweep())
+    _assert_cp_is_the_bisection(successes, n, alpha)
+    assert sum(bisected) > 0.9 * 2 * len(n)      # nearly every estimate is a wrong cell
 
 
 def test_confidence_bounds_all_equal_one_tally_at_a_time(rng):

@@ -495,6 +495,25 @@ def test_benchmark_feature_file_is_read_from_its_bytes(tmp_path, monkeypatch):
     assert np.array_equal(_load_label_csv(tmp_path / "labels.csv"), labels)
 
 
+def test_crlf_digit_files_are_read_from_their_bytes(tmp_path, monkeypatch):
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    workloads = importlib.import_module("workloads")
+    workloads.WORKLOADS["certify-gcn"](0, tmp_path)
+    for name in ("features.csv", "labels.csv"):
+        lf = (tmp_path / name).read_bytes()
+        (tmp_path / f"crlf_{name}").write_bytes(lf.replace(b"\n", b"\r\n"))
+    features = ref_features(tmp_path / "features.csv")
+    labels = ref_labels(tmp_path / "labels.csv")
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("np.loadtxt called")
+
+    monkeypatch.setattr(np, "loadtxt", refuse)
+    got = _load_feature_csv(tmp_path / "crlf_features.csv")
+    assert np.array_equal(got.view(np.int64), features.view(np.int64))
+    assert np.array_equal(_load_label_csv(tmp_path / "crlf_labels.csv"), labels)
+
+
 # ---------------------------------------------------------------------------
 # no identity features until read
 

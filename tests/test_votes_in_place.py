@@ -1,0 +1,127 @@
+"""Vote files parsed in place against the text route.
+
+``load_votes`` first parses the open file with ``np.loadtxt`` iterating its
+lines, and reads the text only where that fails.  The text route is what
+``load_votes`` did before the in-place parse existed, so ``load_votes`` with
+the in-place parse turned off is the reference here: on every file both must
+give the same table, order and ``votes`` view, bit for bit, or raise the
+same exception with the same message, naming the same line.
+"""
+
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from gnncert import VoteTable, gcn, load_votes
+
+
+def outcome(path):
+    """``load_votes``'s result as comparable data, or the error it raised."""
+    try:
+        got = load_votes(path)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return (got.table.dtype, got.table.shape, got.table.tolist(), got.order.tolist(),
+            [(v, list(d.items())) for v, d in got.votes.items()])
+
+
+def both_routes(path):
+    """``load_votes``'s outcome, and its outcome with the in-place parse turned off."""
+    got = outcome(path)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(gcn, "_read_votes_in_place", lambda path: None)
+        return got, outcome(path)
+
+
+FILES = [
+    b"node_id,sample_index,class\r\n0,0,1\r\n0,1,2\r\n",
+    b"node_id,sample_index,class\r0,0,1\r0,1,2\r",
+    b"0,0,1\n0,1,2",
+    b"\xef\xbb\xbfnode_id,sample_index,class\n0,0,1\n",
+    b"\xef\xbb\xbf0,0,1\n0,1,2\n",
+    b"node_id,sample_index,class\n0,0,1\n\n  \n0,1,2\n",
+    b'node_id,sample_index,class\n"0","0",1\n0," 1",2\n',
+    b'"node_id",sample_index,class\n0,0,1\n',
+    b"0,0,1\n1,0,1\n",                      # no header
+    b"+0,0,1\n1,0,1\n",                     # a signed first row is data
+    b"-0,0,1\n1,0,1\n",
+    b"node_id,sample_index,class\n",
+    b"node_id,sample_index,class",
+    b"",
+    b"\n0,0,1\n",
+    b"3,1,0\n0,2,1\n3,0,2\n0,0,1\n",        # out of order: sorted once
+    b"0,0,1\n0,1,1\n\n0,0,2\n",             # repeated pair
+    b"0,0,1\n0,1,-1\n",
+    b"0,0,1\n0,1\n",
+    b"0,0,1\n0,1,x\n",
+    b"0,0,1 # x\n",
+    b"node_id,sample_index,class\n0,0,\xff\n",
+    b"\xff,0,1\n",                          # not UTF-8 on the first line
+]
+
+
+@pytest.mark.parametrize("data", FILES)
+def test_in_place_parse_gives_what_the_text_gives(tmp_path, data):
+    path = tmp_path / "votes.csv"
+    path.write_bytes(data)
+    got, text_route = both_routes(path)
+    assert got == text_route
+
+
+def test_well_formed_files_are_parsed_without_reading_the_text(tmp_path, monkeypatch):
+    def refuse(path):
+        raise AssertionError("text read")
+
+    monkeypatch.setattr(gcn, "read_text", refuse)
+    path = tmp_path / "votes.csv"
+    path.write_bytes(b"node_id,sample_index,class\r\n0,0,1\r\n0,1,2\r\n")
+    assert load_votes(path).votes == {0: {0: 1, 1: 2}}
+    path.write_bytes(b'"node_id",sample_index,class\r0,"0",1\r1,0,2')
+    assert load_votes(path).votes == {0: {0: 1}, 1: {0: 2}}
+    path.write_bytes(b"+0,0,1\n")
+    assert load_votes(path).votes == {0: {0: 1}}
+
+
+def test_out_of_order_votes_are_sorted_as_before(tmp_path):
+    rows = np.array([[3, 1, 0], [0, 2, 1], [3, 0, 2], [0, 0, 1], [1, 5, 3]])
+    path = tmp_path / "votes.csv"
+    path.write_text("node_id,sample_index,class\n"
+                    + "".join(f"{v},{i},{c}\n" for v, i, c in rows.tolist()))
+    table = load_votes(path)
+    order = np.lexsort((rows[:, 1], rows[:, 0]))
+    assert table.order.tolist() == order.tolist() == [3, 1, 4, 2, 0]
+    assert table.table.tolist() == rows[order].tolist()
+    assert list(table.votes.items()) == [(3, {1: 0, 0: 2}), (0, {2: 1, 0: 1}), (1, {5: 3})]
+
+
+def test_ordered_votes_are_kept_as_given():
+    rows = np.array([[0, 0, 1], [0, 1, 2], [0, 3, 0], [2, 0, 1], [5, 1, 1]], dtype=np.int64)
+    table = VoteTable(rows=rows)
+    assert np.shares_memory(table.table, rows)
+    assert table.order.dtype == np.lexsort((rows[:, 1], rows[:, 0])).dtype
+    assert table.order.tolist() == [0, 1, 2, 3, 4]
+    assert table.votes == {0: {0: 1, 1: 2, 3: 0}, 2: {0: 1}, 5: {1: 1}}
+    with pytest.raises(gcn.VoteFormatError, match="node 0, sample 1"):
+        VoteTable(rows=np.array([[0, 0, 1], [0, 1, 2], [0, 1, 0]]))
+    for unordered in ([[0, 1, 2], [0, 0, 1]], [[1, 0, 0], [0, 5, 1]]):
+        rows = np.array(unordered)
+        table = VoteTable(rows=rows)
+        assert table.order.tolist() == [1, 0]
+        assert table.table.tolist() == rows[::-1].tolist()
+
+
+def test_ordered_vote_file_loads_in_under_twice_its_table(tmp_path):
+    nodes, samples = 500, 400
+    path = tmp_path / "votes.csv"
+    path.write_text("node_id,sample_index,class\n" + "".join(
+        f"{v},{i},{(v * 7 + i) % 5}\n" for v in range(nodes) for i in range(samples)))
+    table_bytes = nodes * samples * 3 * 8
+    tracemalloc.start()
+    try:
+        table = load_votes(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert table.table.shape == (nodes * samples, 3)
+    assert peak < 2 * table_bytes, f"peak {peak / table_bytes:.2f}x the table"
