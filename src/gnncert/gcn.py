@@ -40,7 +40,7 @@ import numpy as np
 from scipy import sparse
 
 from .errors import ConfigError, VoteFormatError
-from .graph import Graph, load_table, numpy_readable, read_table, read_text
+from .graph import Graph, load_table, numpy_readable, read_text
 from . import smoothing
 
 
@@ -563,6 +563,9 @@ def train(g: Graph, labeled, cfg: TrainConfig,
         raise ConfigError("no labeled nodes to train on")
     if g.labels is None:
         raise ConfigError("graph has no labels")
+    unlabeled = [v for v in labeled if g.labels[v] < 0]
+    if unlabeled:
+        raise ConfigError(f"node {unlabeled[0]} is in the labeled set but has no label")
     classes = int(g.labels[labeled].max()) + 1
     if classes < 2:
         raise ConfigError("training needs at least two classes")
@@ -802,32 +805,36 @@ def _blank_row(row: list[str]) -> bool:
 
 
 def _header_row(row: list[str]) -> bool:
-    """Whether a first CSV row is a header: a non-blank row not led by a signed or bare integer."""
-    return not _blank_row(row) and not row[0].strip().lstrip("+-").isdigit()
+    """Whether a first CSV row is a header: a non-blank row not led by a signed or bare
+    integer, a byte-order mark before it ignored."""
+    return not _blank_row(row) and not row[0].lstrip("\ufeff").strip().lstrip("+-").isdigit()
 
 
 def load_votes(path) -> VoteTable:
     """Read a vote CSV (header optional) into a ``VoteTable``.
 
     Every field is a non-negative integer; duplicate (node, sample) pairs
-    are errors.  The file is parsed in place: its first line alone is read
-    to tell a header, then ``np.loadtxt`` iterates the rest of the open
-    file, with no copy of its text, and ``VoteTable`` keeps rows that
+    are errors.  The file is parsed once, in place: its first line alone
+    is read to tell a header, then ``load_table`` iterates the rest of the
+    open file, with no copy of its text, and ``VoteTable`` keeps rows that
     already ascend and sorts any others once, which finds any repeated
-    pair.  Only where that fails is the text read: it is parsed again as a
-    whole (which also skips whitespace-only lines), and where that fails
-    too, read line by line, only to name its first bad line.
+    pair.  Only where that fails is the text read, line by line, to name
+    its first bad line.
     """
-    votes = _vote_table(_read_votes_in_place(path))
-    if votes is not None:
-        return votes
-    text = read_text(path)
-    first, _, rest = text.partition("\n")
-    votes = _vote_table(read_table(rest if _header_row(next(csv.reader([first]), [])) else text,
-                                   np.int64, delimiter=","))
-    if votes is not None:
-        return votes
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            if not _header_row(next(csv.reader([fh.readline().removesuffix("\n")]), [])):
+                fh.seek(0)
+            table = load_table(fh, np.int64, delimiter=",")
+    except ValueError:          # a first line that is not UTF-8: reading the text raises it again
+        table = None
+    if table is not None and (table.shape[0] == 0 or (table.shape[1] == 3 and table.min() >= 0)):
+        try:
+            return VoteTable(rows=table)
+        except VoteFormatError:
+            pass                # a repeated pair: the line pass names its line
 
+    text = read_text(path)
     seen: dict[int, set[int]] = {}
     for lineno, row in enumerate(csv.reader(io.StringIO(text)), start=1):
         if _blank_row(row) or (lineno == 1 and _header_row(row)):
@@ -859,24 +866,3 @@ def load_votes(path) -> VoteTable:
         per_node.add(sample_index)
     raise VoteFormatError(f"{path}: not a node_id,sample_index,class CSV")
 
-
-def _read_votes_in_place(path) -> np.ndarray | None:
-    """The rows of a vote file parsed from the open file, or None where numpy rejects it."""
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            first = fh.readline()
-        except ValueError:      # not UTF-8: reading the text raises it again
-            return None
-        if not _header_row(next(csv.reader([first.removesuffix("\n")]), [])):
-            fh.seek(0)
-        return load_table(fh, np.int64, delimiter=",")
-
-
-def _vote_table(table: np.ndarray | None) -> VoteTable | None:
-    if table is not None and (table.shape[0] == 0
-                              or (table.shape[1] == 3 and table.min() >= 0)):
-        try:
-            return VoteTable(rows=table)
-        except VoteFormatError:
-            pass                # a repeated pair: the line pass names its line
-    return None

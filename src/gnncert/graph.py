@@ -232,10 +232,10 @@ def _logical_edge_ids(edges: np.ndarray, directed: bool) -> tuple[np.ndarray, in
 # or the parsed values break a rule, the file is read again line by line only
 # to raise an error naming the first bad line; that re-read never accepts.
 # Edge, feature and label files are parsed from their decoded text.  Vote
-# files (``gcn.load_votes``) are parsed from the open file by ``load_table``,
-# with no copy of their text, which is read only where that parse fails.
+# files (``gcn.load_votes``) are parsed once, from the open file, by
+# ``load_table``, with no copy of their text.  ``load_table`` alone drops the
+# whitespace-only lines ``loadtxt`` rejects in a CSV, on a second read.
 
-_BLANK_LINE = re.compile(r"^[^\S\n]+$", re.MULTILINE)
 _INLINE_COMMENT = re.compile(r"^[^\S\n]*[^\s#][^\n]*#", re.MULTILINE)
 
 
@@ -298,20 +298,26 @@ def load_table(lines, dtype, delimiter: str | None = None,
                comments: str | None = None) -> np.ndarray | None:
     """``np.loadtxt`` of ``lines`` as a 2-D array, or None where numpy rejects them.
 
-    ``lines`` is a file open for reading text or a ``StringIO``; numpy
-    iterates the lines of either, and both read CR LF and lone CR as LF.
-    Empty and whitespace-only lines are skipped, except that a CSV
-    (``delimiter=","``) line of whitespace is an error; CSV fields may be
-    quoted with ``"``.  A file that is not UTF-8 is rejected too
-    (``UnicodeDecodeError`` is a ``ValueError``).
+    ``lines`` is a file open for reading text or a ``StringIO``, read from
+    where it stands; numpy iterates the lines of either, and both read CR
+    LF and lone CR as LF.  Empty and whitespace-only lines are skipped: a
+    CSV (``delimiter=","``) that ``loadtxt`` rejects is read once more from
+    the same place without its whitespace-only lines, which ``loadtxt``
+    rejects in a CSV.  CSV fields may be quoted with ``"``.  A file that is
+    not UTF-8 is rejected too (``UnicodeDecodeError`` is a ``ValueError``).
     """
-    try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", UserWarning)    # "input contained no data"
-            return np.loadtxt(lines, dtype=dtype, delimiter=delimiter, comments=comments,
-                              ndmin=2, quotechar='"' if delimiter else None)
-    except ValueError:
-        return None
+    start = lines.tell()
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)    # "input contained no data"
+        for source in (lines, (line for line in lines if not line.isspace())):
+            try:
+                return np.loadtxt(source, dtype=dtype, delimiter=delimiter, comments=comments,
+                                  ndmin=2, quotechar='"' if delimiter else None)
+            except ValueError:
+                if delimiter is None:
+                    break
+                lines.seek(start)       # the generator reads from where the parse began
+    return None
 
 
 def read_table(text: str, dtype, delimiter: str | None = None,
@@ -322,17 +328,12 @@ def read_table(text: str, dtype, delimiter: str | None = None,
     ending in ``\\n``; one column only with the whitespace delimiter) is
     read straight from its bytes: ``"0"``..``"9"`` parse to exactly 0..9,
     so that gives what ``np.loadtxt`` gives, bit for bit.  Any other text
-    goes through ``load_table``.  ``loadtxt`` skips a whitespace-only CSV
-    line only once it is emptied, which takes a regex pass over the text,
-    so that pass runs only after a first attempt failed.
+    goes through ``load_table``.
     """
     digits = _digit_table(text, delimiter)
     if digits is not None:
         return digits.astype(dtype)
-    table = load_table(io.StringIO(text), dtype, delimiter, comments)
-    if table is None and delimiter is not None and _BLANK_LINE.search(text):
-        table = load_table(io.StringIO(_BLANK_LINE.sub("", text)), dtype, delimiter, comments)
-    return table
+    return load_table(io.StringIO(text), dtype, delimiter, comments)
 
 
 def _digit_table(text: str, delimiter: str | None) -> np.ndarray | None:
@@ -485,8 +486,9 @@ class ReceptiveField:
     hop distances to the target.  The path table has one row per simple
     path of length <= k into the target: ``path_source``, ``path_length``
     and ``path_nodes``, the nodes 1, 2, ... hops from the target along the
-    path, padded with -1 past its length to ``min(k, n - 1)`` columns, the
-    most hops a simple path can take.  Rows are grouped by source in
+    path, padded with -1 past its length to ``max(1, min(k, n - 1))``
+    columns, the most hops a simple path can take but at least one (a
+    one-node graph's table is ``(0, 1)``).  Rows are grouped by source in
     member order, so member ``i``'s paths are the rows
     ``path_offsets[i]:path_offsets[i + 1]`` (none for the target).  Within
     a source they come in the order of a depth-first search backward from
@@ -516,7 +518,7 @@ class ReceptiveField:
     path_offsets: np.ndarray      # (M + 1,) int64
     path_source: np.ndarray       # (P,) int64
     path_length: np.ndarray       # (P,) int64
-    path_nodes: np.ndarray        # (P, min(k, n - 1)) int64
+    path_nodes: np.ndarray        # (P, max(1, min(k, n - 1))) int64
     chunk: FieldChunk = field(repr=False)
     member_span: slice
     _graph: Graph = field(repr=False)

@@ -489,6 +489,48 @@ def test_negative_vote_class_is_exit_two(fixture_dir, capsys):
     assert "line 2: negative" in capsys.readouterr().err
 
 
+EXIT_TWO = [
+    # (arguments, config overrides, files written first, message on stderr);
+    # "{d}" is the fixture directory and "{cfg}" a config with the overrides
+    ("train --config {d}/missing.json", {}, {}, "cannot read config {d}/missing.json"),
+    ("train --config {cfg}", {"p_del": 1.5}, {}, "probability 1.5 outside [0, 1]"),
+    ("paths --config {cfg}", {"edges": ""}, {}, "config must name an edge file"),
+    ("paths --config {cfg}", {"features": "{d}/missing.csv"}, {},
+     "features file not found: {d}/missing.csv"),
+    ("certify --config {cfg}", {"votes": "{d}/missing.csv"}, {},
+     "vote file not found: {d}/missing.csv"),
+    ("paths --config {cfg}", {"nodes": [0, 40]}, {}, "node selection out of range: [40]"),
+    ("paths --config {cfg}", {}, {}, "nodes='test' needs a checkpoint with recorded splits"),
+    ("paths --config {cfg}", {"nodes": "some"}, {}, "bad node selection 'some'"),
+    ("certify --config {cfg}", {"model": None}, {},
+     "certify needs either a model checkpoint or a vote file"),
+    ("derandomize --config {cfg}", {"model": None}, {}, "derandomize needs a model checkpoint"),
+    ("report {d}/r.csv --out {d}/rep", {}, {"r.csv": "node_id,prediction\n"},
+     "results file {d}/r.csv has no usable rows"),
+    ("report {d}/r.csv --out {d}/rep", {}, {"r.csv": "node_id,radius_dmin_0\n0,1\n"},
+     "results file {d}/r.csv is malformed: KeyError: 'prediction'"),
+    ("report {d}/r.csv --out {d}/rep", {},
+     {"r.csv": "node_id,prediction,abstain,p_lower,p_upper,correct\n0,1,0,0.9,1.0,1\n"},
+     "no radius columns found in the results files"),
+    ("paths --config {cfg}", {}, {"feats.csv": "1,0\n0,1\n"},
+     "{d}/feats.csv: 2 feature rows but edge file references node"),
+    ("paths --config {cfg}", {"features": None}, {"labels.csv": "0\n1\n"},
+     "{d}/labels.csv: 2 labels but graph has 40 nodes"),
+]
+
+
+@pytest.mark.parametrize("args,overrides,files,message", EXIT_TWO)
+def test_each_config_or_input_fault_is_exit_two_naming_it(fixture_dir, capsys, args,
+                                                         overrides, files, message):
+    d = str(fixture_dir)
+    for name, text in files.items():
+        (fixture_dir / name).write_text(text)
+    overrides = {k: v.format(d=d) if isinstance(v, str) else v for k, v in overrides.items()}
+    cfg = write_config(fixture_dir, **overrides)
+    assert main(args.format(d=d, cfg=cfg).split()) == 2
+    assert message.format(d=d) in capsys.readouterr().err
+
+
 def test_missing_model_file_is_named(fixture_dir, capsys):
     missing = fixture_dir / "out" / "model.json"
     cfg = write_config(fixture_dir, nodes=[0, 1])

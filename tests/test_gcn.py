@@ -423,6 +423,14 @@ def test_training_requires_labels(rng):
         train(g, [0, 1], TrainConfig(epochs=1))     # graph has no labels
 
 
+def test_training_rejects_an_unlabeled_node_in_the_labeled_set():
+    g = Graph.build(n=4, edges=np.array([[0, 1], [1, 2], [2, 3]]),
+                    labels=np.array([0, 1, -1, 1]))
+    with pytest.raises(ConfigError, match="node 2 is in the labeled set but has no label"):
+        train(g, [0, 1, 2, 3], TrainConfig(epochs=1))
+    train(g, [0, 1, 3], TrainConfig(epochs=1))
+
+
 def _kept_distance_within(g, edge_mask, v, k):
     """Nodes with a surviving directed path to v of length <= k."""
     kept = g.edges[edge_mask]

@@ -1,37 +1,69 @@
 """Vote files parsed in place against the text route.
 
-``load_votes`` first parses the open file with ``np.loadtxt`` iterating its
-lines, and reads the text only where that fails.  The text route is what
-``load_votes`` did before the in-place parse existed, so ``load_votes`` with
-the in-place parse turned off is the reference here: on every file both must
+``load_votes`` parses the open file once with ``load_table``, and reads the
+text only for the line pass that names a bad line.  The reference here is
+the text route ``load_votes`` took before: the whole decoded text parsed by
+``np.loadtxt``, and parsed again with its whitespace-only lines emptied
+where that failed, with the line pass after that.  On every file both must
 give the same table, order and ``votes`` view, bit for bit, or raise the
 same exception with the same message, naming the same line.
 """
 
+import csv
+import io
+import re
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 
 from gnncert import VoteTable, gcn, load_votes
+from gnncert.graph import read_text
+
+_BLANK_LINE = re.compile(r"^[^\S\n]+$", re.MULTILINE)
 
 
-def outcome(path):
-    """``load_votes``'s result as comparable data, or the error it raised."""
+def outcome(load, path):
+    """``load(path)``'s result as comparable data, or the error it raised."""
     try:
-        got = load_votes(path)
+        got = load(path)
     except Exception as exc:
         return type(exc), str(exc)
     return (got.table.dtype, got.table.shape, got.table.tolist(), got.order.tolist(),
             [(v, list(d.items())) for v, d in got.votes.items()])
 
 
+def _text_table(text):
+    for attempt in (text, _BLANK_LINE.sub("", text)):
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", UserWarning)
+                return np.loadtxt(io.StringIO(attempt), dtype=np.int64, delimiter=",",
+                                  comments=None, ndmin=2, quotechar='"')
+        except ValueError:
+            pass
+    return None
+
+
+def text_route(path):
+    """The votes of ``path`` read from its whole decoded text, then the line pass."""
+    text = read_text(path)
+    first, _, rest = text.partition("\n")
+    table = _text_table(rest if gcn._header_row(next(csv.reader([first]), [])) else text)
+    if table is not None and (table.shape[0] == 0 or (table.shape[1] == 3 and table.min() >= 0)):
+        try:
+            return VoteTable(rows=table)
+        except gcn.VoteFormatError:
+            pass
+    with pytest.MonkeyPatch.context() as patch:     # no table: the line pass alone
+        patch.setattr(gcn, "load_table", lambda *args, **kwargs: None)
+        return load_votes(path)
+
+
 def both_routes(path):
-    """``load_votes``'s outcome, and its outcome with the in-place parse turned off."""
-    got = outcome(path)
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(gcn, "_read_votes_in_place", lambda path: None)
-        return got, outcome(path)
+    """``load_votes``'s outcome, and the text route's."""
+    return outcome(load_votes, path), outcome(text_route, path)
 
 
 FILES = [
@@ -81,6 +113,15 @@ def test_well_formed_files_are_parsed_without_reading_the_text(tmp_path, monkeyp
     assert load_votes(path).votes == {0: {0: 1}, 1: {0: 2}}
     path.write_bytes(b"+0,0,1\n")
     assert load_votes(path).votes == {0: {0: 1}}
+
+
+def test_a_byte_order_mark_does_not_make_a_header(tmp_path):
+    path = tmp_path / "votes.csv"
+    path.write_bytes(b"\xef\xbb\xbf0,0,1\n0,1,2\n")
+    with pytest.raises(gcn.VoteFormatError, match="line 1: non-integer field"):
+        load_votes(path)
+    path.write_bytes(b"\xef\xbb\xbfnode_id,sample_index,class\n0,0,1\n0,1,2\n")
+    assert load_votes(path).votes == {0: {0: 1, 1: 2}}
 
 
 def test_out_of_order_votes_are_sorted_as_before(tmp_path):
