@@ -113,6 +113,8 @@ class RunConfig:
                 raise ConfigError(f"probability {p} outside [0, 1]")
         if not 0.0 <= cfg.k_rel <= 1.0:
             raise ConfigError(f"k_rel {cfg.k_rel} outside [0, 1]")
+        if not 0.0 < cfg.alpha < 1.0:
+            raise ConfigError(f"alpha {cfg.alpha} outside (0, 1)")
         for name in ("tau", "k", "labeled_per_class", "max_paths", "subset_cap",
                      "max_ie_terms", "hidden"):
             if getattr(cfg, name) < 1:
@@ -143,20 +145,17 @@ def _check_model_k(cfg: RunConfig) -> None:
         raise ConfigError(f"k {cfg.k} is below the model's 2 layers; use k >= 2")
 
 
+def _check_files(**paths) -> None:
+    """Name the first of the given files that is set but does not exist."""
+    for what, p in paths.items():
+        if p and not Path(p).exists():
+            raise ConfigError(f"{what} file not found: {p}")
+
+
 def _load_inputs(cfg: RunConfig):
-    for name in ("edges", "features", "labels"):
-        p = getattr(cfg, name)
-        if p is not None and p != "" and not Path(p).exists():
-            raise ConfigError(f"{name} file not found: {p}")
+    _check_files(edges=cfg.edges, features=cfg.features, labels=cfg.labels)
     return load_graph(cfg.edges, cfg.features or None, cfg.labels or None,
                       directed=cfg.directed)
-
-
-def _load_model(cfg: RunConfig):
-    """The checkpoint of a model-backed run; a missing file is named like any input."""
-    if not Path(cfg.model).exists():
-        raise ConfigError(f"model file not found: {cfg.model}")
-    return gcn.load_checkpoint(cfg.model)
 
 
 def _integer(value, what: str) -> int:
@@ -230,40 +229,31 @@ def _write_json(path: Path, payload: dict) -> None:
         fh.write("\n")
 
 
-def _field_reader(g, nodes: list[int], cfg: RunConfig):
-    """``field(v)`` for the ``nodes`` in order: ``v``'s receptive field.
-
-    Fields are enumerated a chunk of nodes at a time as the reads move
-    on, and a node may be skipped.  A node over ``max_paths`` raises its
-    ``ResourceLimitError`` when read, so it fails alone.
-    """
-    fields = zip(nodes, receptive_fields(g, nodes, cfg.k, max_paths=cfg.max_paths))
-
-    def field(v: int):
-        rf = next(rf for u, rf in fields if u == v)
-        if isinstance(rf, ResourceLimitError):
-            raise rf
-        return rf
-    return field
-
-
-def _per_node(path: Path, header: list[str], nodes: list[int],
+def _per_node(path: Path, header: list[str], nodes: list[int], fields,
               work) -> tuple[dict, dict[int, str]]:
-    """Run ``work(v)`` for every node, then write one CSV row per node in node order.
+    """Run ``work(v, rf)`` for every node, then write one CSV row per node in node order.
 
-    ``work`` returns the cells between ``node_id`` and ``error`` plus a value.
-    A node whose ``work`` exceeds a path budget or a subset cap, or lacks
-    votes, fails and the batch goes on; its row has blank cells and the
-    error.  Returns the values and the failure messages, both keyed by node.
+    ``fields`` yields, in the order of ``nodes``, each node's receptive
+    field ``rf`` or the exception the node fails with: a
+    ``ResourceLimitError`` for a field over ``max_paths``, an
+    ``InsufficientSamplesError`` for a node that lacks votes.  ``work``
+    returns the cells between ``node_id`` and ``error`` plus a value.  A
+    node whose item is an exception, or whose ``work`` exceeds a subset
+    cap, fails and the batch goes on; its row has blank cells and the
+    error.  Returns the values and the failure messages, both keyed by
+    node.  The output directory is made just before the file is written.
     """
     cells: dict[int, list] = {}
     values: dict = {}
     failures: dict[int, str] = {}
-    for v in nodes:
+    for v, rf in zip(nodes, fields):
         try:
-            cells[v], values[v] = work(v)
+            if isinstance(rf, Exception):
+                raise rf
+            cells[v], values[v] = work(v, rf)
         except (ResourceLimitError, InsufficientSamplesError) as exc:
             failures[v] = f"{type(exc).__name__}: {exc}"
+    path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
@@ -280,35 +270,23 @@ def _per_node(path: Path, header: list[str], nodes: list[int],
 
 
 def cmd_train(cfg: RunConfig) -> int:
-    g = _load_inputs(cfg)
-    if g.labels is None:
-        raise ConfigError("training requires a label file")
-    out = Path(cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-
-    labeled_pool = [v for v in range(g.n) if g.labels[v] >= 0]
-    rng = np.random.default_rng((cfg.seed, 0x7A1E))
-    by_class: dict[int, list[int]] = {}
-    for v in labeled_pool:
-        by_class.setdefault(int(g.labels[v]), []).append(v)
-    labeled: list[int] = []
-    for c in sorted(by_class):
-        pool = by_class[c]
-        perm = rng.permutation(len(pool))
-        take = min(2 * cfg.labeled_per_class, len(pool))
-        labeled.extend(pool[i] for i in perm[:take])
-    labeled = sorted(labeled)
-    test = sorted(set(labeled_pool) - set(labeled))
-
     tc = gcn.TrainConfig(
         lr=cfg.lr, weight_decay=cfg.weight_decay, epochs=cfg.epochs,
         patience=cfg.patience, dropout=cfg.dropout,
         p_del=cfg.train_p_del, p_abl=cfg.train_p_abl,
         hidden=cfg.hidden, skip=cfg.skip, seed=cfg.seed,
     )
+    g = _load_inputs(cfg)
+    if g.labels is None:
+        raise ConfigError("training requires a label file")
+    labeled, test = gcn.split_by_class(
+        np.flatnonzero(g.labels >= 0), g.labels, np.random.default_rng((cfg.seed, 0x7A1E)),
+        lambda size: min(2 * cfg.labeled_per_class, size))
     history: list = []
     model = gcn.train(g, labeled, tc, history=history)
 
+    out = Path(cfg.out_dir)
+    out.mkdir(parents=True, exist_ok=True)
     ckpt = out / "model.json"
     gcn.save_checkpoint(model, ckpt, train_config=tc, extra={
         "splits": {"labeled": labeled, "test": test},
@@ -330,40 +308,37 @@ def cmd_train(cfg: RunConfig) -> int:
 
 
 def cmd_certify(cfg: RunConfig) -> int:
-    if not cfg.votes:
-        _check_model_k(cfg)
-    g = _load_inputs(cfg)
-    out = Path(cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-
-    payload = None
-    vote_table = None
-    model = None
     if cfg.votes:
-        if not Path(cfg.votes).exists():
-            raise ConfigError(f"vote file not found: {cfg.votes}")
+        _check_files(vote=cfg.votes)
+    else:
+        _check_model_k(cfg)
+        if not cfg.model:
+            raise ConfigError("certify needs either a model checkpoint or a vote file")
+        _check_files(model=cfg.model)
+    g = _load_inputs(cfg)
+
+    model = payload = vote_table = None
+    if cfg.votes:
         if cfg.model and Path(cfg.model).exists():      # read for its splits only
             payload = gcn.load_checkpoint(cfg.model)[1]
         vote_table = gcn.load_votes(cfg.votes)
-    elif not cfg.model:
-        raise ConfigError("certify needs either a model checkpoint or a vote file")
     else:
-        model, payload = _load_model(cfg)
+        model, payload = gcn.load_checkpoint(cfg.model)
 
     nodes = _select_nodes(cfg, g, payload)
     d_mins = _d_mins(cfg)
     scfg = smoothing.SmoothingConfig(p_del=cfg.p_del, p_abl=cfg.p_abl, seed=cfg.seed)
-    missing: dict[int, InsufficientSamplesError] = {}   # work raises these, so each fails alone
+    # a node that lacks votes gets its error in place of its field, so it
+    # fails alone, and with that error even if its field is over max_paths
+    missing: dict[int, InsufficientSamplesError] = {}
     tallies = estimator.estimate_all(model if vote_table is None else vote_table, g, nodes,
                                      scfg, cfg.n0, cfg.n1, cfg.alpha, missing=missing)
     confidence = dict(zip(tallies, estimator.confidence_bounds_all(list(tallies.values()))))
-    field = _field_reader(g, nodes, cfg)
+    fields = (missing.get(v, rf) for v, rf in
+              zip(nodes, receptive_fields(g, nodes, cfg.k, max_paths=cfg.max_paths)))
 
-    def work(v: int):
-        if v in missing:
-            raise missing[v]
+    def work(v: int, rf):
         tally = tallies[v]
-        rf = field(v)
         surfaces = {dm: rf.attack_surface(dm) for dm in d_mins}
         # built by certify at the node's confidence bounds, unless it abstains
         curves = {
@@ -394,7 +369,8 @@ def cmd_certify(cfg: RunConfig) -> int:
         for r in cfg.flag_radii:
             header.append(f"cert_dmin_{dm}_rho_{r}")
     header.append("error")
-    done, failures = _per_node(out / "results.csv", header, nodes, work)
+    out = Path(cfg.out_dir)
+    done, failures = _per_node(out / "results.csv", header, nodes, fields, work)
 
     summary: dict = {"config": asdict(cfg), "failures": failures,
                      "certified": len(done)}
@@ -414,20 +390,17 @@ def cmd_certify(cfg: RunConfig) -> int:
 
 def cmd_derandomize(cfg: RunConfig) -> int:
     _check_model_k(cfg)
-    g = _load_inputs(cfg)
-    out = Path(cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     if not cfg.model:
         raise ConfigError("derandomize needs a model checkpoint")
-    model, payload = _load_model(cfg)
+    _check_files(model=cfg.model)
+    g = _load_inputs(cfg)
+    model, payload = gcn.load_checkpoint(cfg.model)
     nodes = _select_nodes(cfg, g, payload)
     classes = model.classes
 
     scorer = gcn.LocalScorer(model, g)
-    field = _field_reader(g, nodes, cfg)
 
-    def work(v: int):
-        rf = field(v)
+    def work(v: int, rf):
         d = rf.size - 1
         kk = derandomize.retention_count(d, cfg.k_rel)
         support = math.comb(d, kk)
@@ -451,8 +424,10 @@ def cmd_derandomize(cfg: RunConfig) -> int:
     header = (["node_id", "field_size", "k", "support", "derandomized",
                "reps", "savings", "prediction", "radius", "certified"]
               + [f"p_class_{c}" for c in range(classes)] + ["error"])
-    savings_by_node, failures = _per_node(out / "derandomized.csv", header,
-                                          nodes, work)
+    out = Path(cfg.out_dir)
+    savings_by_node, failures = _per_node(
+        out / "derandomized.csv", header, nodes,
+        receptive_fields(g, nodes, cfg.k, max_paths=cfg.max_paths), work)
 
     done = [x for x in savings_by_node.values() if x is not None]
     summary = {
@@ -558,24 +533,23 @@ def cmd_report(result_paths: list[str], out_dir: str) -> int:
 
 def cmd_paths(cfg: RunConfig) -> int:
     g = _load_inputs(cfg)
-    out = Path(cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     payload = None
     if cfg.model and Path(cfg.model).exists():
         payload = gcn.load_checkpoint(cfg.model)[1]
     nodes = _select_nodes(cfg, g, payload)
     d_mins = _d_mins(cfg)
-    field = _field_reader(g, nodes, cfg)
 
-    def work(v: int):
-        rf = field(v)
+    def work(v: int, rf):
         longest = int(rf.path_length.max(initial=0))
         return ([rf.size, len(rf.path_length), longest, int(bounds.is_tree(rf))]
                 + [rf.attack_surface(dm) for dm in d_mins]), None
 
     header = (["node_id", "field_size", "simple_paths", "longest_path", "is_tree"]
               + [f"surface_dmin_{dm}" for dm in d_mins] + ["error"])
-    done, failures = _per_node(out / "paths.csv", header, nodes, work)
+    out = Path(cfg.out_dir)
+    done, failures = _per_node(out / "paths.csv", header, nodes,
+                               receptive_fields(g, nodes, cfg.k, max_paths=cfg.max_paths),
+                               work)
 
     print(f"receptive-field stats for {len(done)} nodes -> {out / 'paths.csv'}")
     return EXIT_PARTIAL if failures else EXIT_OK

@@ -532,20 +532,24 @@ class _Adam:
             p -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
 
 
-def split_labeled(labeled, labels: np.ndarray, seed: int) -> tuple[list[int], list[int]]:
-    """Deterministic per-class half/half split of the labeled set into train/val."""
-    rng = np.random.default_rng((int(seed), 0xBEEF))
+def split_by_class(nodes, labels: np.ndarray, rng: np.random.Generator,
+                   cut) -> tuple[list[int], list[int]]:
+    """``cut(size)`` random nodes of each class of ``nodes``, and the rest, both sorted.
+
+    Classes go in ascending order; each draws one ``rng`` permutation of
+    its nodes in ascending order and takes its first ``cut(size)``.
+    """
     by_class: dict[int, list[int]] = {}
-    for v in sorted(int(x) for x in labeled):
+    for v in sorted(int(x) for x in nodes):
         by_class.setdefault(int(labels[v]), []).append(v)
-    train, val = [], []
+    taken, rest = [], []
     for c in sorted(by_class):
-        nodes = by_class[c]
-        perm = rng.permutation(len(nodes))
-        half = max(1, len(nodes) // 2)
-        train.extend(nodes[i] for i in perm[:half])
-        val.extend(nodes[i] for i in perm[half:])
-    return sorted(train), sorted(val)
+        members = by_class[c]
+        perm = rng.permutation(len(members))
+        take = cut(len(members))
+        taken.extend(members[i] for i in perm[:take])
+        rest.extend(members[i] for i in perm[take:])
+    return sorted(taken), sorted(rest)
 
 
 def train(g: Graph, labeled, cfg: TrainConfig,
@@ -585,7 +589,9 @@ def train(g: Graph, labeled, cfg: TrainConfig,
         skip=cfg.skip,
     )
 
-    train_idx, val_idx = split_labeled(labeled, g.labels, cfg.seed)
+    train_idx, val_idx = split_by_class(labeled, g.labels,
+                                        np.random.default_rng((int(cfg.seed), 0xBEEF)),
+                                        lambda size: max(1, size // 2))
     if not val_idx:
         val_idx = train_idx
     train_idx = np.asarray(train_idx)

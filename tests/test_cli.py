@@ -424,10 +424,21 @@ def test_wrong_json_type_is_exit_two_naming_the_key(fixture_dir, capsys, key, va
 def test_right_json_types_are_accepted(fixture_dir):
     # ints stand for floats, integer-valued floats for ints, null for an unset
     # optional integer; the ignored workers key stays accepted
-    cfg = write_config(fixture_dir, nodes=[0, 1], p_del=0, alpha=1, max_paths=5000.0,
+    cfg = write_config(fixture_dir, nodes=[0, 1], p_del=0, k_rel=1, max_paths=5000.0,
                        rho_max_scan=None, flag_radii=[1, 2.0], workers=1,
                        directed=False)
     assert main(["paths", "--config", str(cfg)]) == 0
+
+
+@pytest.mark.parametrize("alpha", [0, 1, 1.5])
+def test_alpha_outside_zero_one_is_exit_two_before_any_read(fixture_dir, capsys, alpha):
+    # an alpha of 1 or more certifies with a lower bound above the point
+    # estimate; alpha 0 would fail in clopper_pearson only after sampling
+    cfg = write_config(fixture_dir, alpha=alpha)
+    for command in ("train", "certify", "derandomize", "paths"):
+        assert main([command, "--config", str(cfg)]) == 2
+        assert f"alpha {alpha} outside (0, 1)" in capsys.readouterr().err
+        assert not (fixture_dir / "out").exists()
 
 
 def test_bad_config_is_exit_two(tmp_path, capsys):
@@ -516,6 +527,8 @@ EXIT_TWO = [
      "{d}/feats.csv: 2 feature rows but edge file references node"),
     ("paths --config {cfg}", {"features": None}, {"labels.csv": "0\n1\n"},
      "{d}/labels.csv: 2 labels but graph has 40 nodes"),
+    ("train --config {cfg}", {"epochs": 0}, {}, "epochs must be >= 1"),
+    ("train --config {cfg}", {"dropout": 1.0}, {}, "dropout must be in [0, 1)"),
 ]
 
 
@@ -529,6 +542,7 @@ def test_each_config_or_input_fault_is_exit_two_naming_it(fixture_dir, capsys, a
     cfg = write_config(fixture_dir, **overrides)
     assert main(args.format(d=d, cfg=cfg).split()) == 2
     assert message.format(d=d) in capsys.readouterr().err
+    assert not (fixture_dir / "out").exists() and not (fixture_dir / "rep").exists()
 
 
 def test_missing_model_file_is_named(fixture_dir, capsys):
@@ -545,6 +559,20 @@ def test_missing_model_file_is_named(fixture_dir, capsys):
     cfg = write_config(fixture_dir, nodes=[0, 1], n0=2, n1=2,
                        votes=str(fixture_dir / "votes.csv"))
     assert main(["certify", "--config", str(cfg)]) == 0
+
+
+def test_a_node_without_votes_reports_that_before_its_path_budget(fixture_dir):
+    # every field is over max_paths 1; node 3 also lacks its last sample
+    (fixture_dir / "votes.csv").write_text("".join(
+        f"{v},{i},1\n" for v in (0, 1, 3, 5) for i in range(4 - (v == 3))))
+    cfg = write_config(fixture_dir, nodes=[0, 1, 3, 5], n0=2, n1=2, max_paths=1,
+                       votes=str(fixture_dir / "votes.csv"))
+    assert main(["certify", "--config", str(cfg)]) == 3
+    rows = list(csv.DictReader(open(fixture_dir / "out" / "results.csv")))
+    assert [r["node_id"] for r in rows] == ["0", "1", "3", "5"]
+    errors = [r["error"].split(":")[0] for r in rows]
+    assert errors == ["ResourceLimitError", "ResourceLimitError",
+                      "InsufficientSamplesError", "ResourceLimitError"]
 
 
 def _drop(key):

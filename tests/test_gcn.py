@@ -431,6 +431,56 @@ def test_training_rejects_an_unlabeled_node_in_the_labeled_set():
     train(g, [0, 1, 3], TrainConfig(epochs=1))
 
 
+def _labeled_test_draw(labels, labeled_per_class, rng):
+    """The labeled/test draw ``cli.cmd_train`` made before ``split_by_class``."""
+    labeled_pool = [v for v in range(len(labels)) if labels[v] >= 0]
+    by_class = {}
+    for v in labeled_pool:
+        by_class.setdefault(int(labels[v]), []).append(v)
+    labeled = []
+    for c in sorted(by_class):
+        pool = by_class[c]
+        perm = rng.permutation(len(pool))
+        take = min(2 * labeled_per_class, len(pool))
+        labeled.extend(pool[i] for i in perm[:take])
+    labeled = sorted(labeled)
+    return labeled, sorted(set(labeled_pool) - set(labeled))
+
+
+def _train_val_split(labeled, labels, rng):
+    """The train/validation split ``gcn.train`` made before ``split_by_class``."""
+    by_class = {}
+    for v in sorted(int(x) for x in labeled):
+        by_class.setdefault(int(labels[v]), []).append(v)
+    train, val = [], []
+    for c in sorted(by_class):
+        nodes = by_class[c]
+        perm = rng.permutation(len(nodes))
+        half = max(1, len(nodes) // 2)
+        train.extend(nodes[i] for i in perm[:half])
+        val.extend(nodes[i] for i in perm[half:])
+    return sorted(train), sorted(val)
+
+
+def test_split_by_class_draws_what_both_former_splits_drew(rng):
+    # random labelings with unlabelled nodes (-1), classes of one node and
+    # classes smaller than the cut; each side gets its own equal generator
+    for trial in range(60):
+        n = int(rng.integers(1, 40))
+        labels = rng.integers(-1, int(rng.integers(1, 6)), size=n)
+        if trial % 3 == 0:
+            labels[rng.integers(n)] = 9          # a class of one node
+        seed, per_class = int(rng.integers(1000)), int(rng.integers(1, 5))
+        pool = np.flatnonzero(labels >= 0)
+        got = gcn.split_by_class(pool, labels, np.random.default_rng(seed),
+                                 lambda size: min(2 * per_class, size))
+        assert got == _labeled_test_draw(labels, per_class, np.random.default_rng(seed))
+        labeled = rng.permutation(pool)[:int(rng.integers(len(pool) + 1))].tolist()
+        got = gcn.split_by_class(labeled, labels, np.random.default_rng(seed),
+                                 lambda size: max(1, size // 2))
+        assert got == _train_val_split(labeled, labels, np.random.default_rng(seed))
+
+
 def _kept_distance_within(g, edge_mask, v, k):
     """Nodes with a surviving directed path to v of length <= k."""
     kept = g.edges[edge_mask]
