@@ -22,6 +22,7 @@ from gnncert import (
     receptive_field,
     retention_count,
 )
+from gnncert.estimator import radius
 
 rng = np.random.default_rng(77)
 
@@ -73,15 +74,12 @@ for kk in (1, 2, 3):
     assert sum(probs) == Fraction(1)
     y_star = max(range(2), key=lambda c: (probs[c], -c))
     y_tilde = 1 - y_star
-    radius = 0
-    for rho in range(1, d - kk + 1):
-        delta = 1 - Fraction(math.comb(d - rho, kk), math.comb(d, kk))   # exact, as the CLI
-        if probs[y_star] - delta > probs[y_tilde] + delta:
-            radius = rho
-        else:
-            break
+    # the exact keep-k arrival bound 1 - C(d - rho, k) / C(d, k), as the CLI scans it
+    certified = radius(probs[y_star], probs[y_tilde],
+                       (1 - Fraction(math.comb(d - rho, kk), math.comb(d, kk))
+                        for rho in range(1, d - kk + 1)))
     print(f"  keep {kk}: probabilities {[str(p) for p in probs]}, "
-          f"prediction {y_star}, certified radius {radius} "
+          f"prediction {y_star}, certified radius {certified} "
           f"({len(rr)}/{math.comb(d, kk)} classes evaluated)")
 print()
 print("keeping fewer nodes deletes attackers more often (smaller arrival")

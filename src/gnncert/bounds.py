@@ -579,7 +579,9 @@ def delta_worst_case(
     """Bound the arrival probability over all attacker placements of size rho.
 
     Candidates are field members at hop distance >= d_min (d_min = 1 models
-    a target the adversary cannot control, e.g. under a skip connection).
+    a target the adversary cannot control).  d_min = 0 intercepts the target
+    when it is ablated, so it assumes the classifier reads the target only
+    through ablatable features; the CLI refuses a skip checkpoint with it.
     ``multiplicative`` and ``union`` combine the top-rho single-source
     bounds.  ``exact-enumeration`` is the exact maximum on every field and
     reports a maximizing set: tree-shaped fields use the knapsack loop of

@@ -308,6 +308,7 @@ def cmd_train(cfg: RunConfig) -> int:
 
 
 def cmd_certify(cfg: RunConfig) -> int:
+    model = payload = vote_table = None
     if cfg.votes:
         _check_files(vote=cfg.votes)
     else:
@@ -315,15 +316,17 @@ def cmd_certify(cfg: RunConfig) -> int:
         if not cfg.model:
             raise ConfigError("certify needs either a model checkpoint or a vote file")
         _check_files(model=cfg.model)
+        model, payload = gcn.load_checkpoint(cfg.model)
+        if model.skip and 0 in cfg.d_min:
+            # the d_min 0 bound lets the target through only when it is not ablated
+            raise ConfigError(f"d_min {cfg.d_min} holds 0, but checkpoint {cfg.model} has skip "
+                              "true, which reads the target's features unablated; use d_min >= 1")
     g = _load_inputs(cfg)
 
-    model = payload = vote_table = None
     if cfg.votes:
         if cfg.model and Path(cfg.model).exists():      # read for its splits only
             payload = gcn.load_checkpoint(cfg.model)[1]
         vote_table = gcn.load_votes(cfg.votes)
-    else:
-        model, payload = gcn.load_checkpoint(cfg.model)
 
     nodes = _select_nodes(cfg, g, payload)
     d_mins = _d_mins(cfg)
@@ -333,7 +336,6 @@ def cmd_certify(cfg: RunConfig) -> int:
     missing: dict[int, InsufficientSamplesError] = {}
     tallies = estimator.estimate_all(model if vote_table is None else vote_table, g, nodes,
                                      scfg, cfg.n0, cfg.n1, cfg.alpha, missing=missing)
-    confidence = dict(zip(tallies, estimator.confidence_bounds_all(list(tallies.values()))))
     fields = (missing.get(v, rf) for v, rf in
               zip(nodes, receptive_fields(g, nodes, cfg.k, max_paths=cfg.max_paths)))
 
@@ -352,7 +354,7 @@ def cmd_certify(cfg: RunConfig) -> int:
         label = None
         if g.labels is not None and g.labels[v] >= 0:
             label = int(g.labels[v])
-        res = estimator.certify(tally, curves, label=label, confidence=confidence[v])
+        res = estimator.certify(tally, curves, label=label)
         cells = [res.prediction, int(res.abstain),
                  repr(res.p_lower), repr(res.p_upper),
                  "" if res.correct is None else int(res.correct)]

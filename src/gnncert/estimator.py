@@ -116,6 +116,8 @@ class VoteTally:
     n0: int
     n1: int
     alpha: float
+    p_lower: float          # one-sided Clopper-Pearson bounds at alpha/2 each on the
+    p_upper: float          # round's counts: y_star's from below, y_tilde's from above
 
 
 @dataclass(frozen=True)
@@ -123,8 +125,8 @@ class CertificateResult:
     node: int
     prediction: int
     abstain: bool
-    p_lower: float
-    p_upper: float
+    p_lower: float          # one-sided Clopper-Pearson bounds at alpha/2 each on the
+    p_upper: float          # round's counts: y_star's from below, y_tilde's from above
     certified_radius: dict[int, int]    # d_min -> largest certified budget
     correct: bool | None = None
 
@@ -144,6 +146,8 @@ def estimate_all(
     Selection uses sample indices 0..n0-1 and the tally uses n0..n0+n1-1, so
     the class choice is independent of the counts the confidence bounds see.
     Votes are counted per chunk of samples; they are never all held at once.
+    The confidence bounds of every tally come from one ``clopper_pearson``
+    call over all nodes; each is bit for bit that of a call for it alone.
 
     A vote table that lacks one of a node's samples raises
     ``InsufficientSamplesError``.  Given a dict ``missing``, each such node
@@ -171,7 +175,8 @@ def estimate_all(
 
     # flat key of a vote: (round, node, class), round 1 being the tally
     counts = np.zeros(2 * len(nodes) * classes, dtype=np.int64)
-    cells = np.arange(len(nodes)) * classes
+    rows = np.arange(len(nodes))
+    cells = rows * classes
     for lo, preds in chunks:
         tally_round = np.arange(lo, lo + len(preds)) >= n0
         keys = tally_round[:, None] * (len(nodes) * classes) + cells + preds
@@ -180,12 +185,16 @@ def estimate_all(
 
     # argmax keeps the first maximum; the runner-up is the first maximum of the rest
     y_star = np.argmax(sel_counts, axis=1)
-    sel_counts[np.arange(len(nodes)), y_star] = -1
+    sel_counts[rows, y_star] = -1
     y_tilde = np.argmax(sel_counts, axis=1)
+    p_lower, p_upper = clopper_pearson(
+        np.stack([tally_counts[rows, y_star], tally_counts[rows, y_tilde]]), n1,
+        alpha / 2.0, [["lower"], ["upper"]]).tolist()
     return {v: VoteTally(node=v, counts=counts, y_star=star, y_tilde=tilde,
-                         n0=n0, n1=n1, alpha=alpha)
-            for v, counts, star, tilde in zip(nodes.tolist(), tally_counts,
-                                              y_star.tolist(), y_tilde.tolist())}
+                         n0=n0, n1=n1, alpha=alpha, p_lower=lower, p_upper=upper)
+            for v, counts, star, tilde, lower, upper in zip(
+                nodes.tolist(), tally_counts, y_star.tolist(), y_tilde.tolist(),
+                p_lower, p_upper)}
 
 
 def estimate(classifier, g, v: int, cfg: SmoothingConfig,
@@ -193,38 +202,18 @@ def estimate(classifier, g, v: int, cfg: SmoothingConfig,
     return estimate_all(classifier, g, [v], cfg, n0, n1, alpha)[int(v)]
 
 
-def confidence_bounds(tally: VoteTally) -> tuple[float, float]:
-    """Simultaneous (Bonferroni alpha/2) lower/upper bounds on the two classes."""
-    return confidence_bounds_all([tally])[0]
-
-
-def confidence_bounds_all(tallies: Sequence[VoteTally]) -> list[tuple[float, float]]:
-    """``confidence_bounds`` of every tally, from one ``clopper_pearson`` call."""
-    if not tallies:
-        return []
-    t = len(tallies)
-    successes = [int(x.counts[x.y_star]) for x in tallies] + \
-                [int(x.counts[x.y_tilde]) for x in tallies]
-    n1 = [x.n1 for x in tallies] * 2
-    alpha_side = [x.alpha / 2.0 for x in tallies] * 2
-    p = clopper_pearson(successes, n1, alpha_side, ["lower"] * t + ["upper"] * t)
-    return list(zip(p[:t].tolist(), p[t:].tolist()))
-
-
-def certifies(p_lower: float, p_upper: float, delta: float,
-              binary: bool = False) -> bool:
+def certifies(p_lower: float, p_upper: float, delta: float) -> bool:
     """The certificate rule: does a worst-case arrival probability ``delta`` certify?
 
-    True iff p_lower - delta > p_upper + delta, or in binary mode iff
-    p_lower - delta > 1/2.  Monotone in ``delta``, also in floating point:
-    a delta that certifies certifies every smaller one.  Given ``Fraction``s,
-    as ``derandomize`` gives, the comparison is exact.
+    True iff p_lower - delta > p_upper + delta.  Monotone in ``delta``,
+    also in floating point: a delta that certifies certifies every smaller
+    one.  Given ``Fraction``s, as ``derandomize`` gives, the comparison is
+    exact.
     """
-    return (p_lower - delta > 0.5) if binary else (p_lower - delta > p_upper + delta)
+    return p_lower - delta > p_upper + delta
 
 
-def radius(p_lower: float, p_upper: float, deltas: Iterable[float],
-           binary: bool = False) -> int:
+def radius(p_lower: float, p_upper: float, deltas: Iterable[float]) -> int:
     """Largest certified budget, given ``deltas`` = delta(1), delta(2), ...
 
     Budget rho is certified iff ``certifies`` holds for delta(rho).  The scan
@@ -234,7 +223,7 @@ def radius(p_lower: float, p_upper: float, deltas: Iterable[float],
     """
     certified = 0
     for rho, delta in enumerate(deltas, start=1):
-        if not certifies(p_lower, p_upper, delta, binary):
+        if not certifies(p_lower, p_upper, delta):
             break
         certified = rho
     return certified
@@ -244,31 +233,27 @@ def certify(
     tally: VoteTally,
     curves: Mapping[int, Sequence[DeltaBound] | Callable[..., Sequence[DeltaBound]]],
     label: int | None = None,
-    binary: bool = False,
-    confidence: tuple[float, float] | None = None,
 ) -> CertificateResult:
     """Certificate for one node across the requested minimum attacker distances.
 
     ``curves[d_min][rho - 1]`` bounds the arrival probability at budget rho;
     budgets 1..len(curve) are scanned.  ``curves[d_min]`` may instead be a
     function that builds the curve when called with ``certifies=passes``,
-    the node's certificate predicate (``certifies`` at its confidence
-    bounds), so the curve can stop at its first failing budget.  The
-    confidence bounds are ``confidence``, when a caller has computed them
-    for many tallies at once with ``confidence_bounds_all``, or else
-    ``confidence_bounds(tally)``.  Abstains (radius 0) when they overlap,
-    and then builds no curve.  Otherwise each radius is ``radius`` of the
-    confidence bounds and the curve's values.
+    the node's certificate predicate (``certifies`` at the tally's
+    confidence bounds), so the curve can stop at its first failing budget.
+    Abstains (radius 0) when the tally's bounds overlap, and then builds no
+    curve.  Otherwise each radius is ``radius`` of the bounds and the
+    curve's values.
     """
-    p_lower, p_upper = confidence or confidence_bounds(tally)
+    p_lower, p_upper = tally.p_lower, tally.p_upper
     abstain = p_lower <= p_upper
 
-    passes = functools.partial(certifies, p_lower, p_upper, binary=binary)
+    passes = functools.partial(certifies, p_lower, p_upper)
 
     def scan(curve) -> int:
         if callable(curve):
             curve = curve(certifies=passes)
-        return radius(p_lower, p_upper, (b.value for b in curve), binary)
+        return radius(p_lower, p_upper, (b.value for b in curve))
 
     radii = {d_min: 0 if abstain else scan(curves[d_min]) for d_min in sorted(curves)}
     correct = None if label is None else bool(tally.y_star == label and not abstain)

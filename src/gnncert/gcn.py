@@ -86,6 +86,12 @@ class TrainConfig:
             raise ValueError("dropout must be in [0, 1)")
         if self.epochs < 1:
             raise ValueError("epochs must be >= 1")
+        if self.lr <= 0.0:
+            raise ValueError(f"lr must be > 0, got {self.lr}")
+        if self.weight_decay < 0.0:
+            raise ValueError(f"weight_decay must be >= 0, got {self.weight_decay}")
+        if self.patience < 1:
+            raise ValueError(f"patience must be >= 1, got {self.patience}")
 
 
 def normalized_adjacency(n: int, edges: np.ndarray) -> sparse.csr_matrix:

@@ -847,6 +847,18 @@ def test_combined_curves_equal_per_budget_values(rng):
     assert 0.0 in tops and any(0.0 < t < 1e-12 for t in tops)
 
 
+def _predicate(p_lower, p_upper, binary):
+    """``certifies`` at these bounds, or with ``binary`` the rule p_lower - delta > 1/2."""
+    if binary:
+        return lambda delta: p_lower - delta > 0.5
+    return functools.partial(certifies, p_lower, p_upper)
+
+
+def _scan(passes, deltas):
+    """Budgets certified before the first delta that fails ``passes``, as ``radius`` scans."""
+    return len(list(itertools.takewhile(passes, deltas)))
+
+
 def test_combined_curves_stop_at_the_first_failing_budget(rng):
     # given the certificate predicate, a multiplicative or union curve is the
     # full curve up to and including its first failing entry; D* is put on,
@@ -865,15 +877,16 @@ def test_combined_curves_stop_at_the_first_failing_budget(rng):
                     for binary in (False, True):
                         p_upper = 0.2
                         p_lower = 0.5 + d_star if binary else p_upper + 2 * d_star
-                        passes = functools.partial(certifies, p_lower, p_upper,
-                                                   binary=binary)
+                        passes = _predicate(p_lower, p_upper, binary)
                         curve = worst_case_curve(rf, d_min, c, method=method,
                                                  rho_max=rho_max, certifies=passes)
                         failing = [i for i, x in enumerate(values) if not passes(x)]
                         end = failing[0] + 1 if failing else len(full)
                         assert curve == full[:end]
-                        assert (radius(p_lower, p_upper, (b.value for b in curve), binary)
-                                == radius(p_lower, p_upper, values, binary))
+                        want = _scan(passes, values)
+                        assert _scan(passes, (b.value for b in curve)) == want
+                        if not binary:
+                            assert radius(p_lower, p_upper, (b.value for b in curve)) == want
                         stopped += end < len(full)
     assert stopped > 0
 
@@ -890,7 +903,7 @@ def _first_refused_budget(rf, d_min, c, rho_max, cap, passes):
 
 
 def test_decided_curve_decides_as_the_full_exact_curve(rng):
-    # D* = (p_lower - p_upper) / 2, or p_lower - 1/2 in binary mode, is put on,
+    # D* = (p_lower - p_upper) / 2, or p_lower - 1/2 against 1/2, is put on,
     # just above and just below every exact, witness and multiplicative value
     kinds = collections.Counter()
     for trial in range(100):
@@ -933,9 +946,8 @@ def test_decided_curve_decides_as_the_full_exact_curve(rng):
                 for binary in (False, True):
                     p_upper = 0.2
                     p_lower = 0.5 + d_star if binary else p_upper + 2 * d_star
-                    passes = functools.partial(certifies, p_lower, p_upper,
-                                               binary=binary)
-                    want = radius(p_lower, p_upper, (b.value for b in full), binary)
+                    passes = _predicate(p_lower, p_upper, binary)
+                    want = _scan(passes, (b.value for b in full))
                     try:
                         lazy = worst_case_curve(rf, d_min, c, method="exact-enumeration",
                                                 rho_max=rho_max, subset_cap=cap,
@@ -952,7 +964,9 @@ def test_decided_curve_decides_as_the_full_exact_curve(rng):
                                              method="exact-enumeration", subset_cap=cap)
                         continue
                     kinds["capped_full", shape] += capped_refuses
-                    assert radius(p_lower, p_upper, (b.value for b in lazy), binary) == want
+                    assert _scan(passes, (b.value for b in lazy)) == want
+                    if not binary:
+                        assert radius(p_lower, p_upper, (b.value for b in lazy)) == want
                     assert len(lazy) == min(want + 1, rho_max)
                     for b, exact in zip(lazy, full):
                         assert b.rho == exact.rho and b.d_min == d_min

@@ -529,6 +529,9 @@ EXIT_TWO = [
      "{d}/labels.csv: 2 labels but graph has 40 nodes"),
     ("train --config {cfg}", {"epochs": 0}, {}, "epochs must be >= 1"),
     ("train --config {cfg}", {"dropout": 1.0}, {}, "dropout must be in [0, 1)"),
+    ("train --config {cfg}", {"lr": -1}, {}, "lr must be > 0, got -1"),
+    ("train --config {cfg}", {"weight_decay": -3}, {}, "weight_decay must be >= 0, got -3"),
+    ("train --config {cfg}", {"patience": -5}, {}, "patience must be >= 1, got -5"),
 ]
 
 
@@ -557,6 +560,29 @@ def test_missing_model_file_is_named(fixture_dir, capsys):
     (fixture_dir / "votes.csv").write_text("".join(f"{v},{i},1\n" for v in (0, 1)
                                                    for i in range(4)))
     cfg = write_config(fixture_dir, nodes=[0, 1], n0=2, n1=2,
+                       votes=str(fixture_dir / "votes.csv"))
+    assert main(["certify", "--config", str(cfg)]) == 0
+
+
+def test_a_skip_checkpoint_with_d_min_0_is_refused_before_any_input_is_read(fixture_dir,
+                                                                           capsys, rng):
+    # the skip path reads the target's own features unablated, but the
+    # d_min 0 bound lets the target through only when it is not ablated
+    ckpt = fixture_dir / "skip.json"
+    save_checkpoint(GnnModel(w1=rng.normal(size=(12, 4)), w2=rng.normal(size=(4, 2)),
+                             token=rng.normal(size=12), skip=True), ckpt)
+    cfg = write_config(fixture_dir, model=str(ckpt), nodes=[0, 1], skip=False,
+                       edges=str(fixture_dir / "missing.txt"))
+    assert main(["certify", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert f"d_min [0, 1] holds 0, but checkpoint {ckpt} has skip true" in err
+    assert not (fixture_dir / "out").exists()
+    # d_min >= 1 is sound with it; a vote-file certify is the user's contract
+    cfg = write_config(fixture_dir, model=str(ckpt), nodes=[0, 1], d_min=[1])
+    assert main(["certify", "--config", str(cfg)]) == 0
+    (fixture_dir / "votes.csv").write_text("".join(f"{v},{i},1\n" for v in (0, 1)
+                                                   for i in range(4)))
+    cfg = write_config(fixture_dir, model=str(ckpt), nodes=[0, 1], n0=2, n1=2,
                        votes=str(fixture_dir / "votes.csv"))
     assert main(["certify", "--config", str(cfg)]) == 0
 

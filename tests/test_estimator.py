@@ -19,7 +19,7 @@ from gnncert import (
 )
 from gnncert import estimator
 from gnncert.errors import InsufficientSamplesError, VoteFormatError
-from gnncert.estimator import confidence_bounds, confidence_bounds_all, radius
+from gnncert.estimator import radius
 
 from conftest import random_graph
 from test_gcn import dense_forward_all, random_model
@@ -149,15 +149,19 @@ def test_clopper_pearson_bisects_where_the_estimate_misses_its_cell(monkeypatch,
     assert sum(bisected) > 0.9 * 2 * len(n)      # nearly every estimate is a wrong cell
 
 
-def test_confidence_bounds_all_equal_one_tally_at_a_time(rng):
-    tallies = [make_tally(int(h), n1=int(m), alpha=float(a))
-               for h, m, a in zip(rng.integers(0, 301, 30), rng.integers(300, 400, 30),
-                                  rng.uniform(0.001, 0.1, 30))]
-    assert confidence_bounds_all(tallies) == [confidence_bounds(t) for t in tallies]
-    assert confidence_bounds_all([]) == []
-    curve = [DeltaBound(value=0.01 * r, method="multiplicative", rho=r) for r in (1, 2, 3)]
-    for t, bounds in zip(tallies, confidence_bounds_all(tallies)):
-        assert certify(t, {1: curve}, confidence=bounds) == certify(t, {1: curve})
+def test_estimate_all_bounds_equal_scalar_clopper_pearson_calls(rng):
+    # each node's votes skew its own way, so the counts span the whole range
+    nodes = list(range(30))
+    votes = {v: dict(enumerate(rng.choice(3, size=400, p=rng.dirichlet([0.3] * 3)).tolist()))
+             for v in nodes}
+    for alpha in (0.001, 0.05):
+        tallies = estimate_all(VoteTable(votes=votes), None, nodes, None,
+                               n0=50, n1=350, alpha=alpha)
+        for t in tallies.values():
+            assert t.p_lower == clopper_pearson(int(t.counts[t.y_star]), 350, alpha / 2, "lower")
+            assert t.p_upper == clopper_pearson(int(t.counts[t.y_tilde]), 350, alpha / 2, "upper")
+            assert type(t.p_lower) is float and type(t.p_upper) is float
+    assert estimate_all(VoteTable(votes=votes), None, [], None, n0=50, n1=350, alpha=0.01) == {}
 
 
 def test_clopper_pearson_validation_names_the_first_bad_element():
@@ -450,7 +454,9 @@ def make_tally(p_hits, n1=1000, n0=100, alpha=0.01, classes=3):
     counts[0] = p_hits
     counts[1] = n1 - p_hits
     return VoteTally(node=0, counts=counts, y_star=0, y_tilde=1,
-                     n0=n0, n1=n1, alpha=alpha)
+                     n0=n0, n1=n1, alpha=alpha,
+                     p_lower=clopper_pearson(p_hits, n1, alpha / 2, "lower"),
+                     p_upper=clopper_pearson(n1 - p_hits, n1, alpha / 2, "upper"))
 
 
 def test_radius_margin_rule():
@@ -459,12 +465,6 @@ def test_radius_margin_rule():
     # a tie is not a margin: 0.75 - 0.3125 == 0.125 + 0.3125
     assert radius(0.75, 0.125, [0.125, 0.25, 0.3125]) == 2
     assert radius(0.75, 0.125, [0.25, 0.25, 0.25]) == 3
-
-
-def test_radius_binary_rule_ignores_upper_bound():
-    assert radius(0.75, 0.6, [0.125, 0.25], binary=True) == 1   # 0.5 > 0.5 fails
-    assert radius(0.75, 0.6, [0.125, 0.25]) == 0                # 0.625 > 0.725 fails
-    assert radius(0.75, 0.0, [0.125, 0.125, 0.125], binary=True) == 3
 
 
 def test_radius_stops_at_the_first_failing_budget():
@@ -483,7 +483,6 @@ def test_radius_stops_at_the_first_failing_budget():
 
 def test_radius_of_an_empty_curve_is_zero():
     assert radius(0.9, 0.1, []) == 0
-    assert radius(0.9, 0.1, iter(()), binary=True) == 0
 
 
 def test_certify_arithmetic_example():
@@ -516,10 +515,8 @@ def test_certify_monotone_radii(rng):
 
 
 def _certifies(tally, curve, rho):
-    from gnncert.estimator import confidence_bounds
-    p_lower, p_upper = confidence_bounds(tally)
     delta = curve[rho - 1].value
-    return p_lower - delta > p_upper + delta
+    return tally.p_lower - delta > tally.p_upper + delta
 
 
 def test_bound_sandwich_contains_empirical_frequency(rng):
@@ -531,13 +528,6 @@ def test_bound_sandwich_contains_empirical_frequency(rng):
         lo = clopper_pearson(hits, n1, tally.alpha / 2, "lower")
         hi = clopper_pearson(hits, n1, tally.alpha / 2, "upper")
         assert lo <= p_hat <= hi
-
-
-def test_binary_mode():
-    tally = make_tally(900, n1=1000, classes=2)
-    res = certify(tally, {1: curve([0.2, 0.36, 0.5])}, binary=True)
-    # 0.88ish - 0.36 > 0.5 holds, 0.5 never certifies
-    assert res.certified_radius[1] == 2
 
 
 def result(node, radius, abstain=False, correct=True, d_min=1):

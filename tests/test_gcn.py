@@ -528,6 +528,46 @@ def test_interception_soundness_small(rng):
                 assert int(np.argmax(forward(model, view2, v))) == base_pred
 
 
+def test_interception_soundness_on_the_local_scoring_path(rng):
+    # the sweep above on the path the CLI scores with, skip on and off:
+    # tampering a node the sample intercepts moves no vote of the target,
+    # nor does tampering a node deleted from a keep-k retention set.  The
+    # skip path reads the target's own features unablated, so with it the
+    # target is never tampered.
+    k = 2
+    for skip in (False, True):
+        for _ in range(10):
+            g = random_graph(rng, n=int(rng.integers(4, 9)), p_edge=0.4, d=3)
+            model = random_model(rng, d=3, skip=skip)
+            cfg = SmoothingConfig(p_del=0.4, p_abl=0.4, seed=int(rng.integers(1 << 30)))
+            v = int(rng.integers(g.n))
+            hood = TwoHop(g, [v])
+            samples = [sample(g, cfg, i) for i in range(30)]
+            kept = np.array([s.edge_mask[hood.edges] for s in samples])
+            ablated = np.array([s.ablated[hood.nodes] for s in samples])
+            others = [w for w in range(g.n) if w != v]
+            deleted = [set(rng.choice(others, size=int(rng.integers(len(others) + 1)),
+                                      replace=False).tolist()) for _ in range(20)]
+
+            def votes(features):
+                scorer = LocalScorer(model, g.with_edges(np.ones(g.m, dtype=bool),
+                                                         features=features))
+                return (np.argmax(scorer.scores(hood, kept, ablated)[:, 0], axis=1),
+                        scorer.predict_without(v, deleted))
+
+            base, base_without = votes(g.features)
+            for w in others if skip else range(g.n):
+                tampered = g.features.copy()
+                tampered[w] = rng.normal(size=3) * 10
+                moved, moved_without = votes(tampered)
+                for i, s in enumerate(samples):
+                    if s.ablated[w] or w not in _kept_distance_within(g, s.edge_mask, v, k):
+                        assert moved[i] == base[i]
+                for d, before, after in zip(deleted, base_without, moved_without):
+                    if w in d:
+                        assert after == before
+
+
 def test_skip_bypass_with_all_edges_deleted(rng):
     g = random_graph(rng, n=6, p_edge=0.5, d=4)
     model = random_model(rng, d=4, skip=True)
