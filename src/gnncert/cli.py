@@ -42,7 +42,7 @@ from . import bounds, derandomize, estimator, gcn, smoothing
 from .errors import (ConfigError, EnumerationRefused, InsufficientSamplesError,
                      ResourceLimitError)
 # ``receptive_field`` stays bound here: perfbench's tracer patches it by this name
-from .graph import load_graph, receptive_field, receptive_fields  # noqa: F401
+from .graph import DEFAULT_MAX_PATHS, load_graph, receptive_field, receptive_fields  # noqa: F401
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -63,14 +63,14 @@ class RunConfig:
     k: int = 2
     p_del: float = 0.0
     p_abl: float = 0.0
-    train_p_del: float = 0.0
-    train_p_abl: float = 0.0
-    lr: float = 1e-3
-    weight_decay: float = 5e-4
-    epochs: int = 1000
-    patience: int = 50
-    dropout: float = 0.8
-    hidden: int = 64
+    train_p_del: float = gcn.TrainConfig.p_del
+    train_p_abl: float = gcn.TrainConfig.p_abl
+    lr: float = gcn.TrainConfig.lr
+    weight_decay: float = gcn.TrainConfig.weight_decay
+    epochs: int = gcn.TrainConfig.epochs
+    patience: int = gcn.TrainConfig.patience
+    dropout: float = gcn.TrainConfig.dropout
+    hidden: int = gcn.TrainConfig.hidden
     labeled_per_class: int = 20
     n0: int = 1000
     n1: int = 3000
@@ -80,13 +80,13 @@ class RunConfig:
     rho_max_scan: int | None = None
     flag_radii: list = field(default_factory=list)
     k_rel: float = 0.1
-    tau: int = 100_000
+    tau: int = derandomize.DEFAULT_TAU
     seed: int = 0
     skip: bool = False
     nodes: object = "test"
-    max_paths: int = 100_000
-    subset_cap: int = 50_000
-    max_ie_terms: int = 2 ** 20
+    max_paths: int = DEFAULT_MAX_PATHS
+    subset_cap: int = bounds.DEFAULT_SUBSET_CAP
+    max_ie_terms: int = bounds.DEFAULT_MAX_IE_TERMS
     workers: int = 1        # accepted for old configs; runs are single-threaded
 
     @classmethod

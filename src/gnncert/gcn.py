@@ -13,13 +13,13 @@ Inference is two-hop-local and batched: a target's score reads only its
 two-hop in-neighbourhood, so ``LocalScorer`` scores many variants of the
 graph (smoothing samples, derandomization views) in one sparse pass over
 that neighbourhood.  ``TwoHop`` builds the pattern of both layers once; a
-pass only picks each variant's surviving entries and their values, and
-reads every ablated row from one shared ``token @ W1`` row.  The hidden
-rows are bitwise those of the full forward.  One pass is one call,
-``LocalScorer.scores``.  Both vote producers live here and chunk their own
-input: ``sample_votes`` draws and scores smoothing samples,
-``predict_without`` node-deleted views.  ``forward``, ``forward_all`` and
-``train`` run on the whole graph.
+pass only picks each variant's surviving entries and their values.  Every
+pass reads the scorer's one table, ``X @ W1`` by node id and a last
+``token @ W1`` row for every ablated sender.  The hidden rows are bitwise
+those of the full forward.  One pass is one call, ``LocalScorer.scores``.
+Both vote producers live here and chunk their own input: ``sample_votes``
+draws and scores smoothing samples, ``predict_without`` node-deleted views.
+``forward``, ``forward_all`` and ``train`` run on the whole graph.
 
 External classifiers are supported through vote files instead of live
 models, so certification is not tied to this architecture.
@@ -215,6 +215,8 @@ class TwoHop:
         self.rows = np.asarray(rows, dtype=np.int64).reshape(-1)
         if np.any(np.diff(self.rows) <= 0):
             raise ValueError("TwoHop rows must ascend without repeats")
+        if self.rows.size and not (0 <= self.rows[0] and self.rows[-1] < g.n):
+            raise ValueError(f"TwoHop rows must be node ids in [0, {g.n})")
         src, dst = g.edges[:, 0], g.edges[:, 1]
 
         def with_senders(mask):
@@ -255,6 +257,7 @@ class TwoHop:
         col = np.concatenate([self._local(self._senders[into_u]), self._u_at])
         order = np.lexsort((col, row))
         self._row, self._col = row[order], col[order].astype(np.int32)
+        self._sender_id = self.nodes[self._col].astype(np.int32)    # the columns as node ids
         self._edge_at = np.flatnonzero(order < into_u.size)     # entries that are edges
         self._edge = into_u[order[self._edge_at]]
         # second layer: R's rows of the first, its columns z1's rows (U's order)
@@ -273,8 +276,8 @@ class TwoHop:
         """``R``'s rows of ``A @ relu(A @ x)`` for each variant, stacked: (b * |R|, hidden).
 
         ``kept`` (b, |edges|) masks the variants' edges and ``ablated``
-        (b, |V|) their ablated nodes.  ``x`` holds ``X @ W1``'s rows of
-        ``V`` and, last, ``token @ W1``: every variant reads an ablated
+        (b, |V|) their ablated nodes.  ``x`` holds ``X @ W1``'s rows by
+        node id and, last, ``token @ W1``: every variant reads an ablated
         sender from that last row.  Degrees count the kept in-edges plus
         the self-loop, and a deleted edge's entry is left out, so each row
         sums the terms of the same row of the variant's ``propagate`` in
@@ -282,17 +285,17 @@ class TwoHop:
         row's columns may repeat and need not ascend, so these matrices
         are never put in canonical form.
         """
-        b, nv, nu = kept.shape[0], self.nodes.size, self._u_at.size
+        b, nu = kept.shape[0], self._u_at.size
         degree = (self._incidence @ kept.T.view(np.uint8)).T
         degree += 1.0                       # the self-loop; sums of ones are exact
         inv_sqrt = 1.0 / np.sqrt(degree)
         keep = np.ones((b, self._row.size), dtype=bool)
         keep[:, self._edge_at] = kept[:, self._edge]
         value = inv_sqrt[:, self._row] * inv_sqrt[:, self._col]
-        col = (np.broadcast_to(self._col, keep.shape) if ablated is None
-               else np.where(ablated[:, self._col], nv, self._col))
+        col = (np.broadcast_to(self._sender_id, keep.shape) if ablated is None
+               else np.where(ablated[:, self._col], len(x) - 1, self._sender_id))
         first = sparse.csr_matrix((value[keep], col[keep], _indptr(degree[:, self._u_at])),
-                                  shape=(b * nu, nv + 1))
+                                  shape=(b * nu, len(x)))
         z1 = first @ x
         np.maximum(z1, 0.0, out=z1)
         del first, col                      # out of the working set before the second layer
@@ -308,10 +311,10 @@ class TwoHop:
 
         Per variant it sums every array a pass makes, at its largest: the
         masks, ``aggregate``'s arrays and the ``classes`` scores.  Not all
-        of them live at once, so the sum bounds the pass from above.  A
-        pass holds at least one variant, so a hood whose one variant needs
-        more runs above the budget: the whole-graph hood of a Cora-sized
-        graph takes about 3.1 MB, plus the 1.4 MB shared table.
+        of them live at once, so the sum bounds the pass from above; the
+        table ``x`` is the caller's.  A pass holds at least one variant, so
+        a hood whose one variant needs more runs above the budget: the
+        whole-graph hood of a Cora-sized graph takes about 3.1 MB.
         """
         edges, nodes, rows = self.edges.size, self.nodes.size, self.rows.size
         per_variant = (
@@ -326,7 +329,7 @@ class TwoHop:
             + 25 * (self._row.size + self._second.size)
             + 8 * (self._u_at.size + rows) * hidden     # z1, the returned rows
             + 8 * rows * classes)                       # scores
-        shared = 8 * (nodes + 1 + rows) * hidden        # x, the skip path's rows
+        shared = 8 * rows * hidden                      # the skip path's rows
         return max(1, (_CHUNK_BYTES - shared) // per_variant)
 
     @functools.cached_property
@@ -356,10 +359,10 @@ class TwoHop:
 class LocalScorer:
     """Class scores of one model on many variants of one graph, two-hop-locally.
 
-    ``X @ W1`` (and the skip path's ``relu(X @ W1)``) is computed once for
-    the whole graph, so the rows a variant reads are bitwise those of the
-    full forward.  A pass reads one table, ``X @ W1`` on ``V`` and the
-    model's ``token @ W1``, shared by all its variants.  ``scores`` runs
+    ``X @ W1``'s row of every node, then ``token @ W1``, is computed once
+    into one table, so the rows a variant reads are bitwise those of the
+    full forward.  Every pass reads that table by node id, and the skip
+    path's ``relu(X @ W1)`` is made from it.  ``scores`` runs
     one pass over the variants it is given; ``sample_votes`` and
     ``predict_without`` feed it ``chunk`` variants at a time, so memory
     stays under a byte budget whatever their number.  A chunk of one
@@ -369,9 +372,10 @@ class LocalScorer:
     def __init__(self, model: GnnModel, g: Graph):
         _check_dim(model, g)
         self.model, self.g = model, g
-        self.xw1 = g.features @ model.w1
-        self.token_w1 = model.token @ model.w1
-        self.skip_h = _relu(self.xw1) if model.skip else None
+        self.table = np.empty((g.n + 1, model.hidden))     # in place: np.vstack copies it again
+        np.matmul(g.features, model.w1, out=self.table[:-1])
+        np.matmul(model.token, model.w1, out=self.table[-1])
+        self.skip_h = _relu(self.table[:-1]) if model.skip else None
 
     def chunk(self, hood: TwoHop) -> int:
         """Variants per pass over ``hood`` under the byte budget."""
@@ -383,11 +387,7 @@ class LocalScorer:
 
         ``ablated`` (b, |V|) marks rows read as ``token @ W1``.
         """
-        x = np.empty((hood.nodes.size + 1, self.model.hidden))
-        # mode "clip" writes straight into ``out``; "raise" fills a temporary first
-        np.take(self.xw1, hood.nodes, axis=0, out=x[:-1], mode="clip")
-        x[-1] = self.token_w1
-        h2 = hood.aggregate(x, kept, ablated)
+        h2 = hood.aggregate(self.table, kept, ablated)
         h2 = h2.reshape(kept.shape[0], hood.rows.size, self.model.hidden)
         if self.skip_h is not None:
             h2 += self.skip_h[hood.rows]

@@ -35,6 +35,12 @@ def fixture_dir(tmp_path, rng):
     return tmp_path
 
 
+def csv_rows(path, reader=csv.DictReader):
+    """Every row of a CSV file, as ``reader`` reads it; the file is closed after."""
+    with open(path, newline="") as fh:
+        return list(reader(fh))
+
+
 def write_config(path, **overrides):
     cfg = {
         "edges": str(path / "edges.txt"),
@@ -96,7 +102,7 @@ def test_certify_end_to_end(fixture_dir):
     assert main(["train", "--config", str(cfg)]) == 0
     assert main(["certify", "--config", str(cfg)]) == 0
     out = fixture_dir / "out"
-    rows = list(csv.DictReader(open(out / "results.csv")))
+    rows = csv_rows(out / "results.csv")
     assert rows
     for row in rows:
         assert row["radius_dmin_0"] != "" and row["radius_dmin_1"] != ""
@@ -115,7 +121,7 @@ def test_certify_all_nodes_writes_flag_columns(fixture_dir):
     cfg = write_config(fixture_dir, nodes="all", flag_radii=[1, 2])
     assert main(["train", "--config", str(cfg)]) == 0
     assert main(["certify", "--config", str(cfg)]) == 0
-    rows = list(csv.DictReader(open(fixture_dir / "out" / "results.csv")))
+    rows = csv_rows(fixture_dir / "out" / "results.csv")
     assert [int(r["node_id"]) for r in rows] == list(range(40))
     flags = [(dm, r) for dm in (0, 1) for r in (1, 2)]
     assert list(rows[0])[-5:] == [f"cert_dmin_{dm}_rho_{r}" for dm, r in flags] + ["error"]
@@ -149,7 +155,7 @@ def test_certify_from_votes_with_missing_samples_is_partial(fixture_dir):
     # the classifier behind a vote file may be one layer deep, so k = 1 is accepted
     cfg2 = write_config(fixture_dir, votes=str(votes), n0=5, n1=5, k=1)
     assert main(["certify", "--config", str(cfg2)]) == 3
-    rows = list(csv.DictReader(open(fixture_dir / "out" / "results.csv")))
+    rows = csv_rows(fixture_dir / "out" / "results.csv")
     errors = [r for r in rows if r["error"]]
     assert len(errors) == 1
     ok = [r for r in rows if not r["error"]]
@@ -166,7 +172,7 @@ def test_vote_file_node_lacking_a_sample_fails_alone(fixture_dir):
     cfg = write_config(fixture_dir, votes=str(votes), nodes=nodes, n0=5, n1=5)
     assert main(["certify", "--config", str(cfg)]) == 3
     rows = {int(r["node_id"]): r
-            for r in csv.DictReader(open(fixture_dir / "out" / "results.csv"))}
+            for r in csv_rows(fixture_dir / "out" / "results.csv")}
     assert sorted(rows) == nodes
     assert rows[7]["error"].startswith(
         "InsufficientSamplesError: vote table lacks sample 6 for node 7")
@@ -183,7 +189,7 @@ def test_certify_path_budget_overflow_is_per_node(fixture_dir):
     cfg = write_config(fixture_dir, max_paths=1)
     assert main(["train", "--config", str(cfg)]) == 0
     assert main(["certify", "--config", str(cfg)]) == 3
-    rows = list(csv.DictReader(open(fixture_dir / "out" / "results.csv")))
+    rows = csv_rows(fixture_dir / "out" / "results.csv")
     assert rows                                  # outputs still written
     assert all("ResourceLimitError" in r["error"] for r in rows)
 
@@ -198,7 +204,7 @@ def test_derandomize_fallback_and_exact(fixture_dir):
 
     cfg2 = write_config(fixture_dir, tau=200_000, k_rel=0.1)
     assert main(["derandomize", "--config", str(cfg2)]) == 0
-    rows = list(csv.DictReader(open(fixture_dir / "out" / "derandomized.csv")))
+    rows = csv_rows(fixture_dir / "out" / "derandomized.csv")
     done = [r for r in rows if r["derandomized"] == "1"]
     assert done
     for r in done:
@@ -219,7 +225,7 @@ def test_derandomized_radius_is_the_largest_certified_budget(fixture_dir):
     cfg = write_config(fixture_dir, tau=200_000, k_rel=0.1)
     assert main(["train", "--config", str(cfg)]) == 0
     assert main(["derandomize", "--config", str(cfg)]) == 0
-    rows = list(csv.DictReader(open(fixture_dir / "out" / "derandomized.csv")))
+    rows = csv_rows(fixture_dir / "out" / "derandomized.csv")
     done = [r for r in rows if r["derandomized"] == "1"]
     assert done
     radii = []
@@ -257,7 +263,7 @@ def test_derandomized_radius_is_exact_at_a_tie(tmp_path, rng, monkeypatch, d, pr
     cfg = write_config(tmp_path, labels=None, model=str(tmp_path / "model.json"),
                        nodes=[0], k_rel=1 / d)
     assert main(["derandomize", "--config", str(cfg)]) == 0
-    (row,) = csv.DictReader(open(tmp_path / "out" / "derandomized.csv"))
+    (row,) = csv_rows(tmp_path / "out" / "derandomized.csv")
     assert (row["field_size"], row["k"], row["derandomized"]) == (str(d), "1", "1")
     assert [Fraction(row[f"p_class_{c}"]) for c in range(len(probs))] == list(probs)
     assert (row["radius"], row["certified"]) == (str(want), str(int(want >= 1)))
@@ -272,7 +278,7 @@ def test_derandomize_constant_classifier_is_zero_one(fixture_dir):
     save_checkpoint(model, ck2, extra={"splits": payload["splits"]})
     cfg2 = write_config(fixture_dir, model=str(ck2), k_rel=0.1)
     assert main(["derandomize", "--config", str(cfg2)]) == 0
-    rows = list(csv.DictReader(open(fixture_dir / "out" / "derandomized.csv")))
+    rows = csv_rows(fixture_dir / "out" / "derandomized.csv")
     for r in rows:
         if r["derandomized"] == "1":
             assert r["p_class_0"].startswith("1/1") or r["p_class_0"] == "1"
@@ -286,7 +292,7 @@ def test_report_single_and_pair(fixture_dir):
     res = fixture_dir / "out" / "results.csv"
     rep_out = fixture_dir / "report"
     assert main(["report", str(res), "--out", str(rep_out)]) == 0
-    table = list(csv.reader(open(rep_out / "aucrc.csv")))
+    table = csv_rows(rep_out / "aucrc.csv", csv.reader)
     assert table[0] == ["results", "d_min", "aucrc", "aucrc_normalized"]
     assert len(table) >= 3      # header + two d_min rows
 
@@ -297,16 +303,16 @@ def test_report_single_and_pair(fixture_dir):
         [dm, repr(e["aucrc"]), repr(e["aucrc_normalized"])]
         for dm, e in per_d_min.items()]
     for dm, e in per_d_min.items():
-        ratio = list(csv.reader(open(rep_out / f"certified_ratio_dmin_{dm}.csv")))
+        ratio = csv_rows(rep_out / f"certified_ratio_dmin_{dm}.csv", csv.reader)
         assert ratio[1:] == [[str(r), repr(x)]
                              for r, x in enumerate(e["certified_ratio"])]
 
     assert main(["report", str(res), str(res), "--out", str(rep_out)]) == 0
-    ratio = list(csv.reader(open(rep_out / "certified_ratio_dmin_1.csv")))
+    ratio = csv_rows(rep_out / "certified_ratio_dmin_1.csv", csv.reader)
     assert len(ratio[0]) == 3   # radius + two result sets
 
     # a file whose radii are all 0 has the shorter curve: 0.0 past radius 0
-    rows = list(csv.DictReader(open(res)))
+    rows = csv_rows(res)
     for row in rows:
         row.update({k: "0" for k in row if k.startswith("radius_dmin_")})
     flat = fixture_dir / "flat.csv"
@@ -316,7 +322,7 @@ def test_report_single_and_pair(fixture_dir):
         writer.writerows(rows)
     assert main(["report", str(res), str(flat), "--out", str(rep_out)]) == 0
     for dm, e in per_d_min.items():
-        ratio = list(csv.reader(open(rep_out / f"certified_ratio_dmin_{dm}.csv")))
+        ratio = csv_rows(rep_out / f"certified_ratio_dmin_{dm}.csv", csv.reader)
         assert [row[2] for row in ratio[1:]] == (
             ["1.0"] + ["0.0"] * (len(e["certified_ratio"]) - 1))
 
@@ -348,14 +354,14 @@ def test_failed_nodes_keep_node_order(fixture_dir):
     cfg = write_config(fixture_dir, k_rel=0.02)
     assert main(["train", "--config", str(cfg)]) == 0
     assert main(["paths", "--config", str(cfg)]) == 0
-    rows = list(csv.DictReader(open(fixture_dir / "out" / "paths.csv")))
+    rows = csv_rows(fixture_dir / "out" / "paths.csv")
     # a path budget below the median field fails about half of the nodes
     budget = sorted(int(r["simple_paths"]) for r in rows)[len(rows) // 2] - 1
     cfg = write_config(fixture_dir, k_rel=0.02, max_paths=budget)
     for command, name in (("paths", "paths.csv"), ("certify", "results.csv"),
                           ("derandomize", "derandomized.csv")):
         assert main([command, "--config", str(cfg)]) == 3
-        rows = list(csv.DictReader(open(fixture_dir / "out" / name)))
+        rows = csv_rows(fixture_dir / "out" / name)
         ids = [int(r["node_id"]) for r in rows]
         assert ids == sorted(ids), name
         failed = [r["error"] != "" for r in rows]
@@ -367,7 +373,7 @@ def test_failed_nodes_keep_node_order(fixture_dir):
 def test_paths_dump(fixture_dir):
     cfg = write_config(fixture_dir, nodes=[0, 1, 2, 3])
     assert main(["paths", "--config", str(cfg)]) == 0
-    rows = list(csv.DictReader(open(fixture_dir / "out" / "paths.csv")))
+    rows = csv_rows(fixture_dir / "out" / "paths.csv")
     assert [r["node_id"] for r in rows] == ["0", "1", "2", "3"]
     for r in rows:
         assert int(r["field_size"]) >= 1
@@ -396,12 +402,12 @@ def test_bad_node_id_count_or_d_min_is_exit_two(fixture_dir, capsys, override, b
 def test_integer_valued_floats_are_node_ids(fixture_dir):
     cfg = write_config(fixture_dir, nodes=[3.0, 1], d_min=[1.0])
     assert main(["paths", "--config", str(cfg)]) == 0
-    rows = list(csv.DictReader(open(fixture_dir / "out" / "paths.csv")))
+    rows = csv_rows(fixture_dir / "out" / "paths.csv")
     assert [r["node_id"] for r in rows] == ["1", "3"]
     assert "surface_dmin_1" in rows[0]
     cfg = write_config(fixture_dir, nodes={"random": 2.0})
     assert main(["paths", "--config", str(cfg)]) == 0
-    assert len(list(csv.DictReader(open(fixture_dir / "out" / "paths.csv")))) == 2
+    assert len(csv_rows(fixture_dir / "out" / "paths.csv")) == 2
 
 
 @pytest.mark.parametrize("key,value", [
@@ -594,7 +600,7 @@ def test_a_node_without_votes_reports_that_before_its_path_budget(fixture_dir):
     cfg = write_config(fixture_dir, nodes=[0, 1, 3, 5], n0=2, n1=2, max_paths=1,
                        votes=str(fixture_dir / "votes.csv"))
     assert main(["certify", "--config", str(cfg)]) == 3
-    rows = list(csv.DictReader(open(fixture_dir / "out" / "results.csv")))
+    rows = csv_rows(fixture_dir / "out" / "results.csv")
     assert [r["node_id"] for r in rows] == ["0", "1", "3", "5"]
     errors = [r["error"].split(":")[0] for r in rows]
     assert errors == ["ResourceLimitError", "ResourceLimitError",
@@ -670,8 +676,7 @@ def _cap_fixture(tmp_path, tally_ones_at_4, subset_cap):
 
 
 def _result_rows(tmp_path):
-    with open(tmp_path / "out" / "results.csv", newline="") as fh:
-        return {r["node_id"]: r for r in csv.DictReader(fh)}
+    return {r["node_id"]: r for r in csv_rows(tmp_path / "out" / "results.csv")}
 
 
 def test_exact_enumeration_cap_refuses_only_fields_with_a_cycle(tmp_path):

@@ -271,6 +271,20 @@ def test_two_hop_rejects_unsorted_or_repeated_rows(rng, rows):
     TwoHop(g, sorted(set(rows)))
 
 
+@pytest.mark.parametrize("rows", [[-1], [-6], [6], [0, 6], [-1, 2], [7]])
+def test_two_hop_rejects_rows_outside_the_graph(rng, rows):
+    # a negative id would wrap around to a node counted from the end, and
+    # an id past the last node has no row to read
+    path = Graph.build(n=6, edges=[(i, i + 1) for i in range(5)],
+                       features=rng.normal(size=(6, 3)))
+    for g in (random_graph(rng, n=6, p_edge=0.4, d=3), path):
+        with pytest.raises(ValueError, match=r"\[0, 6\)"):
+            TwoHop(g, rows)
+        if len(rows) == 1:
+            with pytest.raises(ValueError, match=r"\[0, 6\)"):
+                LocalScorer(random_model(rng, d=3), g).predict_without(rows[0], [set()])
+
+
 def test_incidence_equals_the_coo_build(rng):
     # the in-edge incidence is built as CSR directly; a COO build of the
     # same (receiver, edge) ones is the reference, array for array
@@ -533,7 +547,9 @@ def test_interception_soundness_on_the_local_scoring_path(rng):
     # tampering a node the sample intercepts moves no vote of the target,
     # nor does tampering a node deleted from a keep-k retention set.  The
     # skip path reads the target's own features unablated, so with it the
-    # target is never tampered.
+    # target is never tampered.  Non-finite and overflowing rows are
+    # tampers too: an intercepted message must be left out, not scaled by
+    # zero, since 0 * inf is NaN.
     k = 2
     for skip in (False, True):
         for _ in range(10):
@@ -557,15 +573,17 @@ def test_interception_soundness_on_the_local_scoring_path(rng):
 
             base, base_without = votes(g.features)
             for w in others if skip else range(g.n):
-                tampered = g.features.copy()
-                tampered[w] = rng.normal(size=3) * 10
-                moved, moved_without = votes(tampered)
-                for i, s in enumerate(samples):
-                    if s.ablated[w] or w not in _kept_distance_within(g, s.edge_mask, v, k):
-                        assert moved[i] == base[i]
-                for d, before, after in zip(deleted, base_without, moved_without):
-                    if w in d:
-                        assert after == before
+                for fill in (rng.normal(size=3) * 10, np.inf, -np.inf, np.nan, 1e308, -1e308):
+                    tampered = g.features.copy()
+                    tampered[w] = fill
+                    with np.errstate(over="ignore", invalid="ignore"):
+                        moved, moved_without = votes(tampered)
+                    for i, s in enumerate(samples):
+                        if s.ablated[w] or w not in _kept_distance_within(g, s.edge_mask, v, k):
+                            assert moved[i] == base[i]
+                    for d, before, after in zip(deleted, base_without, moved_without):
+                        if w in d:
+                            assert after == before
 
 
 def test_skip_bypass_with_all_edges_deleted(rng):
