@@ -8,7 +8,7 @@ reaches the target.
 """
 
 from .graph import Graph, ReceptiveField, load_graph, receptive_field, receptive_fields
-from .smoothing import SmoothingConfig, SmoothedSample, sample, apply
+from .smoothing import SmoothingConfig, SmoothedSample, sample
 from .bounds import (
     DeltaBound,
     delta_exact_ie,
@@ -34,7 +34,6 @@ from .gcn import (
     forward_all,
     load_checkpoint,
     load_votes,
-    predict_all,
     save_checkpoint,
     save_votes,
     train,
@@ -60,14 +59,14 @@ from . import errors
 
 __all__ = [
     "Graph", "ReceptiveField", "load_graph", "receptive_field", "receptive_fields",
-    "SmoothingConfig", "SmoothedSample", "sample", "apply",
+    "SmoothingConfig", "SmoothedSample", "sample",
     "DeltaBound", "delta_exact_ie", "delta_greedy_probe", "delta_monte_carlo",
     "delta_multiplicative", "delta_node_ablation_exact",
     "delta_single_source", "delta_tree_exact", "delta_union",
     "delta_worst_case", "levine_delta", "max_certifiable_radius",
     "worst_case_curve",
     "GnnModel", "LocalScorer", "TrainConfig", "TwoHop", "VoteTable", "forward",
-    "forward_all", "load_checkpoint", "load_votes", "predict_all",
+    "forward_all", "load_checkpoint", "load_votes",
     "save_checkpoint", "save_votes", "train",
     "CertificateResult", "VoteTally", "certify",
     "clopper_pearson", "estimate", "estimate_all", "report",

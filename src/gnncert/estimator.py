@@ -107,15 +107,16 @@ def clopper_pearson(successes, n, alpha_side, side):
 
 @dataclass(frozen=True)
 class VoteTally:
-    """Vote counts for one node: selection round fixes classes, second round counts."""
+    """Vote counts for one node: selection round fixes classes, second round counts.
+
+    The run's ``n0``, ``n1`` and ``alpha`` stay with the caller; the tally
+    keeps the counts and the bounds they gave.
+    """
 
     node: int
     counts: np.ndarray      # per-class counts over the certification round
     y_star: int
     y_tilde: int
-    n0: int
-    n1: int
-    alpha: float
     p_lower: float          # one-sided Clopper-Pearson bounds at alpha/2 each on the
     p_upper: float          # round's counts: y_star's from below, y_tilde's from above
 
@@ -191,7 +192,7 @@ def estimate_all(
         np.stack([tally_counts[rows, y_star], tally_counts[rows, y_tilde]]), n1,
         alpha / 2.0, [["lower"], ["upper"]]).tolist()
     return {v: VoteTally(node=v, counts=counts, y_star=star, y_tilde=tilde,
-                         n0=n0, n1=n1, alpha=alpha, p_lower=lower, p_upper=upper)
+                         p_lower=lower, p_upper=upper)
             for v, counts, star, tilde, lower, upper in zip(
                 nodes.tolist(), tally_counts, y_star.tolist(), y_tilde.tolist(),
                 p_lower, p_upper)}

@@ -40,7 +40,7 @@ import numpy as np
 from scipy import sparse
 
 from .errors import ConfigError, VoteFormatError
-from .graph import Graph, load_table, numpy_readable, read_text
+from .graph import Graph, check_node_ids, load_table, numpy_readable, read_text
 from . import smoothing
 
 
@@ -172,12 +172,6 @@ def forward(model: GnnModel, g: Graph, v: int,
     return forward_all(model, g, clean_features=clean_features)[v]
 
 
-def predict_all(model: GnnModel, g: Graph,
-                clean_features: np.ndarray | None = None) -> np.ndarray:
-    """Argmax class per node; ties resolve to the lowest class index."""
-    return np.argmax(forward_all(model, g, clean_features=clean_features), axis=1)
-
-
 # ---------------------------------------------------------------------------
 # batched two-hop-local inference
 
@@ -215,8 +209,8 @@ class TwoHop:
         self.rows = np.asarray(rows, dtype=np.int64).reshape(-1)
         if np.any(np.diff(self.rows) <= 0):
             raise ValueError("TwoHop rows must ascend without repeats")
-        if self.rows.size and not (0 <= self.rows[0] and self.rows[-1] < g.n):
-            raise ValueError(f"TwoHop rows must be node ids in [0, {g.n})")
+        check_node_ids(self.rows, g.n, "TwoHop rows")
+        self._n = g.n
         src, dst = g.edges[:, 0], g.edges[:, 1]
 
         def with_senders(mask):
@@ -343,12 +337,14 @@ class TwoHop:
         """(len(deleted), |edges|) kept masks with each set of nodes deleted.
 
         An edge survives when neither endpoint is deleted, as in
-        ``Graph.without_nodes``.
+        ``Graph.without_nodes``; a node id outside ``[0, n)`` is a
+        ``ValueError`` there and here.
         """
         ends, sender_at, receiver_at = self._ends
         sizes = [len(d) for d in deleted]
         flat = np.fromiter(itertools.chain.from_iterable(deleted), dtype=np.int64,
                            count=sum(sizes))
+        check_node_ids(flat, self._n, "deleted nodes")
         which = np.repeat(np.arange(len(sizes)), sizes)
         hit = np.isin(flat, ends)           # deletions that touch no edge do nothing
         drop = np.zeros((len(sizes), ends.size), dtype=bool)
@@ -687,9 +683,10 @@ def load_checkpoint(path) -> tuple[GnnModel, dict]:
     Each weight is decoded from its bytes into a new writable float64
     array.  A file that is not such a checkpoint is a ``ConfigError`` that
     names the file and the key: a missing ``w1``, ``w2``, ``token`` or
-    ``skip``, invalid base64, a byte count that does not match ``shape``,
-    or weights as lists of numbers, the form older versions wrote, which
-    must be trained again.
+    ``skip``, a ``skip`` that is not a JSON bool, invalid base64, a byte
+    count that does not match ``shape``, weights that do not chain (both
+    keys named), or weights as lists of numbers, the form older versions
+    wrote, which must be trained again.
     """
     with open(path, "r", encoding="utf-8") as fh:
         try:
@@ -701,8 +698,17 @@ def load_checkpoint(path) -> tuple[GnnModel, dict]:
     for key in (*_WEIGHTS, "skip"):
         if key not in payload:
             raise ConfigError(f"checkpoint {path} has no {key!r}")
+    if not isinstance(payload["skip"], bool):     # bool("false") would be True
+        raise ConfigError(f"checkpoint {path}: 'skip' is {json.dumps(payload['skip'])}, "
+                          "not true or false")
     w1, w2, token = (_weights(path, key, payload[key], axes) for key, axes in _WEIGHTS.items())
-    return GnnModel(w1=w1, w2=w2, token=token, skip=bool(payload["skip"])), payload
+    if len(w2) != w1.shape[1]:
+        raise ConfigError(f"checkpoint {path}: 'w2' has {len(w2)} rows, "
+                          f"but 'w1' has {w1.shape[1]} columns")
+    if len(token) != len(w1):
+        raise ConfigError(f"checkpoint {path}: 'token' has {len(token)} entries, "
+                          f"but 'w1' has {len(w1)} rows")
+    return GnnModel(w1=w1, w2=w2, token=token, skip=payload["skip"]), payload
 
 
 def _weights(path, key: str, entry, axes: int) -> np.ndarray:
@@ -732,16 +738,15 @@ class VoteTable:
     """Predictions of an external classifier: one ``(node, sample, class)`` row per vote.
 
     ``table`` holds the rows as int64, sorted by node and then by sample,
-    no ``(node, sample)`` pair twice; ``order`` holds the place of each of
-    its rows in the input.  Build one from rows in input order
-    (``rows=``, an (m, 3) array; a repeated pair is a ``VoteFormatError``)
-    or from a ``{node: {sample: class}}`` dict (``votes=``).  Rows that
-    already ascend by (node, sample), as a vote file written in that order
-    gives them, are kept as given, with no sort and no copy when they are
-    an int64 array, and ``order`` is ``arange``; any other rows are sorted
-    once, stably.  The ``votes`` dict is a view built on first read, in
-    input order: nodes by first appearance, each node's samples as they
-    came.  Certification reads ``table`` only.
+    no ``(node, sample)`` pair twice; it is the only per-row array kept,
+    so the input's order is not.  Build one from rows (``rows=``, an
+    (m, 3) array; a repeated pair is a ``VoteFormatError``) or from a
+    ``{node: {sample: class}}`` dict (``votes=``).  Rows that already
+    ascend by (node, sample), as a vote file written in that order gives
+    them, are kept as given, with no sort and no copy when they are an
+    int64 array; any other rows are sorted once, stably.  The ``votes``
+    dict is a view built on first read from ``table``: nodes ascending,
+    each node's samples ascending.  Certification reads ``table`` only.
     """
 
     def __init__(self, votes: dict[int, dict[int, int]] | None = None, *,
@@ -754,11 +759,9 @@ class VoteTable:
         node, sample = rows[:, 0], rows[:, 1]
         same_node = node[1:] == node[:-1]
         if ((node[1:] > node[:-1]) | (same_node & (sample[1:] >= sample[:-1]))).all():
-            self.order = np.arange(len(rows))
             self.table = rows
         else:
-            self.order = np.lexsort((sample, node))
-            self.table = np.take(rows, self.order, axis=0)
+            self.table = np.take(rows, np.lexsort((sample, node)), axis=0)
             node, sample = self.table[:, 0], self.table[:, 1]
         repeat = np.flatnonzero((node[1:] == node[:-1]) & (sample[1:] == sample[:-1]))
         if repeat.size:
@@ -772,11 +775,9 @@ class VoteTable:
 
     @functools.cached_property
     def votes(self) -> dict[int, dict[int, int]]:
-        """``{node: {sample: class}}`` in input order, built on first read."""
-        rows = np.empty_like(self.table)
-        rows[self.order] = self.table
+        """``{node: {sample: class}}`` in ``table``'s order, built on first read."""
         out: dict[int, dict[int, int]] = {}
-        for v, i, c in rows.tolist():
+        for v, i, c in self.table.tolist():
             out.setdefault(v, {})[i] = c
         return out
 

@@ -179,12 +179,24 @@ class Graph:
         """View with the given nodes isolated (all incident edges removed).
 
         An isolated node cannot influence any other node's prediction, which
-        is what node deletion means for a message-passing classifier.
+        is what node deletion means for a message-passing classifier.  A
+        node id outside ``[0, n)`` is a ``ValueError``.
         """
+        ids = np.asarray(list(nodes), dtype=np.int64)
+        check_node_ids(ids, self.n, "deleted nodes")
         drop = np.zeros(self.n, dtype=bool)
-        drop[list(nodes)] = True
+        drop[ids] = True
         mask = ~(drop[self.edges[:, 0]] | drop[self.edges[:, 1]])
         return self.with_edges(mask)
+
+
+def check_node_ids(ids: np.ndarray, n: int, what: str) -> None:
+    """Raise ``ValueError`` unless every entry of ``ids`` is a node id in ``[0, n)``.
+
+    A negative id would wrap around to a node counted from the end.
+    """
+    if ids.size and not (0 <= ids.min() and ids.max() < n):
+        raise ValueError(f"{what} must be node ids in [0, {n})")
 
 
 def _sorted_distinct(key: np.ndarray) -> np.ndarray:

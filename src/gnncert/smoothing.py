@@ -39,9 +39,6 @@ class SmoothedSample:
     edge_mask: np.ndarray   # (m,) bool over graph.edges
     ablated: np.ndarray     # (n,) bool
 
-    def kept_edges(self, g: Graph) -> np.ndarray:
-        return g.edges[self.edge_mask]
-
 
 def sample(g: Graph, cfg: SmoothingConfig, sample_index: int) -> SmoothedSample:
     """Draw sample ``sample_index`` of the interception distribution.
@@ -54,24 +51,7 @@ def sample(g: Graph, cfg: SmoothingConfig, sample_index: int) -> SmoothedSample:
     u_edges = rng.random(g.n_logical)
     u_nodes = rng.random(g.n)
     kept_logical = u_edges >= cfg.p_del
-    edge_mask = kept_logical[g.logical_edge_ids] if g.m else np.zeros(0, dtype=bool)
+    edge_mask = kept_logical[g.logical_edge_ids]
     ablated = u_nodes < cfg.p_abl
     return SmoothedSample(edge_mask=edge_mask, ablated=ablated)
 
-
-def apply(g: Graph, s: SmoothedSample, token: np.ndarray) -> Graph:
-    """Materialize a sample: kept edges only, ``token`` on ablated rows.
-
-    The forward passes never build this graph; it is the plain reference
-    they are checked against.
-    """
-    if len(token) != g.dim:
-        raise ValueError(
-            f"token has length {len(token)} but features have {g.dim} columns"
-        )
-    if s.ablated.any():
-        features = g.features.copy()
-        features[s.ablated] = token
-    else:
-        features = g.features
-    return g.with_edges(s.edge_mask, features=features)

@@ -1,3 +1,4 @@
+import base64
 import csv
 import ctypes
 import importlib
@@ -617,11 +618,23 @@ def _set(key, field, value):
     return lambda payload: payload[key].__setitem__(field, value)
 
 
+def _weight(key, shape):
+    """Replace ``key``'s weight with a well-formed array of ``shape``."""
+    return lambda payload: payload.__setitem__(key, {
+        "shape": list(shape),
+        "float64_le": base64.b64encode(np.ones(shape, dtype="<f8").tobytes()).decode()})
+
+
 @pytest.mark.parametrize("edit,message", [
     (_drop("w1"), "has no 'w1'"),
     (_drop("w2"), "has no 'w2'"),
     (_drop("token"), "has no 'token'"),
     (_drop("skip"), "has no 'skip'"),
+    (lambda payload: payload.__setitem__("skip", "false"),
+     "'skip' is \"false\", not true or false"),
+    (lambda payload: payload.__setitem__("skip", 0), "'skip' is 0, not true or false"),
+    (_weight("w2", (5, 2)), "'w2' has 5 rows, but 'w1' has 8 columns"),
+    (_weight("token", (5,)), "'token' has 5 entries, but 'w1' has 12 rows"),
     (_set("w2", "float64_le", "AAAA*AAA"), "'w2' is not valid base64"),
     (_set("w1", "float64_le", "AAAAAAAAAA"), "'w1' is not valid base64"),
     (_set("w1", "float64_le", "AAAA\u00e9AAA"), "'w1' is not valid base64"),

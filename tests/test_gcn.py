@@ -17,7 +17,6 @@ from gnncert import (
     forward_all,
     load_checkpoint,
     load_votes,
-    predict_all,
     sample,
     save_checkpoint,
     save_votes,
@@ -285,6 +284,36 @@ def test_two_hop_rejects_rows_outside_the_graph(rng, rows):
                 LocalScorer(random_model(rng, d=3), g).predict_without(rows[0], [set()])
 
 
+@pytest.mark.parametrize("deleted", [{-1}, {-6}, {6}, {99}, {2, -1}, {0, 6}])
+def test_deleting_a_node_outside_the_graph_is_refused(rng, deleted):
+    # on a path, -1 would wrap around and drop node 5's edges; ids past the
+    # last node were an IndexError on a view and ignored by the scorer
+    path = Graph.build(n=6, edges=[(i, i + 1) for i in range(5)],
+                       features=rng.normal(size=(6, 3)))
+    for g in (random_graph(rng, n=6, p_edge=0.4, d=3), path):
+        with pytest.raises(ValueError, match=r"\[0, 6\)"):
+            g.without_nodes(deleted)
+        scorer = LocalScorer(random_model(rng, d=3), g)
+        for v in (0, 4):
+            with pytest.raises(ValueError, match=r"\[0, 6\)"):
+                scorer.predict_without(v, [set(), deleted])
+
+
+def test_deleting_a_node_outside_the_hood_changes_nothing(rng):
+    from gnncert import per_view
+
+    # node 5 is three hops from node 0 on the path: it touches no edge of 0's hood
+    g = Graph.build(n=6, edges=[(i, i + 1) for i in range(5)],
+                    features=rng.normal(size=(6, 3)))
+    model = random_model(rng, d=3)
+    reference = per_view(g, lambda view, v: int(np.argmax(forward(model, view, v))))
+    deleted = [set(), {5}, {4, 5}, {1}]
+    got = LocalScorer(model, g).predict_without(0, deleted)
+    assert got == reference(0, deleted)
+    assert got[1] == got[0]
+    assert np.array_equal(g.without_nodes({5}).edges, g.edges[g.edges.max(axis=1) < 5])
+
+
 def test_incidence_equals_the_coo_build(rng):
     # the in-edge incidence is built as CSR directly; a COO build of the
     # same (receiver, edge) ones is the reference, array for array
@@ -326,7 +355,7 @@ def test_all_zero_features_tie_breaks_to_class_zero(rng):
                     features=np.zeros((4, 3)), directed=False)
     scores = forward_all(model, g)
     assert np.allclose(scores, 0.0)
-    assert np.array_equal(predict_all(model, g), np.zeros(4, dtype=int))
+    assert np.array_equal(np.argmax(scores, axis=1), np.zeros(4, dtype=int))
 
 
 def test_permutation_equivariance(rng):
@@ -396,7 +425,7 @@ def test_training_separates_two_blocks(rng):
                       p_del=0.0, p_abl=0.0, seed=1)
     labeled = list(range(g.n))
     model = train(g, labeled, cfg)
-    acc = float(np.mean(predict_all(model, g) == g.labels))
+    acc = float(np.mean(np.argmax(forward_all(model, g), axis=1) == g.labels))
     assert acc > 0.9
 
 
@@ -411,7 +440,7 @@ def test_training_on_pure_ablation_hits_majority_rate(rng):
     x = g.features.copy()
     x[s.ablated] = model.token
     view = g.with_edges(s.edge_mask, features=x)
-    preds = predict_all(model, view)
+    preds = np.argmax(forward_all(model, view), axis=1)
     assert len(set(preds.tolist())) == 1     # every node sees only the token
     majority = max(np.bincount(g.labels)) / g.n
     acc = float(np.mean(preds == g.labels))
@@ -638,7 +667,7 @@ def test_vote_file_round_trip(tmp_path, rng):
         s = sample(g, cfg, i)
         x = g.features.copy()
         x[s.ablated] = model.token
-        preds = predict_all(model, g.with_edges(s.edge_mask, features=x))
+        preds = np.argmax(forward_all(model, g.with_edges(s.edge_mask, features=x)), axis=1)
         rows.extend((v, i, int(preds[v])) for v in range(g.n))
     path = tmp_path / "votes.csv"
     save_votes(path, rows)

@@ -5,8 +5,9 @@ text only for the line pass that names a bad line.  The reference here is
 the text route ``load_votes`` took before: the whole decoded text parsed by
 ``np.loadtxt``, and parsed again with its whitespace-only lines emptied
 where that failed, with the line pass after that.  On every file both must
-give the same table, order and ``votes`` view, bit for bit, or raise the
-same exception with the same message, naming the same line.
+give the same table and ``votes`` view, bit for bit, or raise the same
+exception with the same message, naming the same line.  The table is the
+only per-row array a load keeps: the input's order is not kept.
 """
 
 import csv
@@ -30,7 +31,7 @@ def outcome(load, path):
         got = load(path)
     except Exception as exc:
         return type(exc), str(exc)
-    return (got.table.dtype, got.table.shape, got.table.tolist(), got.order.tolist(),
+    return (got.table.dtype, got.table.shape, got.table.tolist(),
             [(v, list(d.items())) for v, d in got.votes.items()])
 
 
@@ -130,25 +131,21 @@ def test_out_of_order_votes_are_sorted_as_before(tmp_path):
     path.write_text("node_id,sample_index,class\n"
                     + "".join(f"{v},{i},{c}\n" for v, i, c in rows.tolist()))
     table = load_votes(path)
-    order = np.lexsort((rows[:, 1], rows[:, 0]))
-    assert table.order.tolist() == order.tolist() == [3, 1, 4, 2, 0]
-    assert table.table.tolist() == rows[order].tolist()
-    assert list(table.votes.items()) == [(3, {1: 0, 0: 2}), (0, {2: 1, 0: 1}), (1, {5: 3})]
+    assert table.table.tolist() == rows[[3, 1, 4, 2, 0]].tolist()
+    assert [(v, list(d.items())) for v, d in table.votes.items()] == [
+        (0, [(0, 1), (2, 1)]), (1, [(5, 3)]), (3, [(0, 2), (1, 0)])]
 
 
 def test_ordered_votes_are_kept_as_given():
     rows = np.array([[0, 0, 1], [0, 1, 2], [0, 3, 0], [2, 0, 1], [5, 1, 1]], dtype=np.int64)
     table = VoteTable(rows=rows)
     assert np.shares_memory(table.table, rows)
-    assert table.order.dtype == np.lexsort((rows[:, 1], rows[:, 0])).dtype
-    assert table.order.tolist() == [0, 1, 2, 3, 4]
     assert table.votes == {0: {0: 1, 1: 2, 3: 0}, 2: {0: 1}, 5: {1: 1}}
     with pytest.raises(gcn.VoteFormatError, match="node 0, sample 1"):
         VoteTable(rows=np.array([[0, 0, 1], [0, 1, 2], [0, 1, 0]]))
     for unordered in ([[0, 1, 2], [0, 0, 1]], [[1, 0, 0], [0, 5, 1]]):
         rows = np.array(unordered)
         table = VoteTable(rows=rows)
-        assert table.order.tolist() == [1, 0]
         assert table.table.tolist() == rows[::-1].tolist()
 
 
@@ -166,3 +163,20 @@ def test_ordered_vote_file_loads_in_under_twice_its_table(tmp_path):
         tracemalloc.stop()
     assert table.table.shape == (nodes * samples, 3)
     assert peak < 2 * table_bytes, f"peak {peak / table_bytes:.2f}x the table"
+
+
+def test_a_loaded_vote_table_keeps_one_per_row_array(tmp_path):
+    # what stays traced after the load is the table itself, not a row order beside it
+    nodes, samples = 500, 400
+    path = tmp_path / "votes.csv"
+    path.write_text("node_id,sample_index,class\n" + "".join(
+        f"{v},{i},{(v * 7 + i) % 5}\n" for v in range(nodes) for i in range(samples)))
+    table_bytes = nodes * samples * 3 * 8
+    tracemalloc.start()
+    try:
+        table = load_votes(path)
+        current = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert table.table.shape == (nodes * samples, 3)
+    assert current < 1.1 * table_bytes, f"{current / table_bytes:.2f}x the table kept"
