@@ -135,21 +135,27 @@ class RunConfig:
         return cfg
 
 
-def _check_model_k(cfg: RunConfig) -> None:
-    """A model-backed run needs ``k`` >= the GCN's two layers.
-
-    With a shallower field, a node two hops away moves the prediction but
-    is no candidate, so the certificate would be unsound.
-    """
-    if cfg.k < 2:
-        raise ConfigError(f"k {cfg.k} is below the model's 2 layers; use k >= 2")
-
-
 def _check_files(**paths) -> None:
     """Name the first of the given files that is set but does not exist."""
     for what, p in paths.items():
         if p and not Path(p).exists():
             raise ConfigError(f"{what} file not found: {p}")
+
+
+def _model(cfg: RunConfig, unnamed: str):
+    """The model and payload of a model-backed run's checkpoint, checked before any input.
+
+    The run needs ``k`` >= the GCN's two layers: with a shallower field, a
+    node two hops away moves the prediction but is no candidate, so the
+    certificate would be unsound.  ``unnamed`` is the error for a config
+    that names no model.
+    """
+    if cfg.k < 2:
+        raise ConfigError(f"k {cfg.k} is below the model's 2 layers; use k >= 2")
+    if not cfg.model:
+        raise ConfigError(unnamed)
+    _check_files(model=cfg.model)
+    return gcn.load_checkpoint(cfg.model)
 
 
 def _load_inputs(cfg: RunConfig):
@@ -193,11 +199,9 @@ def _typed(name: str, kind: str, value):
     return value
 
 
-def _d_mins(cfg: RunConfig) -> list[int]:
-    return sorted(cfg.d_min)
-
-
-def _select_nodes(cfg: RunConfig, g, checkpoint_payload: dict | None) -> list[int]:
+def _select_nodes(cfg: RunConfig, g, checkpoint_payload: dict | None = None) -> list[int]:
+    """The selected nodes, sorted; only ``"test"`` reads a checkpoint's splits:
+    ``checkpoint_payload``'s, or else ``cfg.model``'s where that file exists."""
     spec = cfg.nodes
     if isinstance(spec, list):
         nodes = [_integer(v, "node id") for v in spec]
@@ -214,8 +218,11 @@ def _select_nodes(cfg: RunConfig, g, checkpoint_payload: dict | None) -> list[in
     if spec == "all":
         return list(range(g.n))
     if spec == "test":
-        if checkpoint_payload and "splits" in checkpoint_payload:
-            return sorted(int(v) for v in checkpoint_payload["splits"]["test"])
+        if checkpoint_payload is None and cfg.model and Path(cfg.model).exists():
+            checkpoint_payload = gcn.load_checkpoint(cfg.model)[1]
+        splits = (checkpoint_payload or {}).get("splits")
+        if isinstance(splits, dict) and isinstance(splits.get("test"), list):
+            return sorted(_integer(v, "node id") for v in splits["test"])
         raise ConfigError(
             "nodes='test' needs a checkpoint with recorded splits; "
             "use an explicit list, 'all', or {\"random\": m}"
@@ -308,34 +315,25 @@ def cmd_train(cfg: RunConfig) -> int:
 
 
 def cmd_certify(cfg: RunConfig) -> int:
-    model = payload = vote_table = None
+    model = payload = None
     if cfg.votes:
         _check_files(vote=cfg.votes)
     else:
-        _check_model_k(cfg)
-        if not cfg.model:
-            raise ConfigError("certify needs either a model checkpoint or a vote file")
-        _check_files(model=cfg.model)
-        model, payload = gcn.load_checkpoint(cfg.model)
+        model, payload = _model(cfg, "certify needs either a model checkpoint or a vote file")
         if model.skip and 0 in cfg.d_min:
             # the d_min 0 bound lets the target through only when it is not ablated
             raise ConfigError(f"d_min {cfg.d_min} holds 0, but checkpoint {cfg.model} has skip "
                               "true, which reads the target's features unablated; use d_min >= 1")
     g = _load_inputs(cfg)
-
-    if cfg.votes:
-        if cfg.model and Path(cfg.model).exists():      # read for its splits only
-            payload = gcn.load_checkpoint(cfg.model)[1]
-        vote_table = gcn.load_votes(cfg.votes)
-
     nodes = _select_nodes(cfg, g, payload)
-    d_mins = _d_mins(cfg)
+    d_mins = sorted(cfg.d_min)
     scfg = smoothing.SmoothingConfig(p_del=cfg.p_del, p_abl=cfg.p_abl, seed=cfg.seed)
     # a node that lacks votes gets its error in place of its field, so it
-    # fails alone, and with that error even if its field is over max_paths
+    # fails alone, and with that error even if its field is over max_paths;
+    # a vote table is freed once tallied
     missing: dict[int, InsufficientSamplesError] = {}
-    tallies = estimator.estimate_all(model if vote_table is None else vote_table, g, nodes,
-                                     scfg, cfg.n0, cfg.n1, cfg.alpha, missing=missing)
+    tallies = estimator.estimate_all(gcn.load_votes(cfg.votes) if cfg.votes else model, g,
+                                     nodes, scfg, cfg.n0, cfg.n1, cfg.alpha, missing=missing)
     fields = (missing.get(v, rf) for v, rf in
               zip(nodes, receptive_fields(g, nodes, cfg.k, max_paths=cfg.max_paths)))
 
@@ -391,12 +389,8 @@ def cmd_certify(cfg: RunConfig) -> int:
 
 
 def cmd_derandomize(cfg: RunConfig) -> int:
-    _check_model_k(cfg)
-    if not cfg.model:
-        raise ConfigError("derandomize needs a model checkpoint")
-    _check_files(model=cfg.model)
+    model, payload = _model(cfg, "derandomize needs a model checkpoint")
     g = _load_inputs(cfg)
-    model, payload = gcn.load_checkpoint(cfg.model)
     nodes = _select_nodes(cfg, g, payload)
     classes = model.classes
 
@@ -535,11 +529,8 @@ def cmd_report(result_paths: list[str], out_dir: str) -> int:
 
 def cmd_paths(cfg: RunConfig) -> int:
     g = _load_inputs(cfg)
-    payload = None
-    if cfg.model and Path(cfg.model).exists():
-        payload = gcn.load_checkpoint(cfg.model)[1]
-    nodes = _select_nodes(cfg, g, payload)
-    d_mins = _d_mins(cfg)
+    nodes = _select_nodes(cfg, g)
+    d_mins = sorted(cfg.d_min)
 
     def work(v: int, rf):
         longest = int(rf.path_length.max(initial=0))

@@ -36,7 +36,8 @@ class IncompleteRepresentativesError(ValueError):
 class EnumerationRefused(RuntimeError):
     """Exact derandomization was refused because the fast bound exceeds the budget.
 
-    Callers are expected to fall back to Monte-Carlo estimation.
+    ``gnncert derandomize`` writes the node's row with ``derandomized`` 0
+    and blank cells after it; the node is no failure, and the run goes on.
     """
 
 

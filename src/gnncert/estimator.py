@@ -169,7 +169,7 @@ def estimate_all(
             if missing is None:
                 raise error
             missing[v] = error
-        nodes, chunks = nodes[tallied], [(0, preds[:, tallied])]
+        nodes, chunks = nodes[tallied], [(0, preds)]
     else:
         classes = classifier.classes
         chunks = LocalScorer(classifier, g).sample_votes(nodes, cfg, n0 + n1)
@@ -178,10 +178,10 @@ def estimate_all(
     counts = np.zeros(2 * len(nodes) * classes, dtype=np.int64)
     rows = np.arange(len(nodes))
     cells = rows * classes
-    for lo, preds in chunks:
-        tally_round = np.arange(lo, lo + len(preds)) >= n0
-        keys = tally_round[:, None] * (len(nodes) * classes) + cells + preds
-        counts += np.bincount(keys.ravel(), minlength=counts.size)
+    for lo, keys in chunks:
+        keys += cells                   # each chunk's classes become its flat keys, in place
+        keys[max(n0 - lo, 0):] += len(nodes) * classes     # the tally round's rows
+        counts += np.bincount(keys.ravel(order="K"), minlength=counts.size)
     sel_counts, tally_counts = counts.reshape(2, len(nodes), classes)
 
     # argmax keeps the first maximum; the runner-up is the first maximum of the rest

@@ -92,6 +92,8 @@ class TrainConfig:
             raise ValueError(f"weight_decay must be >= 0, got {self.weight_decay}")
         if self.patience < 1:
             raise ValueError(f"patience must be >= 1, got {self.patience}")
+        if self.hidden < 1:
+            raise ValueError(f"hidden must be >= 1, got {self.hidden}")
 
 
 def normalized_adjacency(n: int, edges: np.ndarray) -> sparse.csr_matrix:
@@ -782,26 +784,37 @@ class VoteTable:
         return out
 
     def gather(self, nodes: np.ndarray, count: int) -> tuple[np.ndarray, np.ndarray]:
-        """Votes of ascending ``nodes`` on samples 0..count-1, and the first sample each lacks.
+        """Classes voted on samples 0..count-1 for the ascending ``nodes`` that hold them all.
 
-        Returns a (count, len(nodes)) class array, column j for
-        ``nodes[j]``, and per node the first sample index it has no vote
-        for, or ``count`` when it has them all.  A lacking node's column
-        is meaningless.  A node's rows ascend by sample without repeats,
-        so it has samples 0..count-1 exactly when its first ``count`` rows
-        each hold their own rank, and the first row that does not is the
-        first sample it lacks.
+        Returns a (count, k) class array, its columns the k nodes that hold
+        every sample, in order, and per node the first sample index it has
+        no vote for, or ``count`` when it has them all.  A node's rows
+        ascend by sample without repeats, so it holds samples 0..count-1
+        exactly when its first row holds sample 0 and its count-th row is
+        its own and holds sample count - 1; only the class column of those
+        rows is gathered.  Only the rows of a node that lacks a sample are
+        searched, for the first that does not hold its own rank.
         """
         if not len(self.table):
-            return np.zeros((count, len(nodes)), dtype=np.int64), np.zeros(len(nodes), np.int64)
-        want = np.arange(count)
+            return np.zeros((count, 0), dtype=np.int64), np.zeros(len(nodes), np.int64)
         node, sample, cls = self.table.T
-        at = np.searchsorted(node, nodes)[:, None] + want
+        start = np.searchsorted(node, nodes)
+        last = np.minimum(start + count, len(node)) - 1
+        whole = ((start + count <= len(node)) & (node[last] == nodes)
+                 & (sample[np.minimum(start, len(node) - 1)] == 0) & (sample[last] == count - 1))
+        # a window of count rows per whole node; a table with a whole node has count rows
+        votes = (np.lib.stride_tricks.sliding_window_view(cls, count)[start[whole]].T
+                 if whole.any() else np.zeros((count, 0), dtype=np.int64))
+
+        lacking = np.full(len(nodes), count, dtype=np.int64)
+        short = np.flatnonzero(~whole)
+        want = np.arange(count)
+        at = start[short, None] + want
         held = at < len(node)
         np.minimum(at, len(node) - 1, out=at)
-        held &= (node[at] == nodes[:, None]) & (sample[at] == want)
-        lacking = np.where(held.all(axis=1), count, np.argmin(held, axis=1))
-        return cls[at].T, lacking
+        held &= (node[at] == nodes[short, None]) & (sample[at] == want)
+        lacking[short] = np.argmin(held, axis=1)
+        return votes, lacking
 
 
 def save_votes(path, rows) -> None:

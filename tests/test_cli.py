@@ -571,6 +571,46 @@ def test_missing_model_file_is_named(fixture_dir, capsys):
     assert main(["certify", "--config", str(cfg)]) == 0
 
 
+def test_a_run_that_selects_no_test_split_never_opens_the_checkpoint(fixture_dir):
+    broken = fixture_dir / "model.json"
+    broken.write_text("{not json")
+    (fixture_dir / "votes.csv").write_text("".join(f"{v},{i},1\n" for v in (0, 1)
+                                                   for i in range(4)))
+    for command, extra, result in (("paths", {}, "paths.csv"),
+                                   ("certify", {"votes": str(fixture_dir / "votes.csv"),
+                                                "n0": 2, "n1": 2}, "results.csv")):
+        outputs = []
+        for model in (str(broken), None):
+            cfg = write_config(fixture_dir, model=model, nodes=[0, 1], **extra)
+            assert main([command, "--config", str(cfg)]) == 0
+            outputs.append((fixture_dir / "out" / result).read_bytes())
+        assert outputs[0] == outputs[1], command
+
+
+@pytest.mark.parametrize("extra", [{}, {"splits": {"labeled": [0]}}, {"splits": [0, 1]},
+                                   {"splits": {"test": 3}}])
+def test_test_nodes_need_a_test_split_in_the_checkpoint(fixture_dir, capsys, rng, extra):
+    path = fixture_dir / "model.json"
+    save_checkpoint(GnnModel(w1=rng.normal(size=(12, 8)), w2=rng.normal(size=(8, 2)),
+                             token=rng.normal(size=12)), path, extra=extra)
+    cfg = write_config(fixture_dir, model=str(path))
+    for command in ("certify", "derandomize", "paths"):
+        assert main([command, "--config", str(cfg)]) == 2
+        assert "nodes='test' needs a checkpoint with recorded splits" in capsys.readouterr().err
+
+
+def test_derandomize_names_a_broken_checkpoint_before_a_missing_edge_file(fixture_dir,
+                                                                           capsys):
+    broken = fixture_dir / "model.json"
+    broken.write_text("{not json")
+    cfg = write_config(fixture_dir, model=str(broken), nodes=[0, 1],
+                       edges=str(fixture_dir / "missing.txt"))
+    assert main(["derandomize", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert f"error: checkpoint {broken}" in err and "is not valid JSON" in err
+    assert "missing.txt" not in err
+
+
 def test_a_skip_checkpoint_with_d_min_0_is_refused_before_any_input_is_read(fixture_dir,
                                                                            capsys, rng):
     # the skip path reads the target's own features unablated, but the

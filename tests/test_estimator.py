@@ -222,6 +222,15 @@ def test_vote_table_nodes_lacking_a_sample_are_handed_back():
         estimate_all(table, None, [0, 3, 9], None, n0=4, n1=6, alpha=0.05)
 
 
+def test_a_negative_sample_index_is_no_vote_for_sample_0():
+    # node 3 holds two samples ending at sample 1, but not sample 0
+    table = VoteTable(votes={3: {-1: 1, 1: 0}, 5: {0: 1, 1: 1}})
+    missing = {}
+    assert list(estimate_all(table, None, [3, 5], None, n0=1, n1=1, alpha=0.05,
+                             missing=missing)) == [5]
+    assert str(missing[3]) == "vote table lacks sample 0 for node 3 (need 2 samples)"
+
+
 def group_votes_ref(table):
     """``{node: {sample: class}}`` the way the loader once grouped rows: a dict walk."""
     votes = {}
@@ -342,6 +351,10 @@ def test_estimate_live_model_reproducible_and_matches_per_node(rng):
     assert sorted(again) == [1, 4, 6]
     for v in (1, 4, 6):
         assert np.array_equal(again[v].counts, batched[v].counts)
+    assert estimate_all(model, g, [], cfg, n0=20, n1=40, alpha=0.05) == {}
+    for n0, n1 in ((0, 40), (20, 0)):
+        with pytest.raises(ValueError, match="n0 and n1 must be >= 1"):
+            estimate_all(model, g, [1], cfg, n0=n0, n1=n1, alpha=0.05)
 
 
 def streamed_votes(model, g, cfg, n_samples, nodes):

@@ -419,6 +419,39 @@ def test_gradients_match_finite_differences(rng):
                 assert analytic == pytest.approx(numeric, rel=1e-4, abs=1e-7)
 
 
+@pytest.mark.parametrize("skip", [False, True])
+def test_gradients_with_dropout_match_finite_differences(rng, skip):
+    # one fixed inverted-dropout mask scales the message, skip and token paths alike
+    g = random_graph(rng, n=6, p_edge=0.5, d=3)
+    labels = rng.integers(0, 3, size=g.n)
+    model = random_model(rng, d=3, h=4, classes=3, skip=skip)
+    ablated = rng.random(g.n) < 0.5
+    keep = 0.7
+    drop_mask = rng.random((g.n, g.dim)) < keep
+    a_hat = normalized_adjacency(g.n, g.edges)
+    idx = np.arange(g.n)
+
+    def loss_and_grads_of(model_):
+        x = g.features.copy()
+        x[ablated] = model_.token
+        return loss_and_grads(model_, a_hat, x, labels, idx, ablated, 5e-4,
+                              clean_x=g.features, drop_mask=drop_mask, drop_scale=1 / keep)
+
+    _, d_w1, d_w2, d_tok = loss_and_grads_of(model)
+    h = 1e-6
+    for arr, grad in ((model.w1, d_w1), (model.w2, d_w2), (model.token, d_tok)):
+        flat = arr.reshape(-1)
+        for pos in range(flat.size):
+            orig = flat[pos]
+            flat[pos] = orig + h
+            up = loss_and_grads_of(model)[0]
+            flat[pos] = orig - h
+            down = loss_and_grads_of(model)[0]
+            flat[pos] = orig
+            numeric = (up - down) / (2 * h)
+            assert grad.reshape(-1)[pos] == pytest.approx(numeric, rel=1e-4, abs=1e-7)
+
+
 def test_training_separates_two_blocks(rng):
     g = two_block_graph(rng, n=60, p_in=0.2, p_out=0.02, d=16, hi=0.7, lo=0.02)
     cfg = TrainConfig(epochs=50, patience=50, dropout=0.3, hidden=16, lr=5e-3,
@@ -472,6 +505,29 @@ def test_training_rejects_an_unlabeled_node_in_the_labeled_set():
     with pytest.raises(ConfigError, match="node 2 is in the labeled set but has no label"):
         train(g, [0, 1, 2, 3], TrainConfig(epochs=1))
     train(g, [0, 1, 3], TrainConfig(epochs=1))
+
+
+def test_training_with_one_labeled_node_per_class_validates_on_them(rng):
+    # a class of one node gives it to training, so no class leaves a validation node
+    g = two_block_graph(rng, n=20, p_in=0.3, p_out=0.05, d=8)
+    labeled = [0, 19]
+    history = []
+    model = train(g, labeled, TrainConfig(epochs=6, patience=6, hidden=4, dropout=0.0),
+                  history=history)
+    assert all(val_acc in (0.0, 0.5, 1.0) for _, _, val_acc in history)
+    preds = np.argmax(forward_all(model, g), axis=1)
+    assert max(val_acc for _, _, val_acc in history) == np.mean(preds[labeled] == g.labels[labeled])
+
+
+@pytest.mark.parametrize("key,value,message", [
+    ("hidden", 0, "hidden must be >= 1, got 0"),
+    ("hidden", -1, "hidden must be >= 1, got -1"),
+    ("p_del", 1.5, r"training smoothing probabilities must be in \[0, 1\]"),
+    ("p_abl", -0.1, r"training smoothing probabilities must be in \[0, 1\]"),
+])
+def test_train_config_refuses_values_training_cannot_use(key, value, message):
+    with pytest.raises(ValueError, match=message):
+        TrainConfig(**{key: value})
 
 
 def _labeled_test_draw(labels, labeled_per_class, rng):

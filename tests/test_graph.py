@@ -57,6 +57,36 @@ def test_default_features_one_hot(tmp_path):
     assert np.array_equal(g.features, np.eye(2))
 
 
+@pytest.mark.parametrize("inputs,message", [
+    ({"n": graph._MAX_FLAT_KEY_NODES + 1},
+     "3037000500 nodes exceed the 3037000499 that int64 edge keys allow"),
+    ({"edges": [(0, 4)]}, r"edge endpoint out of range: indices must be in \[0, 4\)"),
+    ({"edges": [(-1, 2)]}, r"edge endpoint out of range: indices must be in \[0, 4\)"),
+    ({"features": np.zeros((3, 2))}, "feature matrix has 3 rows for 4 nodes"),
+    ({"labels": [0, 1, 0, 1, 0]}, "label file has 5 entries for 4 nodes"),
+])
+def test_build_refuses_inputs_that_do_not_fit_n(inputs, message):
+    with pytest.raises(DimensionError, match=message):
+        Graph.build(**{"n": 4, "edges": [(0, 1)], **inputs})
+
+
+def test_build_reads_flat_features_as_rows_of_nodes():
+    g = Graph.build(n=3, edges=[(0, 1)], features=np.arange(6.0))
+    assert g.features.shape == (3, 2) and np.array_equal(g.features[2], [4.0, 5.0])
+    assert Graph.build(n=3, edges=[], features=[1.0, 2.0, 3.0]).dim == 1
+
+
+@pytest.mark.parametrize("targets,k,message", [
+    ([0, 3], 2, r"target node 3 out of range \[0, 3\)"),
+    ([-1], 2, r"target node -1 out of range \[0, 3\)"),
+    ([0], 0, "layer count k must be >= 1"),
+])
+def test_receptive_fields_checks_targets_and_k_on_the_call(targets, k, message):
+    g = Graph.build(n=3, edges=[(0, 1), (1, 2)])
+    with pytest.raises(ValueError, match=message):
+        receptive_fields(g, targets, k)
+
+
 def test_self_loops_dropped():
     g = Graph.build(n=3, edges=[(0, 0), (0, 1)], directed=True)
     assert {(int(a), int(b)) for a, b in g.edges} == {(0, 1)}
