@@ -41,7 +41,7 @@ import numpy as np
 from . import bounds, derandomize, estimator, gcn, smoothing
 from .errors import (ConfigError, EnumerationRefused, InsufficientSamplesError,
                      ResourceLimitError)
-# ``receptive_field`` stays bound here: perfbench's tracer patches it by this name
+# ``receptive_field`` stays bound here: perfbench's tracer self-test calls it through ``cli``
 from .graph import DEFAULT_MAX_PATHS, load_graph, receptive_field, receptive_fields  # noqa: F401
 
 EXIT_OK = 0
@@ -236,40 +236,46 @@ def _write_json(path: Path, payload: dict) -> None:
         fh.write("\n")
 
 
-def _per_node(path: Path, header: list[str], nodes: list[int], fields,
-              work) -> tuple[dict, dict[int, str]]:
-    """Run ``work(v, rf)`` for every node, then write one CSV row per node in node order.
+def _per_node(cfg: RunConfig, g, nodes: list[int], name: str, columns: list[str], work,
+              missing: dict | None = None) -> tuple[Path, dict, dict[int, str]]:
+    """Run ``work(v, rf)`` on each node's receptive field, then write one CSV row per node.
 
-    ``fields`` yields, in the order of ``nodes``, each node's receptive
-    field ``rf`` or the exception the node fails with: a
-    ``ResourceLimitError`` for a field over ``max_paths``, an
-    ``InsufficientSamplesError`` for a node that lacks votes.  ``work``
-    returns the cells between ``node_id`` and ``error`` plus a value.  A
-    node whose item is an exception, or whose ``work`` exceeds a subset
-    cap, fails and the batch goes on; its row has blank cells and the
-    error.  Returns the values and the failure messages, both keyed by
-    node.  The output directory is made just before the file is written.
+    Fields come from ``receptive_fields`` at ``cfg.k`` and ``cfg.max_paths``,
+    in the order of ``nodes``; a field over ``max_paths`` is a
+    ``ResourceLimitError``.  ``missing`` maps a node to the error it fails
+    with in place of its field (``certify``'s nodes that lack votes), so
+    that node reports it even if its field is over ``max_paths``.  ``work``
+    returns the node's cells under ``columns`` plus a value.  A node whose
+    field is an error, or whose ``work`` exceeds a subset cap, fails and
+    the batch goes on.  ``cfg.out_dir / name`` gets a ``node_id``,
+    ``columns``, ``error`` header and the rows in node order; a failed
+    node's row has blank cells and the error.  The output directory is
+    made just before the file is written.  Returns the file's path, the
+    values and the failure messages, both keyed by node.
     """
+    missing = missing or {}
     cells: dict[int, list] = {}
     values: dict = {}
     failures: dict[int, str] = {}
-    for v, rf in zip(nodes, fields):
+    for v, rf in zip(nodes, receptive_fields(g, nodes, cfg.k, max_paths=cfg.max_paths)):
         try:
+            rf = missing.get(v, rf)
             if isinstance(rf, Exception):
                 raise rf
             cells[v], values[v] = work(v, rf)
         except (ResourceLimitError, InsufficientSamplesError) as exc:
             failures[v] = f"{type(exc).__name__}: {exc}"
+    path = Path(cfg.out_dir) / name
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(header)
+        writer.writerow(["node_id"] + columns + ["error"])
         for v in nodes:
             if v in failures:
-                writer.writerow([v] + [""] * (len(header) - 2) + [failures[v]])
+                writer.writerow([v] + [""] * len(columns) + [failures[v]])
             else:
                 writer.writerow([v] + cells[v] + [""])
-    return values, failures
+    return path, values, failures
 
 
 # ---------------------------------------------------------------------------
@@ -328,14 +334,11 @@ def cmd_certify(cfg: RunConfig) -> int:
     nodes = _select_nodes(cfg, g, payload)
     d_mins = sorted(cfg.d_min)
     scfg = smoothing.SmoothingConfig(p_del=cfg.p_del, p_abl=cfg.p_abl, seed=cfg.seed)
-    # a node that lacks votes gets its error in place of its field, so it
-    # fails alone, and with that error even if its field is over max_paths;
+    # a node that lacks votes fails alone with that error (_per_node);
     # a vote table is freed once tallied
     missing: dict[int, InsufficientSamplesError] = {}
     tallies = estimator.estimate_all(gcn.load_votes(cfg.votes) if cfg.votes else model, g,
                                      nodes, scfg, cfg.n0, cfg.n1, cfg.alpha, missing=missing)
-    fields = (missing.get(v, rf) for v, rf in
-              zip(nodes, receptive_fields(g, nodes, cfg.k, max_paths=cfg.max_paths)))
 
     def work(v: int, rf):
         tally = tallies[v]
@@ -362,25 +365,22 @@ def cmd_certify(cfg: RunConfig) -> int:
             cells += [int(res.certified_radius[dm] >= r) for r in cfg.flag_radii]
         return cells, (res, surfaces)
 
-    header = ["node_id", "prediction", "abstain", "p_lower", "p_upper", "correct"]
+    columns = ["prediction", "abstain", "p_lower", "p_upper", "correct"]
     for dm in d_mins:
-        header += [f"radius_dmin_{dm}", f"surface_dmin_{dm}"]
+        columns += [f"radius_dmin_{dm}", f"surface_dmin_{dm}"]
     for dm in d_mins:
-        for r in cfg.flag_radii:
-            header.append(f"cert_dmin_{dm}_rho_{r}")
-    header.append("error")
-    out = Path(cfg.out_dir)
-    done, failures = _per_node(out / "results.csv", header, nodes, fields, work)
+        columns += [f"cert_dmin_{dm}_rho_{r}" for r in cfg.flag_radii]
+    path, done, failures = _per_node(cfg, g, nodes, "results.csv", columns, work, missing)
 
     summary: dict = {"config": asdict(cfg), "failures": failures,
                      "certified": len(done)}
     if done:
         summary.update(estimator.report([done[v][0] for v in sorted(done)],
                                         {v: done[v][1] for v in done}))
-    _write_json(out / "summary.json", summary)
+    _write_json(path.with_name("summary.json"), summary)
 
     print(f"certified {len(done)}/{len(nodes)} nodes "
-          f"({len(failures)} failures) -> {out / 'results.csv'}")
+          f"({len(failures)} failures) -> {path}")
     return EXIT_PARTIAL if failures else EXIT_OK
 
 
@@ -417,13 +417,11 @@ def cmd_derandomize(cfg: RunConfig) -> int:
                  int(radius >= 1)]
                 + [f"{p.numerator}/{p.denominator}" for p in probs]), savings
 
-    header = (["node_id", "field_size", "k", "support", "derandomized",
-               "reps", "savings", "prediction", "radius", "certified"]
-              + [f"p_class_{c}" for c in range(classes)] + ["error"])
-    out = Path(cfg.out_dir)
-    savings_by_node, failures = _per_node(
-        out / "derandomized.csv", header, nodes,
-        receptive_fields(g, nodes, cfg.k, max_paths=cfg.max_paths), work)
+    columns = (["field_size", "k", "support", "derandomized", "reps", "savings",
+                "prediction", "radius", "certified"]
+               + [f"p_class_{c}" for c in range(classes)])
+    path, savings_by_node, failures = _per_node(cfg, g, nodes, "derandomized.csv", columns,
+                                                work)
 
     done = [x for x in savings_by_node.values() if x is not None]
     summary = {
@@ -437,9 +435,8 @@ def cmd_derandomize(cfg: RunConfig) -> int:
                       "keep-k deletion arrival bound (levine-reference)",
         },
     }
-    _write_json(out / "derandomize_summary.json", summary)
-    print(f"derandomized {len(done)}/{len(nodes)} nodes -> "
-          f"{out / 'derandomized.csv'}")
+    _write_json(path.with_name("derandomize_summary.json"), summary)
+    print(f"derandomized {len(done)}/{len(nodes)} nodes -> {path}")
     return EXIT_PARTIAL if failures else EXIT_OK
 
 
@@ -537,14 +534,11 @@ def cmd_paths(cfg: RunConfig) -> int:
         return ([rf.size, len(rf.path_length), longest, int(bounds.is_tree(rf))]
                 + [rf.attack_surface(dm) for dm in d_mins]), None
 
-    header = (["node_id", "field_size", "simple_paths", "longest_path", "is_tree"]
-              + [f"surface_dmin_{dm}" for dm in d_mins] + ["error"])
-    out = Path(cfg.out_dir)
-    done, failures = _per_node(out / "paths.csv", header, nodes,
-                               receptive_fields(g, nodes, cfg.k, max_paths=cfg.max_paths),
-                               work)
+    columns = (["field_size", "simple_paths", "longest_path", "is_tree"]
+               + [f"surface_dmin_{dm}" for dm in d_mins])
+    path, done, failures = _per_node(cfg, g, nodes, "paths.csv", columns, work)
 
-    print(f"receptive-field stats for {len(done)} nodes -> {out / 'paths.csv'}")
+    print(f"receptive-field stats for {len(done)} nodes -> {path}")
     return EXIT_PARTIAL if failures else EXIT_OK
 
 
@@ -584,8 +578,6 @@ def main(argv=None) -> int:
     def add_common(p):
         p.add_argument("--config", required=True, help="JSON run configuration")
         p.add_argument("--seed", type=int, default=None, help="override config seed")
-        p.add_argument("--workers", type=int, default=None,
-                       help="accepted for old configs; ignored")
         p.add_argument("--out", default=None, help="override output directory")
 
     for name in ("train", "certify", "derandomize", "paths"):
@@ -598,9 +590,7 @@ def main(argv=None) -> int:
     try:
         if args.command == "report":
             return cmd_report(args.results, args.out)
-        overrides = {"seed": args.seed, "workers": args.workers,
-                     "out_dir": args.out}
-        cfg = RunConfig.from_file(args.config, overrides)
+        cfg = RunConfig.from_file(args.config, {"seed": args.seed, "out_dir": args.out})
         return {
             "train": cmd_train,
             "certify": cmd_certify,

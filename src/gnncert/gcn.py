@@ -742,13 +742,14 @@ class VoteTable:
     ``table`` holds the rows as int64, sorted by node and then by sample,
     no ``(node, sample)`` pair twice; it is the only per-row array kept,
     so the input's order is not.  Build one from rows (``rows=``, an
-    (m, 3) array; a repeated pair is a ``VoteFormatError``) or from a
-    ``{node: {sample: class}}`` dict (``votes=``).  Rows that already
-    ascend by (node, sample), as a vote file written in that order gives
-    them, are kept as given, with no sort and no copy when they are an
-    int64 array; any other rows are sorted once, stably.  The ``votes``
-    dict is a view built on first read from ``table``: nodes ascending,
-    each node's samples ascending.  Certification reads ``table`` only.
+    (m, 3) array) or from a ``{node: {sample: class}}`` dict (``votes=``);
+    a repeated pair or a negative class is a ``VoteFormatError``.  Rows
+    that already ascend by (node, sample), as a vote file written in that
+    order gives them, are kept as given, with no sort and no copy when
+    they are an int64 array; any other rows are sorted once, stably.  The
+    ``votes`` dict is a view built on first read from ``table``: nodes
+    ascending, each node's samples ascending.  Certification reads
+    ``table`` only.
     """
 
     def __init__(self, votes: dict[int, dict[int, int]] | None = None, *,
@@ -769,6 +770,12 @@ class VoteTable:
         if repeat.size:
             raise VoteFormatError(f"duplicate vote for node {node[repeat[0]]}, "
                                   f"sample {sample[repeat[0]]}")
+        cls = self.table[:, 2]
+        if len(cls) and cls.min() < 0:
+            # a tally counts class c in its node's cell c: -1 lands in the node before
+            bad = np.argmax(cls < 0)
+            raise VoteFormatError(f"negative class {cls[bad]} for node {node[bad]}, "
+                                  f"sample {sample[bad]}")
 
     @property
     def classes(self) -> int:

@@ -110,11 +110,14 @@ def test_certify_end_to_end(fixture_dir):
     summary = json.loads((out / "summary.json").read_text())
     assert summary["config"]["n1"] == 80
     assert "per_d_min" in summary
-    # rerun is deterministic byte for byte, with or without a worker pool
+    # rerun is deterministic byte for byte
     first = (out / "results.csv").read_bytes()
     assert main(["certify", "--config", str(cfg)]) == 0
     assert (out / "results.csv").read_bytes() == first
-    assert main(["certify", "--config", str(cfg), "--workers", "3"]) == 0
+    # runs are single-threaded: there is no --workers flag, argparse refuses it
+    with pytest.raises(SystemExit) as exc:
+        main(["certify", "--config", str(cfg), "--workers", "3"])
+    assert exc.value.code == 2
     assert (out / "results.csv").read_bytes() == first
 
 
@@ -362,11 +365,16 @@ def test_failed_nodes_keep_node_order(fixture_dir):
     for command, name in (("paths", "paths.csv"), ("certify", "results.csv"),
                           ("derandomize", "derandomized.csv")):
         assert main([command, "--config", str(cfg)]) == 3
-        rows = csv_rows(fixture_dir / "out" / name)
-        ids = [int(r["node_id"]) for r in rows]
+        header, *rows = csv_rows(fixture_dir / "out" / name, csv.reader)
+        assert header[0] == "node_id" and header[-1] == "error", name
+        # every row fills exactly the header's cells; a failure's are blank
+        # between node_id and error
+        assert all(len(r) == len(header) for r in rows), name
+        ids = [int(r[0]) for r in rows]
         assert ids == sorted(ids), name
-        failed = [r["error"] != "" for r in rows]
+        failed = [r[-1] != "" for r in rows]
         assert any(failed) and not all(failed), name
+        assert all(r[1:-1] == [""] * (len(header) - 2) for r, f in zip(rows, failed) if f), name
         # the failures are spread among the successes, not only at the end
         assert failed != sorted(failed), name
 

@@ -231,6 +231,22 @@ def test_a_negative_sample_index_is_no_vote_for_sample_0():
     assert str(missing[3]) == "vote table lacks sample 0 for node 3 (need 2 samples)"
 
 
+def test_a_negative_class_is_refused():
+    # a tally counts class c in its node's cell c, so node 1's class -1 once
+    # landed in node 0's last cell: node 0 tallied [2, 2] with y_star 1 beside
+    # node 1, against [2, 0] with y_star 0 alone
+    votes = {0: dict(enumerate([0, 0, 1, 0, 0])), 1: dict(enumerate([-1, -1, 0, -1, -1]))}
+    message = "negative class -1 for node 1, sample 0"
+    with pytest.raises(VoteFormatError, match=message):
+        VoteTable(votes=votes)
+    rows = [(v, i, c) for v, per_node in votes.items() for i, c in per_node.items()]
+    with pytest.raises(VoteFormatError, match=message):
+        VoteTable(rows=np.array(rows[::-1]))
+    alone = estimate_all(VoteTable(votes={0: votes[0]}), None, [0], None,
+                         n0=3, n1=2, alpha=0.05)[0]
+    assert alone.counts.tolist() == [2, 0] and alone.y_star == 0
+
+
 def group_votes_ref(table):
     """``{node: {sample: class}}`` the way the loader once grouped rows: a dict walk."""
     votes = {}

@@ -600,31 +600,37 @@ def _kept_distance_within(g, edge_mask, v, k):
 
 
 def test_interception_soundness_small(rng):
+    # the full-graph path, skip off and on: tampering a node the sample
+    # intercepts moves no prediction of the target.  The skip path reads the
+    # target's own clean features, so with it the target is never tampered;
+    # a tamper reaches the clean features as well as the ablated ones.
     k = 2
-    for _ in range(10):
-        g = random_graph(rng, n=int(rng.integers(4, 9)), p_edge=0.4, d=3)
-        model = random_model(rng, d=3)
-        cfg = SmoothingConfig(p_del=0.4, p_abl=0.4,
-                              seed=int(rng.integers(1 << 30)))
-        v = int(rng.integers(g.n))
-        for i in range(30):
-            s = sample(g, cfg, i)
-            x = g.features.copy()
-            x[s.ablated] = model.token
-            view = g.with_edges(s.edge_mask, features=x)
-            base_pred = int(np.argmax(forward(model, view, v)))
+    for skip in (False, True):
+        for _ in range(10):
+            g = random_graph(rng, n=int(rng.integers(4, 9)), p_edge=0.4, d=3)
+            model = random_model(rng, d=3, skip=skip)
+            cfg = SmoothingConfig(p_del=0.4, p_abl=0.4,
+                                  seed=int(rng.integers(1 << 30)))
+            v = int(rng.integers(g.n))
+            for i in range(30):
+                s = sample(g, cfg, i)
+                x = g.features.copy()
+                x[s.ablated] = model.token
+                view = g.with_edges(s.edge_mask, features=x)
+                base_pred = int(np.argmax(forward(model, view, v, clean_features=g.features)))
 
-            reachable = _kept_distance_within(g, s.edge_mask, v, k)
-            for w in range(g.n):
-                intercepted = s.ablated[w] or (w not in reachable)
-                if not intercepted:
-                    continue
-                tampered = g.features.copy()
-                tampered[w] = rng.normal(size=3) * 10
-                x2 = tampered.copy()
-                x2[s.ablated] = model.token
-                view2 = g.with_edges(s.edge_mask, features=x2)
-                assert int(np.argmax(forward(model, view2, v))) == base_pred
+                reachable = _kept_distance_within(g, s.edge_mask, v, k)
+                for w in range(g.n):
+                    intercepted = s.ablated[w] or (w not in reachable)
+                    if not intercepted or (skip and w == v):
+                        continue
+                    tampered = g.features.copy()
+                    tampered[w] = rng.normal(size=3) * 10
+                    x2 = tampered.copy()
+                    x2[s.ablated] = model.token
+                    view2 = g.with_edges(s.edge_mask, features=x2)
+                    assert int(np.argmax(forward(model, view2, v,
+                                                 clean_features=tampered))) == base_pred
 
 
 def test_interception_soundness_on_the_local_scoring_path(rng):
