@@ -40,7 +40,7 @@ import numpy as np
 from scipy import sparse
 
 from .errors import ConfigError, VoteFormatError
-from .graph import Graph, check_node_ids, load_table, numpy_readable, read_text
+from .graph import Graph, blank_row, check_node_ids, load_table, numpy_readable, read_text
 from . import smoothing
 
 
@@ -111,10 +111,8 @@ def normalized_adjacency(n: int, edges: np.ndarray) -> sparse.csr_matrix:
     key.sort()
     rows, cols = np.divmod(key, n)
     counts = np.bincount(rows, minlength=n)
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(counts, out=indptr[1:])
     inv_sqrt = 1.0 / np.sqrt(counts.astype(np.float64))
-    return sparse.csr_matrix((inv_sqrt[rows] * inv_sqrt[cols], cols, indptr),
+    return sparse.csr_matrix((inv_sqrt[rows] * inv_sqrt[cols], cols, _indptr(counts)),
                              shape=(n, n))
 
 
@@ -462,22 +460,20 @@ def loss_and_grads(
     ablated: np.ndarray,
     weight_decay: float,
     clean_x: np.ndarray | None = None,
-    drop_mask: np.ndarray | None = None,
-    drop_scale: float = 1.0,
+    drop: np.ndarray | None = None,
 ):
     """Cross-entropy loss on ``idx`` plus L2, with gradients for w1, w2, token.
 
     ``x`` is the post-ablation feature matrix (token rows already written),
     so the token gradient is the sum of feature-row gradients over ablated
-    nodes.  ``drop_mask`` (inverted-dropout, already including the 1/(1-p)
-    scale via ``drop_scale``) applies to both the message path and the skip
-    path.
+    nodes.  ``drop`` is an inverted-dropout factor per entry of ``x``, 0 or
+    1/keep, and scales both the message path and the skip path.
     """
-    xd = x * drop_mask * drop_scale if drop_mask is not None else x
+    xd = x * drop if drop is not None else x
     s_pre = None
     if model.skip:
         xc = x if clean_x is None else clean_x
-        xcd = xc * drop_mask * drop_scale if drop_mask is not None else xc
+        xcd = xc * drop if drop is not None else xc
         s_pre = xcd @ model.w1
     z1, h2 = propagate(a_hat, xd @ model.w1,
                        skip_h=None if s_pre is None else _relu(s_pre))
@@ -509,8 +505,8 @@ def loss_and_grads(
         d_w1 += xcd.T @ (d_h2 * (s_pre > 0))
 
     d_x = d_xw1[ablated] @ model.w1.T
-    if drop_mask is not None:
-        d_x *= drop_mask[ablated] * drop_scale
+    if drop is not None:
+        d_x *= drop[ablated]
     d_token = d_x.sum(axis=0)
 
     d_w1 += weight_decay * model.w1
@@ -614,16 +610,11 @@ def train(g: Graph, labeled, cfg: TrainConfig,
         x = g.features.copy()
         x[s.ablated] = model.token
         a_hat = normalized_adjacency(g.n, g.edges[s.edge_mask])
-        if cfg.dropout > 0.0:
-            drop_mask = rng.random(x.shape) < keep_prob
-            drop_scale = 1.0 / keep_prob
-        else:
-            drop_mask, drop_scale = None, 1.0
+        drop = (rng.random(x.shape) < keep_prob) / keep_prob if cfg.dropout > 0.0 else None
 
         loss, d_w1, d_w2, d_token = loss_and_grads(
             model, a_hat, x, g.labels, train_idx, s.ablated,
-            cfg.weight_decay, clean_x=g.features,
-            drop_mask=drop_mask, drop_scale=drop_scale,
+            cfg.weight_decay, clean_x=g.features, drop=drop,
         )
         adam.step([model.w1, model.w2, model.token], [d_w1, d_w2, d_token])
 
@@ -743,7 +734,8 @@ class VoteTable:
     no ``(node, sample)`` pair twice; it is the only per-row array kept,
     so the input's order is not.  Build one from rows (``rows=``, an
     (m, 3) array) or from a ``{node: {sample: class}}`` dict (``votes=``);
-    a repeated pair or a negative class is a ``VoteFormatError``.  Rows
+    a repeated pair or a negative node, sample or class is a
+    ``VoteFormatError``, the first bad row in table order named.  Rows
     that already ascend by (node, sample), as a vote file written in that
     order gives them, are kept as given, with no sort and no copy when
     they are an int64 array; any other rows are sorted once, stably.  The
@@ -770,12 +762,13 @@ class VoteTable:
         if repeat.size:
             raise VoteFormatError(f"duplicate vote for node {node[repeat[0]]}, "
                                   f"sample {sample[repeat[0]]}")
-        cls = self.table[:, 2]
-        if len(cls) and cls.min() < 0:
-            # a tally counts class c in its node's cell c: -1 lands in the node before
-            bad = np.argmax(cls < 0)
-            raise VoteFormatError(f"negative class {cls[bad]} for node {node[bad]}, "
-                                  f"sample {sample[bad]}")
+        if self.table.min(initial=0) < 0:
+            # a tally counts class c in its node's cell c, so -1 lands in the node
+            # before, and gather reads count rows ending at sample count - 1 as 0..count-1
+            v, i, c = self.table[np.argmax((self.table < 0).any(axis=1))].tolist()
+            raise VoteFormatError(f"negative node {v}" if v < 0
+                                  else f"negative sample {i} for node {v}" if i < 0
+                                  else f"negative class {c} for node {v}, sample {i}")
 
     @property
     def classes(self) -> int:
@@ -796,10 +789,10 @@ class VoteTable:
         Returns a (count, k) class array, its columns the k nodes that hold
         every sample, in order, and per node the first sample index it has
         no vote for, or ``count`` when it has them all.  A node's rows
-        ascend by sample without repeats, so it holds samples 0..count-1
-        exactly when its first row holds sample 0 and its count-th row is
-        its own and holds sample count - 1; only the class column of those
-        rows is gathered.  Only the rows of a node that lacks a sample are
+        ascend by sample without repeats and no sample is negative, so it
+        holds samples 0..count-1 exactly when its count-th row is its own
+        and holds sample count - 1; only the class column of those rows is
+        gathered.  Only the rows of a node that lacks a sample are
         searched, for the first that does not hold its own rank.
         """
         if not len(self.table):
@@ -807,8 +800,7 @@ class VoteTable:
         node, sample, cls = self.table.T
         start = np.searchsorted(node, nodes)
         last = np.minimum(start + count, len(node)) - 1
-        whole = ((start + count <= len(node)) & (node[last] == nodes)
-                 & (sample[np.minimum(start, len(node) - 1)] == 0) & (sample[last] == count - 1))
+        whole = (start + count <= len(node)) & (node[last] == nodes) & (sample[last] == count - 1)
         # a window of count rows per whole node; a table with a whole node has count rows
         votes = (np.lib.stride_tricks.sliding_window_view(cls, count)[start[whole]].T
                  if whole.any() else np.zeros((count, 0), dtype=np.int64))
@@ -833,14 +825,10 @@ def save_votes(path, rows) -> None:
             writer.writerow([int(node), int(sample_index), int(cls)])
 
 
-def _blank_row(row: list[str]) -> bool:
-    return not row or (len(row) == 1 and not row[0].strip())
-
-
 def _header_row(row: list[str]) -> bool:
     """Whether a first CSV row is a header: a non-blank row not led by a signed or bare
     integer, a byte-order mark before it ignored."""
-    return not _blank_row(row) and not row[0].lstrip("\ufeff").strip().lstrip("+-").isdigit()
+    return not blank_row(row) and not row[0].lstrip("\ufeff").strip().lstrip("+-").isdigit()
 
 
 def load_votes(path) -> VoteTable:
@@ -851,8 +839,8 @@ def load_votes(path) -> VoteTable:
     is read to tell a header, then ``load_table`` iterates the rest of the
     open file, with no copy of its text, and ``VoteTable`` keeps rows that
     already ascend and sorts any others once, which finds any repeated
-    pair.  Only where that fails is the text read, line by line, to name
-    its first bad line.
+    pair, and refuses a negative field.  Only where that fails is the text
+    read, line by line, to name its first bad line.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -861,16 +849,16 @@ def load_votes(path) -> VoteTable:
             table = load_table(fh, np.int64, delimiter=",")
     except ValueError:          # a first line that is not UTF-8: reading the text raises it again
         table = None
-    if table is not None and (table.shape[0] == 0 or (table.shape[1] == 3 and table.min() >= 0)):
+    if table is not None and (table.shape[0] == 0 or table.shape[1] == 3):
         try:
             return VoteTable(rows=table)
         except VoteFormatError:
-            pass                # a repeated pair: the line pass names its line
+            pass                # a repeated pair or a negative field: the line pass names its line
 
     text = read_text(path)
     seen: dict[int, set[int]] = {}
     for lineno, row in enumerate(csv.reader(io.StringIO(text)), start=1):
-        if _blank_row(row) or (lineno == 1 and _header_row(row)):
+        if blank_row(row) or (lineno == 1 and _header_row(row)):
             continue
         if len(row) != 3:
             raise VoteFormatError(

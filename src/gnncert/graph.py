@@ -16,7 +16,7 @@ import functools
 import io
 import re
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Iterator
 
 import numpy as np
@@ -111,7 +111,7 @@ class Graph:
                     f"label file has {labels.shape[0]} entries for {n} nodes"
                 )
 
-        logical_ids, n_logical = _logical_edge_ids(arr, directed)
+        logical_ids, n_logical = _logical_edge_ids(arr, directed, n)
         return cls(n=n, edges=arr, _features=features, labels=labels,
                    directed=directed, logical_edge_ids=logical_ids,
                    n_logical=n_logical)
@@ -154,26 +154,17 @@ class Graph:
     def with_edges(self, edge_mask: np.ndarray, features: np.ndarray | None = None) -> "Graph":
         """View of this graph keeping only the masked edges (features optionally replaced).
 
-        Logical ids are ranks, so the kept edges' ids are their old ids
-        re-ranked: a presence bitmap over the old ids, cumulated, gives each
-        kept id its new rank without a sort.  Without new ``features`` the
-        view shares this graph's, including an identity already built.
+        The kept edges' ids are ranked afresh by ``_logical_edge_ids``; a
+        view may keep one orientation of an undirected edge only, which then
+        holds its pair's id alone.  Without new ``features`` the view shares
+        this graph's, including an identity already built.
         """
         if features is None:
             features = self.__dict__.get("features", self._features)
-        kept_ids = self.logical_edge_ids[edge_mask]
-        present = np.zeros(self.n_logical, dtype=bool)
-        present[kept_ids] = True
-        rank = np.cumsum(present, dtype=np.int64)
-        return Graph(
-            n=self.n,
-            edges=self.edges[edge_mask],
-            _features=features,
-            labels=self.labels,
-            directed=self.directed,
-            logical_edge_ids=rank[kept_ids] - 1,
-            n_logical=int(rank[-1]) if rank.size else 0,
-        )
+        edges = self.edges[edge_mask]
+        ids, n_logical = _logical_edge_ids(edges, self.directed, self.n)
+        return replace(self, edges=edges, _features=features, logical_edge_ids=ids,
+                       n_logical=n_logical)
 
     def without_nodes(self, nodes) -> "Graph":
         """View with the given nodes isolated (all incident edges removed).
@@ -207,32 +198,21 @@ def _sorted_distinct(key: np.ndarray) -> np.ndarray:
     return key[first]
 
 
-def _logical_edge_ids(edges: np.ndarray, directed: bool) -> tuple[np.ndarray, int]:
+def _logical_edge_ids(edges: np.ndarray, directed: bool, n: int) -> tuple[np.ndarray, int]:
     """Rank of each edge's canonical pair (see ``Graph``), and the number of distinct pairs.
 
-    ``edges`` is a list as ``Graph.build`` stores it: sorted, distinct,
-    without self-loops and, unless ``directed``, holding both orientations
-    of every edge.  A directed edge's rank is its place.  An undirected
-    edge's pair is ranked by the flat key ``a * base + b`` with ``base``
-    above every endpoint, which orders like the pairs themselves.  The
-    forward edges (``src < dst``) are their own pairs, already ascending,
-    and the reverse edges' pairs are the same keys, so a reverse edge's
-    rank is its place in their sort.
+    ``edges`` holds distinct pairs of nodes below ``n``.  A directed edge's
+    rank is its place, as ``Graph.build`` sorts the edges.  An undirected
+    edge's pair ``(min, max)`` is ranked by its flat key ``min * n + max``,
+    which orders like the pairs and fits int64 because ``Graph.build``
+    refuses more than ``_MAX_FLAT_KEY_NODES`` nodes; both orientations of
+    an edge, or only one, get the rank of their pair.
     """
-    m = edges.shape[0]
-    if directed or m == 0:
-        return np.arange(m, dtype=np.int64), m
+    if directed:
+        return np.arange(edges.shape[0], dtype=np.int64), edges.shape[0]
     src, dst = edges[:, 0], edges[:, 1]
-    base = int(edges.max()) + 1
-    forward = src < dst
-    reverse = dst[~forward] * base + src[~forward]
-    order = np.argsort(reverse)
-    assert np.array_equal(reverse[order], src[forward] * base + dst[forward]), \
-        "an undirected edge list lacks an orientation"
-    ids = np.empty(m, dtype=np.int64)
-    ids[forward] = np.arange(order.size)
-    ids[np.flatnonzero(~forward)[order]] = np.arange(order.size)
-    return ids, int(order.size)
+    pairs, ids = np.unique(np.minimum(src, dst) * n + np.maximum(src, dst), return_inverse=True)
+    return ids, pairs.size
 
 
 # ---------------------------------------------------------------------------
@@ -332,6 +312,11 @@ def load_table(lines, dtype, delimiter: str | None = None,
     return None
 
 
+def blank_row(row: list[str]) -> bool:
+    """Whether a parsed CSV row is blank: no fields, or one of whitespace only."""
+    return not row or (len(row) == 1 and not row[0].strip())
+
+
 def read_table(text: str, dtype, delimiter: str | None = None,
                comments: str | None = None) -> np.ndarray | None:
     """``text`` as a 2-D array in one numpy pass, or None where numpy rejects it.
@@ -408,7 +393,7 @@ def _load_feature_csv(path) -> np.ndarray:
         return x if x.shape[0] else np.zeros(0)
     width = None
     for lineno, row in enumerate(csv.reader(io.StringIO(text)), start=1):
-        if not row or (len(row) == 1 and not row[0].strip()):
+        if blank_row(row):
             continue
         try:
             if not all(map(numpy_readable, row)):

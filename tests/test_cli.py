@@ -696,6 +696,10 @@ def _weight(key, shape):
      "re-run `gnncert train`"),
     (lambda payload: "{not json", "is not valid JSON"),
     (lambda payload: json.dumps([payload]), "is not a JSON object"),
+    (lambda payload: payload.__setitem__("w1", {"shape": [12, 8]}),
+     "'w1' is not {\"shape\": [...], \"float64_le\": \"...\"}"),
+    (_set("token", "dtype", "float64"),
+     "'token' is not {\"shape\": [...], \"float64_le\": \"...\"}"),
 ])
 def test_malformed_checkpoint_is_exit_two_naming_file_and_key(fixture_dir, capsys, rng,
                                                               edit, message):

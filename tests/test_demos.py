@@ -1,13 +1,17 @@
-"""The demos import only names the package has, and run to completion."""
+"""The demos import only names the package has and run to completion; README's
+quickstart runs and its minimal config loads."""
 
 import ast
 import importlib
+import json
 import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+
+from gnncert.cli import RunConfig
 
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
@@ -46,3 +50,13 @@ def test_readme_quickstart_runs(capsys):
     block = readme.split("## Library quickstart", 1)[1].split("```python\n", 1)[1]
     exec(compile(block.split("```", 1)[0], "README.md", "exec"), {})
     assert capsys.readouterr().out
+
+
+def test_readme_minimal_config_loads(tmp_path):
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    block = readme.split("A minimal config:", 1)[1].split("```json\n", 1)[1].split("```", 1)[0]
+    path = tmp_path / "run.json"
+    path.write_text(block, encoding="utf-8")
+    cfg = RunConfig.from_file(str(path), {})
+    raw = json.loads(block)
+    assert {key: getattr(cfg, key) for key in raw} == raw

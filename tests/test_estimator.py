@@ -222,13 +222,26 @@ def test_vote_table_nodes_lacking_a_sample_are_handed_back():
         estimate_all(table, None, [0, 3, 9], None, n0=4, n1=6, alpha=0.05)
 
 
-def test_a_negative_sample_index_is_no_vote_for_sample_0():
-    # node 3 holds two samples ending at sample 1, but not sample 0
-    table = VoteTable(votes={3: {-1: 1, 1: 0}, 5: {0: 1, 1: 1}})
-    missing = {}
-    assert list(estimate_all(table, None, [3, 5], None, n0=1, n1=1, alpha=0.05,
-                             missing=missing)) == [5]
-    assert str(missing[3]) == "vote table lacks sample 0 for node 3 (need 2 samples)"
+def test_a_negative_node_or_sample_index_is_refused():
+    # node 3 holds samples 0 and 1; a row for sample -1 before them once made
+    # its first two rows read as lacking sample 0
+    for votes, message in (({3: {-1: 1, 0: 0, 1: 1}}, "negative sample -1 for node 3"),
+                           ({3: {0: 0, 1: 1}, -2: {0: 1}}, "negative node -2")):
+        with pytest.raises(VoteFormatError, match=message):
+            VoteTable(votes=votes)
+        rows = [(v, i, c) for v, per_node in votes.items() for i, c in per_node.items()]
+        with pytest.raises(VoteFormatError, match=message):
+            VoteTable(rows=np.array(rows[::-1]))
+    tally = estimate_all(VoteTable(votes={3: {0: 0, 1: 1}}), None, [3], None,
+                         n0=1, n1=1, alpha=0.05)[3]
+    assert tally.counts.tolist() == [0, 1]
+
+
+def test_a_vote_table_takes_exactly_one_of_votes_and_rows():
+    with pytest.raises(TypeError, match="VoteTable takes one of votes and rows"):
+        VoteTable()
+    with pytest.raises(TypeError, match="VoteTable takes one of votes and rows"):
+        VoteTable(votes={0: {0: 1}}, rows=np.array([[0, 0, 1]]))
 
 
 def test_a_negative_class_is_refused():

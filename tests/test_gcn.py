@@ -435,7 +435,7 @@ def test_gradients_with_dropout_match_finite_differences(rng, skip):
         x = g.features.copy()
         x[ablated] = model_.token
         return loss_and_grads(model_, a_hat, x, labels, idx, ablated, 5e-4,
-                              clean_x=g.features, drop_mask=drop_mask, drop_scale=1 / keep)
+                              clean_x=g.features, drop=drop_mask / keep)
 
     _, d_w1, d_w2, d_tok = loss_and_grads_of(model)
     h = 1e-6
@@ -497,6 +497,13 @@ def test_training_requires_labels(rng):
         train(g, [], TrainConfig(epochs=1))
     with pytest.raises(ConfigError):
         train(g, [0, 1], TrainConfig(epochs=1))     # graph has no labels
+
+
+def test_training_needs_two_classes():
+    g = Graph.build(n=4, edges=np.array([[0, 1], [1, 2], [2, 3]]),
+                    labels=np.array([0, 0, -1, 0]))
+    with pytest.raises(ConfigError, match="training needs at least two classes"):
+        train(g, [0, 1, 3], TrainConfig(epochs=1))
 
 
 def test_training_rejects_an_unlabeled_node_in_the_labeled_set():
