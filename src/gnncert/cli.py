@@ -6,18 +6,23 @@ byte-for-byte for a fixed config and seed: rows are sorted by node id and no
 timestamps are written.  Per-node failures (path budget, subset caps,
 missing votes) are recorded in the output and do not abort the batch.
 
-Memory policy: ``main`` first tells glibc's allocator to keep freed memory
-for reuse (``_keep_freed_memory``).  Every smoothed sample and every training
+Memory policy: a run that trains or scores a model first tells glibc's
+allocator to keep freed memory for reuse (``_keep_freed_memory``, called
+from ``cmd_train`` and from ``_model``, the prologue of ``certify`` from a
+model and of ``derandomize``).  Every smoothed sample and every training
 epoch allocates and frees arrays of a few MB.  By default glibc serves such
 arrays with ``mmap`` or trims them off the heap when freed, so the next pass
 faults the same pages in again; in a paper-scale ``certify`` that was about
-half of the CPU time (README, "Performance").  ``main`` sets
+half of the CPU time (README, "Performance").  The policy sets
 ``M_MMAP_THRESHOLD`` to 32 MB (glibc's 64-bit maximum) and
 ``M_TRIM_THRESHOLD`` to 64 MB.  Both are needed: setting either one turns
-off glibc's dynamic thresholds, so the other stays at 128 KB.  The policy
-lasts for the life of the process, so an in-process caller of ``main`` (the
-tests, a notebook) keeps it afterwards.  Importing ``gnncert`` changes
-nothing; library users get the same effect by starting Python with
+off glibc's dynamic thresholds, so the other stays at 128 KB.  ``certify``
+from a vote file, ``report`` and ``paths`` keep glibc's defaults: they have
+no such churn, and the policy raised a paper-scale vote-file ``certify``'s
+peak by holding freed parse memory on the heap.  The policy lasts for the
+life of the process, so an in-process caller of ``main`` (the tests, a
+notebook) keeps it afterwards.  Importing ``gnncert`` changes nothing;
+library users get the same effect by starting Python with
 ``MALLOC_MMAP_THRESHOLD_=33554432 MALLOC_TRIM_THRESHOLD_=67108864`` (both
 variables).  Where ``mallopt`` is missing or refuses (not glibc), nothing
 changes.  No output depends on it.
@@ -148,13 +153,15 @@ def _model(cfg: RunConfig, unnamed: str):
     The run needs ``k`` >= the GCN's two layers: with a shallower field, a
     node two hops away moves the prediction but is no candidate, so the
     certificate would be unsound.  ``unnamed`` is the error for a config
-    that names no model.
+    that names no model.  Once the checkpoint is found, the run takes the
+    allocator policy of model runs (module doc).
     """
     if cfg.k < 2:
         raise ConfigError(f"k {cfg.k} is below the model's 2 layers; use k >= 2")
     if not cfg.model:
         raise ConfigError(unnamed)
     _check_files(model=cfg.model)
+    _keep_freed_memory()
     return gcn.load_checkpoint(cfg.model)
 
 
@@ -289,6 +296,7 @@ def cmd_train(cfg: RunConfig) -> int:
         p_del=cfg.train_p_del, p_abl=cfg.train_p_abl,
         hidden=cfg.hidden, skip=cfg.skip, seed=cfg.seed,
     )
+    _keep_freed_memory()
     g = _load_inputs(cfg)
     if g.labels is None:
         raise ConfigError("training requires a label file")
@@ -404,7 +412,7 @@ def cmd_derandomize(cfg: RunConfig) -> int:
             reps = derandomize.enumerate_representatives(rf, kk, tau=cfg.tau)
         except EnumerationRefused:
             return [d, kk, support, 0] + [""] * (5 + classes), None
-        probs = derandomize.exact_label_probs(rf, reps, kk, scorer.predict_without,
+        probs = derandomize.exact_label_probs(rf, reps, kk, scorer.predict_retaining,
                                               classes)
         order = sorted(range(classes), key=lambda c: (-probs[c], c))
         y_star, y_tilde = order[0], order[1] if classes > 1 else order[0]
@@ -552,7 +560,7 @@ _TRIM_THRESHOLD = 64 * 1024 * 1024
 
 
 def _keep_freed_memory() -> None:
-    """Have glibc keep freed MB-sized arrays on the heap; see the module doc.
+    """Have glibc keep freed MB-sized arrays on the heap, for model runs; see the module doc.
 
     Does nothing where the C library has no ``mallopt`` or refuses it.
     """
@@ -567,7 +575,6 @@ def _keep_freed_memory() -> None:
 
 
 def main(argv=None) -> int:
-    _keep_freed_memory()
     parser = argparse.ArgumentParser(
         prog="gnncert",
         description="Certify message-passing node classifiers under "

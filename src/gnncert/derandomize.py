@@ -8,13 +8,17 @@ into equivalence classes: one classifier evaluation per class, weighted by
 the class size, gives the label probabilities exactly.  Class sizes are
 binomial coefficients, so everything stays in integer / rational arithmetic.
 
-The classifier is called once per field with every class's deleted-node
-set, ``predict(target, deleted) -> classes``, so a model can score all of
-them in batches (``gcn.LocalScorer.predict_without``, which holds its
-graph).  ``deleted`` is an iterable read once, in order, that builds each
-set as it is read, so a field with many classes never holds all of its
-sets at once.  ``per_view(g, predict)`` adapts a classifier of one graph
-view, ``predict(view, target) -> class``, to that contract.
+The classifier is called once per field with every class's retained set,
+``predict(rf, retained) -> classes``: the class of ``rf.target`` when a set
+is kept and every other member of ``rf`` is deleted.  A retained set is a
+representative's ``nodes``, at most k+1 of them, so the call holds no set
+that the representatives do not already hold, and the classifier's work
+grows with k, not with the field: the deleted sets, ``rf.members - r``,
+are never built.  A model scores all of them in batches
+(``gcn.LocalScorer.predict_retaining``, which holds its graph).
+``retained`` is an iterable read once, in order.  ``per_view(g, predict)``
+adapts a classifier of one graph view, ``predict(view, target) -> class``,
+to that contract, one ``g.without_nodes`` per set: the slow reference.
 """
 
 from __future__ import annotations
@@ -117,13 +121,15 @@ def enumerate_representatives(
     ]
 
 
-BatchPredict = Callable[[int, Iterable[frozenset[int]]], Sequence[int]]
+# ``predict(rf, retained)``: the class of ``rf.target`` with each retained
+# set kept and the rest of ``rf.members`` deleted, in order
+BatchPredict = Callable[[ReceptiveField, Iterable[frozenset[int]]], Sequence[int]]
 
 
 def per_view(g: Graph, predict: Callable[[Graph, int], int]) -> BatchPredict:
     """The batch contract for a classifier of one view: one ``g.without_nodes`` per set."""
-    def batch(target: int, deleted) -> list[int]:
-        return [predict(g.without_nodes(d), target) for d in deleted]
+    def batch(rf: ReceptiveField, retained) -> list[int]:
+        return [predict(g.without_nodes(rf.members - r), rf.target) for r in retained]
     return batch
 
 
@@ -136,10 +142,10 @@ def exact_label_probs(
 ) -> tuple[Fraction, ...]:
     """Exact per-class probabilities from one evaluation per representative.
 
-    ``predict(target, deleted)`` is called once, with an iterable of one
-    deleted-node set per representative (the field nodes outside it), and
-    returns the target's class in the classifier's graph with each set
-    deleted (isolated), in order.
+    ``predict(rf, retained)`` is called once, with each representative's
+    nodes as its retained set, and returns the target's class in the
+    classifier's graph with the other field nodes deleted (isolated), in
+    order.
     Probabilities are exact rationals over C(d, k) and sum to 1.
     """
     d = len(rf.members) - 1
@@ -150,7 +156,7 @@ def exact_label_probs(
             f"multiplicities cover {covered} of C({d}, {k}) = {total} retention sets"
         )
     counts = [0] * classes
-    predicted = predict(rf.target, (rf.members - rep.nodes for rep in reps))
+    predicted = predict(rf, [rep.nodes for rep in reps])
     for rep, c in zip(reps, predicted, strict=True):
         counts[int(c)] += rep.beta
     return tuple(Fraction(c, total) for c in counts)

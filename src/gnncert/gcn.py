@@ -18,7 +18,9 @@ pass reads the scorer's one table, ``X @ W1`` by node id and a last
 ``token @ W1`` row for every ablated sender.  The hidden rows are bitwise
 those of the full forward.  One pass is one call, ``LocalScorer.scores``.
 Both vote producers live here and chunk their own input: ``sample_votes``
-draws and scores smoothing samples, ``predict_without`` node-deleted views.
+draws and scores smoothing samples, ``predict_without`` and
+``predict_retaining`` node-deleted views, given by their deleted or their
+retained nodes.
 ``forward``, ``forward_all`` and ``train`` run on the whole graph.
 
 External classifiers are supported through vote files instead of live
@@ -40,7 +42,8 @@ import numpy as np
 from scipy import sparse
 
 from .errors import ConfigError, VoteFormatError
-from .graph import Graph, blank_row, check_node_ids, load_table, numpy_readable, read_text
+from .graph import (Graph, ReceptiveField, blank_row, check_node_ids, load_table, numpy_readable,
+                    read_text)
 from . import smoothing
 
 
@@ -333,6 +336,22 @@ class TwoHop:
         return (ends, np.searchsorted(ends, self._senders),
                 np.searchsorted(ends, self._receivers))
 
+    def _at(self, sets) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Every id of ``sets``, read once in order; and of the ids an edge
+        touches, the index of their set and their place in ``_ends``."""
+        ends = self._ends[0]
+        sizes = [len(s) for s in sets]
+        flat = np.fromiter(itertools.chain.from_iterable(sets), dtype=np.int64,
+                           count=sum(sizes))
+        at = np.searchsorted(ends, flat)
+        hit = ends[np.minimum(at, ends.size - 1)] == flat   # ids no edge touches do nothing
+        return flat, np.repeat(np.arange(len(sizes)), sizes)[hit], at[hit]
+
+    def _kept(self, drop: np.ndarray) -> np.ndarray:
+        """Kept masks of node masks ``drop`` (b, |ends|): an edge survives where no end drops."""
+        _, sender_at, receiver_at = self._ends
+        return ~(drop[:, sender_at] | drop[:, receiver_at])
+
     def kept_without(self, deleted) -> np.ndarray:
         """(len(deleted), |edges|) kept masks with each set of nodes deleted.
 
@@ -340,16 +359,24 @@ class TwoHop:
         ``Graph.without_nodes``; a node id outside ``[0, n)`` is a
         ``ValueError`` there and here.
         """
-        ends, sender_at, receiver_at = self._ends
-        sizes = [len(d) for d in deleted]
-        flat = np.fromiter(itertools.chain.from_iterable(deleted), dtype=np.int64,
-                           count=sum(sizes))
+        flat, which, at = self._at(deleted)
         check_node_ids(flat, self._n, "deleted nodes")
-        which = np.repeat(np.arange(len(sizes)), sizes)
-        hit = np.isin(flat, ends)           # deletions that touch no edge do nothing
-        drop = np.zeros((len(sizes), ends.size), dtype=bool)
-        drop[which[hit], np.searchsorted(ends, flat[hit])] = True
-        return ~(drop[:, sender_at] | drop[:, receiver_at])
+        drop = np.zeros((len(deleted), self._ends[0].size), dtype=bool)
+        drop[which, at] = True
+        return self._kept(drop)
+
+    def kept_retaining(self, members, retained) -> np.ndarray:
+        """(len(retained), |edges|) kept masks with ``members`` deleted but each retained set.
+
+        The masks of ``kept_without`` on the sets ``members - r``, built from
+        the retained sets ``r`` without forming those complements: a
+        retained id that is no member keeps nothing and deletes nothing.
+        """
+        drop = np.zeros((len(retained), self._ends[0].size), dtype=bool)
+        drop[:, self._at([members])[2]] = True
+        _, which, at = self._at(retained)
+        drop[which, at] = False
+        return self._kept(drop)
 
 
 class LocalScorer:
@@ -359,8 +386,8 @@ class LocalScorer:
     into one table, so the rows a variant reads are bitwise those of the
     full forward.  Every pass reads that table by node id, and the skip
     path's ``relu(X @ W1)`` is made from it.  ``scores`` runs
-    one pass over the variants it is given; ``sample_votes`` and
-    ``predict_without`` feed it ``chunk`` variants at a time, so memory
+    one pass over the variants it is given; ``sample_votes`` and the
+    ``predict_*`` methods feed it ``chunk`` variants at a time, so memory
     stays under a byte budget whatever their number.  A chunk of one
     variant may exceed it (``TwoHop.chunk``).
     """
@@ -429,7 +456,7 @@ class LocalScorer:
             yield lo, np.argmax(self.scores(hood, kept, ablated), axis=2)
 
     def predict_without(self, v: int, deleted) -> list[int]:
-        """Class of ``v`` with each set of nodes deleted: ``derandomize``'s batch ``predict``.
+        """Class of ``v`` with each set of nodes deleted.
 
         ``deleted`` is an iterable of node sets, read and scored ``chunk``
         sets per pass, so memory does not grow with the number of sets.
@@ -439,11 +466,27 @@ class LocalScorer:
         classifier and ``forward``'s argmax may pick different ones.
         """
         hood = TwoHop(self.g, [v])
+        return self._classes(hood, deleted, hood.kept_without)
+
+    def predict_retaining(self, rf: ReceptiveField, retained) -> list[int]:
+        """``derandomize``'s batch ``predict``: the class of ``rf.target`` per retained set.
+
+        Each set ``r`` keeps its nodes and deletes every other member of
+        ``rf``.  The sets are read and scored as in ``predict_without``, and
+        the classes are its classes on the sets ``rf.members - r``, but
+        those are never built: the masks come from the retained sets
+        (``TwoHop.kept_retaining``).
+        """
+        hood = TwoHop(self.g, [rf.target])
+        return self._classes(hood, retained, functools.partial(hood.kept_retaining, rf.members))
+
+    def _classes(self, hood: TwoHop, sets, kept) -> list[int]:
+        """Class of ``hood``'s one row under ``kept(chunk)`` for each ``chunk`` of ``sets``."""
         step = self.chunk(hood)
-        deleted = iter(deleted)
+        sets = iter(sets)
         out: list[int] = []
-        while sets := list(itertools.islice(deleted, step)):
-            out += np.argmax(self.scores(hood, hood.kept_without(sets))[:, 0], axis=1).tolist()
+        while chunk := list(itertools.islice(sets, step)):
+            out += np.argmax(self.scores(hood, kept(chunk))[:, 0], axis=1).tolist()
         return out
 
 
@@ -570,9 +613,9 @@ def train(g: Graph, labeled, cfg: TrainConfig,
     unlabeled = [v for v in labeled if g.labels[v] < 0]
     if unlabeled:
         raise ConfigError(f"node {unlabeled[0]} is in the labeled set but has no label")
-    classes = int(g.labels[labeled].max()) + 1
-    if classes < 2:
+    if np.unique(g.labels[labeled]).size < 2:
         raise ConfigError("training needs at least two classes")
+    classes = int(g.labels[labeled].max()) + 1
 
     rng = np.random.default_rng(cfg.seed)
     d = g.dim

@@ -818,7 +818,7 @@ def test_second_witness_decides_a_budget_the_cap_refused(tmp_path, monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# allocator policy: cli.main keeps freed heap memory for reuse
+# allocator policy: model runs keep freed heap memory for reuse
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -892,9 +892,38 @@ def test_allocator_policy_is_quiet_without_mallopt(fixture_dir, monkeypatch, cap
     assert capsys.readouterr() == ("", "")
     # a refused mmap threshold leaves the trim threshold alone too
     assert calls == ([(-3, 32 << 20)] if stand_in == "refuses" else [])
-    cfg = write_config(fixture_dir, nodes=[0, 1])
-    assert main(["paths", "--config", str(cfg)]) == 0
-    assert (fixture_dir / "out" / "paths.csv").exists()
+    # train takes the policy and runs on without it
+    cfg = write_config(fixture_dir, epochs=2, patience=2)
+    assert main(["train", "--config", str(cfg)]) == 0
+    assert (fixture_dir / "out" / "model.json").exists()
+    assert calls == ([(-3, 32 << 20)] * 2 if stand_in == "refuses" else [])
+
+
+def test_only_model_runs_set_the_allocator_policy(fixture_dir, monkeypatch):
+    # train, certify from a model and derandomize churn MB-sized arrays;
+    # certify from a vote file, report and paths keep glibc's defaults
+    calls = []
+    monkeypatch.setattr(cli, "_keep_freed_memory", lambda: calls.append(1))
+    model_cfg = fixture_dir / "model.json"
+    write_config(fixture_dir, epochs=5, patience=5, nodes=[0, 3], n0=5, n1=5).rename(model_cfg)
+    lines = ["node_id,sample_index,class"] + [f"{v},{i},{i % 2}" for v in (0, 3) for i in range(10)]
+    (fixture_dir / "votes.csv").write_text("\n".join(lines) + "\n")
+    votes_cfg = write_config(fixture_dir, votes=str(fixture_dir / "votes.csv"), nodes=[0, 3],
+                             n0=5, n1=5, out_dir=str(fixture_dir / "votes"))
+    runs = {"train": ["train", "--config", str(model_cfg)],
+            "certify": ["certify", "--config", str(model_cfg)],
+            "certify votes": ["certify", "--config", str(votes_cfg)],
+            "derandomize": ["derandomize", "--config", str(model_cfg)],
+            "paths": ["paths", "--config", str(model_cfg)],
+            "report": ["report", str(fixture_dir / "votes" / "results.csv"),
+                       "--out", str(fixture_dir / "report")]}
+    called = {}
+    for name, args in runs.items():
+        before = len(calls)
+        assert main(args) == 0, name
+        called[name] = len(calls) - before
+    assert called == {"train": 1, "certify": 1, "certify votes": 0, "derandomize": 1,
+                      "paths": 0, "report": 0}
 
 
 # train, certify from the model, certify from a vote file, derandomize

@@ -163,6 +163,45 @@ def test_batched_predictor_equals_per_view_forward(rng):
         assert batched == per_view
 
 
+def _check_retained_route(g, rf, retained, model):
+    """The retained route equals the complement route, mask for mask and class for class."""
+    scorer = LocalScorer(model, g)
+    hood = TwoHop(g, [rf.target])
+    deleted = [rf.members - r for r in retained]
+    assert np.array_equal(hood.kept_retaining(rf.members, retained), hood.kept_without(deleted))
+    reference = per_view(g, lambda view, v: int(np.argmax(forward(model, view, v))))
+    got = scorer.predict_retaining(rf, iter(retained))
+    assert got == reference(rf, retained) == scorer.predict_without(rf.target, deleted)
+
+
+def test_retained_sets_score_as_their_complements(rng):
+    # random graphs, directed and undirected, fields of k 2 and 3, skip on
+    # and off; besides the representatives, the target alone, every
+    # member, and each node outside the field retained with the target
+    # alone and with every member: such a node keeps and deletes nothing.
+    # A member touches a hood edge up to three hops out, where it sends
+    # into a two-hop node, so members that touch none come with k >= 4:
+    # random fields of k 4, and nodes 4 and 5 of a path's k = 5 field
+    cases = []
+    for trial in range(44):
+        directed, k = bool(trial % 2), (2 + trial // 2 % 2 if trial < 32 else 4)
+        g = random_graph(rng, n=int(rng.integers(5, 12)), p_edge=0.3, directed=directed, d=3)
+        cases.append((g, field_of(g, int(rng.integers(g.n)), k=k)))
+    path = Graph.build(n=7, edges=[(i, i + 1) for i in range(6)],
+                       features=rng.normal(size=(7, 3)))
+    cases.append((path, field_of(path, 0, k=5)))
+    untouched = 0
+    for trial, (g, rf) in enumerate(cases):
+        untouched += len(rf.members - set(TwoHop(g, [rf.target])._ends[0].tolist()))
+        kk = int(rng.integers(0, min(3, rf.size - 1) + 1))
+        retained = [r.nodes for r in enumerate_representatives(rf, kk, tau=None)]
+        retained += [frozenset({rf.target}), rf.members]
+        for w in sorted(set(range(g.n)) - rf.members):
+            retained += [frozenset({rf.target, w}), rf.members | {w}]
+        _check_retained_route(g, rf, retained, random_model(rng, d=3, skip=bool(trial // 4 % 2)))
+    assert untouched >= 4
+
+
 @pytest.mark.parametrize("step", [lambda sets: 1, lambda sets: 3, lambda sets: sets,
                                   lambda sets: sets + 1],
                          ids=["one", "three", "all", "all+1"])
@@ -206,8 +245,9 @@ def test_batched_predictor_equals_per_view_forward_at_cora_scale(rng):
 
 def test_many_representatives_are_scored_in_bounded_memory(rng):
     # a 40-leaf hub with a path through the leaves: keep-3 has 9,880
-    # representatives of 37 deleted nodes each, which held at once would
-    # take ~38 MB; one chunk at a time stays within the scorer's budget
+    # representatives, whose deleted sets of 37 nodes each would take
+    # ~38 MB held at once; the retained sets are the representatives' own,
+    # and their masks, one chunk at a time, stay within the scorer's budget
     leaves = 40
     edges = [(0, i) for i in range(1, leaves + 1)] + [(i, i + 1) for i in range(1, leaves)]
     g = Graph.build(n=leaves + 1, edges=edges, features=rng.normal(size=(leaves + 1, 3)))
@@ -219,7 +259,7 @@ def test_many_representatives_are_scored_in_bounded_memory(rng):
 
     tracemalloc.start()
     try:
-        probs = exact_label_probs(rf, reps, 3, scorer.predict_without, classes=3)
+        probs = exact_label_probs(rf, reps, 3, scorer.predict_retaining, classes=3)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -17,6 +17,7 @@ from gnncert import (
     forward_all,
     load_checkpoint,
     load_votes,
+    receptive_field,
     sample,
     save_checkpoint,
     save_votes,
@@ -300,17 +301,17 @@ def test_deleting_a_node_outside_the_graph_is_refused(rng, deleted):
 
 
 def test_deleting_a_node_outside_the_hood_changes_nothing(rng):
-    from gnncert import per_view
-
     # node 5 is three hops from node 0 on the path: it touches no edge of 0's hood
     g = Graph.build(n=6, edges=[(i, i + 1) for i in range(5)],
                     features=rng.normal(size=(6, 3)))
     model = random_model(rng, d=3)
-    reference = per_view(g, lambda view, v: int(np.argmax(forward(model, view, v))))
     deleted = [set(), {5}, {4, 5}, {1}]
-    got = LocalScorer(model, g).predict_without(0, deleted)
-    assert got == reference(0, deleted)
+    scorer = LocalScorer(model, g)
+    got = scorer.predict_without(0, deleted)
+    assert got == [int(np.argmax(forward(model, g.without_nodes(d), 0))) for d in deleted]
     assert got[1] == got[0]
+    rf = receptive_field(g, 0, 5)                   # the whole path
+    assert scorer.predict_retaining(rf, [rf.members - d for d in deleted]) == got
     assert np.array_equal(g.without_nodes({5}).edges, g.edges[g.edges.max(axis=1) < 5])
 
 
@@ -500,10 +501,12 @@ def test_training_requires_labels(rng):
 
 
 def test_training_needs_two_classes():
-    g = Graph.build(n=4, edges=np.array([[0, 1], [1, 2], [2, 3]]),
-                    labels=np.array([0, 0, -1, 0]))
-    with pytest.raises(ConfigError, match="training needs at least two classes"):
-        train(g, [0, 1, 3], TrainConfig(epochs=1))
+    # distinct classes count, not 1 + the largest: labels all 1 are one class too
+    edges = np.array([[0, 1], [1, 2], [2, 3]])
+    for labels, labeled in (([0, 0, -1, 0], [0, 1, 3]), ([1, 1, -1, 0], [0, 1])):
+        g = Graph.build(n=4, edges=edges, labels=np.array(labels))
+        with pytest.raises(ConfigError, match="training needs at least two classes"):
+            train(g, labeled, TrainConfig(epochs=1))
 
 
 def test_training_rejects_an_unlabeled_node_in_the_labeled_set():
