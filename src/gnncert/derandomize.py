@@ -15,7 +15,10 @@ representative's ``nodes``, at most k+1 of them, so the call holds no set
 that the representatives do not already hold, and the classifier's work
 grows with k, not with the field: the deleted sets, ``rf.members - r``,
 are never built.  A model scores all of them in batches
-(``gcn.LocalScorer.predict_retaining``, which holds its graph).
+(``gcn.LocalScorer.predict_retaining``, which holds its graph), each from
+its retained nodes alone: the variant holds them and the edges between
+them, plus each kept node's count of in-edges from outside the field, and
+no two-hop hood or mask over its edges is built (``gcn.Retention``).
 ``retained`` is an iterable read once, in order.  ``per_view(g, predict)``
 adapts a classifier of one graph view, ``predict(view, target) -> class``,
 to that contract, one ``g.without_nodes`` per set: the slow reference.

@@ -13,14 +13,15 @@ Inference is two-hop-local and batched: a target's score reads only its
 two-hop in-neighbourhood, so ``LocalScorer`` scores many variants of the
 graph (smoothing samples, derandomization views) in one sparse pass over
 that neighbourhood.  ``TwoHop`` builds the pattern of both layers once; a
-pass only picks each variant's surviving entries and their values.  Every
-pass reads the scorer's one table, ``X @ W1`` by node id and a last
-``token @ W1`` row for every ablated sender.  The hidden rows are bitwise
-those of the full forward.  One pass is one call, ``LocalScorer.scores``.
-Both vote producers live here and chunk their own input: ``sample_votes``
-draws and scores smoothing samples, ``predict_without`` and
-``predict_retaining`` node-deleted views, given by their deleted or their
-retained nodes.
+pass only picks each variant's surviving entries and their values.  A
+derandomization view that keeps a few field nodes and deletes the rest
+reads less: ``Retention`` builds both layers of each from its retained
+nodes alone.  Every pass reads the scorer's one table, ``X @ W1`` by node
+id and a last ``token @ W1`` row for every ablated sender.  The hidden
+rows are bitwise those of the full forward.  Both vote producers live
+here and chunk their own input: ``sample_votes`` draws and scores
+smoothing samples, ``predict_without`` and ``predict_retaining``
+node-deleted views, given by their deleted or their retained nodes.
 ``forward``, ``forward_all`` and ``train`` run on the whole graph.
 
 External classifiers are supported through vote files instead of live
@@ -43,7 +44,7 @@ from scipy import sparse
 
 from .errors import ConfigError, VoteFormatError
 from .graph import (Graph, ReceptiveField, blank_row, check_node_ids, load_table, numpy_readable,
-                    read_text)
+                    read_text, sorted_distinct)
 from . import smoothing
 
 
@@ -186,6 +187,37 @@ def _indptr(counts: np.ndarray) -> np.ndarray:
     indptr = np.zeros(counts.size + 1, dtype=np.int32)
     np.cumsum(counts.astype(np.int32), out=indptr[1:])
     return indptr
+
+
+def _in_edges(g: Graph, nodes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Every graph edge into ``nodes``: its receiver's place in ``nodes`` and its sender.
+
+    Edges come by receiver, then by ascending sender, from ``g.in_neighbors``.
+    """
+    indptr, senders = g.in_neighbors
+    start = indptr[nodes]
+    count = indptr[nodes + 1] - start
+    return np.repeat(np.arange(nodes.size), count), senders[_ragged(start, count)]
+
+
+def _places(ascending: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Where each entry of ``x`` is or would go in the non-empty ``ascending``, clipped to
+    its last place, and whether it is there."""
+    at = np.searchsorted(ascending, x)
+    np.minimum(at, ascending.size - 1, out=at)
+    return at, ascending[at] == x
+
+
+def _ragged(start: np.ndarray, count: np.ndarray) -> np.ndarray:
+    """``start[i], start[i] + 1, ..., start[i] + count[i] - 1`` for each ``i``, concatenated."""
+    return np.arange(count.sum()) + np.repeat(start - np.cumsum(count) + count, count)
+
+
+def _flatten(sets) -> tuple[np.ndarray, list[int]]:
+    """Every id of the ``sets``, read once in order, and the size of each set."""
+    sizes = [len(r) for r in sets]
+    return np.fromiter(itertools.chain.from_iterable(sets), dtype=np.int64,
+                       count=sum(sizes)), sizes
 
 
 class TwoHop:
@@ -339,12 +371,8 @@ class TwoHop:
     def _at(self, sets) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Every id of ``sets``, read once in order; and of the ids an edge
         touches, the index of their set and their place in ``_ends``."""
-        ends = self._ends[0]
-        sizes = [len(s) for s in sets]
-        flat = np.fromiter(itertools.chain.from_iterable(sets), dtype=np.int64,
-                           count=sum(sizes))
-        at = np.searchsorted(ends, flat)
-        hit = ends[np.minimum(at, ends.size - 1)] == flat   # ids no edge touches do nothing
+        flat, sizes = _flatten(sets)
+        at, hit = _places(self._ends[0], flat)      # ids no edge touches do nothing
         return flat, np.repeat(np.arange(len(sizes)), sizes)[hit], at[hit]
 
     def _kept(self, drop: np.ndarray) -> np.ndarray:
@@ -365,18 +393,182 @@ class TwoHop:
         drop[which, at] = True
         return self._kept(drop)
 
-    def kept_retaining(self, members, retained) -> np.ndarray:
-        """(len(retained), |edges|) kept masks with ``members`` deleted but each retained set.
 
-        The masks of ``kept_without`` on the sets ``members - r``, built from
-        the retained sets ``r`` without forming those complements: a
-        retained id that is no member keeps nothing and deletes nothing.
+class Retention:
+    """What scoring the retained sets of one field reads: built from the field, not its hood.
+
+    A retained set ``r`` keeps its members and deletes every other member
+    of ``rf``; a node outside the field is never deleted.  Its variant is
+    the graph on the set's nodes: the members it retains, the target,
+    kept or not, and, in a field of ``k = 1``, the senders into those
+    members that lie outside the field, two hops out (``outside``).
+    ``nodes`` holds the members and ``outside``, ascending.  A kept node's
+    degree is its self-loop, plus its in-edges from outside the field, a
+    constant kept per node, plus its in-edges from ``r``; a deleted node's
+    is 1.  Only the pairs of a set's own nodes are looked up among the
+    edges between ``nodes``, so a set's work and memory grow with its
+    retained members, not with the target's two-hop hood (``pass_bytes``).
+    """
+
+    def __init__(self, g: Graph, rf: ReceptiveField):
+        t, members = int(rf.target), rf.member_ids
+        self.target = t
+        # the rows are the target and its senders; a field of k >= 2 holds all their senders
+        self.outside = np.zeros(0, dtype=np.int64)
+        if rf.k < 2:
+            indptr, senders = g.in_neighbors
+            sender = _in_edges(g, np.append(senders[indptr[t]:indptr[t + 1]], t))[1]
+            self.outside = sorted_distinct(sender[~_places(members, sender)[1]])
+        self.nodes = np.sort(np.concatenate([members, self.outside]))
+        nb = self.nodes.size
+        self._member = np.ones(nb, dtype=bool)
+        self._member[np.searchsorted(self.nodes, self.outside)] = False
+        owner, sender_at = _in_edges(g, self.nodes)
+        sender_at, inside = _places(self.nodes, sender_at)
+        from_member = inside & self._member[sender_at]
+        # the self-loop and the in-edges from outside the field, which no set deletes
+        self._base = 1 + np.bincount(owner[~from_member], minlength=nb)
+        # the edges from members, as a table over (sender, receiver) keys where
+        # it fits the byte budget, else as their sorted keys
+        edges = sender_at[from_member] * nb + owner[from_member]
+        if nb * nb <= _CHUNK_BYTES:
+            self._edges = np.zeros(nb * nb, dtype=bool)
+            self._edges[edges] = True
+        else:
+            self._edges = np.sort(edges)
+        # each member's senders in ``outside``, ascending: a set holds them with it
+        from_outside = inside & ~from_member & self._member[owner]
+        self._outside_at = sender_at[from_outside]
+        self._outside_ptr = np.zeros(nb + 1, dtype=np.int64)
+        np.cumsum(np.bincount(owner[from_outside], minlength=nb), out=self._outside_ptr[1:])
+        self._t = int(np.searchsorted(self.nodes, t))
+        self._ids = self.nodes.astype(np.int32)     # first-layer columns: rows of ``x``
+
+    def aggregate(self, x: np.ndarray, retained) -> np.ndarray:
+        """The target's row of ``A @ relu(A @ x)`` for each retained set: (len(retained), hidden).
+
+        The rows of the first layer are the target and, where it is kept,
+        its kept senders; each holds its kept senders and its self-loop by
+        ascending sender, with ``inv_sqrt[row] * inv_sqrt[col]``, and the
+        second layer is the target's row.  These are the entries and values
+        ``TwoHop.aggregate`` keeps of the same variant, in the same order,
+        so the rows are bitwise equal.  A retained id that is no member of
+        the field, however often given, keeps and deletes nothing.
         """
-        drop = np.zeros((len(retained), self._ends[0].size), dtype=bool)
-        drop[:, self._at([members])[2]] = True
-        _, which, at = self._at(retained)
-        drop[which, at] = False
-        return self._kept(drop)
+        b, nb = len(retained), self.nodes.size
+        flat, sizes = _flatten(retained)
+        at, hit = _places(self.nodes, flat)    # a node outside the field is kept anyway
+        base = np.arange(0, b * nb, nb)
+        # (set, node) keys of the retained nodes, each once
+        mine = sorted_distinct(np.repeat(base, sizes)[hit] + at[hit])
+        target_kept = np.zeros(b, dtype=bool)
+        target_kept[mine[mine % nb == self._t] // nb] = True
+        # each set's nodes, ascending: the retained, the target, its members' outside senders
+        parts = [mine, base + self._t]
+        if self._outside_at.size:
+            start = self._outside_ptr[mine % nb]
+            count = self._outside_ptr[mine % nb + 1] - start
+            o_src = (np.repeat(mine - mine % nb, count)
+                     + self._outside_at[_ragged(start, count)])
+            o_dst = np.repeat(mine, count)
+            parts.append(o_src)
+        key = sorted_distinct(np.concatenate(parts))
+        which, node = np.divmod(key, nb)
+        at_t = np.flatnonzero(node == self._t)
+        kept = np.ones(key.size, dtype=bool)
+        kept[at_t] = target_kept
+
+        # each pair of a node of a set and a member of it, the target even when
+        # deleted, by node and then by ascending member; of them the edges
+        # between kept nodes and the self-loops
+        send = np.flatnonzero(self._member[node])
+        members = np.bincount(which[send], minlength=b)
+        pairs = members[which]
+        dst = np.repeat(np.arange(key.size), pairs)
+        src = send[_ragged((np.cumsum(members) - members)[which], pairs)]
+        loop = src == dst
+        pick = np.flatnonzero(self._is_edge(node[src] * nb + node[dst]) | loop)
+        src, dst, loop = src[pick], dst[pick], loop[pick]
+        live = ~loop & kept[src] & kept[dst]        # no edge leaves or enters a deleted node
+        degree = np.where(kept, self._base[node] + np.bincount(dst[live], minlength=key.size), 1)
+
+        # first layer: the target and its kept senders, each row by ascending sender
+        is_row = np.zeros(key.size, dtype=bool)
+        is_row[at_t] = True
+        is_row[src[live & (node[dst] == self._t)]] = True
+        entry = (live | loop) & is_row[dst]
+        row, col = dst[entry], src[entry]
+        if self._outside_at.size:           # the edges from outside into the kept rows
+            o_dst = np.searchsorted(key, o_dst)
+            into = is_row[o_dst]
+            row = np.concatenate([row, o_dst[into]])
+            col = np.concatenate([col, np.searchsorted(key, o_src[into])])
+            order = np.argsort(row * key.size + col)
+            row, col = row[order], col[order]
+        inv_sqrt = 1.0 / np.sqrt(degree.astype(np.float64))
+        value = inv_sqrt[row] * inv_sqrt[col]
+        first = sparse.csr_matrix((value, self._ids[node[col]], _indptr(degree[is_row])),
+                                  shape=(int(np.count_nonzero(is_row)), len(x)))
+        z1 = first @ x
+        np.maximum(z1, 0.0, out=z1)
+        # second layer: the target's row of the first, its columns z1's rows
+        of_t = node[row] == self._t
+        rank = np.cumsum(is_row, dtype=np.int32) - 1
+        second = sparse.csr_matrix((value[of_t], rank[col[of_t]], _indptr(degree[at_t])),
+                                   shape=(b, first.shape[0]))
+        return second @ z1
+
+    def _is_edge(self, pair: np.ndarray) -> np.ndarray:
+        """Whether each key ``sender * |nodes| + receiver``, of places in ``nodes``, is an
+        edge from a member."""
+        if self._edges.dtype == bool:
+            return self._edges[pair]
+        return _places(self._edges, pair)[1] if self._edges.size else np.zeros(pair.size, bool)
+
+    def pass_bytes(self, hidden: int, classes: int) -> tuple[int, int, int]:
+        """``(fixed, per_id, per_square)``: a set of ``s`` ids adds at most
+        ``fixed + s * (per_id + s * per_square)`` bytes to a pass, ``x``
+        having ``hidden`` columns.
+
+        With ``w`` the most senders outside the field of one member (0 when
+        ``k >= 2``), such a set holds at most ``c = s * (1 + w) + 1`` nodes,
+        ``s + 1`` of them members, ``c * (s + 1)`` pairs, each an edge or a
+        self-loop at most, and ``s * w`` edges from outside; its rows are at
+        most its nodes.  Per id, node, pair and edge from outside it counts
+        the arrays ``aggregate`` holds at once where it holds the most,
+        temporaries included, and per set the target's row and its
+        ``classes`` scores.  Passes over the ``derandomize-keepk`` and
+        paper-scale fields peaked at 40-65% of the count.  The cost grows
+        as ``s * c``: one set retaining all of a 1,000-member field of
+        ``k >= 2`` makes a million pairs, some 65 MB, in one pass.
+        """
+        per_id = 48                         # flat, its places, hits, keys
+        per_node = 96 + 8 * hidden          # keys, flags, degrees; a row of z1
+        per_pair = 64                       # ends, edge keys; then entries, values
+        per_edge = 96                       # an edge from outside, as an entry
+        w = int(np.diff(self._outside_ptr).max(initial=0))
+        return (64 + 8 * (hidden + classes) + per_node + per_pair,
+                per_id + per_node * (1 + w) + per_pair * (2 + w) + per_edge * w,
+                per_pair * (1 + w))
+
+    def chunks(self, retained, hidden: int, classes: int):
+        """``retained`` as lists of consecutive sets whose ``pass_bytes`` fit ``_CHUNK_BYTES``.
+
+        A list holds at least one set, so a set that alone needs more runs
+        above the budget.
+        """
+        fixed, per_id, per_square = self.pass_bytes(hidden, classes)
+        chunk, used = [], 0
+        for r in retained:
+            s = len(r)
+            cost = fixed + s * (per_id + s * per_square)
+            if chunk and used + cost > _CHUNK_BYTES:
+                yield chunk
+                chunk, used = [], 0
+            chunk.append(r)
+            used += cost
+        if chunk:
+            yield chunk
 
 
 class LocalScorer:
@@ -385,11 +577,14 @@ class LocalScorer:
     ``X @ W1``'s row of every node, then ``token @ W1``, is computed once
     into one table, so the rows a variant reads are bitwise those of the
     full forward.  Every pass reads that table by node id, and the skip
-    path's ``relu(X @ W1)`` is made from it.  ``scores`` runs
-    one pass over the variants it is given; ``sample_votes`` and the
-    ``predict_*`` methods feed it ``chunk`` variants at a time, so memory
-    stays under a byte budget whatever their number.  A chunk of one
-    variant may exceed it (``TwoHop.chunk``).
+    path's ``relu(X @ W1)`` is made from it.  ``scores`` runs one pass
+    over the variants of a ``TwoHop`` hood it is given; ``sample_votes``
+    and ``predict_without`` feed it ``chunk`` variants at a time, so memory
+    stays under a byte budget whatever their number.  ``predict_retaining``
+    builds no hood: it scores each retained set from its own nodes
+    (``Retention``, through ``hidden_retaining``), in chunks whose bytes it
+    counts per set.  A chunk of one variant may exceed the budget
+    (``TwoHop.chunk``, ``Retention.pass_bytes``).
     """
 
     def __init__(self, model: GnnModel, g: Graph):
@@ -466,27 +661,39 @@ class LocalScorer:
         classifier and ``forward``'s argmax may pick different ones.
         """
         hood = TwoHop(self.g, [v])
-        return self._classes(hood, deleted, hood.kept_without)
+        step = self.chunk(hood)
+        deleted = iter(deleted)
+        out: list[int] = []
+        while chunk := list(itertools.islice(deleted, step)):
+            out += np.argmax(self.scores(hood, hood.kept_without(chunk))[:, 0], axis=1).tolist()
+        return out
+
+    def hidden_retaining(self, core: Retention, retained) -> np.ndarray:
+        """(len(retained), 1, hidden) input to ``W2`` of each retained set, in one pass.
+
+        Bitwise ``hidden`` on ``hood.kept_without(rf.members - r)``, the
+        target's ``TwoHop`` hood, for each set ``r``.
+        """
+        h2 = core.aggregate(self.table, retained).reshape(len(retained), 1, self.model.hidden)
+        if self.skip_h is not None:
+            h2 += self.skip_h[core.target]
+        return h2
 
     def predict_retaining(self, rf: ReceptiveField, retained) -> list[int]:
         """``derandomize``'s batch ``predict``: the class of ``rf.target`` per retained set.
 
-        Each set ``r`` keeps its nodes and deletes every other member of
-        ``rf``.  The sets are read and scored as in ``predict_without``, and
-        the classes are its classes on the sets ``rf.members - r``, but
-        those are never built: the masks come from the retained sets
-        (``TwoHop.kept_retaining``).
+        Each set ``r`` keeps its members and deletes every other member of
+        ``rf``; the classes are ``predict_without``'s on the sets
+        ``rf.members - r``, which are never built.  Each set is scored from
+        its own nodes (``Retention``), in chunks whose arrays, counted per
+        set, stay under the byte budget, so work and memory grow with the
+        sets' retained members: at most k+1 for a representative.
         """
-        hood = TwoHop(self.g, [rf.target])
-        return self._classes(hood, retained, functools.partial(hood.kept_retaining, rf.members))
-
-    def _classes(self, hood: TwoHop, sets, kept) -> list[int]:
-        """Class of ``hood``'s one row under ``kept(chunk)`` for each ``chunk`` of ``sets``."""
-        step = self.chunk(hood)
-        sets = iter(sets)
+        core = Retention(self.g, rf)
         out: list[int] = []
-        while chunk := list(itertools.islice(sets, step)):
-            out += np.argmax(self.scores(hood, kept(chunk))[:, 0], axis=1).tolist()
+        for chunk in core.chunks(retained, self.model.hidden, self.model.classes):
+            scores = np.matmul(self.hidden_retaining(core, chunk), self.model.w2)
+            out += np.argmax(scores[:, 0], axis=1).tolist()
         return out
 
 

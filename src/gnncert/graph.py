@@ -93,7 +93,7 @@ class Graph:
         key = arr[:, 0] * n + arr[:, 1]
         if not directed:
             key = np.concatenate([key, arr[:, 1] * n + arr[:, 0]])
-        arr = np.stack(np.divmod(_sorted_distinct(key), n), axis=1)
+        arr = np.stack(np.divmod(sorted_distinct(key), n), axis=1)
 
         if features is not None:
             features = np.asarray(features, dtype=np.float64)
@@ -190,7 +190,7 @@ def check_node_ids(ids: np.ndarray, n: int, what: str) -> None:
         raise ValueError(f"{what} must be node ids in [0, {n})")
 
 
-def _sorted_distinct(key: np.ndarray) -> np.ndarray:
+def sorted_distinct(key: np.ndarray) -> np.ndarray:
     """``np.unique(key)``: a sort and a neighbour-inequality mask, without its overhead."""
     key = np.sort(key)
     first = np.ones(key.size, dtype=bool)

@@ -17,7 +17,7 @@ import pytest
 
 from gnncert import (GnnModel, Graph, SmoothingConfig, derandomize, load_checkpoint,
                      receptive_field, receptive_fields, save_checkpoint, worst_case_curve)
-from gnncert import cli
+from gnncert import cli, gcn
 from gnncert.cli import main
 from gnncert.estimator import radius
 
@@ -223,6 +223,32 @@ def test_derandomize_fallback_and_exact(fixture_dir):
     summary = json.loads(
         (fixture_dir / "out" / "derandomize_summary.json").read_text())
     assert summary["derandomized_ratio"] >= 0.9
+
+
+def test_derandomize_builds_no_two_hop_hood(fixture_dir, monkeypatch):
+    # each representative is scored from its retained nodes, so a run builds
+    # no TwoHop hood, and no hood-sized mask comes back unnoticed
+    cfg = write_config(fixture_dir, tau=200_000, k_rel=0.1)
+    assert main(["train", "--config", str(cfg)]) == 0
+    assert main(["derandomize", "--config", str(cfg)]) == 0
+    plain = (fixture_dir / "out" / "derandomized.csv").read_bytes()
+    built = []
+
+    class Counted(gcn.TwoHop):
+        def __init__(self, *args):
+            built.append(args)
+            super().__init__(*args)
+
+    monkeypatch.setattr(gcn, "TwoHop", Counted)
+    assert main(["derandomize", "--config", str(cfg)]) == 0
+    assert built == []
+    assert (fixture_dir / "out" / "derandomized.csv").read_bytes() == plain
+    assert any(r["derandomized"] == "1"
+               for r in csv_rows(fixture_dir / "out" / "derandomized.csv"))
+    g = Graph.build(n=3, edges=[(0, 1), (1, 2)], features=np.eye(3))
+    model = GnnModel(w1=np.ones((3, 2)), w2=np.ones((2, 2)), token=np.zeros(3))
+    gcn.LocalScorer(model, g).predict_without(0, [set()])
+    assert len(built) == 1                      # the count sees a hood where one is built
 
 
 def test_derandomized_radius_is_the_largest_certified_budget(fixture_dir):

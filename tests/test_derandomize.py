@@ -9,6 +9,7 @@ import pytest
 from gnncert import (
     Graph,
     LocalScorer,
+    Retention,
     TwoHop,
     enumerate_representatives,
     exact_label_probs,
@@ -164,14 +165,18 @@ def test_batched_predictor_equals_per_view_forward(rng):
 
 
 def _check_retained_route(g, rf, retained, model):
-    """The retained route equals the complement route, mask for mask and class for class."""
+    """The retained route equals the complement route, W2 input for W2 input bit for bit
+    and class for class, and ``forward`` on each view by class."""
     scorer = LocalScorer(model, g)
     hood = TwoHop(g, [rf.target])
-    deleted = [rf.members - r for r in retained]
-    assert np.array_equal(hood.kept_retaining(rf.members, retained), hood.kept_without(deleted))
+    deleted = [rf.members.difference(r) for r in retained]
+    got = scorer.hidden_retaining(Retention(g, rf), retained)
+    want = scorer.hidden(hood, hood.kept_without(deleted))
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
     reference = per_view(g, lambda view, v: int(np.argmax(forward(model, view, v))))
-    got = scorer.predict_retaining(rf, iter(retained))
-    assert got == reference(rf, retained) == scorer.predict_without(rf.target, deleted)
+    classes = scorer.predict_retaining(rf, iter(retained))
+    assert classes == reference(rf, [frozenset(r) for r in retained])
+    assert classes == scorer.predict_without(rf.target, deleted)
 
 
 def test_retained_sets_score_as_their_complements(rng):
@@ -202,6 +207,41 @@ def test_retained_sets_score_as_their_complements(rng):
     assert untouched >= 4
 
 
+@pytest.mark.parametrize("directed", [False, True], ids=["undirected", "directed"])
+@pytest.mark.parametrize("skip", [False, True], ids=["plain", "skip"])
+def test_retained_route_edge_cases(rng, directed, skip):
+    # fields of k = 1, whose rows have senders outside the field, and of k 2
+    # and 3; sets without the target, the empty set, lists with repeated
+    # ids, and ids below 0 or at least n, which retain and delete nothing
+    outside = 0
+    for trial in range(30):
+        g = random_graph(rng, n=int(rng.integers(4, 12)), p_edge=0.35, directed=directed, d=3)
+        rf = field_of(g, int(rng.integers(g.n)), k=1 + trial % 3)
+        outside += Retention(g, rf).outside.size
+        members = sorted(rf.members)
+        kk = int(rng.integers(0, min(3, rf.size - 1) + 1))
+        retained = [r.nodes for r in enumerate_representatives(rf, kk, tau=None)]
+        retained += [frozenset(), rf.members - {rf.target}, frozenset({-1, g.n, g.n + 7})]
+        retained += [[rf.target, rf.target] + members[:2] * 2,
+                     [-3, rf.target, g.n, -3] + members[-1:] * 3,
+                     list(rng.integers(-2, g.n + 2, size=int(rng.integers(0, 9))))]
+        _check_retained_route(g, rf, retained, random_model(rng, d=3, skip=skip))
+    assert outside > 0
+
+
+def test_retained_route_on_a_field_past_the_pair_table(rng):
+    # a 1,600-leaf star: the k = 1 field's 1,601 nodes square to more than
+    # the byte budget, so membership runs on the sorted edge keys
+    leaves = 1600
+    g = Graph.build(n=leaves + 1, edges=[(0, i) for i in range(1, leaves + 1)],
+                    features=rng.normal(size=(leaves + 1, 3)))
+    rf = field_of(g, 0, k=1)
+    assert rf.size ** 2 > _CHUNK_BYTES and Retention(g, rf)._edges.dtype != bool
+    retained = [r.nodes for r in enumerate_representatives(rf, 1, tau=None)][:40]
+    retained += [frozenset(), frozenset({3, 4, 5}), [0, 9, 9, -1]]
+    _check_retained_route(g, rf, retained, random_model(rng, d=3, skip=True))
+
+
 @pytest.mark.parametrize("step", [lambda sets: 1, lambda sets: 3, lambda sets: sets,
                                   lambda sets: sets + 1],
                          ids=["one", "three", "all", "all+1"])
@@ -218,6 +258,31 @@ def test_predict_without_reads_every_chunk_boundary(rng, monkeypatch, step):
     monkeypatch.setattr(LocalScorer, "chunk", lambda self, hood: step(len(deleted)))
     per_view = [int(np.argmax(forward(model, g.without_nodes(dset), 0))) for dset in deleted]
     assert LocalScorer(model, g).predict_without(0, iter(deleted)) == per_view
+
+
+@pytest.mark.parametrize("step", [lambda sets: 1, lambda sets: 3, lambda sets: sets,
+                                  lambda sets: sets + 1],
+                         ids=["one", "three", "all", "all+1"])
+def test_predict_retaining_reads_every_chunk_boundary(rng, monkeypatch, step):
+    # as for predict_without: every set costs the budget over ``step``
+    leaves = 5
+    edges = [(0, i) for i in range(1, leaves + 1)] + [(i, i + 1) for i in range(1, leaves)]
+    g = Graph.build(n=leaves + 1, edges=edges, features=rng.normal(size=(leaves + 1, 3)))
+    model = random_model(rng, d=3, skip=True)
+    rf = field_of(g, 0, k=2)
+    retained = [r.nodes for r in enumerate_representatives(rf, 2, tau=None)]
+    assert len(retained) % 3
+    per_set = _CHUNK_BYTES // step(len(retained))
+    monkeypatch.setattr(Retention, "pass_bytes", lambda self, hidden, classes: (per_set, 0, 0))
+    passes = []
+    aggregate = Retention.aggregate
+    monkeypatch.setattr(Retention, "aggregate",
+                        lambda self, x, sets: passes.append(len(sets)) or aggregate(self, x, sets))
+    per_view = [int(np.argmax(forward(model, g.without_nodes(rf.members - r), 0)))
+                for r in retained]
+    assert LocalScorer(model, g).predict_retaining(rf, iter(retained)) == per_view
+    stride = min(step(len(retained)), len(retained))
+    assert passes == [min(stride, len(retained) - lo) for lo in range(0, len(retained), stride)]
 
 
 def test_batched_predictor_equals_per_view_forward_at_cora_scale(rng):
