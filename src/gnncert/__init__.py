@@ -27,7 +27,6 @@ from .bounds import (
 from .gcn import (
     GnnModel,
     LocalScorer,
-    Retention,
     TrainConfig,
     TwoHop,
     VoteTable,
@@ -66,8 +65,7 @@ __all__ = [
     "delta_single_source", "delta_tree_exact", "delta_union",
     "delta_worst_case", "levine_delta", "max_certifiable_radius",
     "worst_case_curve",
-    "GnnModel", "LocalScorer", "Retention", "TrainConfig", "TwoHop", "VoteTable",
-    "forward",
+    "GnnModel", "LocalScorer", "TrainConfig", "TwoHop", "VoteTable", "forward",
     "forward_all", "load_checkpoint", "load_votes",
     "save_checkpoint", "save_votes", "train",
     "CertificateResult", "VoteTally", "certify",

@@ -428,14 +428,10 @@ class Retention:
         from_member = inside & self._member[sender_at]
         # the self-loop and the in-edges from outside the field, which no set deletes
         self._base = 1 + np.bincount(owner[~from_member], minlength=nb)
-        # the edges from members, as a table over (sender, receiver) keys where
-        # it fits the byte budget, else as their sorted keys
-        edges = sender_at[from_member] * nb + owner[from_member]
-        if nb * nb <= _CHUNK_BYTES:
-            self._edges = np.zeros(nb * nb, dtype=bool)
-            self._edges[edges] = True
-        else:
-            self._edges = np.sort(edges)
+        # the edges from members as keys ``receiver * |nodes| + sender`` of places
+        # in ``nodes``, ascending as the edges come; a last key past every pair
+        # keeps the array non-empty
+        self._edges = np.append(owner[from_member] * nb + sender_at[from_member], nb * nb)
         # each member's senders in ``outside``, ascending: a set holds them with it
         from_outside = inside & ~from_member & self._member[owner]
         self._outside_at = sender_at[from_outside]
@@ -461,18 +457,15 @@ class Retention:
         base = np.arange(0, b * nb, nb)
         # (set, node) keys of the retained nodes, each once
         mine = sorted_distinct(np.repeat(base, sizes)[hit] + at[hit])
+        place = mine % nb
         target_kept = np.zeros(b, dtype=bool)
-        target_kept[mine[mine % nb == self._t] // nb] = True
+        target_kept[mine[place == self._t] // nb] = True
         # each set's nodes, ascending: the retained, the target, its members' outside senders
-        parts = [mine, base + self._t]
-        if self._outside_at.size:
-            start = self._outside_ptr[mine % nb]
-            count = self._outside_ptr[mine % nb + 1] - start
-            o_src = (np.repeat(mine - mine % nb, count)
-                     + self._outside_at[_ragged(start, count)])
-            o_dst = np.repeat(mine, count)
-            parts.append(o_src)
-        key = sorted_distinct(np.concatenate(parts))
+        start = self._outside_ptr[place]
+        count = self._outside_ptr[place + 1] - start
+        o_src = np.repeat(mine - place, count) + self._outside_at[_ragged(start, count)]
+        o_dst = np.repeat(mine, count)
+        key = sorted_distinct(np.concatenate([mine, base + self._t, o_src]))
         which, node = np.divmod(key, nb)
         at_t = np.flatnonzero(node == self._t)
         kept = np.ones(key.size, dtype=bool)
@@ -487,7 +480,7 @@ class Retention:
         dst = np.repeat(np.arange(key.size), pairs)
         src = send[_ragged((np.cumsum(members) - members)[which], pairs)]
         loop = src == dst
-        pick = np.flatnonzero(self._is_edge(node[src] * nb + node[dst]) | loop)
+        pick = np.flatnonzero(_places(self._edges, node[dst] * nb + node[src])[1] | loop)
         src, dst, loop = src[pick], dst[pick], loop[pick]
         live = ~loop & kept[src] & kept[dst]        # no edge leaves or enters a deleted node
         degree = np.where(kept, self._base[node] + np.bincount(dst[live], minlength=key.size), 1)
@@ -497,14 +490,12 @@ class Retention:
         is_row[at_t] = True
         is_row[src[live & (node[dst] == self._t)]] = True
         entry = (live | loop) & is_row[dst]
-        row, col = dst[entry], src[entry]
-        if self._outside_at.size:           # the edges from outside into the kept rows
-            o_dst = np.searchsorted(key, o_dst)
-            into = is_row[o_dst]
-            row = np.concatenate([row, o_dst[into]])
-            col = np.concatenate([col, np.searchsorted(key, o_src[into])])
-            order = np.argsort(row * key.size + col)
-            row, col = row[order], col[order]
+        o_dst = np.searchsorted(key, o_dst)     # and the edges from outside into the kept rows
+        into = is_row[o_dst]
+        row = np.concatenate([dst[entry], o_dst[into]])
+        col = np.concatenate([src[entry], np.searchsorted(key, o_src[into])])
+        order = np.argsort(row * key.size + col)
+        row, col = row[order], col[order]
         inv_sqrt = 1.0 / np.sqrt(degree.astype(np.float64))
         value = inv_sqrt[row] * inv_sqrt[col]
         first = sparse.csr_matrix((value, self._ids[node[col]], _indptr(degree[is_row])),
@@ -518,13 +509,6 @@ class Retention:
                                    shape=(b, first.shape[0]))
         return second @ z1
 
-    def _is_edge(self, pair: np.ndarray) -> np.ndarray:
-        """Whether each key ``sender * |nodes| + receiver``, of places in ``nodes``, is an
-        edge from a member."""
-        if self._edges.dtype == bool:
-            return self._edges[pair]
-        return _places(self._edges, pair)[1] if self._edges.size else np.zeros(pair.size, bool)
-
     def pass_bytes(self, hidden: int, classes: int) -> tuple[int, int, int]:
         """``(fixed, per_id, per_square)``: a set of ``s`` ids adds at most
         ``fixed + s * (per_id + s * per_square)`` bytes to a pass, ``x``
@@ -537,8 +521,9 @@ class Retention:
         most its nodes.  Per id, node, pair and edge from outside it counts
         the arrays ``aggregate`` holds at once where it holds the most,
         temporaries included, and per set the target's row and its
-        ``classes`` scores.  Passes over the ``derandomize-keepk`` and
-        paper-scale fields peaked at 40-65% of the count.  The cost grows
+        ``classes`` scores.  Passes of over 1 MB on the paper-scale fields
+        peaked at 41-57% of the count under ``tracemalloc``, and a test holds
+        every full pass under it.  The cost grows
         as ``s * c``: one set retaining all of a 1,000-member field of
         ``k >= 2`` makes a million pairs, some 65 MB, in one pass.
         """

@@ -9,7 +9,6 @@ import pytest
 from gnncert import (
     Graph,
     LocalScorer,
-    Retention,
     TwoHop,
     enumerate_representatives,
     exact_label_probs,
@@ -21,7 +20,7 @@ from gnncert.errors import EnumerationRefused, IncompleteRepresentativesError
 
 from conftest import random_graph
 from test_gcn import random_model
-from gnncert.gcn import _CHUNK_BYTES, forward
+from gnncert.gcn import _CHUNK_BYTES, Retention, forward
 
 
 def field_of(g, v=0, k=3):
@@ -229,19 +228,6 @@ def test_retained_route_edge_cases(rng, directed, skip):
     assert outside > 0
 
 
-def test_retained_route_on_a_field_past_the_pair_table(rng):
-    # a 1,600-leaf star: the k = 1 field's 1,601 nodes square to more than
-    # the byte budget, so membership runs on the sorted edge keys
-    leaves = 1600
-    g = Graph.build(n=leaves + 1, edges=[(0, i) for i in range(1, leaves + 1)],
-                    features=rng.normal(size=(leaves + 1, 3)))
-    rf = field_of(g, 0, k=1)
-    assert rf.size ** 2 > _CHUNK_BYTES and Retention(g, rf)._edges.dtype != bool
-    retained = [r.nodes for r in enumerate_representatives(rf, 1, tau=None)][:40]
-    retained += [frozenset(), frozenset({3, 4, 5}), [0, 9, 9, -1]]
-    _check_retained_route(g, rf, retained, random_model(rng, d=3, skip=True))
-
-
 @pytest.mark.parametrize("step", [lambda sets: 1, lambda sets: 3, lambda sets: sets,
                                   lambda sets: sets + 1],
                          ids=["one", "three", "all", "all+1"])
@@ -283,6 +269,47 @@ def test_predict_retaining_reads_every_chunk_boundary(rng, monkeypatch, step):
     assert LocalScorer(model, g).predict_retaining(rf, iter(retained)) == per_view
     stride = min(step(len(retained)), len(retained))
     assert passes == [min(stride, len(retained) - lo) for lo in range(0, len(retained), stride)]
+
+
+def test_pass_bytes_bound_what_a_pass_holds(rng):
+    # ``Retention.pass_bytes`` is counted by hand per id, node, pair and
+    # edge from outside; every full pass ``chunks`` cuts, scored as
+    # ``predict_retaining`` scores it, must peak under its count: a leaf's
+    # k = 1 field, whose members have many senders outside it, the hub's
+    # k = 1 field, and random fields of k 2 and 3.  Where no member has a
+    # sender outside the field the count must also stay within 4x of the
+    # peak, or passes are cut far finer than the budget asks
+    leaves = 40
+    edges = [(0, i) for i in range(1, leaves + 1)] + [(i, i + 1) for i in range(1, leaves)]
+    hub = Graph.build(n=leaves + 1, edges=edges, features=rng.normal(size=(leaves + 1, 3)))
+    fields = [(hub, field_of(hub, 1, k=1)), (hub, field_of(hub, 0, k=1))]
+    for k in (2, 3):
+        g = random_graph(rng, n=60, p_edge=0.08, d=3)
+        fields.append((g, field_of(g, 0, k=k)))
+    full = 0
+    for g, rf in fields:
+        model = random_model(rng, d=3, h=16, skip=True)
+        scorer = LocalScorer(model, g)
+        core = Retention(g, rf)
+        fixed, per_id, per_square = core.pass_bytes(model.hidden, model.classes)
+        members = sorted(rf.members)
+        retained = [r.nodes for r in enumerate_representatives(rf, min(3, rf.size - 1), tau=None)]
+        retained += [list(rng.choice(members, size=int(rng.integers(1, 7)))) for _ in range(2000)]
+        chunks = list(core.chunks(retained, model.hidden, model.classes))
+        tracemalloc.start()
+        try:
+            for chunk in chunks[:-1]:
+                tracemalloc.reset_peak()
+                held = tracemalloc.get_traced_memory()[0]
+                np.argmax(np.matmul(scorer.hidden_retaining(core, chunk), model.w2)[:, 0], axis=1)
+                peak = tracemalloc.get_traced_memory()[1] - held
+                counted = sum(fixed + len(r) * (per_id + len(r) * per_square) for r in chunk)
+                assert peak <= counted
+                assert core.outside.size or 4 * peak >= counted
+                full += 1
+        finally:
+            tracemalloc.stop()
+    assert full >= 2 * len(fields)
 
 
 def test_batched_predictor_equals_per_view_forward_at_cora_scale(rng):
