@@ -18,7 +18,8 @@ are never built.  A model scores all of them in batches
 (``gcn.LocalScorer.predict_retaining``, which holds its graph), each from
 its retained nodes alone: the variant holds them and the edges between
 them, plus each kept node's count of in-edges from outside the field, and
-no two-hop hood or mask over its edges is built (``gcn.Retention``).
+no two-hop hood or mask over its edges is built (``gcn.Retention``).  The
+field must have k >= 2, the model's two layers (``ValueError`` otherwise).
 ``retained`` is an iterable read once, in order.  ``per_view(g, predict)``
 adapts a classifier of one graph view, ``predict(view, target) -> class``,
 to that contract, one ``g.without_nodes`` per set: the slow reference.
@@ -91,8 +92,7 @@ def enumerate_representatives(
         raise ValueError(f"cannot retain {k} of {d} non-target field nodes")
     if tau is not None and total > tau:
         raise EnumerationRefused(
-            f"C({d}, {k}) = {total} exceeds budget {tau}; "
-            f"fall back to Monte-Carlo estimation"
+            f"C({d}, {k}) = {total} exceeds budget {tau}; raise tau or lower k_rel"
         )
 
     adj = _undirected_adjacency(rf)

@@ -10,19 +10,18 @@ Training is full-batch with hand-written reverse-mode gradients and Adam
 updates through the same forward pass, so no autodiff dependency is needed.
 
 Inference is two-hop-local and batched: a target's score reads only its
-two-hop in-neighbourhood, so ``LocalScorer`` scores many variants of the
-graph (smoothing samples, derandomization views) in one sparse pass over
-that neighbourhood.  ``TwoHop`` builds the pattern of both layers once; a
-pass only picks each variant's surviving entries and their values.  A
-derandomization view that keeps a few field nodes and deletes the rest
-reads less: ``Retention`` builds both layers of each from its retained
-nodes alone.  Every pass reads the scorer's one table, ``X @ W1`` by node
-id and a last ``token @ W1`` row for every ablated sender.  The hidden
-rows are bitwise those of the full forward.  Both vote producers live
-here and chunk their own input: ``sample_votes`` draws and scores
-smoothing samples, ``predict_without`` and ``predict_retaining``
-node-deleted views, given by their deleted or their retained nodes.
-``forward``, ``forward_all`` and ``train`` run on the whole graph.
+two-hop in-neighbourhood.  ``LocalScorer.sample_votes`` scores many
+smoothing samples in one sparse pass over that neighbourhood: ``TwoHop``
+builds the pattern of both layers once, and a pass only picks each
+sample's surviving entries and their values.  A node-deleted view
+(derandomization) is given by the field nodes it retains, and
+``predict_retaining`` is its one scorer: ``Retention`` builds both layers
+of each view from its retained nodes alone, which a receptive field of
+k >= 2 holds with every sender they read.  Every pass reads the scorer's
+one table, ``X @ W1`` by node id and a last ``token @ W1`` row for every
+ablated sender.  The hidden rows are bitwise those of the full forward.
+Both vote producers chunk their own input.  ``forward``, ``forward_all``
+and ``train`` run on the whole graph.
 
 External classifiers are supported through vote files instead of live
 models, so certification is not tied to this architecture.
@@ -225,7 +224,8 @@ class TwoHop:
 
     ``rows`` is ``R``, ascending without repeats; ``nodes`` is ``V``
     ascending; ``edges`` indexes, ascending, the graph edges whose receiver
-    lies in ``V``.  A variant of the graph is a kept mask over ``edges``.
+    lies in ``V``.  A variant of the graph, a smoothing sample, is a kept
+    mask over ``edges`` and a mask of ablated nodes over ``V``.
     Senders of ``edges`` may lie outside ``V``: such an edge carries no
     message to ``R`` but counts in its receiver's degree, which scales the
     messages that do.  ``V`` comes from the graph, so it holds whatever a
@@ -245,7 +245,6 @@ class TwoHop:
         if np.any(np.diff(self.rows) <= 0):
             raise ValueError("TwoHop rows must ascend without repeats")
         check_node_ids(self.rows, g.n, "TwoHop rows")
-        self._n = g.n
         src, dst = g.edges[:, 0], g.edges[:, 1]
 
         def with_senders(mask):
@@ -259,9 +258,8 @@ class TwoHop:
         in_v = with_senders(in_u)
         self.nodes = np.flatnonzero(in_v)
         self.edges = np.flatnonzero(in_v[dst])
-        self._senders = src[self.edges]
-        self._receivers = dst[self.edges]
-        receiver_at = self._local(self._receivers)
+        senders, receivers = src[self.edges], dst[self.edges]
+        receiver_at = self._local(receivers)
         # in-edge incidence over V, row v holding a 1 per edge into v: a
         # product with the kept masks counts in-degrees faster than a
         # bincount of the kept receivers, with bitwise-equal counts.  On
@@ -280,10 +278,10 @@ class TwoHop:
              _indptr(np.bincount(receiver_at, minlength=self.nodes.size))),
             shape=(self.nodes.size, self.edges.size))
         # first layer: the edges into U and U's self-loops, by receiver, then sender
-        into_u = np.flatnonzero(in_u[self._receivers])
+        into_u = np.flatnonzero(in_u[receivers])
         self._u_at = self._local(np.flatnonzero(in_u))
         row = np.concatenate([receiver_at[into_u], self._u_at])
-        col = np.concatenate([self._local(self._senders[into_u]), self._u_at])
+        col = np.concatenate([self._local(senders[into_u]), self._u_at])
         order = np.lexsort((col, row))
         self._row, self._col = row[order], col[order].astype(np.int32)
         self._sender_id = self.nodes[self._col].astype(np.int32)    # the columns as node ids
@@ -361,83 +359,39 @@ class TwoHop:
         shared = 8 * rows * hidden                      # the skip path's rows
         return max(1, (_CHUNK_BYTES - shared) // per_variant)
 
-    @functools.cached_property
-    def _ends(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Nodes an edge touches, ascending, and the places of each edge's sender and receiver."""
-        ends = np.union1d(self.nodes, self._senders)
-        return (ends, np.searchsorted(ends, self._senders),
-                np.searchsorted(ends, self._receivers))
-
-    def _at(self, sets) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Every id of ``sets``, read once in order; and of the ids an edge
-        touches, the index of their set and their place in ``_ends``."""
-        flat, sizes = _flatten(sets)
-        at, hit = _places(self._ends[0], flat)      # ids no edge touches do nothing
-        return flat, np.repeat(np.arange(len(sizes)), sizes)[hit], at[hit]
-
-    def _kept(self, drop: np.ndarray) -> np.ndarray:
-        """Kept masks of node masks ``drop`` (b, |ends|): an edge survives where no end drops."""
-        _, sender_at, receiver_at = self._ends
-        return ~(drop[:, sender_at] | drop[:, receiver_at])
-
-    def kept_without(self, deleted) -> np.ndarray:
-        """(len(deleted), |edges|) kept masks with each set of nodes deleted.
-
-        An edge survives when neither endpoint is deleted, as in
-        ``Graph.without_nodes``; a node id outside ``[0, n)`` is a
-        ``ValueError`` there and here.
-        """
-        flat, which, at = self._at(deleted)
-        check_node_ids(flat, self._n, "deleted nodes")
-        drop = np.zeros((len(deleted), self._ends[0].size), dtype=bool)
-        drop[which, at] = True
-        return self._kept(drop)
-
 
 class Retention:
     """What scoring the retained sets of one field reads: built from the field, not its hood.
 
     A retained set ``r`` keeps its members and deletes every other member
     of ``rf``; a node outside the field is never deleted.  Its variant is
-    the graph on the set's nodes: the members it retains, the target,
-    kept or not, and, in a field of ``k = 1``, the senders into those
-    members that lie outside the field, two hops out (``outside``).
-    ``nodes`` holds the members and ``outside``, ascending.  A kept node's
+    the graph on the set's nodes: the members it retains and the target,
+    kept or not.  ``nodes`` holds the members, ascending.  A kept node's
     degree is its self-loop, plus its in-edges from outside the field, a
     constant kept per node, plus its in-edges from ``r``; a deleted node's
-    is 1.  Only the pairs of a set's own nodes are looked up among the
-    edges between ``nodes``, so a set's work and memory grow with its
-    retained members, not with the target's two-hop hood (``pass_bytes``).
+    is 1.  The field must have ``k >= 2`` (``ValueError`` otherwise): it
+    then holds every sender the two layers read.  Only the pairs of a set's
+    own nodes are looked up among the edges between members, so a set's
+    work and memory grow with its retained members, not with the target's
+    two-hop hood (``pass_bytes``).
     """
 
     def __init__(self, g: Graph, rf: ReceptiveField):
-        t, members = int(rf.target), rf.member_ids
-        self.target = t
-        # the rows are the target and its senders; a field of k >= 2 holds all their senders
-        self.outside = np.zeros(0, dtype=np.int64)
         if rf.k < 2:
-            indptr, senders = g.in_neighbors
-            sender = _in_edges(g, np.append(senders[indptr[t]:indptr[t + 1]], t))[1]
-            self.outside = sorted_distinct(sender[~_places(members, sender)[1]])
-        self.nodes = np.sort(np.concatenate([members, self.outside]))
+            raise ValueError(f"k {rf.k} is below the model's 2 layers: the field misses "
+                             "senders the target's prediction reads; use k >= 2")
+        self.target = int(rf.target)
+        self.nodes = rf.member_ids
         nb = self.nodes.size
-        self._member = np.ones(nb, dtype=bool)
-        self._member[np.searchsorted(self.nodes, self.outside)] = False
         owner, sender_at = _in_edges(g, self.nodes)
         sender_at, inside = _places(self.nodes, sender_at)
-        from_member = inside & self._member[sender_at]
         # the self-loop and the in-edges from outside the field, which no set deletes
-        self._base = 1 + np.bincount(owner[~from_member], minlength=nb)
+        self._base = 1 + np.bincount(owner[~inside], minlength=nb)
         # the edges from members as keys ``receiver * |nodes| + sender`` of places
         # in ``nodes``, ascending as the edges come; a last key past every pair
         # keeps the array non-empty
-        self._edges = np.append(owner[from_member] * nb + sender_at[from_member], nb * nb)
-        # each member's senders in ``outside``, ascending: a set holds them with it
-        from_outside = inside & ~from_member & self._member[owner]
-        self._outside_at = sender_at[from_outside]
-        self._outside_ptr = np.zeros(nb + 1, dtype=np.int64)
-        np.cumsum(np.bincount(owner[from_outside], minlength=nb), out=self._outside_ptr[1:])
-        self._t = int(np.searchsorted(self.nodes, t))
+        self._edges = np.append(owner[inside] * nb + sender_at[inside], nb * nb)
+        self._t = int(np.searchsorted(self.nodes, self.target))
         self._ids = self.nodes.astype(np.int32)     # first-layer columns: rows of ``x``
 
     def aggregate(self, x: np.ndarray, retained) -> np.ndarray:
@@ -447,9 +401,10 @@ class Retention:
         its kept senders; each holds its kept senders and its self-loop by
         ascending sender, with ``inv_sqrt[row] * inv_sqrt[col]``, and the
         second layer is the target's row.  These are the entries and values
-        ``TwoHop.aggregate`` keeps of the same variant, in the same order,
-        so the rows are bitwise equal.  A retained id that is no member of
-        the field, however often given, keeps and deletes nothing.
+        ``normalized_adjacency`` gives those rows on the view, in the same
+        order, so the rows are bitwise the full forward's.  A retained id
+        that is no member of the field, however often given, keeps and
+        deletes nothing.
         """
         b, nb = len(retained), self.nodes.size
         flat, sizes = _flatten(retained)
@@ -457,45 +412,35 @@ class Retention:
         base = np.arange(0, b * nb, nb)
         # (set, node) keys of the retained nodes, each once
         mine = sorted_distinct(np.repeat(base, sizes)[hit] + at[hit])
-        place = mine % nb
         target_kept = np.zeros(b, dtype=bool)
-        target_kept[mine[place == self._t] // nb] = True
-        # each set's nodes, ascending: the retained, the target, its members' outside senders
-        start = self._outside_ptr[place]
-        count = self._outside_ptr[place + 1] - start
-        o_src = np.repeat(mine - place, count) + self._outside_at[_ragged(start, count)]
-        o_dst = np.repeat(mine, count)
-        key = sorted_distinct(np.concatenate([mine, base + self._t, o_src]))
+        target_kept[mine[mine % nb == self._t] // nb] = True
+        # each set's nodes, ascending: the retained and the target
+        key = sorted_distinct(np.concatenate([mine, base + self._t]))
         which, node = np.divmod(key, nb)
         at_t = np.flatnonzero(node == self._t)
         kept = np.ones(key.size, dtype=bool)
         kept[at_t] = target_kept
 
-        # each pair of a node of a set and a member of it, the target even when
-        # deleted, by node and then by ascending member; of them the edges
-        # between kept nodes and the self-loops
-        send = np.flatnonzero(self._member[node])
-        members = np.bincount(which[send], minlength=b)
-        pairs = members[which]
+        # each pair of nodes of a set, the target even when deleted, by
+        # receiver and then by ascending sender; of them the edges between
+        # kept nodes and the self-loops, still in that order
+        size = np.bincount(which, minlength=b)
+        pairs = size[which]
         dst = np.repeat(np.arange(key.size), pairs)
-        src = send[_ragged((np.cumsum(members) - members)[which], pairs)]
+        src = _ragged((np.cumsum(size) - size)[which], pairs)
         loop = src == dst
         pick = np.flatnonzero(_places(self._edges, node[dst] * nb + node[src])[1] | loop)
         src, dst, loop = src[pick], dst[pick], loop[pick]
         live = ~loop & kept[src] & kept[dst]        # no edge leaves or enters a deleted node
         degree = np.where(kept, self._base[node] + np.bincount(dst[live], minlength=key.size), 1)
 
-        # first layer: the target and its kept senders, each row by ascending sender
+        # first layer: the target and its kept senders, each row by ascending
+        # sender; all their senders are members, so a row has as many entries as its degree
         is_row = np.zeros(key.size, dtype=bool)
         is_row[at_t] = True
         is_row[src[live & (node[dst] == self._t)]] = True
         entry = (live | loop) & is_row[dst]
-        o_dst = np.searchsorted(key, o_dst)     # and the edges from outside into the kept rows
-        into = is_row[o_dst]
-        row = np.concatenate([dst[entry], o_dst[into]])
-        col = np.concatenate([src[entry], np.searchsorted(key, o_src[into])])
-        order = np.argsort(row * key.size + col)
-        row, col = row[order], col[order]
+        row, col = dst[entry], src[entry]
         inv_sqrt = 1.0 / np.sqrt(degree.astype(np.float64))
         value = inv_sqrt[row] * inv_sqrt[col]
         first = sparse.csr_matrix((value, self._ids[node[col]], _indptr(degree[is_row])),
@@ -514,27 +459,23 @@ class Retention:
         ``fixed + s * (per_id + s * per_square)`` bytes to a pass, ``x``
         having ``hidden`` columns.
 
-        With ``w`` the most senders outside the field of one member (0 when
-        ``k >= 2``), such a set holds at most ``c = s * (1 + w) + 1`` nodes,
-        ``s + 1`` of them members, ``c * (s + 1)`` pairs, each an edge or a
-        self-loop at most, and ``s * w`` edges from outside; its rows are at
-        most its nodes.  Per id, node, pair and edge from outside it counts
-        the arrays ``aggregate`` holds at once where it holds the most,
+        Such a set holds at most ``s + 1`` nodes, the target among them,
+        and ``(s + 1) ** 2`` pairs, each an edge or a self-loop at most; its
+        rows are at most its nodes.  Per id, node and pair it counts the
+        arrays ``aggregate`` holds at once where it holds the most,
         temporaries included, and per set the target's row and its
         ``classes`` scores.  Passes of over 1 MB on the paper-scale fields
-        peaked at 41-57% of the count under ``tracemalloc``, and a test holds
-        every full pass under it.  The cost grows
-        as ``s * c``: one set retaining all of a 1,000-member field of
-        ``k >= 2`` makes a million pairs, some 65 MB, in one pass.
+        peaked at 38-54% of the count under ``tracemalloc``, and a test holds
+        every full pass under it.  The cost grows as ``s ** 2``: one set
+        retaining all of a 1,000-member field makes a million pairs, some
+        65 MB, in one pass.
         """
         per_id = 48                         # flat, its places, hits, keys
         per_node = 96 + 8 * hidden          # keys, flags, degrees; a row of z1
         per_pair = 64                       # ends, edge keys; then entries, values
-        per_edge = 96                       # an edge from outside, as an entry
-        w = int(np.diff(self._outside_ptr).max(initial=0))
         return (64 + 8 * (hidden + classes) + per_node + per_pair,
-                per_id + per_node * (1 + w) + per_pair * (2 + w) + per_edge * w,
-                per_pair * (1 + w))
+                per_id + per_node + 2 * per_pair,
+                per_pair)
 
     def chunks(self, retained, hidden: int, classes: int):
         """``retained`` as lists of consecutive sets whose ``pass_bytes`` fit ``_CHUNK_BYTES``.
@@ -564,12 +505,13 @@ class LocalScorer:
     full forward.  Every pass reads that table by node id, and the skip
     path's ``relu(X @ W1)`` is made from it.  ``scores`` runs one pass
     over the variants of a ``TwoHop`` hood it is given; ``sample_votes``
-    and ``predict_without`` feed it ``chunk`` variants at a time, so memory
-    stays under a byte budget whatever their number.  ``predict_retaining``
-    builds no hood: it scores each retained set from its own nodes
-    (``Retention``, through ``hidden_retaining``), in chunks whose bytes it
-    counts per set.  A chunk of one variant may exceed the budget
-    (``TwoHop.chunk``, ``Retention.pass_bytes``).
+    feeds it ``chunk`` smoothing samples at a time, so memory stays under a
+    byte budget whatever their number.  ``predict_retaining`` is the one
+    scorer of node-deleted views, on fields of ``k >= 2``, and builds no
+    hood: it scores each retained set from its own nodes (``Retention``,
+    through ``hidden_retaining``), in chunks whose bytes it counts per set.
+    A chunk of one variant may exceed the budget (``TwoHop.chunk``,
+    ``Retention.pass_bytes``).
     """
 
     def __init__(self, model: GnnModel, g: Graph):
@@ -635,29 +577,12 @@ class LocalScorer:
                 np.take(s.ablated, hood.nodes, out=ablated[j], mode="clip")
             yield lo, np.argmax(self.scores(hood, kept, ablated), axis=2)
 
-    def predict_without(self, v: int, deleted) -> list[int]:
-        """Class of ``v`` with each set of nodes deleted.
-
-        ``deleted`` is an iterable of node sets, read and scored ``chunk``
-        sets per pass, so memory does not grow with the number of sets.
-        The hidden rows are bitwise ``forward``'s, but ``W2`` multiplies one
-        row here and all rows there, and BLAS rounds the two products
-        differently in the last bits: at a near-tie of two classes this
-        classifier and ``forward``'s argmax may pick different ones.
-        """
-        hood = TwoHop(self.g, [v])
-        step = self.chunk(hood)
-        deleted = iter(deleted)
-        out: list[int] = []
-        while chunk := list(itertools.islice(deleted, step)):
-            out += np.argmax(self.scores(hood, hood.kept_without(chunk))[:, 0], axis=1).tolist()
-        return out
-
     def hidden_retaining(self, core: Retention, retained) -> np.ndarray:
         """(len(retained), 1, hidden) input to ``W2`` of each retained set, in one pass.
 
-        Bitwise ``hidden`` on ``hood.kept_without(rf.members - r)``, the
-        target's ``TwoHop`` hood, for each set ``r``.
+        Bitwise the full forward's input to ``W2`` at the target, through
+        ``normalized_adjacency`` and ``propagate``, on
+        ``g.without_nodes(rf.members - r)`` for each set ``r``.
         """
         h2 = core.aggregate(self.table, retained).reshape(len(retained), 1, self.model.hidden)
         if self.skip_h is not None:
@@ -668,11 +593,13 @@ class LocalScorer:
         """``derandomize``'s batch ``predict``: the class of ``rf.target`` per retained set.
 
         Each set ``r`` keeps its members and deletes every other member of
-        ``rf``; the classes are ``predict_without``'s on the sets
-        ``rf.members - r``, which are never built.  Each set is scored from
-        its own nodes (``Retention``), in chunks whose arrays, counted per
-        set, stay under the byte budget, so work and memory grow with the
-        sets' retained members: at most k+1 for a representative.
+        ``rf``, a field of ``k >= 2`` (``Retention``); the deleted sets
+        ``rf.members - r`` are never built.  Each set is scored from its own
+        nodes, in chunks whose arrays, counted per set, stay under the byte
+        budget, so work and memory grow with the sets' retained members: at
+        most k+1 for a representative.  ``W2`` multiplies one row here and
+        all rows in ``forward``, and BLAS rounds the two products differently
+        in the last bits: at a near-tie the two argmaxes may differ.
         """
         core = Retention(self.g, rf)
         out: list[int] = []

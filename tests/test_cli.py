@@ -247,7 +247,7 @@ def test_derandomize_builds_no_two_hop_hood(fixture_dir, monkeypatch):
                for r in csv_rows(fixture_dir / "out" / "derandomized.csv"))
     g = Graph.build(n=3, edges=[(0, 1), (1, 2)], features=np.eye(3))
     model = GnnModel(w1=np.ones((3, 2)), w2=np.ones((2, 2)), token=np.zeros(3))
-    gcn.LocalScorer(model, g).predict_without(0, [set()])
+    list(gcn.LocalScorer(model, g).sample_votes(np.array([0]), SmoothingConfig(0.5, 0.5), 1))
     assert len(built) == 1                      # the count sees a hood where one is built
 
 

@@ -12,6 +12,7 @@ from gnncert import (
     TwoHop,
     enumerate_representatives,
     exact_label_probs,
+    gcn,
     per_view,
     receptive_field,
     retention_count,
@@ -19,7 +20,7 @@ from gnncert import (
 from gnncert.errors import EnumerationRefused, IncompleteRepresentativesError
 
 from conftest import random_graph
-from test_gcn import random_model
+from test_gcn import full_hidden, random_model
 from gnncert.gcn import _CHUNK_BYTES, Retention, forward
 
 
@@ -100,7 +101,8 @@ def test_enumeration_refusal():
     edges = [(i, 0) for i in range(1, 25)]
     g = Graph.build(n=25, edges=edges, directed=False)
     rf = field_of(g, 0, k=1)
-    with pytest.raises(EnumerationRefused):
+    refused = r"C\(24, 12\) = 2704156 exceeds budget 1000; raise tau or lower k_rel"
+    with pytest.raises(EnumerationRefused, match=refused):
         enumerate_representatives(rf, k=12, tau=1000)
 
 
@@ -147,35 +149,30 @@ def test_batched_predictor_equals_per_view_forward(rng):
     for trial in range(24):
         g = random_graph(rng, n=int(rng.integers(5, 12)), p_edge=0.35,
                          directed=bool(trial % 4 == 3), d=3)
-        k = 1 + trial % 3
+        k = 2 + trial % 3
         rf = field_of(g, int(rng.integers(g.n)), k=k)
         d = rf.size - 1
         kk = int(rng.integers(0, min(3, d) + 1))
         model = random_model(rng, d=3, skip=bool(trial % 2))
-        reps = enumerate_representatives(rf, kk, tau=None)
-        deleted = [rf.members - r.nodes for r in reps]
-        hood = TwoHop(g, [rf.target])
-        for dset, kept in zip(deleted, hood.kept_without(deleted)):
-            assert np.array_equal(kept, _kept_mask(g, dset)[hood.edges])
-        batched = LocalScorer(model, g).predict_without(rf.target, iter(deleted))
-        per_view = [int(np.argmax(forward(model, g.without_nodes(dset), rf.target)))
-                    for dset in deleted]
+        retained = [r.nodes for r in enumerate_representatives(rf, kk, tau=None)]
+        batched = LocalScorer(model, g).predict_retaining(rf, iter(retained))
+        per_view = [int(np.argmax(forward(model, g.without_nodes(rf.members - r), rf.target)))
+                    for r in retained]
         assert batched == per_view
 
 
 def _check_retained_route(g, rf, retained, model):
-    """The retained route equals the complement route, W2 input for W2 input bit for bit
-    and class for class, and ``forward`` on each view by class."""
+    """The retained route equals the full forward on each view, W2 input for W2 input
+    bit for bit, and ``forward`` on each view by class."""
     scorer = LocalScorer(model, g)
-    hood = TwoHop(g, [rf.target])
-    deleted = [rf.members.difference(r) for r in retained]
+    no_ablation = np.zeros(g.n, dtype=bool)
     got = scorer.hidden_retaining(Retention(g, rf), retained)
-    want = scorer.hidden(hood, hood.kept_without(deleted))
+    want = np.array([full_hidden(model, g, _kept_mask(g, rf.members.difference(r)),
+                                 no_ablation, model.token)[[rf.target]] for r in retained])
     assert got.shape == want.shape and got.tobytes() == want.tobytes()
     reference = per_view(g, lambda view, v: int(np.argmax(forward(model, view, v))))
     classes = scorer.predict_retaining(rf, iter(retained))
     assert classes == reference(rf, [frozenset(r) for r in retained])
-    assert classes == scorer.predict_without(rf.target, deleted)
 
 
 def test_retained_sets_score_as_their_complements(rng):
@@ -183,8 +180,8 @@ def test_retained_sets_score_as_their_complements(rng):
     # and off; besides the representatives, the target alone, every
     # member, and each node outside the field retained with the target
     # alone and with every member: such a node keeps and deletes nothing.
-    # A member touches a hood edge up to three hops out, where it sends
-    # into a two-hop node, so members that touch none come with k >= 4:
+    # A member up to three hops out sends into a two-hop node, whose degree
+    # scales its message, so members that no view reads come with k >= 4:
     # random fields of k 4, and nodes 4 and 5 of a path's k = 5 field
     cases = []
     for trial in range(44):
@@ -196,7 +193,7 @@ def test_retained_sets_score_as_their_complements(rng):
     cases.append((path, field_of(path, 0, k=5)))
     untouched = 0
     for trial, (g, rf) in enumerate(cases):
-        untouched += len(rf.members - set(TwoHop(g, [rf.target])._ends[0].tolist()))
+        untouched += int(np.count_nonzero(rf.member_distance >= 4))
         kk = int(rng.integers(0, min(3, rf.size - 1) + 1))
         retained = [r.nodes for r in enumerate_representatives(rf, kk, tau=None)]
         retained += [frozenset({rf.target}), rf.members]
@@ -209,14 +206,12 @@ def test_retained_sets_score_as_their_complements(rng):
 @pytest.mark.parametrize("directed", [False, True], ids=["undirected", "directed"])
 @pytest.mark.parametrize("skip", [False, True], ids=["plain", "skip"])
 def test_retained_route_edge_cases(rng, directed, skip):
-    # fields of k = 1, whose rows have senders outside the field, and of k 2
-    # and 3; sets without the target, the empty set, lists with repeated
-    # ids, and ids below 0 or at least n, which retain and delete nothing
-    outside = 0
+    # fields of k 2 to 4; sets without the target, the empty set, lists
+    # with repeated ids, and ids below 0 or at least n, which retain and
+    # delete nothing
     for trial in range(30):
         g = random_graph(rng, n=int(rng.integers(4, 12)), p_edge=0.35, directed=directed, d=3)
-        rf = field_of(g, int(rng.integers(g.n)), k=1 + trial % 3)
-        outside += Retention(g, rf).outside.size
+        rf = field_of(g, int(rng.integers(g.n)), k=2 + trial % 3)
         members = sorted(rf.members)
         kk = int(rng.integers(0, min(3, rf.size - 1) + 1))
         retained = [r.nodes for r in enumerate_representatives(rf, kk, tau=None)]
@@ -225,32 +220,67 @@ def test_retained_route_edge_cases(rng, directed, skip):
                      [-3, rf.target, g.n, -3] + members[-1:] * 3,
                      list(rng.integers(-2, g.n + 2, size=int(rng.integers(0, 9))))]
         _check_retained_route(g, rf, retained, random_model(rng, d=3, skip=skip))
-    assert outside > 0
 
 
-@pytest.mark.parametrize("step", [lambda sets: 1, lambda sets: 3, lambda sets: sets,
-                                  lambda sets: sets + 1],
-                         ids=["one", "three", "all", "all+1"])
-def test_predict_without_reads_every_chunk_boundary(rng, monkeypatch, step):
-    # passes of one and of three sets, of exactly every set (the loop stops
-    # on an empty read), and of one set more than there are
-    leaves = 5
-    edges = [(0, i) for i in range(1, leaves + 1)] + [(i, i + 1) for i in range(1, leaves)]
-    g = Graph.build(n=leaves + 1, edges=edges, features=rng.normal(size=(leaves + 1, 3)))
-    model = random_model(rng, d=3, skip=True)
+@pytest.mark.parametrize("directed", [False, True], ids=["undirected", "directed"])
+def test_retention_refuses_fields_below_two_hops(rng, directed):
+    # a field of k = 1 misses the senders into the target's senders, which
+    # a two-layer prediction reads: its views would be scored without them.
+    # Node 2's field is {1, 2} (and 3, undirected); node 0 sends into 1
+    g = Graph.build(n=4, edges=[(0, 1), (1, 2), (2, 3)], features=rng.normal(size=(4, 3)),
+                    directed=directed)
+    rf = field_of(g, 2, k=1)
+    assert 0 not in rf.members and 1 in rf.members
+    with pytest.raises(ValueError, match="k 1 is below"):
+        Retention(g, rf)
+    with pytest.raises(ValueError, match="k 1 is below"):
+        LocalScorer(random_model(rng, d=3), g).predict_retaining(rf, [rf.members])
+
+
+@pytest.mark.parametrize("directed", [False, True], ids=["undirected", "directed"])
+def test_retention_layers_come_in_canonical_order(rng, monkeypatch, directed):
+    # ``Retention.aggregate`` builds both CSR layers with their entries as
+    # they come, unsorted: each row's columns must already ascend, once
+    # each, as in ``normalized_adjacency``, or the sums would round in
+    # another order than the full forward's
+    built = []
+    csr_matrix = gcn.sparse.csr_matrix
+
+    def recording(*args, **kwargs):
+        built.append(csr_matrix(*args, **kwargs))
+        return built[-1]
+
+    monkeypatch.setattr(gcn.sparse, "csr_matrix", recording)
+    for trial in range(20):
+        g = random_graph(rng, n=int(rng.integers(5, 14)), p_edge=0.35, directed=directed, d=3)
+        rf = field_of(g, int(rng.integers(g.n)), k=2 + trial % 3)
+        kk = int(rng.integers(0, min(3, rf.size - 1) + 1))
+        retained = [r.nodes for r in enumerate_representatives(rf, kk, tau=None)]
+        retained += [rf.members, frozenset(), list(rf.members)[::-1] * 2]
+        Retention(g, rf).aggregate(np.zeros((g.n + 1, 2)), retained)
+    assert len(built) == 40
+    assert max(int(np.diff(m.indptr).max(initial=0)) for m in built) > 2
+    for m in built:
+        assert m.has_canonical_format
+
+
+def test_predict_retaining_of_no_sets_makes_no_pass(rng):
+    # no set makes no pass, and an empty list of classes
+    g = random_graph(rng, n=8, p_edge=0.4, d=3)
+    model = random_model(rng, d=3)
     rf = field_of(g, 0, k=2)
-    deleted = [rf.members - r.nodes for r in enumerate_representatives(rf, 2, tau=None)]
-    assert len(deleted) % 3
-    monkeypatch.setattr(LocalScorer, "chunk", lambda self, hood: step(len(deleted)))
-    per_view = [int(np.argmax(forward(model, g.without_nodes(dset), 0))) for dset in deleted]
-    assert LocalScorer(model, g).predict_without(0, iter(deleted)) == per_view
+    assert list(Retention(g, rf).chunks(iter([]), model.hidden, model.classes)) == []
+    scorer = LocalScorer(model, g)
+    assert scorer.predict_retaining(rf, iter([])) == []
+    assert scorer.predict_retaining(rf, []) == []
 
 
 @pytest.mark.parametrize("step", [lambda sets: 1, lambda sets: 3, lambda sets: sets,
                                   lambda sets: sets + 1],
                          ids=["one", "three", "all", "all+1"])
 def test_predict_retaining_reads_every_chunk_boundary(rng, monkeypatch, step):
-    # as for predict_without: every set costs the budget over ``step``
+    # passes of one and of three sets, of exactly every set, and of one set
+    # more than there are: every set costs the budget over ``step``
     leaves = 5
     edges = [(0, i) for i in range(1, leaves + 1)] + [(i, i + 1) for i in range(1, leaves)]
     g = Graph.build(n=leaves + 1, edges=edges, features=rng.normal(size=(leaves + 1, 3)))
@@ -272,17 +302,15 @@ def test_predict_retaining_reads_every_chunk_boundary(rng, monkeypatch, step):
 
 
 def test_pass_bytes_bound_what_a_pass_holds(rng):
-    # ``Retention.pass_bytes`` is counted by hand per id, node, pair and
-    # edge from outside; every full pass ``chunks`` cuts, scored as
-    # ``predict_retaining`` scores it, must peak under its count: a leaf's
-    # k = 1 field, whose members have many senders outside it, the hub's
-    # k = 1 field, and random fields of k 2 and 3.  Where no member has a
-    # sender outside the field the count must also stay within 4x of the
-    # peak, or passes are cut far finer than the budget asks
+    # ``Retention.pass_bytes`` is counted by hand per id, node and pair;
+    # every full pass ``chunks`` cuts, scored as ``predict_retaining``
+    # scores it, must peak under its count and within 4x of it, or passes
+    # are cut far finer than the budget asks: a leaf's k = 2 field, the
+    # hub's k = 2 field, and random fields of k 2 and 3
     leaves = 40
     edges = [(0, i) for i in range(1, leaves + 1)] + [(i, i + 1) for i in range(1, leaves)]
     hub = Graph.build(n=leaves + 1, edges=edges, features=rng.normal(size=(leaves + 1, 3)))
-    fields = [(hub, field_of(hub, 1, k=1)), (hub, field_of(hub, 0, k=1))]
+    fields = [(hub, field_of(hub, 1, k=2)), (hub, field_of(hub, 0, k=2))]
     for k in (2, 3):
         g = random_graph(rng, n=60, p_edge=0.08, d=3)
         fields.append((g, field_of(g, 0, k=k)))
@@ -304,8 +332,7 @@ def test_pass_bytes_bound_what_a_pass_holds(rng):
                 np.argmax(np.matmul(scorer.hidden_retaining(core, chunk), model.w2)[:, 0], axis=1)
                 peak = tracemalloc.get_traced_memory()[1] - held
                 counted = sum(fixed + len(r) * (per_id + len(r) * per_square) for r in chunk)
-                assert peak <= counted
-                assert core.outside.size or 4 * peak >= counted
+                assert peak <= counted <= 4 * peak
                 full += 1
         finally:
             tracemalloc.stop()
@@ -326,12 +353,12 @@ def test_batched_predictor_equals_per_view_forward_at_cora_scale(rng):
         rf = field_of(g, v, k=2)
         if not 3 <= rf.size <= 12:
             continue
-        deleted = [rf.members - r.nodes
-                   for r in enumerate_representatives(rf, 2 if rf.size > 3 else 1, tau=None)]
-        per_view = [int(np.argmax(forward(model, g.without_nodes(dset), v)))
-                    for dset in deleted]
-        assert scorer.predict_without(v, iter(deleted)) == per_view
-        checked += len(deleted)
+        retained = [r.nodes
+                    for r in enumerate_representatives(rf, 2 if rf.size > 3 else 1, tau=None)]
+        per_view = [int(np.argmax(forward(model, g.without_nodes(rf.members - r), v)))
+                    for r in retained]
+        assert scorer.predict_retaining(rf, iter(retained)) == per_view
+        checked += len(retained)
     assert checked > 50
 
 
@@ -339,13 +366,13 @@ def test_many_representatives_are_scored_in_bounded_memory(rng):
     # a 40-leaf hub with a path through the leaves: keep-3 has 9,880
     # representatives, whose deleted sets of 37 nodes each would take
     # ~38 MB held at once; the retained sets are the representatives' own,
-    # and their masks, one chunk at a time, stay within the scorer's budget
+    # and their passes, one chunk at a time, stay within the scorer's budget
     leaves = 40
     edges = [(0, i) for i in range(1, leaves + 1)] + [(i, i + 1) for i in range(1, leaves)]
     g = Graph.build(n=leaves + 1, edges=edges, features=rng.normal(size=(leaves + 1, 3)))
     model = random_model(rng, d=3)
     scorer = LocalScorer(model, g)
-    rf = field_of(g, 0, k=1)
+    rf = field_of(g, 0, k=2)
     reps = enumerate_representatives(rf, 3, tau=None)
     assert len(reps) > 9000
 
@@ -374,7 +401,8 @@ def test_deletions_beyond_two_hops_change_degrees_inside_the_neighbourhood(rng):
     hood = TwoHop(g, [0])
     assert hood.nodes.tolist() == [0, 1, 2]
     deleted = [frozenset(), frozenset({3})]
-    scores = LocalScorer(model, g).scores(hood, hood.kept_without(deleted))[:, 0]
+    kept = np.array([_kept_mask(g, dset)[hood.edges] for dset in deleted])
+    scores = LocalScorer(model, g).scores(hood, kept)[:, 0]
     full = [forward(model, g.without_nodes(dset), 0) for dset in deleted]
     assert not np.allclose(full[0], full[1])
     assert np.allclose(scores, full, rtol=0.0, atol=1e-12)

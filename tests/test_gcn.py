@@ -280,24 +280,17 @@ def test_two_hop_rejects_rows_outside_the_graph(rng, rows):
     for g in (random_graph(rng, n=6, p_edge=0.4, d=3), path):
         with pytest.raises(ValueError, match=r"\[0, 6\)"):
             TwoHop(g, rows)
-        if len(rows) == 1:
-            with pytest.raises(ValueError, match=r"\[0, 6\)"):
-                LocalScorer(random_model(rng, d=3), g).predict_without(rows[0], [set()])
 
 
 @pytest.mark.parametrize("deleted", [{-1}, {-6}, {6}, {99}, {2, -1}, {0, 6}])
 def test_deleting_a_node_outside_the_graph_is_refused(rng, deleted):
-    # on a path, -1 would wrap around and drop node 5's edges; ids past the
-    # last node were an IndexError on a view and ignored by the scorer
+    # on a path, -1 would wrap around and drop node 5's edges, and an id
+    # past the last node would be an IndexError
     path = Graph.build(n=6, edges=[(i, i + 1) for i in range(5)],
                        features=rng.normal(size=(6, 3)))
     for g in (random_graph(rng, n=6, p_edge=0.4, d=3), path):
         with pytest.raises(ValueError, match=r"\[0, 6\)"):
             g.without_nodes(deleted)
-        scorer = LocalScorer(random_model(rng, d=3), g)
-        for v in (0, 4):
-            with pytest.raises(ValueError, match=r"\[0, 6\)"):
-                scorer.predict_without(v, [set(), deleted])
 
 
 def test_deleting_a_node_outside_the_hood_changes_nothing(rng):
@@ -307,11 +300,12 @@ def test_deleting_a_node_outside_the_hood_changes_nothing(rng):
     model = random_model(rng, d=3)
     deleted = [set(), {5}, {4, 5}, {1}]
     scorer = LocalScorer(model, g)
-    got = scorer.predict_without(0, deleted)
-    assert got == [int(np.argmax(forward(model, g.without_nodes(d), 0))) for d in deleted]
-    assert got[1] == got[0]
     rf = receptive_field(g, 0, 5)                   # the whole path
-    assert scorer.predict_retaining(rf, [rf.members - d for d in deleted]) == got
+    retained = [rf.members - d for d in deleted]
+    got = scorer.predict_retaining(rf, retained)
+    assert got == [int(np.argmax(forward(model, g.without_nodes(d), 0))) for d in deleted]
+    hidden = scorer.hidden_retaining(gcn.Retention(g, rf), retained[:2])
+    assert hidden[1].tobytes() == hidden[0].tobytes()
     assert np.array_equal(g.without_nodes({5}).edges, g.edges[g.edges.max(axis=1) < 5])
 
 
@@ -644,13 +638,14 @@ def test_interception_soundness_small(rng):
 
 
 def test_interception_soundness_on_the_local_scoring_path(rng):
-    # the sweep above on the path the CLI scores with, skip on and off:
+    # the sweep above on the paths the CLI scores with, skip on and off:
     # tampering a node the sample intercepts moves no vote of the target,
-    # nor does tampering a node deleted from a keep-k retention set.  The
-    # skip path reads the target's own features unablated, so with it the
-    # target is never tampered.  Non-finite and overflowing rows are
-    # tampers too: an intercepted message must be left out, not scaled by
-    # zero, since 0 * inf is NaN.
+    # nor does tampering a member of its k = 2 field that a retention set
+    # deletes (``predict_retaining``, as ``derandomize`` scores), or a node
+    # outside that field.  The skip path reads the target's own features
+    # unablated, so with it the target is never tampered.  Non-finite and
+    # overflowing rows are tampers too: an intercepted message must be
+    # left out, not scaled by zero, since 0 * inf is NaN.
     k = 2
     for skip in (False, True):
         for _ in range(10):
@@ -663,14 +658,16 @@ def test_interception_soundness_on_the_local_scoring_path(rng):
             kept = np.array([s.edge_mask[hood.edges] for s in samples])
             ablated = np.array([s.ablated[hood.nodes] for s in samples])
             others = [w for w in range(g.n) if w != v]
-            deleted = [set(rng.choice(others, size=int(rng.integers(len(others) + 1)),
+            rf = receptive_field(g, v, k)
+            field = sorted(rf.members - {v})
+            deleted = [set(rng.choice(field, size=int(rng.integers(len(field) + 1)),
                                       replace=False).tolist()) for _ in range(20)]
 
             def votes(features):
                 scorer = LocalScorer(model, g.with_edges(np.ones(g.m, dtype=bool),
                                                          features=features))
                 return (np.argmax(scorer.scores(hood, kept, ablated)[:, 0], axis=1),
-                        scorer.predict_without(v, deleted))
+                        scorer.predict_retaining(rf, [rf.members - d for d in deleted]))
 
             base, base_without = votes(g.features)
             for w in others if skip else range(g.n):
@@ -683,7 +680,7 @@ def test_interception_soundness_on_the_local_scoring_path(rng):
                         if s.ablated[w] or w not in _kept_distance_within(g, s.edge_mask, v, k):
                             assert moved[i] == base[i]
                     for d, before, after in zip(deleted, base_without, moved_without):
-                        if w in d:
+                        if w in d or w not in rf.members:
                             assert after == before
 
 
